@@ -69,54 +69,3 @@ from .runner import (
     run_cycle,
     run_sweep,
 )
-
-__all__ = [
-    "__version__",
-    "DensityOperator",
-    "KrausSet",
-    "QuantumValueError",
-    "SupportError",
-    "apply_kraus",
-    "eig_herm",
-    "fidelity",
-    "partial_trace_path",
-    "relative_entropy",
-    "tensor",
-    "von_neumann_entropy",
-    "ChannelBlock",
-    "OpticalElement",
-    "compression_unitary",
-    "expansion_unitary",
-    "hwp",
-    "ipd_block",
-    "pd_block",
-    "qwp",
-    "rotation",
-    "CycleLedger",
-    "EngineParams",
-    "ThermalState",
-    "closed_form_energetics",
-    "entropy_production",
-    "heat_from_states",
-    "hot_x_from_kappa",
-    "thermal_state",
-    "work_from_states",
-    "IntensityRecord",
-    "StokesVector",
-    "load_golden_data",
-    "measure",
-    "reconstruct",
-    "stokes_from_intensities",
-    "CircuitProgram",
-    "CircuitSyntaxError",
-    "compile_program",
-    "format_program",
-    "parse",
-    "SweepConfig",
-    "SweepReport",
-    "compare_golden",
-    "emit",
-    "load_report",
-    "run_cycle",
-    "run_sweep",
-]

@@ -241,18 +241,12 @@ def _pol_unitary(instr):
 
 
 def _step(rho, joint, instr, snapshots):
+    # compile_program has already checked the instruction flow
     op = instr.op
     if op == "init":
-        if joint:
-            raise CircuitCompileError(
-                f"line {instr.line}: init while the ancilla is still active"
-            )
         if instr.args[0] == "rc":
             return np.outer(KET_PSI_RC, KET_PSI_RC.conj()), False
         return thermal_state(instr.args[1]).rho.matrix, False
-
-    if rho is None:
-        raise CircuitCompileError(f"line {instr.line}: {op} before any init")
 
     if op in ("hwp", "qwp", "rot", "expand", "compress"):
         try:
@@ -264,27 +258,17 @@ def _step(rho, joint, instr, snapshots):
         return u @ rho @ u.conj().T, joint
 
     if op == "pd":
-        if joint:
-            raise CircuitCompileError(
-                f"line {instr.line}: pd while the ancilla is already active"
-            )
         block = optics.pd_block(np.deg2rad(instr.args[0]))
         rho4 = np.kron(rho, np.diag([1.0, 0.0]).astype(complex))
         return block.unitary @ rho4 @ block.unitary.conj().T, True
 
     if op == "ipd":
-        if not joint:
-            raise CircuitCompileError(
-                f"line {instr.line}: ipd without a preceding pd (no ancilla to consume)"
-            )
         block = optics.ipd_block(np.deg2rad(instr.args[0]))
         rho4 = block.unitary @ rho @ block.unitary.conj().T
         return partial_trace_path(DensityOperator(rho4)).matrix, False
 
     if op == "tomo":
         label = instr.args[0]
-        if label in snapshots:
-            raise CircuitCompileError(f"line {instr.line}: duplicate tap label {label!r}")
         state = DensityOperator(rho)
         if joint:
             state = partial_trace_path(state)

@@ -12,10 +12,9 @@ parse errors.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from . import __version__
 from .circuit import (
@@ -27,6 +26,7 @@ from .circuit import (
 from .qcore import QuantumValueError
 from .runner import (
     SweepConfig,
+    _matrix_to_json,
     compare_golden,
     emit,
     load_config_file,
@@ -41,10 +41,6 @@ from .tomography import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _matrix_payload(m):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
 def _write_out(data, out):
@@ -80,20 +76,7 @@ def _sweep_config(args):
         overrides["out"] = args.out
     if args.format is not None:
         overrides["fmt"] = args.format
-    if overrides:
-        merged = {
-            "theta_list_deg": config.theta_list_deg,
-            "n": config.n,
-            "x_c": config.x_c,
-            "omega0_tau": config.omega0_tau,
-            "noise_sigma": config.noise_sigma,
-            "seed": config.seed,
-            "out": config.out,
-            "fmt": config.fmt,
-        }
-        merged.update(overrides)
-        config = SweepConfig(**merged)
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def _cmd_run(args):
@@ -111,10 +94,10 @@ def _cmd_run(args):
         return EXIT_USAGE
     doc = {
         "snapshots": {
-            label: _matrix_payload(state.matrix)
+            label: _matrix_to_json(state.matrix)
             for label, state in result.snapshots.items()
         },
-        "final": _matrix_payload(result.final.matrix) if result.final else None,
+        "final": _matrix_to_json(result.final.matrix) if result.final else None,
     }
     return _write_out((json.dumps(doc, indent=2) + "\n").encode(), args.out)
 
@@ -146,7 +129,7 @@ def _cmd_tomo(args):
         return EXIT_USAGE
     doc = {
         "stokes": [stokes.s0, stokes.s1, stokes.s2, stokes.s3],
-        "density_matrix": _matrix_payload(rho.matrix),
+        "density_matrix": _matrix_to_json(rho.matrix),
     }
     return _write_out((json.dumps(doc, indent=2) + "\n").encode(), args.out)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import ID2, TOL, KrausSet, QuantumValueError, tensor
+from .qcore import ID2, TOL, KrausSet, QuantumValueError, first_errors, kraus_errors, tensor
 
 __all__ = [
     "OpticalElement",
@@ -33,6 +33,7 @@ __all__ = [
     "path_phase",
     "pd_block",
     "ipd_block",
+    "dephasing_stack",
     "expansion_unitary",
     "compression_unitary",
     "kappa_from_theta_deg",
@@ -53,18 +54,36 @@ class OpticalElement:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if defect > TOL["unitary"]:
-            raise QuantumValueError(f"{self.kind} element not unitary: defect {defect:.3g}")
+        _check_unitary(m, f"{self.kind} element")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
 
+def _unitarity_errors(stack, what):
+    # position -> message for each slice of an (N, d, d) stack that is not unitary
+    defect = np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))
+    defect = defect.max(axis=(-2, -1))
+    return {i: f"{what} not unitary: defect {defect[i]:.3g}"
+            for i in np.flatnonzero(defect > TOL["unitary"]).tolist()}
+
+
+def _check_unitary(m, what):
+    errors = _unitarity_errors(m[None], what)
+    if errors:
+        raise QuantumValueError(errors[0])
+
+
+def _hwp_matrix(theta):
+    # [[cos, sin], [sin, -cos]]; an array of angles gives a stack of matrices
+    c, s = np.cos(theta), np.sin(theta)
+    m = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = c, s, s, -c
+    return m
+
+
 def hwp(theta):
     """Half-wave plate with matrix entries evaluated directly at theta."""
-    c, s = np.cos(theta), np.sin(theta)
-    return OpticalElement("HWP", float(theta), "polarization",
-                          np.array([[c, s], [s, -c]], dtype=complex))
+    return OpticalElement("HWP", float(theta), "polarization", _hwp_matrix(theta))
 
 
 def rotation(alpha):
@@ -106,21 +125,17 @@ def _on_paths(pol_on_0, pol_on_1):
     return np.kron(pol_on_0, _P0) + np.kron(pol_on_1, _P1)
 
 
-def _check_theta_v(theta_v):
-    if not 0.0 <= theta_v <= np.pi / 4 + 1e-15:
-        raise QuantumValueError(
-            f"theta_v = {theta_v:.6g} rad outside [0, pi/4]"
-        )
+def _frozen(m):
+    m.flags.writeable = False
+    return m
 
 
-def _pd_unitary(theta_v, pzt_phase):
-    # PBS1 -> arm plates (H arm fixed, V arm rotated) -> PZT -> PBS2 -> HWP5
-    b = pbs_matrix()
-    arm_h = hwp(0.0).matrix                     # leaves |H> unchanged
-    arm_v = hwp(np.pi - 2.0 * theta_v).matrix   # |V> -> sin2t|H> + cos2t|V>
-    stage_arms = _on_paths(arm_h, arm_v)
-    stage_flip = _on_paths(ID2, hwp(np.pi / 2).matrix)  # HWP5: |H> -> |V> on k1
-    return stage_flip @ b @ phase_on_path1(pzt_phase) @ stage_arms @ b
+# theta-independent stages of the dephasing blocks
+_PBS = _frozen(pbs_matrix())
+_ARM_H = _frozen(np.kron(hwp(0.0).matrix, _P0))             # H arm plate leaves |H> unchanged
+_FLIP = _frozen(_on_paths(ID2, hwp(np.pi / 2).matrix))     # HWP5: |H> -> |V> on k1
+_FLIP_PBS = _frozen(_FLIP @ _PBS)
+_PHASE_0 = _frozen(phase_on_path1(0.0))
 
 
 @dataclass(frozen=True)
@@ -130,16 +145,61 @@ class ChannelBlock:
     name: str
     unitary: np.ndarray | None = field(default=None, compare=False)
     kraus: KrausSet | None = None
-    traces_path_after: bool = False
 
     def __post_init__(self):
         if self.unitary is not None:
             u = np.asarray(self.unitary, dtype=complex)
-            defect = np.abs(u.conj().T @ u - np.eye(4)).max()
-            if defect > TOL["unitary"]:
-                raise QuantumValueError(f"{self.name} block not unitary: defect {defect:.3g}")
+            _check_unitary(u, f"{self.name} block")
             u.flags.writeable = False
             object.__setattr__(self, "unitary", u)
+
+
+def _kraus_pairs(theta_v):
+    # diag(1, cos 2t), diag(0, sin 2t) per angle, as an (N, 2, 2, 2) stack
+    kraus = np.zeros(np.shape(theta_v) + (2, 2, 2), dtype=complex)
+    kraus[:, 0, 0, 0] = 1.0
+    kraus[:, 0, 1, 1] = np.cos(2.0 * theta_v)
+    kraus[:, 1, 1, 1] = np.sin(2.0 * theta_v)
+    return kraus
+
+
+def _arm_stage(arm_v):
+    # _on_paths(hwp(0), arm_v) per slice; kron(arm_v, P1) as a broadcast
+    # product gives the same products, signed zeros included
+    return _ARM_H + (arm_v[:, :, None, :, None] * _P1[:, None, :]).reshape(-1, 4, 4)
+
+
+def dephasing_stack(theta_v, pzt_phase=0.0, inverse=False):
+    """Dilation unitaries of the PD (or, with ``inverse``, IPD) block per angle.
+
+    ``theta_v`` is a sequence of wave-plate angles in radians.  The PD
+    circuit is PBS1 -> arm plates (H arm fixed, V arm at hwp(pi - 2 theta_v),
+    so |V> -> sin 2t |H> + cos 2t |V>) -> PZT -> PBS2 -> HWP5; the IPD is
+    its mirror.  Returns (unitaries (N, 4, 4), Kraus pairs (N, 2, 2, 2) or
+    None for the IPD, errors): ``errors`` maps the position of each angle
+    that fails a check (angle range, Kraus completeness, arm-plate and
+    block unitarity, in that order) to its message.  The stacked products
+    keep the single-block product order, so each slice has the bits of
+    the block built alone.
+    """
+    theta_v = np.asarray(theta_v, dtype=float)
+    in_range = (theta_v >= 0.0) & (theta_v <= np.pi / 4 + 1e-15)
+    checks = [{i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]"
+               for i in np.flatnonzero(~in_range).tolist()}]
+    kraus = None
+    if not inverse:
+        kraus = _kraus_pairs(theta_v)
+        checks.append(kraus_errors(kraus))
+    arm_v = _hwp_matrix(np.pi - 2.0 * theta_v)
+    checks.append(_unitarity_errors(arm_v, "HWP element"))
+    arms = _arm_stage(arm_v)
+    phase = _PHASE_0 if pzt_phase == 0.0 else phase_on_path1(pzt_phase)
+    if inverse:
+        u = (((_PBS @ arms) @ phase) @ _PBS) @ _FLIP
+    else:
+        u = ((_FLIP_PBS @ phase) @ arms) @ _PBS
+    checks.append(_unitarity_errors(u, "IPD block" if inverse else "PD block"))
+    return u, kraus, first_errors(*checks)
 
 
 def pd_block(theta_v, pzt_phase=0.0):
@@ -150,13 +210,10 @@ def pd_block(theta_v, pzt_phase=0.0):
     k0 and is traced after), and the equivalent 2-dim Kraus pair
     diag(1, cos 2theta_v), diag(0, sin 2theta_v).
     """
-    _check_theta_v(theta_v)
-    c = np.cos(2.0 * theta_v)
-    s = np.sin(2.0 * theta_v)
-    kraus = KrausSet([np.diag([1.0, c]).astype(complex),
-                      np.diag([0.0, s]).astype(complex)])
-    return ChannelBlock("PD", unitary=_pd_unitary(theta_v, pzt_phase),
-                        kraus=kraus, traces_path_after=True)
+    u, kraus, errors = dephasing_stack([theta_v], pzt_phase)
+    if errors:
+        raise QuantumValueError(errors[0])
+    return ChannelBlock("PD", unitary=u[0], kraus=KrausSet(kraus[0]))
 
 
 def ipd_block(theta_v, pzt_phase=None, pd_pzt_phase=0.0):
@@ -167,16 +224,12 @@ def ipd_block(theta_v, pzt_phase=None, pd_pzt_phase=0.0):
     PZT2 phase is solved analytically as -pd_pzt_phase unless given
     explicitly; the joint composite then satisfies ipd . pd = identity.
     """
-    _check_theta_v(theta_v)
     if pzt_phase is None:
         pzt_phase = -pd_pzt_phase
-    b = pbs_matrix()
-    arm_h = hwp(0.0).matrix
-    arm_v = hwp(np.pi - 2.0 * theta_v).matrix
-    stage_arms = _on_paths(arm_h, arm_v)
-    stage_flip = _on_paths(ID2, hwp(np.pi / 2).matrix)
-    u = b @ stage_arms @ phase_on_path1(pzt_phase) @ b @ stage_flip
-    return ChannelBlock("IPD", unitary=u, kraus=None, traces_path_after=True)
+    u, _, errors = dephasing_stack([theta_v], pzt_phase, inverse=True)
+    if errors:
+        raise QuantumValueError(errors[0])
+    return ChannelBlock("IPD", unitary=u[0])
 
 
 def _jones_parameter(n, omega0_tau):
@@ -212,6 +265,4 @@ def kappa_from_theta_deg(theta_deg):
         return 1.0
     if two_theta == 90.0:
         return 0.0
-    if two_theta == 180.0:
-        return -1.0
     return float(np.cos(np.deg2rad(two_theta)))

@@ -33,6 +33,14 @@ __all__ = [
     "KrausSet",
     "tensor",
     "partial_trace_path",
+    "wrap_validated",
+    "first_errors",
+    "density_errors",
+    "kraus_errors",
+    "trace_path",
+    "spectra",
+    "entropies",
+    "support_weights",
     "apply_kraus",
     "eig_herm",
     "von_neumann_entropy",
@@ -105,15 +113,10 @@ class DensityOperator:
 
     def __init__(self, matrix, label=None):
         m = _as_square(matrix, "density operator").copy()
-        herm = np.abs(m - m.conj().T).max()
-        if herm > TOL["herm"]:
-            raise QuantumValueError(f"not Hermitian: defect {herm:.3g}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TOL["trace"]:
-            raise QuantumValueError(f"trace {tr:.15g} != 1")
-        lam_min = np.linalg.eigvalsh(m).min()
-        if lam_min < TOL["psd"]:
-            raise QuantumValueError(f"not positive semidefinite: min eigenvalue {lam_min:.3g}")
+        herm, trace, lam = _density_defects(m)
+        message = _density_message(herm, trace, lam.min())
+        if message:
+            raise QuantumValueError(message)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "label", label)
@@ -126,10 +129,13 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     def relabel(self, label):
-        out = object.__new__(DensityOperator)
-        object.__setattr__(out, "matrix", self.matrix)
-        object.__setattr__(out, "label", label)
-        return out
+        return wrap_validated(self.matrix, label)
+
+    def __eq__(self, other):
+        """Equal matrices, entry for entry; the label is not compared."""
+        if not isinstance(other, DensityOperator):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
 
     @classmethod
     def from_ket(cls, ket, label=None):
@@ -154,10 +160,9 @@ class KrausSet:
         dim = ops[0].shape[0]
         if any(k.shape[0] != dim for k in ops):
             raise QuantumValueError("Kraus operators must share one dimension")
-        total = sum(k.conj().T @ k for k in ops)
-        defect = np.abs(total - np.eye(dim)).max()
-        if defect > TOL["kraus"]:
-            raise QuantumValueError(f"incomplete Kraus set: defect {defect:.3g}")
+        errors = kraus_errors(np.stack(ops)[None])
+        if errors:
+            raise QuantumValueError(errors[0])
         for k in ops:
             k.flags.writeable = False
         object.__setattr__(self, "operators", ops)
@@ -168,6 +173,70 @@ class KrausSet:
     @property
     def dim(self):
         return self.operators[0].shape[0]
+
+
+def wrap_validated(matrix, label=None):
+    """A DensityOperator around a read-only matrix that already passed its checks.
+
+    The engine validates whole stacks with :func:`density_errors` and wraps
+    the surviving slices with this instead of checking each one again.
+    """
+    out = object.__new__(DensityOperator)
+    object.__setattr__(out, "matrix", matrix)
+    object.__setattr__(out, "label", label)
+    return out
+
+
+def first_errors(*checks):
+    """Merge position -> message dicts; each position keeps its first message.
+
+    Pass the checks in the order a single-matrix code path would run them,
+    so a failing row reports the check it would have stopped at.
+    """
+    merged = {}
+    for errors in checks:
+        for pos, message in errors.items():
+            merged.setdefault(pos, message)
+    return merged
+
+
+def _density_defects(m):
+    # Hermiticity defect, trace and eigenvalues of a matrix or of each slice of a stack
+    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return herm, np.trace(m, axis1=-2, axis2=-1), np.linalg.eigvalsh(m)
+
+
+def _density_message(herm, trace, lam_min):
+    # the first DensityOperator check these defects fail, or None
+    if herm > TOL["herm"]:
+        return f"not Hermitian: defect {herm:.3g}"
+    if abs(trace - 1.0) > TOL["trace"]:
+        return f"trace {trace:.15g} != 1"
+    if lam_min < TOL["psd"]:
+        return f"not positive semidefinite: min eigenvalue {lam_min:.3g}"
+    return None
+
+
+def density_errors(stack):
+    """Apply the DensityOperator checks to each slice of an (N, d, d) stack.
+
+    Returns the ascending eigenvalues of every slice and a dict mapping the
+    position of each failing slice to the message the constructor would
+    raise for it.
+    """
+    herm, trace, lam = _density_defects(stack)
+    lam_min = lam.min(axis=-1)
+    failed = (herm > TOL["herm"]) | (np.abs(trace - 1.0) > TOL["trace"]) | (lam_min < TOL["psd"])
+    return lam, {i: _density_message(herm[i], trace[i], lam_min[i])
+                 for i in np.flatnonzero(failed).tolist()}
+
+
+def kraus_errors(stack):
+    """Completeness check of each Kraus set in an (N, k, d, d) stack; position -> message."""
+    total = (stack.conj().swapaxes(-1, -2) @ stack).sum(axis=1)
+    defect = np.abs(total - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+    return {i: f"incomplete Kraus set: defect {defect[i]:.3g}"
+            for i in np.flatnonzero(defect > TOL["kraus"]).tolist()}
 
 
 def tensor(a, b):
@@ -185,9 +254,12 @@ def partial_trace_path(rho4):
         rho4 = DensityOperator(rho4)
     if rho4.dim != 4:
         raise QuantumValueError("partial_trace_path expects a 4x4 density operator")
-    red = rho4.matrix.reshape(2, 2, 2, 2)
-    red = np.einsum("ikjk->ij", red)
-    return DensityOperator(red)
+    return DensityOperator(trace_path(rho4.matrix[None])[0])
+
+
+def trace_path(stack):
+    """Trace the path factor out of each slice of an (N, 4, 4) stack, unvalidated."""
+    return np.einsum("nikjk->nij", stack.reshape(-1, 2, 2, 2, 2))
 
 
 def apply_kraus(rho, kraus):
@@ -224,9 +296,11 @@ def eig_herm(m):
     return lam, vec
 
 
-def _clamped_spectrum(rho):
-    lam, vec = eig_herm(rho.matrix if isinstance(rho, DensityOperator) else rho)
-    lam = np.where(lam < TOL["eig_clamp"], 0.0, lam)
+def _spectrum(rho):
+    # spectra() of one density operator, raising its check
+    lam, vec, errors = spectra(rho.matrix[None])
+    if errors:
+        raise QuantumValueError(errors[0])
     return lam, vec
 
 
@@ -234,9 +308,7 @@ def von_neumann_entropy(rho):
     """S = -sum lam ln lam in nats, with 0 ln 0 := 0."""
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho)
-    lam, _ = _clamped_spectrum(rho)
-    nz = lam[lam > 0]
-    return float(max(-np.sum(nz * np.log(nz)), 0.0))
+    return entropies(_spectrum(rho)[0])[0]
 
 
 def relative_entropy(rho, sigma):
@@ -251,35 +323,63 @@ def relative_entropy(rho, sigma):
         sigma = DensityOperator(sigma)
     if rho.dim != sigma.dim:
         raise QuantumValueError("relative_entropy needs operators of equal dimension")
-    lam_r, _ = _clamped_spectrum(rho)
-    nz = lam_r[lam_r > 0]
-    tr_rho_ln_rho = float(np.sum(nz * np.log(nz)))
-
-    lam_s, vec_s = _clamped_spectrum(sigma)
-    weights = np.real(np.einsum("ij,jk,ki->i", vec_s.conj().T, rho.matrix, vec_s))
-    tr_rho_ln_sigma = 0.0
-    for w, mu in zip(weights, lam_s):
-        if mu < TOL["support"]:
-            if w > TOL["support"]:
-                raise SupportError(
-                    f"support violation: weight {w:.3g} on eigenvalue {mu:.3g}"
-                )
-            continue
-        tr_rho_ln_sigma += w * np.log(mu)
-    return tr_rho_ln_rho - tr_rho_ln_sigma
+    lam_s, vec_s = _spectrum(sigma)
+    weights, errors = support_weights(rho.matrix, lam_s, vec_s)
+    if errors:
+        raise SupportError(errors[0])
+    inside = lam_s >= TOL["support"]
+    tr_rho_ln_sigma = float(np.sum(weights[inside] * np.log(lam_s[inside])))
+    return -von_neumann_entropy(rho) - tr_rho_ln_sigma
 
 
-def _psd_sqrt(m):
-    lam, vec = np.linalg.eigh(m)
-    return vec @ np.diag(np.sqrt(np.maximum(lam, 0.0))) @ vec.conj().T
+def spectra(stack):
+    """Spectra of each Hermitian slice of an (N, d, d) stack, for entropies.
+
+    Returns (lam, vec, errors): eigenvalues in descending order with those
+    below TOL["eig_clamp"] set to 0, the matching eigenvector columns (phases
+    not fixed; nothing computed from them depends on the phase) and
+    position -> message for slices failing eig_herm's Hermiticity check.
+    """
+    defect = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    lam, vec = np.linalg.eigh(stack)
+    lam = lam[..., ::-1]
+    errors = {i: f"eig_herm needs a Hermitian matrix: defect {defect[i]:.3g}"
+              for i in np.flatnonzero(defect > TOL["eig_herm_input"]).tolist()}
+    return np.where(lam < TOL["eig_clamp"], 0.0, lam), vec[..., ::-1], errors
+
+
+def entropies(lam):
+    """von Neumann entropy in nats of each clamped spectrum from :func:`spectra`.
+
+    Python's max keeps the sign of an exact zero: a pure state gives -0.0.
+    """
+    terms = lam * np.log(np.where(lam > 0.0, lam, 1.0))
+    return [max(-s, 0.0) for s in terms.sum(axis=-1).tolist()]
+
+
+def support_weights(rho, lam_s, vec_s):
+    """Weights of rho on sigma's eigenvectors and the relative-entropy support check.
+
+    ``lam_s``/``vec_s`` come from :func:`spectra` of a sigma stack; ``rho``
+    is one matrix or a stack of them.  Returns the (N, d) weights and
+    position -> message for each row with weight above TOL["support"] on an
+    eigenvalue below it (where D(rho || sigma) would be +inf).
+    """
+    weights = np.einsum("...ji,...jk,...ki->...i", vec_s.conj(), rho, vec_s).real
+    lam_s = np.broadcast_to(lam_s, weights.shape)
+    errors = {}
+    for i, j in zip(*np.nonzero((lam_s < TOL["support"]) & (weights > TOL["support"]))):
+        errors.setdefault(int(i), f"support violation: weight {weights[i, j]:.3g} "
+                                  f"on eigenvalue {lam_s[i, j]:.3g}")
+    return weights, errors
 
 
 def fidelity(rho, sigma):
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
 
-    For a pure sigma this equals <psi|rho|psi>.  Qubit inputs use the exact
-    closed form tr(rho sigma) + 2 sqrt(det rho det sigma), which avoids the
-    precision loss of the matrix square roots near pure states.
+    For a pure sigma this equals <psi|rho|psi>.  Qubit states only, through
+    the exact closed form tr(rho sigma) + 2 sqrt(det rho det sigma), which
+    avoids the precision loss of the matrix square roots near pure states.
     """
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho)
@@ -287,12 +387,8 @@ def fidelity(rho, sigma):
         sigma = DensityOperator(sigma)
     if rho.dim != sigma.dim:
         raise QuantumValueError("fidelity needs operators of equal dimension")
-    if rho.dim == 2:
-        overlap = float(np.trace(rho.matrix @ sigma.matrix).real)
-        det_prod = float((np.linalg.det(rho.matrix) * np.linalg.det(sigma.matrix)).real)
-        f = overlap + 2.0 * np.sqrt(max(det_prod, 0.0))
-    else:
-        sq = _psd_sqrt(rho.matrix)
-        lam = np.linalg.eigvalsh(sq @ sigma.matrix @ sq)
-        f = float(np.sum(np.sqrt(np.maximum(lam, 0.0))) ** 2)
-    return min(max(f, 0.0), 1.0)
+    if rho.dim != 2:
+        raise QuantumValueError("fidelity is implemented for qubit states")
+    overlap = float(np.trace(rho.matrix @ sigma.matrix).real)
+    det_prod = float((np.linalg.det(rho.matrix) * np.linalg.det(sigma.matrix)).real)
+    return min(max(overlap + 2.0 * np.sqrt(max(det_prod, 0.0)), 0.0), 1.0)

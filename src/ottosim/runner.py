@@ -17,34 +17,52 @@ their maximum deviation.
 Snapshots are labeled TA, TB, TC, TD, TA2.  With noise_sigma > 0 they are
 passed through the simulated tomography pipeline (seeded); the ledger
 itself is always computed from the exact simulated states so its
-invariants hold at any noise level.
+invariants, cycle closure included, hold at any noise level.
+
+A sweep runs all of its angles as one stack (``_cycle_rows``): the
+theta-independent strokes once, the per-angle strokes on (N, ., .) arrays
+with every row still validated; ``run_cycle`` is the same engine at N = 1.
 """
 
 import json
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .optics import (
     compression_unitary,
+    dephasing_stack,
     expansion_unitary,
-    ipd_block,
     kappa_from_theta_deg,
-    pd_block,
 )
-from .qcore import TOL, DensityOperator, QuantumValueError, fidelity, partial_trace_path
+from .qcore import (
+    ID4,
+    TOL,
+    DensityOperator,
+    QuantumValueError,
+    density_errors,
+    entropies,
+    fidelity,
+    first_errors,
+    spectra,
+    support_weights,
+    trace_path,
+    von_neumann_entropy,
+    wrap_validated,
+)
 from .thermo import (
     CycleLedger,
     EngineParams,
     closed_form_energetics,
+    expectations,
     hamiltonian,
-    heat_from_states,
     hot_x_from_kappa,
+    thermal_matrices,
     thermal_state,
     work_from_states,
-    entropy_production,
 )
 from .tomography import load_golden_data, measure_all, reconstruct, stokes_from_intensities
 
@@ -130,127 +148,229 @@ class CycleResult:
     max_delta_vs_closed_form: float
 
 
-def _assert_spectrum_preserved(stroke, rho_a, rho_b):
-    la = np.linalg.eigvalsh(rho_a.matrix)
-    lb = np.linalg.eigvalsh(rho_b.matrix)
-    gap = float(np.abs(la - lb).max())
-    if gap > 1e-10:
-        raise CycleError(f"stroke {stroke}: not unitary, spectrum moved by {gap:.3g}")
+def _spectrum_errors(lam_a, lam_b):
+    # a unitary stroke leaves each row's (ascending) spectrum in place
+    gap = np.abs(lam_a - lam_b).max(axis=-1)
+    return {i: f"not unitary, spectrum moved by {gap[i]:.3g}"
+            for i in np.flatnonzero(gap > 1e-10).tolist()}
 
 
-def _tap(rho, noise_sigma, rng):
+def _tap(matrix, label, noise_sigma, rng):
+    rho = wrap_validated(matrix, label)
     if noise_sigma <= 0.0:
         return rho
     records = measure_all(rho, noise_sigma=noise_sigma, rng=rng)
-    return reconstruct(stokes_from_intensities(records))
+    return reconstruct(stokes_from_intensities(records)).relabel(label)
+
+
+class _Rows:
+    """Positions of the rows still running and the error of each row that stopped."""
+
+    def __init__(self, count):
+        self.index = np.arange(count)
+        self.errors = {}
+
+    def keep(self, stroke, bad, *stacks):
+        """Stop the rows at the positions in ``bad``; return ``stacks`` without them."""
+        if not bad:
+            return stacks
+        mask = np.ones(len(self.index), dtype=bool)
+        for pos, message in bad.items():
+            self.errors[int(self.index[pos])] = CycleError(f"stroke {stroke}: {message}")
+            mask[pos] = False
+        self.index = self.index[mask]
+        return tuple(stack[mask] for stack in stacks)
+
+
+def _dephasing(theta_v, inverse=False):
+    """Stacked PD/IPD unitaries and row errors of the angles ``theta_v``.
+
+    A QuantumValueError raised for the whole stack is retried one row at a
+    time, so only the rows that raise it fail.
+    """
+    try:
+        unitaries, _, errors = dephasing_stack(theta_v, inverse=inverse)
+        return unitaries, errors
+    except QuantumValueError:
+        unitaries, errors = np.tile(ID4, (len(theta_v), 1, 1)), {}
+        for i in range(len(theta_v)):
+            try:
+                u, _, bad = dephasing_stack(theta_v[i:i + 1], inverse=inverse)
+            except QuantumValueError as exc:
+                errors[i] = str(exc)
+                continue
+            unitaries[i] = u[0]
+            errors.update((i, message) for message in bad.values())
+        return unitaries, errors
+
+
+def _fixed_part(config):
+    """The theta-independent part of a sweep, computed and checked once."""
+    params = config.params()
+    f = SimpleNamespace(params=params, n=params.n, x_c=params.x_c,
+                        h_cold=hamiltonian(1.0), h_hot=hamiltonian(params.n))
+    # A: cold thermal state
+    f.cold = thermal_state(params.x_c)
+    rho_a = f.cold.rho.matrix
+    # A->B: expansion (work stroke)
+    try:
+        u_e = expansion_unitary(f.n, config.omega0_tau).matrix
+        f.rho_b = DensityOperator(u_e @ rho_a @ u_e.conj().T)
+    except QuantumValueError as exc:
+        raise CycleError(f"stroke A->B: {exc}") from exc
+    moved = _spectrum_errors(np.linalg.eigvalsh(rho_a[None]),
+                             np.linalg.eigvalsh(f.rho_b.matrix[None]))
+    if moved:
+        raise CycleError(f"stroke A->B: {moved[0]}")
+    f.w_ab = work_from_states(f.cold.rho, f.rho_b, f.h_cold, f.h_hot)
+    f.e_b_hot = expectations(f.h_hot, f.rho_b.matrix[None])[0]
+    # B->C takes the ancilla in k0; C->D acts on the polarization of both
+    # arms (its rotation has the arguments expansion_unitary accepted)
+    f.joint_b = np.kron(f.rho_b.matrix, np.diag([1.0, 0.0]).astype(complex))
+    f.k_c = np.kron(compression_unitary(f.n, config.omega0_tau).matrix, np.eye(2, dtype=complex))
+    f.k_c_h = f.k_c.conj().T
+    f.s_b = von_neumann_entropy(f.rho_b)
+    f.s_cold = von_neumann_entropy(f.cold.rho)
+    # von_neumann_entropy above ran the Hermiticity check of these spectra
+    f.spec_cold, f.vec_cold, _ = spectra(rho_a[None])
+    return f
+
+
+def _cycle_rows(thetas, config, mode, rngs):
+    """Run one cycle per angle of ``thetas`` (degrees), all angles as one stack.
+
+    The theta-independent part (Hamiltonians, cold state, the A->B stroke
+    with its spectrum check, rho_B and W_AB, the compression, the entropies
+    of the cold state and of rho_B) is computed once.  The per-angle
+    strokes run on (N, ., .) stacks; every per-angle matrix passes the same
+    TOL checks a single-matrix computation applies, row by row, and a row
+    stops at its first failed check with its stroke named while the other
+    rows go on.  ``rngs`` holds each row's tomography generator.  Returns
+    (results, errors): the CycleResult of each finished row and the
+    exception of each stopped row, keyed by position in ``thetas``.
+    """
+    try:
+        if mode not in ("optical", "theory"):
+            raise QuantumValueError(f"unknown mode {mode!r}")
+        f = _fixed_part(config)
+    except (CycleError, QuantumValueError) as exc:
+        return {}, dict.fromkeys(range(len(thetas)), exc)
+    kappa = [kappa_from_theta_deg(theta) for theta in thetas]
+    hot_x = [hot_x_from_kappa(k, f.params) for k in kappa]
+    rows = _Rows(len(thetas))
+    theta_v = np.array([math.radians(theta) for theta in thetas])
+
+    # B->C: dephasing block as the hot reservoir, then the entropy produced
+    # relaxing rho_B to the thermal state at x_h
+    pd, bad_pd = _dephasing(theta_v)
+    joint = (pd @ f.joint_b) @ pd.conj().swapaxes(-1, -2)
+    rho_c = trace_path(joint)
+    lam_c, bad_c = density_errors(rho_c)
+    hot = thermal_matrices([h.x_h for h in hot_x])
+    spec_h, vec_h, bad_h = spectra(hot)
+    theta_v, joint, rho_c, lam_c, spec_h = rows.keep("B->C", first_errors(
+        bad_pd, density_errors(joint)[1], bad_c, density_errors(hot)[1], bad_h,
+        support_weights(f.rho_b.matrix, spec_h, vec_h)[1],
+    ), theta_v, joint, rho_c, lam_c, spec_h)
+
+    # C->D: compression applied to the polarization of both arms
+    joint = (f.k_c @ joint) @ f.k_c_h
+    rho_d = trace_path(joint)
+    lam_d, bad_d = density_errors(rho_d)
+    theta_v, joint, rho_c, rho_d, spec_h = rows.keep("C->D", first_errors(
+        density_errors(joint)[1], bad_d, _spectrum_errors(lam_c, lam_d),
+    ), theta_v, joint, rho_c, rho_d, spec_h)
+
+    # D->A: the inverted block consumes the dephasing record (theory mode
+    # puts the cold state back directly), then the entropy produced relaxing
+    # rho_D to the cold state; either way the cycle must close
+    rho_a = f.cold.rho.matrix
+    checks = []
+    if mode == "optical":
+        ipd, bad_ipd = _dephasing(theta_v, inverse=True)
+        joint = (ipd @ joint) @ ipd.conj().swapaxes(-1, -2)
+        rho_a2 = trace_path(joint)
+        checks = [bad_ipd, density_errors(joint)[1], density_errors(rho_a2)[1]]
+    else:
+        rho_a2 = np.broadcast_to(rho_a, rho_d.shape)
+    spec_d, _, bad_sd = spectra(rho_d)
+    closure = np.abs(rho_a2 - rho_a).max(axis=(-2, -1))
+    rho_c, rho_d, rho_a2, spec_h, spec_d = rows.keep("D->A", first_errors(
+        *checks, bad_sd, support_weights(rho_d, f.spec_cold, f.vec_cold)[1],
+        {i: f"cycle failed to close, defect {closure[i]:.3g}"
+         for i in np.flatnonzero(closure > TOL["cycle_closure"]).tolist()},
+    ), rho_c, rho_d, rho_a2, spec_h, spec_d)
+
+    e_c_hot = expectations(f.h_hot, rho_c)
+    e_d_cold = expectations(f.h_cold, rho_d)
+    e_a2_cold = expectations(f.h_cold, rho_a2)
+    s_hot, s_d = entropies(spec_h), entropies(spec_d)
+    for stack in (rho_c, rho_d, rho_a2):
+        stack.flags.writeable = False
+    results = {}
+    for k, i in enumerate(rows.index.tolist()):
+        x_h, r = hot_x[i]
+        q_bc = e_c_hot[k] - f.e_b_hot
+        w_cd = e_d_cold[k] - e_c_hot[k]
+        q_da = e_a2_cold[k] - e_d_cold[k]
+        # q in hbar*omega_fin units so beta*Q reduces to x_h * q
+        sig_e = (s_hot[k] - f.s_b) - x_h * (q_bc / f.n)
+        sig_c = (f.s_cold - s_d[k]) - f.x_c * q_da
+        ledger = CycleLedger(
+            theta_v=math.radians(thetas[i]),
+            kappa=kappa[i],
+            r=r,
+            W_AB=f.w_ab,
+            Q_BC=q_bc,
+            W_CD=w_cd,
+            Q_DA=q_da,
+            dU_cycle=f.w_ab + q_bc + w_cd + q_da,
+            W_extracted=abs(q_bc) - abs(q_da),
+            Sigma_e=sig_e,
+            Sigma_c=sig_c,
+            Sigma_cycle=sig_e + sig_c,
+        )
+        closed = closed_form_energetics(kappa[i], f.params)
+        max_delta = max(
+            abs(ledger.W_AB - closed.W_AB),
+            abs(ledger.Q_BC - closed.Q_BC),
+            abs(ledger.W_CD - closed.W_CD),
+            abs(ledger.Q_DA - closed.Q_DA),
+        )
+        states = (rho_a, f.rho_b.matrix, rho_c[k], rho_d[k], rho_a2[k])
+        try:
+            snaps = {label: _tap(m, label, config.noise_sigma, rngs[i])
+                     for label, m in zip(SNAPSHOT_LABELS, states)}
+        except QuantumValueError as exc:
+            rows.errors[i] = exc
+            continue
+        results[i] = CycleResult(
+            theta_deg=float(thetas[i]),
+            ledger=ledger,
+            snapshots=snaps,
+            max_delta_vs_closed_form=max_delta,
+        )
+    return results, rows.errors
 
 
 def run_cycle(theta_deg, config=None, mode="optical", rng=None):
     """Run one full cycle at dephasing angle theta_deg (0..45 degrees).
 
-    mode "optical" realizes the D->A stroke with the inverted dephasing
-    block acting on the retained ancilla; mode "theory" replaces the state
-    with the cold thermal state directly.  Both return the same ledger.
+    The batched engine with a single angle: ``run_sweep`` over one angle
+    gives the same ledger and snapshots.  mode "optical" realizes the D->A
+    stroke with the inverted dephasing block acting on the retained
+    ancilla; mode "theory" replaces the state with the cold thermal state
+    directly.  Both return the same ledger.  A failed check raises
+    :class:`CycleError` naming the stroke; ``rng`` drives the tomography
+    tap when the config has noise.
     """
     config = config or SweepConfig()
     if not 0.0 <= theta_deg <= 45.0:
         raise QuantumValueError(f"theta_V = {theta_deg:.6g} deg outside [0, 45]")
-    if mode not in ("optical", "theory"):
-        raise QuantumValueError(f"unknown mode {mode!r}")
-    params = config.params()
-    n = params.n
-    theta_v = math.radians(theta_deg)
-    kappa = kappa_from_theta_deg(theta_deg)
-    x_h, r = hot_x_from_kappa(kappa, params)
-    h_cold = hamiltonian(1.0)
-    h_hot = hamiltonian(n)
-
-    # A: cold thermal state
-    cold = thermal_state(params.x_c)
-    rho_a = cold.rho
-
-    # A->B: expansion (work stroke)
-    try:
-        u_e = expansion_unitary(n, config.omega0_tau).matrix
-        rho_b = DensityOperator(u_e @ rho_a.matrix @ u_e.conj().T)
-        _assert_spectrum_preserved("A->B", rho_a, rho_b)
-    except QuantumValueError as exc:
-        raise CycleError(f"stroke A->B: {exc}") from exc
-    w_ab = work_from_states(rho_a, rho_b, h_cold, h_hot)
-
-    # B->C: dephasing block as the hot reservoir; ancilla enters in k0
-    try:
-        pd = pd_block(theta_v)
-        joint = np.kron(rho_b.matrix, np.diag([1.0, 0.0]).astype(complex))
-        joint = pd.unitary @ joint @ pd.unitary.conj().T
-        rho_c = partial_trace_path(DensityOperator(joint))
-    except QuantumValueError as exc:
-        raise CycleError(f"stroke B->C: {exc}") from exc
-    q_bc = heat_from_states(rho_b, rho_c, h_hot)
-    hot = thermal_state(x_h)
-    # q in hbar*omega_fin units so beta*Q reduces to x_h * q
-    sig_e = entropy_production(rho_b, hot, x_h, q_bc / n)
-
-    # C->D: compression applied to the polarization of both arms
-    try:
-        u_c = compression_unitary(n, config.omega0_tau).matrix
-        joint = np.kron(u_c, np.eye(2, dtype=complex)) @ joint @ np.kron(u_c, np.eye(2, dtype=complex)).conj().T
-        rho_d = partial_trace_path(DensityOperator(joint))
-        _assert_spectrum_preserved("C->D", rho_c, rho_d)
-    except QuantumValueError as exc:
-        raise CycleError(f"stroke C->D: {exc}") from exc
-    w_cd = work_from_states(rho_c, rho_d, h_hot, h_cold)
-
-    # D->A: inverted block consumes the dephasing record (or theory-mode
-    # replacement with the cold thermal state); either way the cycle closes
-    try:
-        if mode == "optical":
-            ipd = ipd_block(theta_v)
-            joint = ipd.unitary @ joint @ ipd.unitary.conj().T
-            rho_a2 = partial_trace_path(DensityOperator(joint))
-        else:
-            rho_a2 = cold.rho
-    except QuantumValueError as exc:
-        raise CycleError(f"stroke D->A: {exc}") from exc
-    q_da = heat_from_states(rho_d, rho_a2, h_cold)
-    sig_c = entropy_production(rho_d, cold, params.x_c, q_da)
-
-    closure = float(np.abs(rho_a2.matrix - rho_a.matrix).max())
-    if config.noise_sigma == 0.0 and closure > 1e-10:
-        raise CycleError(f"stroke D->A: cycle failed to close, defect {closure:.3g}")
-
-    ledger = CycleLedger(
-        theta_v=theta_v,
-        kappa=kappa,
-        r=r,
-        W_AB=w_ab,
-        Q_BC=q_bc,
-        W_CD=w_cd,
-        Q_DA=q_da,
-        dU_cycle=w_ab + q_bc + w_cd + q_da,
-        W_extracted=abs(q_bc) - abs(q_da),
-        Sigma_e=sig_e.from_balance,
-        Sigma_c=sig_c.from_balance,
-        Sigma_cycle=sig_e.from_balance + sig_c.from_balance,
-    )
-    closed = closed_form_energetics(kappa, params)
-    max_delta = max(
-        abs(ledger.W_AB - closed.W_AB),
-        abs(ledger.Q_BC - closed.Q_BC),
-        abs(ledger.W_CD - closed.W_CD),
-        abs(ledger.Q_DA - closed.Q_DA),
-    )
-    snaps = {}
-    for label, state in zip(
-        SNAPSHOT_LABELS, (rho_a, rho_b, rho_c, rho_d, rho_a2)
-    ):
-        snaps[label] = _tap(state, config.noise_sigma, rng).relabel(label)
-    return CycleResult(
-        theta_deg=float(theta_deg),
-        ledger=ledger,
-        snapshots=snaps,
-        max_delta_vs_closed_form=max_delta,
-    )
+    results, errors = _cycle_rows((theta_deg,), config, mode, (rng,))
+    if errors:
+        raise errors[0]
+    return results[0]
 
 
 @dataclass
@@ -261,44 +381,27 @@ class SweepReport:
     failures: dict
     metadata: dict
 
-    def __eq__(self, other):
-        if not isinstance(other, SweepReport):
-            return NotImplemented
-        if self.metadata != other.metadata or self.failures != other.failures:
-            return False
-        if len(self.rows) != len(other.rows):
-            return False
-        for a, b in zip(self.rows, other.rows):
-            if (
-                a.theta_deg != b.theta_deg
-                or a.ledger != b.ledger
-                or a.max_delta_vs_closed_form != b.max_delta_vs_closed_form
-                or set(a.snapshots) != set(b.snapshots)
-            ):
-                return False
-            for label in a.snapshots:
-                if not np.array_equal(a.snapshots[label].matrix, b.snapshots[label].matrix):
-                    return False
-        return True
-
 
 def run_sweep(config=None, mode="optical"):
-    """One cycle per configured theta_V; rows come back sorted by r ascending.
+    """One cycle per configured theta_V, all angles run as one stack.
 
-    A failing cycle is recorded under ``failures`` instead of aborting the
-    sweep.  Deterministic for a fixed config and seed (per-row seeded
-    generator substreams).
+    The theta-independent strokes and states are computed once per sweep
+    and the per-angle strokes run stacked, each angle still checked row by
+    row (see ``run_cycle`` for a single angle; a sweep over N angles equals
+    N single-angle runs float for float).  Rows come back sorted by r
+    ascending.  A failing row is recorded under ``failures`` with its
+    stroke named instead of aborting the sweep.  Deterministic for a fixed
+    config and seed (per-row seeded generator substreams).
     """
     config = config or SweepConfig()
-    streams = np.random.SeedSequence(config.seed).spawn(len(config.theta_list_deg))
-    rows = []
-    failures = {}
-    for theta, stream in zip(config.theta_list_deg, streams):
-        try:
-            rows.append(run_cycle(theta, config, mode=mode, rng=np.random.default_rng(stream)))
-        except (CycleError, QuantumValueError) as exc:
-            failures[f"{theta:.12g}"] = str(exc)
-    rows.sort(key=lambda row: (row.ledger.r, row.theta_deg))
+    thetas = config.theta_list_deg
+    rngs = [None] * len(thetas)
+    if config.noise_sigma > 0.0:  # only the tomography tap draws from them
+        streams = np.random.SeedSequence(config.seed).spawn(len(thetas))
+        rngs = [np.random.default_rng(stream) for stream in streams]
+    results, errors = _cycle_rows(thetas, config, mode, rngs)
+    failures = {f"{thetas[i]:.12g}": str(errors[i]) for i in sorted(errors)}
+    rows = sorted(results.values(), key=lambda row: (row.ledger.r, row.theta_deg))
     metadata = {
         "version": __version__,
         "seed": config.seed,

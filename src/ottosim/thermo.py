@@ -35,6 +35,8 @@ __all__ = [
     "EntropyProduction",
     "hamiltonian",
     "thermal_state",
+    "thermal_matrices",
+    "expectations",
     "hot_x_from_kappa",
     "closed_form_energetics",
     "work_from_states",
@@ -47,7 +49,6 @@ __all__ = [
 class EngineParams:
     """Operating point: gap ratio n and cold-bath scale x_c = hbar omega0 beta_c."""
 
-    omega0: float = 1.0
     n: float = 2.0
     x_c: float = 3.0
 
@@ -71,12 +72,17 @@ def hamiltonian(omega):
     return omega * SIGMA_Y
 
 
+def thermal_matrices(xs):
+    """Unvalidated (N, 2, 2) stack of the thermal_state(x) matrix for each x in xs."""
+    t = np.array([math.tanh(x) for x in xs])
+    return 0.5 * (ID2 - t[:, None, None] * SIGMA_Y)
+
+
 def thermal_state(x):
     """Thermal state of hbar omega sigma_y at dimensionless x = hbar omega beta."""
     if x < 0.0:
         raise QuantumValueError(f"x = {x:.6g} must be nonnegative")
-    rho = DensityOperator(0.5 * (ID2 - math.tanh(x) * SIGMA_Y))
-    return ThermalState(rho=rho, x=float(x))
+    return ThermalState(rho=DensityOperator(thermal_matrices([x])[0]), x=float(x))
 
 
 class HotTemperature(NamedTuple):
@@ -176,8 +182,13 @@ def closed_form_energetics(kappa, params):
     )
 
 
+def expectations(h, stack):
+    """tr(H rho) of each slice of an (N, 2, 2) stack, as Python floats."""
+    return np.trace(h @ stack, axis1=-2, axis2=-1).real.tolist()
+
+
 def _expect(h, rho):
-    return float(np.trace(h @ rho.matrix).real)
+    return expectations(h, rho.matrix[None])[0]
 
 
 def work_from_states(rho_start, rho_end, h_start, h_end):

@@ -138,10 +138,10 @@ def measure(rho, basis, noise_sigma=0.0, rng=None):
     return IntensityRecord(basis=basis, i_alpha=i_a, i_beta=i_b)
 
 
-def measure_all(rho, noise_sigma=0.0, rng=None, seed=None):
+def measure_all(rho, noise_sigma=0.0, rng=None):
     """Measure all three bases; one record each, in HV, DAD, RL order."""
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng()
     return tuple(measure(rho, b, noise_sigma, rng) for b in ("HV", "DAD", "RL"))
 
 

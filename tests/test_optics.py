@@ -8,6 +8,7 @@ import pytest
 from ottosim.optics import (
     ChannelBlock,
     compression_unitary,
+    dephasing_stack,
     expansion_unitary,
     hwp,
     ipd_block,
@@ -200,6 +201,44 @@ class TestIpdBlock:
             u_pd = pd_block(theta, pzt_phase=delta).unitary
             u_ipd = ipd_block(theta, pd_pzt_phase=delta).unitary
             assert np.abs(u_ipd @ u_pd - np.eye(4)).max() < 1e-12
+
+
+def reference_blocks(theta, delta):
+    """PD and IPD unitaries multiplied out element by element, as the circuit reads."""
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+
+    def on_paths(pol_0, pol_1):
+        return np.kron(pol_0, p0) + np.kron(pol_1, p1)
+
+    b = pbs_matrix()
+    arms = on_paths(hwp(0.0).matrix, hwp(np.pi - 2.0 * theta).matrix)
+    flip = on_paths(ID2, hwp(np.pi / 2).matrix)
+    pd = flip @ b @ np.kron(ID2, np.diag([1.0, np.exp(1j * delta)])) @ arms @ b
+    ipd = b @ arms @ np.kron(ID2, np.diag([1.0, np.exp(1j * -delta)])) @ b @ flip
+    return pd, ipd
+
+
+class TestDephasingStack:
+    def test_slices_equal_reference_products(self, rng):
+        thetas = np.concatenate([[0.0, np.pi / 8, np.pi / 4], rng.uniform(0, np.pi / 4, 20)])
+        for delta in (0.0, 0.4):
+            u_pd, kraus, errors = dephasing_stack(thetas, delta)
+            u_ipd, none, errors_ipd = dephasing_stack(thetas, -delta, inverse=True)
+            assert errors == errors_ipd == {} and none is None
+            for k, theta in enumerate(thetas):
+                ref_pd, ref_ipd = reference_blocks(theta, delta)
+                assert u_pd[k].tobytes() == ref_pd.tobytes()
+                assert u_ipd[k].tobytes() == ref_ipd.tobytes()
+                c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+                assert kraus[k].tobytes() == np.array(
+                    [np.diag([1.0, c]), np.diag([0.0, s])], dtype=complex).tobytes()
+
+    def test_out_of_range_rows_reported(self):
+        _, _, errors = dephasing_stack([0.1, -0.1, 0.2, 1.0])
+        assert set(errors) == {1, 3}
+        with pytest.raises(QuantumValueError) as info:
+            pd_block(-0.1)
+        assert errors[1] == str(info.value)
 
 
 class TestExpansionCompression:

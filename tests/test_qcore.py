@@ -14,11 +14,17 @@ from ottosim.qcore import (
     QuantumValueError,
     SupportError,
     apply_kraus,
+    density_errors,
     eig_herm,
+    entropies,
     fidelity,
+    kraus_errors,
     partial_trace_path,
     relative_entropy,
+    spectra,
+    support_weights,
     tensor,
+    trace_path,
     von_neumann_entropy,
 )
 
@@ -279,3 +285,68 @@ class TestFidelity:
     def test_dim_mismatch(self, rng):
         with pytest.raises(QuantumValueError):
             fidelity(random_density(rng, 2), random_density(rng, 4))
+
+
+class TestStackedChecks:
+    """The stacked forms against the single-matrix functions, slice by slice."""
+
+    BAD = (
+        [[0.5, 0.1], [0.0, 0.5]],        # not Hermitian
+        [[0.7, 0.0], [0.0, 0.7]],        # trace
+        [[1.1, 0.0], [0.0, -0.1]],       # negative eigenvalue
+    )
+
+    @staticmethod
+    def _message(fn, *args):
+        with pytest.raises(QuantumValueError) as info:
+            fn(*args)
+        return str(info.value)
+
+    def test_density_errors_match_constructor(self, rng):
+        good = [random_density(rng).matrix for _ in range(4)]
+        stack = np.array(good[:2] + [np.asarray(m, dtype=complex) for m in self.BAD] + good[2:])
+        lam, errors = density_errors(stack)
+        assert errors == {2 + k: self._message(DensityOperator, m) for k, m in enumerate(self.BAD)}
+        assert lam.tobytes() == np.linalg.eigvalsh(stack).tobytes()
+
+    def test_kraus_errors_match_kraus_set(self):
+        ok = [np.diag([1.0, 0.6]), np.diag([0.0, 0.8])]
+        bad = [np.diag([1.0, 0.6]), np.diag([0.0, 0.9])]
+        errors = kraus_errors(np.array([ok, bad], dtype=complex))
+        assert errors == {1: self._message(KrausSet, bad)}
+
+    def test_trace_path_matches_partial_trace(self, rng):
+        states = [DensityOperator(tensor(random_density(rng).matrix, random_density(rng).matrix))
+                  for _ in range(8)]
+        stacked = trace_path(np.array([s.matrix for s in states]))
+        for k, state in enumerate(states):
+            assert stacked[k].tobytes() == partial_trace_path(state).matrix.tobytes()
+
+    def test_entropies_match_reference(self, rng):
+        states = [random_density(rng), random_pure(rng), DensityOperator(0.5 * ID2),
+                  RHO_TH3, DensityOperator(np.diag([1.0, 0.0])), random_density(rng, 4)]
+        for state in states:
+            lam, _, errors = spectra(state.matrix[None])
+            assert errors == {}
+            ref = eig_herm(state.matrix)[0]
+            ref = ref[ref >= 1e-14]
+            ref = float(max(-np.sum(ref * np.log(ref)), 0.0))
+            assert repr(entropies(lam)[0]) == repr(ref) == repr(von_neumann_entropy(state))
+
+    def test_support_weights_match_reference(self, rng):
+        sigmas = [random_pure(rng), RHO_TH3, random_pure(rng)]
+        rho = random_density(rng)
+        lam, vec, _ = spectra(np.array([s.matrix for s in sigmas]))
+        _, errors = support_weights(rho.matrix, lam, vec)
+        assert set(errors) == {0, 2}
+        for k in (0, 2):
+            mu, v = eig_herm(sigmas[k].matrix)
+            w = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho.matrix, v))
+            assert mu[1] < 1e-12 < w[1]
+            assert errors[k] == f"support violation: weight {w[1]:.3g} on eigenvalue 0"
+        with pytest.raises(SupportError, match="support violation"):
+            relative_entropy(rho, sigmas[0])
+
+    def test_spectra_rejects_non_hermitian(self):
+        _, _, errors = spectra(np.array([[[0.5, 0.1], [0.0, 0.5]]], dtype=complex))
+        assert errors == {0: self._message(eig_herm, np.array([[0.5, 0.1], [0.0, 0.5]]))}

@@ -151,14 +151,16 @@ class TestRunSweep:
     def test_failure_markers(self, monkeypatch):
         import ottosim.runner as runner_mod
 
-        original = runner_mod.pd_block
+        original = runner_mod.dephasing_stack
 
-        def flaky(theta_v, pzt_phase=0.0):
-            if abs(theta_v - math.radians(16.0)) < 1e-12:
+        def flaky(theta_v, *args, **kwargs):
+            # fails the whole stack while it holds 16 deg; the engine then
+            # builds that stroke's rows one at a time
+            if np.any(np.abs(np.asarray(theta_v) - math.radians(16.0)) < 1e-12):
                 raise QuantumValueError("injected fault")
-            return original(theta_v, pzt_phase)
+            return original(theta_v, *args, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "pd_block", flaky)
+        monkeypatch.setattr(runner_mod, "dephasing_stack", flaky)
         report = run_sweep()
         assert len(report.rows) == 6
         assert list(report.failures) == ["16"]
