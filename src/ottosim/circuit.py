@@ -205,7 +205,6 @@ class CircuitRun:
 
     snapshots: dict
     final: DensityOperator | None
-    joint_dim: int
 
 
 class CompiledCircuit:
@@ -223,7 +222,7 @@ class CompiledCircuit:
         final = None
         if rho is not None:
             final = partial_trace_path(DensityOperator(rho)) if joint else DensityOperator(rho)
-        return CircuitRun(snapshots=snapshots, final=final, joint_dim=4 if joint else 2)
+        return CircuitRun(snapshots=snapshots, final=final)
 
 
 def _pol_unitary(instr):
@@ -249,10 +248,7 @@ def _step(rho, joint, instr, snapshots):
         return thermal_state(instr.args[1]).rho.matrix, False
 
     if op in ("hwp", "qwp", "rot", "expand", "compress"):
-        try:
-            u = _pol_unitary(instr)
-        except QuantumValueError as exc:
-            raise CircuitCompileError(f"line {instr.line}: {exc}") from exc
+        u = _pol_unitary(instr)
         if joint:
             u = np.kron(u, np.eye(2, dtype=complex))
         return u @ rho @ u.conj().T, joint
@@ -283,7 +279,8 @@ def compile_program(program):
 
     Compile-time checks: elements need an initialized state, ``pd`` cannot
     nest, ``ipd`` needs an active ancilla, tap labels are unique and the
-    expand/compress gap ratio must exceed 1.
+    expand/compress gap ratio must exceed 1, omega0*tau be nonnegative and
+    their Jones parameter finite.  ``run`` makes no checks of its own.
     """
     dim = None
     labels = set()
@@ -301,10 +298,10 @@ def compile_program(program):
         elif op in ("expand", "compress"):
             if dim is None:
                 raise CircuitCompileError(f"line {instr.line}: {op} before any init")
-            if instr.args[0] <= 1.0:
-                raise CircuitCompileError(
-                    f"line {instr.line}: gap ratio n = {instr.args[0]:.6g} must exceed 1"
-                )
+            try:
+                optics._jones_parameter(instr.args[0], np.deg2rad(instr.args[1]))
+            except QuantumValueError as exc:
+                raise CircuitCompileError(f"line {instr.line}: {exc}") from exc
         elif op == "pd":
             if dim is None:
                 raise CircuitCompileError(f"line {instr.line}: pd before any init")

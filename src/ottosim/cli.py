@@ -149,9 +149,11 @@ def _cmd_golden(args):
     except QuantumValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # the gate reads the sqrt-Uhlmann fidelity; the squared one is for reference
     for label in sorted(comparison.fidelities):
         print(
-            f"{label}: fidelity {comparison.fidelities[label]:.6f}  "
+            f"{label}: fidelity {comparison.fidelities[label]:.6f} "
+            f"(squared {comparison.fidelities_squared[label]:.6f})  "
             f"max entry delta {comparison.max_entry_deltas[label]:.6f}"
         )
     print(

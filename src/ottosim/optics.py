@@ -28,9 +28,7 @@ __all__ = [
     "hwp",
     "qwp",
     "rotation",
-    "pbs",
     "pbs_matrix",
-    "path_phase",
     "pd_block",
     "ipd_block",
     "dephasing_stack",
@@ -105,19 +103,9 @@ def pbs_matrix():
     return tensor(_P0, ID2) + np.kron(_P1, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
-def pbs():
-    """The beam splitter as a joint-space element."""
-    return OpticalElement("PBS", 0.0, "joint", pbs_matrix())
-
-
 def phase_on_path1(phi):
     """Relative arm phase exp(i phi) applied on path k1 (PZT model)."""
     return np.kron(ID2, np.diag([1.0, np.exp(1j * phi)]))
-
-
-def path_phase(phi):
-    """The arm phase as a joint-space element."""
-    return OpticalElement("PHASE", float(phi), "joint", phase_on_path1(phi))
 
 
 def _on_paths(pol_on_0, pol_on_1):
@@ -169,18 +157,18 @@ def _arm_stage(arm_v):
     return _ARM_H + (arm_v[:, :, None, :, None] * _P1[:, None, :]).reshape(-1, 4, 4)
 
 
-def dephasing_stack(theta_v, pzt_phase=0.0, inverse=False):
+def dephasing_stack(theta_v, inverse=False):
     """Dilation unitaries of the PD (or, with ``inverse``, IPD) block per angle.
 
     ``theta_v`` is a sequence of wave-plate angles in radians.  The PD
     circuit is PBS1 -> arm plates (H arm fixed, V arm at hwp(pi - 2 theta_v),
-    so |V> -> sin 2t |H> + cos 2t |V>) -> PZT -> PBS2 -> HWP5; the IPD is
-    its mirror.  Returns (unitaries (N, 4, 4), Kraus pairs (N, 2, 2, 2) or
-    None for the IPD, errors): ``errors`` maps the position of each angle
-    that fails a check (angle range, Kraus completeness, arm-plate and
-    block unitarity, in that order) to its message.  The stacked products
-    keep the single-block product order, so each slice has the bits of
-    the block built alone.
+    so |V> -> sin 2t |H> + cos 2t |V>) -> PZT at zero phase -> PBS2 -> HWP5;
+    the IPD is its mirror.  Returns (unitaries (N, 4, 4), Kraus pairs
+    (N, 2, 2, 2) or None for the IPD, errors): ``errors`` maps the position
+    of each angle that fails a check (angle range, Kraus completeness,
+    arm-plate and block unitarity, in that order) to its message.  The
+    stacked products keep the single-block product order, so each slice has
+    the bits of the block built alone.
     """
     theta_v = np.asarray(theta_v, dtype=float)
     in_range = (theta_v >= 0.0) & (theta_v <= np.pi / 4 + 1e-15)
@@ -193,40 +181,36 @@ def dephasing_stack(theta_v, pzt_phase=0.0, inverse=False):
     arm_v = _hwp_matrix(np.pi - 2.0 * theta_v)
     checks.append(_unitarity_errors(arm_v, "HWP element"))
     arms = _arm_stage(arm_v)
-    phase = _PHASE_0 if pzt_phase == 0.0 else phase_on_path1(pzt_phase)
     if inverse:
-        u = (((_PBS @ arms) @ phase) @ _PBS) @ _FLIP
+        u = (((_PBS @ arms) @ _PHASE_0) @ _PBS) @ _FLIP
     else:
-        u = ((_FLIP_PBS @ phase) @ arms) @ _PBS
+        u = ((_FLIP_PBS @ _PHASE_0) @ arms) @ _PBS
     checks.append(_unitarity_errors(u, "IPD block" if inverse else "PD block"))
     return u, kraus, first_errors(*checks)
 
 
-def pd_block(theta_v, pzt_phase=0.0):
+def pd_block(theta_v):
     """Phase-damping block at wave-plate angle theta_v (radians, 0..pi/4).
 
     Returns both realizations: the 4-dim dilation assembled from PBS1,
-    the arm wave plates, the PZT phase, PBS2 and HWP5 (ancilla starts in
-    k0 and is traced after), and the equivalent 2-dim Kraus pair
+    the arm wave plates, the PZT at zero phase, PBS2 and HWP5 (ancilla
+    starts in k0 and is traced after), and the equivalent 2-dim Kraus pair
     diag(1, cos 2theta_v), diag(0, sin 2theta_v).
     """
-    u, kraus, errors = dephasing_stack([theta_v], pzt_phase)
+    u, kraus, errors = dephasing_stack([theta_v])
     if errors:
         raise QuantumValueError(errors[0])
     return ChannelBlock("PD", unitary=u[0], kraus=KrausSet(kraus[0]))
 
 
-def ipd_block(theta_v, pzt_phase=None, pd_pzt_phase=0.0):
+def ipd_block(theta_v):
     """Inverted phase-damping block undoing ``pd_block(theta_v)``.
 
     The mirror circuit (HWP10 on k1, PBS, arm plates HWP11/HWP12, PZT2,
-    PBS4) composes to the inverse of the dephasing unitary.  The restoring
-    PZT2 phase is solved analytically as -pd_pzt_phase unless given
-    explicitly; the joint composite then satisfies ipd . pd = identity.
+    PBS4) composes to the inverse of the dephasing unitary: with both PZTs
+    at zero phase the joint composite satisfies ipd . pd = identity.
     """
-    if pzt_phase is None:
-        pzt_phase = -pd_pzt_phase
-    u, _, errors = dephasing_stack([theta_v], pzt_phase, inverse=True)
+    u, _, errors = dephasing_stack([theta_v], inverse=True)
     if errors:
         raise QuantumValueError(errors[0])
     return ChannelBlock("IPD", unitary=u[0])
@@ -237,7 +221,10 @@ def _jones_parameter(n, omega0_tau):
         raise QuantumValueError(f"gap ratio n = {n:.6g} must exceed 1")
     if omega0_tau < 0.0:
         raise QuantumValueError(f"omega0*tau = {omega0_tau:.6g} must be nonnegative")
-    return (n + 1.0) * omega0_tau / 2.0
+    alpha = (float(n) + 1.0) * float(omega0_tau) / 2.0
+    if not np.isfinite(alpha):
+        raise QuantumValueError(f"Jones parameter (n + 1) omega0*tau / 2 = {alpha} is not finite")
+    return alpha
 
 
 def expansion_unitary(n, omega0_tau):

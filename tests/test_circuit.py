@@ -120,6 +120,17 @@ class TestCompile:
         with pytest.raises(CircuitCompileError, match="must exceed 1"):
             compile_program(parse("init rc\nexpand 1 180"))
 
+    def test_every_parameter_error_is_a_compile_error(self):
+        # parameters the parser accepts but the optics reject fail at compile time
+        cases = {
+            "init rc\nexpand 2 -10": "line 2: omega0*tau = -0.174533 must be nonnegative",
+            "init rc\ntomo A\ncompress 1e308 1e308": "line 3: Jones parameter",
+        }
+        for source, message in cases.items():
+            with pytest.raises(CircuitCompileError) as info:
+                compile_program(parse(source))
+            assert str(info.value).startswith(message)
+
     def test_init_with_active_ancilla(self):
         with pytest.raises(CircuitCompileError, match="ancilla"):
             compile_program(parse("init rc\npd 10\ninit rc"))
@@ -178,7 +189,6 @@ class TestExecute:
     def test_final_state_reduced(self):
         run = compile_program(parse("init rc\npd 22.5")).run()
         assert run.final.dim == 2
-        assert run.joint_dim == 4
 
 
 class TestFormat:

@@ -13,10 +13,9 @@ from ottosim.optics import (
     hwp,
     ipd_block,
     kappa_from_theta_deg,
-    path_phase,
-    pbs,
     pbs_matrix,
     pd_block,
+    phase_on_path1,
     qwp,
     rotation,
 )
@@ -193,17 +192,8 @@ class TestIpdBlock:
             out = partial_trace_path(DensityOperator(u @ joint @ u.conj().T))
             assert np.abs(out.matrix - rho.matrix).max() < 1e-12
 
-    def test_restoring_phase_tracks_pd_misalignment(self, rng):
-        # a deliberate arm phase in the PD is undone by the solved phase
-        for _ in range(5):
-            theta = rng.uniform(0, np.pi / 4)
-            delta = rng.uniform(-np.pi, np.pi)
-            u_pd = pd_block(theta, pzt_phase=delta).unitary
-            u_ipd = ipd_block(theta, pd_pzt_phase=delta).unitary
-            assert np.abs(u_ipd @ u_pd - np.eye(4)).max() < 1e-12
 
-
-def reference_blocks(theta, delta):
+def reference_blocks(theta):
     """PD and IPD unitaries multiplied out element by element, as the circuit reads."""
     p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
 
@@ -213,25 +203,25 @@ def reference_blocks(theta, delta):
     b = pbs_matrix()
     arms = on_paths(hwp(0.0).matrix, hwp(np.pi - 2.0 * theta).matrix)
     flip = on_paths(ID2, hwp(np.pi / 2).matrix)
-    pd = flip @ b @ np.kron(ID2, np.diag([1.0, np.exp(1j * delta)])) @ arms @ b
-    ipd = b @ arms @ np.kron(ID2, np.diag([1.0, np.exp(1j * -delta)])) @ b @ flip
+    pzt = np.kron(ID2, np.diag([1.0, np.exp(0j)]))  # both PZTs at zero phase
+    pd = flip @ b @ pzt @ arms @ b
+    ipd = b @ arms @ pzt @ b @ flip
     return pd, ipd
 
 
 class TestDephasingStack:
     def test_slices_equal_reference_products(self, rng):
         thetas = np.concatenate([[0.0, np.pi / 8, np.pi / 4], rng.uniform(0, np.pi / 4, 20)])
-        for delta in (0.0, 0.4):
-            u_pd, kraus, errors = dephasing_stack(thetas, delta)
-            u_ipd, none, errors_ipd = dephasing_stack(thetas, -delta, inverse=True)
-            assert errors == errors_ipd == {} and none is None
-            for k, theta in enumerate(thetas):
-                ref_pd, ref_ipd = reference_blocks(theta, delta)
-                assert u_pd[k].tobytes() == ref_pd.tobytes()
-                assert u_ipd[k].tobytes() == ref_ipd.tobytes()
-                c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
-                assert kraus[k].tobytes() == np.array(
-                    [np.diag([1.0, c]), np.diag([0.0, s])], dtype=complex).tobytes()
+        u_pd, kraus, errors = dephasing_stack(thetas)
+        u_ipd, none, errors_ipd = dephasing_stack(thetas, inverse=True)
+        assert errors == errors_ipd == {} and none is None
+        for k, theta in enumerate(thetas):
+            ref_pd, ref_ipd = reference_blocks(theta)
+            assert u_pd[k].tobytes() == ref_pd.tobytes()
+            assert u_ipd[k].tobytes() == ref_ipd.tobytes()
+            c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+            assert kraus[k].tobytes() == np.array(
+                [np.diag([1.0, c]), np.diag([0.0, s])], dtype=complex).tobytes()
 
     def test_out_of_range_rows_reported(self):
         _, _, errors = dephasing_stack([0.1, -0.1, 0.2, 1.0])
@@ -273,14 +263,12 @@ class TestPbsAndKappa:
         assert np.abs(b.conj().T @ b - np.eye(4)).max() == 0.0
 
     def test_joint_elements(self):
-        el = pbs()
-        assert el.kind == "PBS" and el.target == "joint"
-        assert el.matrix.shape == (4, 4)
-        ph = path_phase(0.7)
-        assert ph.kind == "PHASE" and ph.matrix.shape == (4, 4)
-        assert ph.matrix[1, 1] == pytest.approx(np.exp(0.7j), abs=1e-15)
-        assert ph.matrix[3, 3] == pytest.approx(np.exp(0.7j), abs=1e-15)
-        assert ph.matrix[0, 0] == 1.0 and ph.matrix[2, 2] == 1.0
+        assert pbs_matrix().shape == (4, 4)
+        ph = phase_on_path1(0.7)
+        assert ph.shape == (4, 4)
+        assert ph[1, 1] == pytest.approx(np.exp(0.7j), abs=1e-15)
+        assert ph[3, 3] == pytest.approx(np.exp(0.7j), abs=1e-15)
+        assert ph[0, 0] == 1.0 and ph[2, 2] == 1.0
 
     def test_kappa_endpoints_exact(self):
         assert kappa_from_theta_deg(0.0) == 1.0

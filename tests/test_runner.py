@@ -83,13 +83,6 @@ class TestRunCycle:
             res = run_cycle(float(theta), config)
             assert res.max_delta_vs_closed_form < 1e-9
 
-    def test_theory_mode_agrees_with_optical(self):
-        for theta in DEFAULT_THETAS:
-            a = run_cycle(theta, mode="optical").ledger
-            b = run_cycle(theta, mode="theory").ledger
-            for name in ("W_AB", "Q_BC", "W_CD", "Q_DA", "Sigma_e", "Sigma_c"):
-                assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9)
-
     def test_entropy_balance_identity_in_ledger(self):
         # the ledger stores the balance form; it must equal the divergence
         from ottosim.optics import kappa_from_theta_deg
@@ -103,8 +96,6 @@ class TestRunCycle:
     def test_rejects_bad_inputs(self):
         with pytest.raises(QuantumValueError):
             run_cycle(46.0)
-        with pytest.raises(QuantumValueError):
-            run_cycle(22.5, mode="magic")
 
     def test_snapshot_labels(self):
         res = run_cycle(22.5)
@@ -154,11 +145,11 @@ class TestRunSweep:
         original = runner_mod.dephasing_stack
 
         def flaky(theta_v, *args, **kwargs):
-            # fails the whole stack while it holds 16 deg; the engine then
-            # builds that stroke's rows one at a time
-            if np.any(np.abs(np.asarray(theta_v) - math.radians(16.0)) < 1e-12):
-                raise QuantumValueError("injected fault")
-            return original(theta_v, *args, **kwargs)
+            # reports an error for the 16 deg row of every stack it builds
+            u, kraus, errors = original(theta_v, *args, **kwargs)
+            for i in np.flatnonzero(np.abs(theta_v - math.radians(16.0)) < 1e-12).tolist():
+                errors[i] = "injected fault"
+            return u, kraus, errors
 
         monkeypatch.setattr(runner_mod, "dephasing_stack", flaky)
         report = run_sweep()
@@ -216,6 +207,17 @@ class TestCompareGolden:
         comparison = compare_golden(run_sweep())
         # theory vs measured initial matrix: max entry delta ~0.0134
         assert comparison.max_entry_deltas["TA"] == pytest.approx(0.0135, abs=1e-3)
+
+    def test_coherence_gate_can_fail(self, monkeypatch):
+        import ottosim.optics as optics_mod
+
+        # a hot stroke that erases coherence instead of scaling it by cos 45
+        original = optics_mod.pd_block
+        monkeypatch.setattr(optics_mod, "pd_block", lambda theta: original(np.pi / 4))
+        comparison = compare_golden(run_sweep())
+        assert comparison.offdiag_simulated == pytest.approx(0.0, abs=1e-12)
+        assert all(f >= 0.98 for f in comparison.fidelities.values())
+        assert comparison.passed is False
 
     def test_requires_22_5_row(self):
         report = run_sweep(SweepConfig(theta_list_deg=(0.0, 45.0)))
@@ -319,8 +321,11 @@ class TestCli:
 
     def test_golden_passes(self, capsys):
         assert cli.main(["golden"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "PASS"
+        # both fidelity conventions: TA2 passes the sqrt gate, scores 0.9696 squared
+        (ta2,) = [line for line in lines if line.startswith("TA2:")]
+        assert "fidelity 0.984699" in ta2 and "squared 0.969633" in ta2
 
     def test_golden_requires_22_5(self, capsys):
         assert cli.main(["golden", "--theta-list", "0,45"]) == 2
