@@ -13,6 +13,7 @@ parse errors.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -203,8 +204,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # parsing leaves the parser unchanged, so main builds it once
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

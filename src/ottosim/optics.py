@@ -62,7 +62,7 @@ def _unitarity_errors(stack, what):
     defect = np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))
     defect = defect.max(axis=(-2, -1))
     return {i: f"{what} not unitary: defect {defect[i]:.3g}"
-            for i in np.flatnonzero(defect > TOL["unitary"]).tolist()}
+            for i in np.flatnonzero(~(defect <= TOL["unitary"])).tolist()}
 
 
 def _check_unitary(m, what):

@@ -34,6 +34,7 @@ __all__ = [
     "tensor",
     "partial_trace_path",
     "wrap_validated",
+    "density_operators",
     "first_errors",
     "density_errors",
     "kraus_errors",
@@ -187,6 +188,19 @@ def wrap_validated(matrix, label=None):
     return out
 
 
+def density_operators(matrices, labels):
+    """DensityOperators of labeled matrices, checked as one stack when they share a shape."""
+    arrays = [_as_square(m, "density operator") for m in matrices]
+    if len({a.shape for a in arrays}) != 1:
+        return [DensityOperator(a, label) for a, label in zip(arrays, labels)]
+    stack = np.array(arrays)
+    stack.flags.writeable = False
+    errors = density_errors(stack)[1]
+    if errors:
+        raise QuantumValueError(errors[min(errors)])
+    return [wrap_validated(m, label) for m, label in zip(stack, labels)]
+
+
 def first_errors(*checks):
     """Merge position -> message dicts; each position keeps its first message.
 
@@ -207,12 +221,12 @@ def _density_defects(m):
 
 
 def _density_message(herm, trace, lam_min):
-    # the first DensityOperator check these defects fail, or None
-    if herm > TOL["herm"]:
+    # the first DensityOperator check these defects fail (a NaN fails each), or None
+    if not herm <= TOL["herm"]:
         return f"not Hermitian: defect {herm:.3g}"
-    if abs(trace - 1.0) > TOL["trace"]:
+    if not abs(trace - 1.0) <= TOL["trace"]:
         return f"trace {trace:.15g} != 1"
-    if lam_min < TOL["psd"]:
+    if not lam_min >= TOL["psd"]:
         return f"not positive semidefinite: min eigenvalue {lam_min:.3g}"
     return None
 
@@ -226,9 +240,9 @@ def density_errors(stack):
     """
     herm, trace, lam = _density_defects(stack)
     lam_min = lam.min(axis=-1)
-    failed = (herm > TOL["herm"]) | (np.abs(trace - 1.0) > TOL["trace"]) | (lam_min < TOL["psd"])
+    ok = (herm <= TOL["herm"]) & (np.abs(trace - 1.0) <= TOL["trace"]) & (lam_min >= TOL["psd"])
     return lam, {i: _density_message(herm[i], trace[i], lam_min[i])
-                 for i in np.flatnonzero(failed).tolist()}
+                 for i in np.flatnonzero(~ok).tolist()}
 
 
 def kraus_errors(stack):
@@ -236,7 +250,7 @@ def kraus_errors(stack):
     total = (stack.conj().swapaxes(-1, -2) @ stack).sum(axis=1)
     defect = np.abs(total - np.eye(stack.shape[-1])).max(axis=(-2, -1))
     return {i: f"incomplete Kraus set: defect {defect[i]:.3g}"
-            for i in np.flatnonzero(defect > TOL["kraus"]).tolist()}
+            for i in np.flatnonzero(~(defect <= TOL["kraus"])).tolist()}
 
 
 def tensor(a, b):

@@ -14,14 +14,15 @@ from the stroke endpoint states against H = omega sigma_y with
 omega/omega0 in {1, n}; every row also carries the closed-form values and
 their maximum deviation.
 
-Snapshots are labeled TA, TB, TC, TD, TA2.  With noise_sigma > 0 they are
-passed through the simulated tomography pipeline (seeded); the ledger
-itself is always computed from the exact simulated states so its
+Snapshots are labeled TA, TB, TC, TD, TA2.  With noise_sigma > 0 the
+snapshots of every row pass through one stacked tomography tap
+(``tomography_stack``; row i draws from substream i of the seed); the
+ledger itself is always computed from the exact simulated states so its
 invariants, cycle closure included, hold at any noise level.
 
 A sweep runs all of its angles as one stack (``_cycle_rows``): the
-theta-independent strokes once, the per-angle strokes on (N, ., .) arrays
-with every row still validated; ``run_cycle`` is the same engine at N = 1.
+theta-independent strokes once, the per-angle strokes and the tap on
+(N, ., .) arrays, every row still validated; ``run_cycle`` is N = 1.
 """
 
 import json
@@ -44,6 +45,7 @@ from .qcore import (
     DensityOperator,
     QuantumValueError,
     density_errors,
+    density_operators,
     entropies,
     fidelity,
     first_errors,
@@ -64,7 +66,7 @@ from .thermo import (
     thermal_state,
     work_from_states,
 )
-from .tomography import load_golden_data, measure_all, reconstruct, stokes_from_intensities
+from .tomography import load_golden_data, tomography_stack
 
 __all__ = [
     "SweepConfig",
@@ -158,14 +160,6 @@ def _spectrum_errors(lam_a, lam_b):
             for i in np.flatnonzero(gap > 1e-10).tolist()}
 
 
-def _tap(matrix, label, noise_sigma, rng):
-    rho = wrap_validated(matrix, label)
-    if noise_sigma <= 0.0:
-        return rho
-    records = measure_all(rho, noise_sigma=noise_sigma, rng=rng)
-    return reconstruct(stokes_from_intensities(records)).relabel(label)
-
-
 class _Rows:
     """Positions of the rows still running and the error of each row that stopped."""
 
@@ -226,19 +220,14 @@ def _cycle_rows(thetas, config):
     strokes run on (N, ., .) stacks; every per-angle matrix passes the same
     TOL checks a single-matrix computation applies, row by row, and a row
     stops at its first failed check with its stroke named while the other
-    rows go on.  With noise, row i's tomography tap draws from substream i
-    of ``config.seed``.  Returns (results, errors): the CycleResult of each
-    finished row and the exception of each stopped row, keyed by position
-    in ``thetas``.
+    rows go on.  With noise, the surviving rows' snapshots are tapped as one
+    stack.  Returns (results, errors): the CycleResult of each finished row
+    and the exception of each stopped row, keyed by position in ``thetas``.
     """
     try:
         f = _fixed_part(config)
     except (CycleError, QuantumValueError) as exc:
         return {}, dict.fromkeys(range(len(thetas)), exc)
-    rngs = [None] * len(thetas)
-    if config.noise_sigma > 0.0:  # only the tomography tap draws from them
-        streams = np.random.SeedSequence(config.seed).spawn(len(thetas))
-        rngs = [np.random.default_rng(stream) for stream in streams]
     kappa = [kappa_from_theta_deg(theta) for theta in thetas]
     hot_x = [hot_x_from_kappa(k, f.params) for k in kappa]
     rows = _Rows(len(thetas))
@@ -286,8 +275,18 @@ def _cycle_rows(thetas, config):
     s_hot, s_d = entropies(spec_h), entropies(spec_d)
     for stack in (rho_c, rho_d, rho_a2):
         stack.flags.writeable = False
+    # the snapshot stacks (read-only views); with noise one (K, 5, 2, 2) tap, row i on substream i
+    taps, tap_errors = np.broadcast_arrays(rho_a, f.rho_b.matrix, rho_c, rho_d, rho_a2), {}
+    if config.noise_sigma > 0.0:
+        streams = np.random.SeedSequence(config.seed).spawn(len(thetas))
+        taps, tap_errors = tomography_stack(np.stack(taps, axis=1), config.noise_sigma, [
+            np.random.default_rng(streams[i]) for i in rows.index.tolist()])
+        taps = taps.swapaxes(0, 1)
     results = {}
     for k, i in enumerate(rows.index.tolist()):
+        if k in tap_errors:
+            rows.errors[i] = QuantumValueError(tap_errors[k])
+            continue
         x_h, r = hot_x[i]
         q_bc = e_c_hot[k] - f.e_b_hot
         w_cd = e_d_cold[k] - e_c_hot[k]
@@ -316,17 +315,11 @@ def _cycle_rows(thetas, config):
             abs(ledger.W_CD - closed.W_CD),
             abs(ledger.Q_DA - closed.Q_DA),
         )
-        states = (rho_a, f.rho_b.matrix, rho_c[k], rho_d[k], rho_a2[k])
-        try:
-            snaps = {label: _tap(m, label, config.noise_sigma, rngs[i])
-                     for label, m in zip(SNAPSHOT_LABELS, states)}
-        except QuantumValueError as exc:
-            rows.errors[i] = exc
-            continue
         results[i] = CycleResult(
             theta_deg=float(thetas[i]),
             ledger=ledger,
-            snapshots=snaps,
+            snapshots={label: wrap_validated(stack[k], label)
+                       for label, stack in zip(SNAPSHOT_LABELS, taps)},
             max_delta_vs_closed_form=max_delta,
         )
     return results, rows.errors
@@ -416,11 +409,13 @@ def _row_values(row):
 
 
 def _matrix_to_json(m):
-    return [[[float(z.real), float(z.imag)] for z in r] for r in np.asarray(m)]
+    # [[[re, im], ...], ...]: the float64 pairs of each complex entry, as Python floats
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape + (2,)).tolist()
 
 
 def _matrix_from_json(rows):
-    return np.array([[complex(re, im) for re, im in r] for r in rows], dtype=complex)
+    return np.array(rows, dtype=float).view(complex)[..., 0]
 
 
 def emit(report, fmt="csv"):
@@ -458,32 +453,12 @@ def load_report(data):
     rows = []
     for entry in doc["rows"]:
         theta = entry["theta_v_deg"]
-        ledger = CycleLedger(
-            theta_v=math.radians(theta),
-            kappa=entry["kappa"],
-            r=entry["r"],
-            W_AB=entry["W_AB"],
-            Q_BC=entry["Q_BC"],
-            W_CD=entry["W_CD"],
-            Q_DA=entry["Q_DA"],
-            dU_cycle=entry["dU_cycle"],
-            W_extracted=entry["W_extracted"],
-            Sigma_e=entry["Sigma_e"],
-            Sigma_c=entry["Sigma_c"],
-            Sigma_cycle=entry["Sigma_cycle"],
-        )
-        snaps = {
-            label: DensityOperator(_matrix_from_json(m), label=label)
-            for label, m in doc["snapshots"][_g(theta)].items()
-        }
-        rows.append(
-            CycleResult(
-                theta_deg=theta,
-                ledger=ledger,
-                snapshots=snaps,
-                max_delta_vs_closed_form=entry["max_delta_vs_closed_form"],
-            )
-        )
+        fields = {c: entry[c] for c in CSV_COLUMNS[1:-1]}  # the CycleLedger fields
+        ledger = CycleLedger(theta_v=math.radians(theta), **fields)
+        snaps = doc["snapshots"][_g(theta)]
+        states = density_operators([_matrix_from_json(m) for m in snaps.values()], snaps)
+        rows.append(CycleResult(theta_deg=theta, ledger=ledger, snapshots=dict(zip(snaps, states)),
+                                max_delta_vs_closed_form=entry["max_delta_vs_closed_form"]))
     return SweepReport(rows=tuple(rows), failures=doc["failures"], metadata=doc["metadata"])
 
 

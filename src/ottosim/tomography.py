@@ -13,6 +13,9 @@ sqrt(2) right-circular.  A right-circular input therefore lights only the
 beta port of the RL pair.  Probabilities come from normalized intensities
 P_alpha = I_alpha / (I_alpha + I_beta).
 
+``tomography_stack`` reads out a whole (N, T, 2, 2) stack at once; the
+single-tap functions share its formulas, floats, warnings and messages.
+
 Intensity files hold one record per line, ``basis i_alpha i_beta`` with
 basis in {HV, DAD, RL}; the bundled experimental matrices ship as a
 versioned JSON data file of labeled complex entries.
@@ -31,6 +34,7 @@ from .qcore import (
     TOL,
     DensityOperator,
     QuantumValueError,
+    density_errors,
 )
 
 __all__ = [
@@ -44,6 +48,7 @@ __all__ = [
     "measure_all",
     "stokes_from_intensities",
     "reconstruct",
+    "tomography_stack",
     "load_golden_data",
     "read_intensity_file",
 ]
@@ -63,6 +68,10 @@ BASES = {
     "DAD": ("D", "AD", _projector([1, 1]), _projector([1, -1])),
     "RL": ("L", "R", _projector([1, 1j]), _projector([1, -1j])),
 }
+# measurement order of measure_all; its alpha and beta projectors as one (6, 2, 2) stack
+_ORDER = ("HV", "DAD", "RL")
+_PROJECTORS = np.stack([BASES[b][k] for b in _ORDER for k in (2, 3)])
+_projected = "Bloch vector norm {:.6g} > 1; projected onto the sphere".format
 
 
 class UnphysicalStokesWarning(UserWarning):
@@ -112,6 +121,41 @@ class IntensityRecord:
             raise QuantumValueError("intensities must be nonnegative")
 
 
+def _intensities(stack, projectors, noise_sigma, xi):
+    # tr(P rho) per projector and (..., 2, 2) matrix, then times 1 + sigma * xi; each clamped at 0
+    i = np.maximum(np.trace(projectors @ stack[..., None, :, :], axis1=-2, axis2=-1).real, 0.0)
+    return np.maximum(i * (1.0 + noise_sigma * xi), 0.0) if noise_sigma > 0.0 else i
+
+
+def _measured(rho, projectors, noise_sigma, rng):
+    # the checks and the draws of measure(), one per projector
+    if noise_sigma < 0.0:
+        raise QuantumValueError("noise_sigma must be nonnegative")
+    if not isinstance(rho, DensityOperator):
+        rho = DensityOperator(rho)
+    xi = None
+    if noise_sigma > 0.0:
+        xi = (np.random.default_rng() if rng is None else rng).standard_normal(len(projectors))
+    return _intensities(rho.matrix, projectors, noise_sigma, xi)
+
+
+def _bloch_vectors(i):
+    # (s1, s2, s3) from (..., 3, 2) port intensities in _ORDER, and where a basis is dark
+    total = i[..., 0] + i[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 2.0 * (i[..., 0] / total) - 1.0
+    # alpha ports are H, D, L; each s_i is P_alpha - P_beta in its basis
+    return s[..., [1, 2, 0]], total <= 0.0
+
+
+def _densities(vec, s0=1.0):
+    # (1/2)(s0 1 + s.sigma) of each (..., 3) vector projected into the ball, and the norms
+    # before it; the matmul form gives the bits of np.linalg.norm of one vector
+    norm = np.sqrt((vec[..., None, :] @ vec[..., :, None])[..., 0, 0])
+    vec = vec / np.where(norm > 1.0, norm, 1.0)[..., None]
+    return 0.5 * (s0 * ID2 + sum(vec[..., j, None, None] * p for j, p in enumerate(PAULIS))), norm
+
+
 def measure(rho, basis, noise_sigma=0.0, rng=None):
     """Project rho onto one basis pair and return the port intensities.
 
@@ -122,27 +166,15 @@ def measure(rho, basis, noise_sigma=0.0, rng=None):
     """
     if basis not in BASES:
         raise QuantumValueError(f"unknown basis {basis!r}")
-    if noise_sigma < 0.0:
-        raise QuantumValueError("noise_sigma must be nonnegative")
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
-    _, _, p_a, p_b = BASES[basis]
-    # projector expectations are nonnegative; clamp dark-port roundoff
-    i_a = max(float(np.trace(p_a @ rho.matrix).real), 0.0)
-    i_b = max(float(np.trace(p_b @ rho.matrix).real), 0.0)
-    if noise_sigma > 0.0:
-        if rng is None:
-            rng = np.random.default_rng()
-        i_a = max(i_a * (1.0 + noise_sigma * rng.standard_normal()), 0.0)
-        i_b = max(i_b * (1.0 + noise_sigma * rng.standard_normal()), 0.0)
+    j = 2 * _ORDER.index(basis)
+    i_a, i_b = _measured(rho, _PROJECTORS[j:j + 2], noise_sigma, rng).tolist()
     return IntensityRecord(basis=basis, i_alpha=i_a, i_beta=i_b)
 
 
 def measure_all(rho, noise_sigma=0.0, rng=None):
     """Measure all three bases; one record each, in HV, DAD, RL order."""
-    if rng is None:
-        rng = np.random.default_rng()
-    return tuple(measure(rho, b, noise_sigma, rng) for b in ("HV", "DAD", "RL"))
+    i = _measured(rho, _PROJECTORS, noise_sigma, rng).reshape(3, 2).tolist()
+    return tuple(IntensityRecord(b, i_a, i_b) for b, (i_a, i_b) in zip(_ORDER, i))
 
 
 def stokes_from_intensities(records):
@@ -155,17 +187,12 @@ def stokes_from_intensities(records):
     missing = set(BASES) - set(by_basis)
     if missing:
         raise QuantumValueError(f"missing bases: {sorted(missing)}")
-    probs = {}
-    for name, rec in by_basis.items():
-        total = rec.i_alpha + rec.i_beta
-        if total <= 0.0:
+    vec, dark = _bloch_vectors(np.array(
+        [[by_basis[b].i_alpha, by_basis[b].i_beta] for b in _ORDER], dtype=float))
+    for name in by_basis:
+        if dark[_ORDER.index(name)]:
             raise QuantumValueError(f"zero total intensity in basis {name}")
-        probs[name] = rec.i_alpha / total
-    # alpha ports are H, D, L; each s_i is P_alpha - P_beta in its basis
-    s1 = 2.0 * probs["DAD"] - 1.0
-    s2 = 2.0 * probs["RL"] - 1.0
-    s3 = 2.0 * probs["HV"] - 1.0
-    return StokesVector(1.0, s1, s2, s3)
+    return StokesVector(1.0, *vec.tolist())
 
 
 def reconstruct(s):
@@ -175,18 +202,36 @@ def reconstruct(s):
     projected onto the sphere first; this emits
     :class:`UnphysicalStokesWarning`.
     """
-    vec = np.array([s.s1, s.s2, s.s3], dtype=float)
-    norm = float(np.linalg.norm(vec))
+    m, norm = _densities(np.array([s.s1, s.s2, s.s3], dtype=float), s.s0)
     if norm > 1.0 + TOL["stokes_physical"]:
-        warnings.warn(
-            f"Bloch vector norm {norm:.6g} > 1; projected onto the sphere",
-            UnphysicalStokesWarning,
-            stacklevel=2,
-        )
-    if norm > 1.0:
-        vec = vec / norm
-    m = 0.5 * (s.s0 * ID2 + sum(c * p for c, p in zip(vec, PAULIS)))
+        warnings.warn(_projected(norm), UnphysicalStokesWarning, stacklevel=2)
     return DensityOperator(m)
+
+
+def tomography_stack(stack, noise_sigma, rngs):
+    """Noisy tomography of each matrix of an (N, T, 2, 2) stack of validated states.
+
+    Row i equals reconstruct(stokes_from_intensities(measure_all(rho, noise_sigma,
+    rngs[i]))) run on its T matrices in turn: the same draws, floats, warnings
+    and messages.  Returns the read-only stack of reconstructed states and
+    position -> message for each row that stops at a failed tap.
+    """
+    n, taps = stack.shape[:2]
+    xi = np.array([rng.standard_normal(6 * taps) for rng in rngs]).reshape(n, taps, 6)
+    i = _intensities(stack, _PROJECTORS, noise_sigma, xi)
+    vec, dark = _bloch_vectors(i.reshape(n, taps, 3, 2))
+    m, norm = _densities(vec)
+    m.flags.writeable = False
+    bad = density_errors(m.reshape(-1, 2, 2))[1]
+    failed = dark.any(axis=-1)
+    failed.flat[list(bad)] = True
+    stop = np.where(failed.any(axis=1), failed.argmax(axis=1), taps)
+    projected = (norm > 1.0 + TOL["stokes_physical"]) & (np.arange(taps) <= stop[:, None])
+    for value in norm[projected].tolist():
+        warnings.warn(_projected(value), UnphysicalStokesWarning, stacklevel=2)
+    return m, {k: (f"zero total intensity in basis {_ORDER[dark[k, t].argmax()]}"
+                   if dark[k, t].any() else bad[k * taps + t])
+               for k, t in enumerate(stop.tolist()) if t < taps}
 
 
 def read_intensity_file(path):
@@ -238,10 +283,9 @@ def _sanitize_measured(m):
     if abs(tr - 1.0) > TOL["trace"]:
         m = m / tr
         notes.append(f"trace renormalized from {tr:.6g}")
-    s = np.array([float(np.trace(p @ m).real) for p in PAULIS])
-    norm = float(np.linalg.norm(s))
+    projected, norm = _densities(np.array([float(np.trace(p @ m).real) for p in PAULIS]))
     if norm > 1.0:
-        m = 0.5 * (ID2 + sum(c * p for c, p in zip(s / norm, PAULIS)))
+        m = projected
         notes.append(f"Bloch vector projected from norm {norm:.8g}")
     return DensityOperator(m), tuple(notes)
 

@@ -6,6 +6,7 @@ of a stack while the other rows go on, naming the failing stroke.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import ottosim.optics as optics_mod
 import ottosim.runner as runner_mod
 from ottosim.circuit import compile_program, parse
+from ottosim.qcore import QuantumValueError
 from ottosim.runner import (
     DEFAULT_THETAS,
     SNAPSHOT_LABELS,
@@ -21,6 +23,7 @@ from ottosim.runner import (
     run_cycle,
     run_sweep,
 )
+from ottosim.tomography import measure_all, reconstruct, stokes_from_intensities
 
 GRID_200 = tuple(45.0 * k / 199 for k in range(200))
 ROW = DEFAULT_THETAS.index(22.5)  # position of the corrupted row in every stack
@@ -209,3 +212,45 @@ def test_closure_checked_under_noise(monkeypatch):
     assert report.failures["22.5"].startswith("stroke D->A: cycle failed to close, defect")
     assert [_row_key(row) for row in report.rows] == [
         _row_key(row) for row in clean.rows if row.theta_deg != 22.5]
+
+
+def _per_tap_tomography(config):
+    """Each row's exact snapshots through measure_all -> stokes_from_intensities
+    -> reconstruct, tap by tap on the row's substream: snapshot bytes and failures."""
+    exact = {row.theta_deg: row for row in run_sweep(replace(config, noise_sigma=0.0)).rows}
+    streams = np.random.SeedSequence(config.seed).spawn(len(config.theta_list_deg))
+    snapshots, failures = {}, {}
+    for theta, stream in zip(config.theta_list_deg, streams):
+        rng = np.random.default_rng(stream)
+        try:
+            snapshots[theta] = {
+                label: reconstruct(stokes_from_intensities(
+                    measure_all(state, config.noise_sigma, rng))).matrix.tobytes()
+                for label, state in exact[theta].snapshots.items()}
+        except QuantumValueError as exc:
+            failures[f"{theta:.12g}"] = str(exc)
+    return snapshots, failures
+
+
+def _recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.1, 0.25, 0.5, 1.0])
+def test_noisy_snapshots_equal_per_tap_tomography(sigma):
+    failed = 0
+    for seed in (0, 1, 2):
+        config = SweepConfig(noise_sigma=sigma, seed=seed)
+        (snapshots, failures), expected_warnings = _recorded(_per_tap_tomography, config)
+        report, caught = _recorded(run_sweep, config)
+        assert report.failures == failures
+        assert {row.theta_deg: {label: state.matrix.tobytes()
+                                for label, state in row.snapshots.items()}
+                for row in report.rows} == snapshots
+        assert caught == expected_warnings
+        failed += len(failures)
+    if sigma == 1.0:  # a dark basis stops some rows; the check above compared their messages
+        assert failed > 0

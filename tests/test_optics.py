@@ -7,6 +7,7 @@ import pytest
 
 from ottosim.optics import (
     ChannelBlock,
+    OpticalElement,
     compression_unitary,
     dephasing_stack,
     expansion_unitary,
@@ -168,6 +169,12 @@ class TestPdBlock:
     def test_block_unitarity_validated(self):
         with pytest.raises(QuantumValueError):
             ChannelBlock("bad", unitary=np.eye(4) * 2.0)
+
+    def test_nan_fails_the_unitarity_check(self):
+        with pytest.raises(QuantumValueError, match="not unitary: defect nan"):
+            OpticalElement("ROT", 0.0, "polarization", np.full((2, 2), np.nan))
+        with pytest.raises(QuantumValueError, match="HWP element not unitary: defect nan"):
+            hwp(np.nan)
 
 
 class TestIpdBlock:

@@ -1,6 +1,7 @@
 """Unit and property tests for the linear-algebra / density-operator core."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ottosim.qcore import (
     SupportError,
     apply_kraus,
     density_errors,
+    density_operators,
     eig_herm,
     entropies,
     fidelity,
@@ -346,6 +348,32 @@ class TestStackedChecks:
             assert errors[k] == f"support violation: weight {w[1]:.3g} on eigenvalue 0"
         with pytest.raises(SupportError, match="support violation"):
             relative_entropy(rho, sigmas[0])
+
+    def test_nan_fails_the_density_checks(self):
+        nan = np.full((2, 2), np.nan)
+        assert density_errors(np.array([0.5 * ID2, nan]))[1] == {1: "not Hermitian: defect nan"}
+        with pytest.raises(QuantumValueError, match="not Hermitian: defect nan"):
+            DensityOperator(nan)
+
+    def test_nan_fails_the_kraus_check(self):
+        bad = [np.diag([1.0, np.nan]), np.diag([0.0, 0.8])]
+        assert kraus_errors(np.array([bad], dtype=complex)) == {
+            0: "incomplete Kraus set: defect nan"}
+        with pytest.raises(QuantumValueError, match="defect nan"):
+            KrausSet(bad)
+
+    def test_density_operators_match_constructor(self, rng):
+        good = [random_density(rng).matrix for _ in range(3)]
+        states = density_operators(good, ["a", "b", "c"])
+        assert [s.label for s in states] == ["a", "b", "c"]
+        assert all(s == DensityOperator(m) and not s.matrix.flags.writeable
+                   for s, m in zip(states, good))
+        for bad in self.BAD:
+            with pytest.raises(QuantumValueError, match=re.escape(self._message(DensityOperator, bad))):
+                density_operators(good + [bad, self.BAD[0]], "abcde")
+        mixed = density_operators([good[0], random_density(rng, 4).matrix], "ab")  # two shapes
+        assert [s.dim for s in mixed] == [2, 4]
+        assert density_operators([], []) == []
 
     def test_spectra_rejects_non_hermitian(self):
         _, _, errors = spectra(np.array([[[0.5, 0.1], [0.0, 0.5]]], dtype=complex))

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from ottosim import cli
-from ottosim.qcore import QuantumValueError
+from ottosim.qcore import DensityOperator, QuantumValueError
 from ottosim.runner import (
     CSV_COLUMNS,
     DEFAULT_THETAS,
     SweepConfig,
+    _matrix_from_json,
+    _matrix_to_json,
     compare_golden,
     emit,
     load_config_file,
@@ -181,6 +183,31 @@ class TestEmit:
         assert loaded == report
         assert emit(loaded, "json") == blob
 
+    def test_load_report_rejects_a_corrupted_snapshot(self):
+        doc = json.loads(emit(run_sweep(SweepConfig(noise_sigma=0.01, seed=5)), "json"))
+        snaps = list(doc["snapshots"].values())
+        snaps[1]["TD"][0][1] = [0.4, 0.3]   # not Hermitian
+        snaps[4]["TA"][0][0] = [0.9, 0.0]   # trace; a later row, so not the one reported
+        with pytest.raises(QuantumValueError) as info:
+            DensityOperator(np.array([[complex(*z) for z in r] for r in snaps[1]["TD"]]))
+        assert str(info.value).startswith("not Hermitian: defect")
+        with pytest.raises(QuantumValueError) as loaded:
+            load_report(json.dumps(doc))
+        assert str(loaded.value) == str(info.value)
+
+    def test_loaded_snapshots_are_labeled_and_frozen(self):
+        loaded = load_report(emit(run_sweep(SweepConfig(noise_sigma=0.01, seed=5)), "json"))
+        for row in loaded.rows:
+            assert [state.label for state in row.snapshots.values()] == list(row.snapshots)
+            assert not any(state.matrix.flags.writeable for state in row.snapshots.values())
+
+    def test_matrix_json_keeps_every_float(self):
+        m = np.array([[-0.0 + 0.5j, 1e-300 - 0.0j], [-1.5 + 0.0j, 2.0 - 1e-17j]])
+        reference = [[[float(z.real), float(z.imag)] for z in r] for r in m]
+        assert json.dumps(_matrix_to_json(m)) == json.dumps(reference)
+        assert _matrix_from_json(reference).tobytes() == m.tobytes()
+        assert _matrix_to_json(m[:, ::-1]) == [r[::-1] for r in reference]  # non-contiguous view
+
     def test_json_snapshot_payload(self):
         doc = json.loads(emit(run_sweep(), "json"))
         snap = doc["snapshots"]["22.5"]["TC"]
@@ -264,6 +291,16 @@ class TestConfigFile:
 
 
 class TestCli:
+    def test_main_reuses_one_parser(self, tmp_path):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+        for theta in ("22.5", "45"):
+            out = tmp_path / f"{theta}.json"
+            assert cli.main(["sweep", "--theta-list", theta, "--format", "json",
+                             "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["metadata"]["config"]["theta_list_deg"] == [
+                float(theta)]
+
     def test_sweep_to_file(self, tmp_path):
         out = tmp_path / "report.csv"
         code = cli.main(["sweep", "--out", str(out)])

@@ -1,6 +1,7 @@
 """Tests for projective intensity simulation and Stokes reconstruction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from ottosim.qcore import (
     ID2,
     KET_H,
     KET_PSI_RC,
+    PAULIS,
     DensityOperator,
     QuantumValueError,
     fidelity,
+    wrap_validated,
 )
 from ottosim.tomography import (
     BASES,
@@ -25,6 +28,7 @@ from ottosim.tomography import (
     read_intensity_file,
     reconstruct,
     stokes_from_intensities,
+    tomography_stack,
 )
 
 from conftest import random_density
@@ -156,6 +160,77 @@ class TestReconstruct:
         assert np.linalg.eigvalsh(rho.matrix).min() > -1e-12
         s = StokesVector.from_state(rho)
         assert s.bloch_norm == pytest.approx(1.0, abs=1e-12)
+
+
+def _loop_tap(m, sigma, rng):
+    """One noisy tap port by port in Python floats, as before the readout was stacked."""
+    ports = {}
+    for basis in ("HV", "DAD", "RL"):
+        _, _, p_a, p_b = BASES[basis]
+        i_a = max(float(np.trace(p_a @ m).real), 0.0)
+        i_b = max(float(np.trace(p_b @ m).real), 0.0)
+        i_a = max(i_a * (1.0 + sigma * rng.standard_normal()), 0.0)
+        i_b = max(i_b * (1.0 + sigma * rng.standard_normal()), 0.0)
+        ports[basis] = (i_a, i_b)
+    for basis, (i_a, i_b) in ports.items():
+        if i_a + i_b <= 0.0:
+            raise QuantumValueError(f"zero total intensity in basis {basis}")
+    vec = np.array([2.0 * (i_a / (i_a + i_b)) - 1.0
+                    for i_a, i_b in (ports["DAD"], ports["RL"], ports["HV"])])
+    norm = float(np.linalg.norm(vec))
+    if norm > 1.0 + 1e-9:
+        warnings.warn(f"Bloch vector norm {norm:.6g} > 1; projected onto the sphere",
+                      UnphysicalStokesWarning)
+    if norm > 1.0:
+        vec = vec / norm
+    return DensityOperator(0.5 * (1.0 * ID2 + sum(c * p for c, p in zip(vec, PAULIS)))).matrix
+
+
+def _composed_tap(m, sigma, rng):
+    s = stokes_from_intensities(measure_all(wrap_validated(m), sigma, rng))
+    return reconstruct(s).matrix
+
+
+class TestTomographyStack:
+    """The stacked tap against the single-tap functions and the port-by-port loop."""
+
+    @staticmethod
+    def _run(tap, stack, sigma):
+        # per row: reconstructed bytes until the first failure and its message; all warnings
+        rows = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for i, row in enumerate(stack):
+                rng, out, message = np.random.default_rng(i), [], None
+                try:
+                    for m in row:
+                        out.append(tap(m, sigma, rng).tobytes())
+                except QuantumValueError as exc:
+                    message = str(exc)
+                rows.append((out, message))
+        return rows, [(w.category, str(w.message)) for w in caught]
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.3, 1.0])
+    def test_rows_equal_per_tap_calls(self, rng, sigma):
+        pure = [DensityOperator.from_ket(k).matrix for k in ([1, 0], [0, 1], [1, 1], [1, 1j])]
+        stack = np.array([[random_density(rng).matrix if (i + t) % 3 else pure[(i + t) % 4]
+                           for t in range(5)] for i in range(12)])
+        stack[7, 2] = np.nan  # only a non-finite matrix can fail the rebuilt-state check
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rebuilt, errors = tomography_stack(
+                stack, sigma, [np.random.default_rng(i) for i in range(len(stack))])
+        warned = [(w.category, str(w.message)) for w in caught]
+        loop, loop_warned = self._run(_loop_tap, stack, sigma)
+        assert self._run(_composed_tap, stack, sigma) == (loop, loop_warned)
+        assert errors == {i: message for i, (_, message) in enumerate(loop) if message}
+        assert errors[7] == "not Hermitian: defect nan"
+        for i, (taps, _) in enumerate(loop):
+            assert [m.tobytes() for m in rebuilt[i][:len(taps)]] == taps
+        assert warned == loop_warned
+        assert not rebuilt.flags.writeable
+        if sigma == 1.0:
+            assert warned and any(m.startswith("zero total intensity") for m in errors.values())
 
 
 class TestNoiseRobustness:
