@@ -18,8 +18,11 @@ require angles in [0, 45] degrees.
 ``parse`` never crashes on arbitrary input: it collects up to ten
 :class:`ParseError` records and raises :class:`CircuitSyntaxError`
 carrying them.  ``compile_program`` type-checks the pipeline (an ``ipd``
-needs the ancilla a preceding ``pd`` introduced) and returns an executable
-whose ``tomo`` taps snapshot the reduced polarization state.
+needs the ancilla a preceding ``pd`` introduced), then lowers it once to
+steps with precomputed matrices and returns an executable whose ``tomo``
+taps snapshot the reduced polarization state.  ``run`` folds the state
+through the steps and then checks every state it must, as one stack per
+dimension, raising the first failure in program order.
 """
 
 import re
@@ -28,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optics
-from .qcore import DensityOperator, KET_PSI_RC, QuantumValueError, partial_trace_path
-from .thermo import thermal_state
+from .qcore import (ID2, KET_PSI_RC, DensityOperator, QuantumValueError, density_operators,
+                    trace_path)
+from .thermo import thermal_matrices
 
 __all__ = [
     "Instruction",
@@ -207,71 +211,111 @@ class CircuitRun:
     final: DensityOperator | None
 
 
-class CompiledCircuit:
-    """Type-checked pipeline; ``run()`` folds the state through it."""
+_RHO_RC = np.outer(KET_PSI_RC, KET_PSI_RC.conj())
+_RHO_RC.flags.writeable = False
 
-    def __init__(self, program):
+
+class CompiledCircuit:
+    """Type-checked pipeline lowered to steps; ``run()`` folds the state through them.
+
+    One ``(op, a, b)`` step per instruction: ``init``/``thermal`` (a: the
+    state), ``unitary``/``pd``/``ipd`` (a: the unitary, b: its adjoint) or
+    ``tomo`` (a: the label).
+    """
+
+    def __init__(self, program, steps):
         self.program = program
+        self.steps = steps
 
     def run(self):
         rho = None          # 2x2 during single-path segments, 4x4 with ancilla
         joint = False
-        snapshots = {}
-        for instr in self.program.instructions:
-            rho, joint = _step(rho, joint, instr, snapshots)
-        final = None
-        if rho is not None:
-            final = partial_trace_path(DensityOperator(rho)) if joint else DensityOperator(rho)
-        return CircuitRun(snapshots=snapshots, final=final)
+        checked, labels = [], []    # the states to validate, in program order, and tap labels
+
+        def read_out(state, with_ancilla, label):
+            # the joint state, then the reduced one, as DensityOperator checks them
+            if with_ancilla:
+                checked.append(state)
+                labels.append(None)
+                state = trace_path(state[None])[0]
+            checked.append(state)
+            labels.append(label)
+            return state
+
+        for op, a, b in self.steps:
+            if op == "unitary":
+                rho = a @ rho @ b
+            elif op == "tomo":
+                read_out(rho, joint, a)
+            elif op == "pd":
+                rho, joint = a @ optics._kron_slices(rho, optics._P0) @ b, True
+            elif op == "ipd":
+                rho, joint = read_out(a @ rho @ b, True, None), False
+            else:
+                rho = a
+                if op == "thermal":  # checked as thermal_state checks it
+                    read_out(rho, False, None)
+        if rho is None:
+            return CircuitRun(snapshots={}, final=None)
+        read_out(rho, joint, None)
+        states = density_operators(checked, labels)
+        return CircuitRun(snapshots={s.label: s for s in states if s.label is not None},
+                          final=states[-1])
 
 
-def _pol_unitary(instr):
-    if instr.op == "hwp":
-        return optics.hwp(np.deg2rad(instr.args[0])).matrix
-    if instr.op == "qwp":
-        return optics.qwp(np.deg2rad(instr.args[0])).matrix
-    if instr.op == "rot":
-        return optics.rotation(np.deg2rad(instr.args[0])).matrix
-    if instr.op == "expand":
-        return optics.expansion_unitary(instr.args[0], np.deg2rad(instr.args[1])).matrix
-    if instr.op == "compress":
-        return optics.compression_unitary(instr.args[0], np.deg2rad(instr.args[1])).matrix
-    raise AssertionError(instr.op)
+def _lower(instructions, alphas):
+    """The steps of a checked program, every matrix built once as part of a stack.
 
+    One build per kind: the Jones matrices of all polarization elements
+    with one unitarity check and their joint-space lifts, all ``pd`` and all
+    ``ipd`` blocks with one ``dephasing_stack`` each, and all thermal
+    states.  ``alphas`` maps the position of each expand/compress to its
+    Jones parameter, the angle of its rotation.  A failed check raises
+    CircuitCompileError naming the first failing line.
+    """
+    where = {op: [] for op in ("hwp", "qwp", "rot", "pd", "ipd", "thermal")}
+    joint, active = [], False
+    for k, instr in enumerate(instructions):
+        op = "thermal" if instr.op == "init" and instr.args[0] == "thermal" else instr.op
+        if op in where:
+            where[op].append(k)
+        active = op == "pd" or active and op != "ipd"
+        joint.append(active)
 
-def _step(rho, joint, instr, snapshots):
-    # compile_program has already checked the instruction flow
-    op = instr.op
-    if op == "init":
-        if instr.args[0] == "rc":
-            return np.outer(KET_PSI_RC, KET_PSI_RC.conj()), False
-        return thermal_state(instr.args[1]).rho.matrix, False
+    def values(op):
+        return np.array([instructions[k].args[-1] for k in where[op]], dtype=float)
 
-    if op in ("hwp", "qwp", "rot", "expand", "compress"):
-        u = _pol_unitary(instr)
-        if joint:
-            u = np.kron(u, np.eye(2, dtype=complex))
-        return u @ rho @ u.conj().T, joint
-
-    if op == "pd":
-        block = optics.pd_block(np.deg2rad(instr.args[0]))
-        rho4 = np.kron(rho, np.diag([1.0, 0.0]).astype(complex))
-        return block.unitary @ rho4 @ block.unitary.conj().T, True
-
-    if op == "ipd":
-        block = optics.ipd_block(np.deg2rad(instr.args[0]))
-        rho4 = block.unitary @ rho @ block.unitary.conj().T
-        return partial_trace_path(DensityOperator(rho4)).matrix, False
-
-    if op == "tomo":
-        label = instr.args[0]
-        state = DensityOperator(rho)
-        if joint:
-            state = partial_trace_path(state)
-        snapshots[label] = state.relabel(label)
-        return rho, joint
-
-    raise AssertionError(op)
+    # init rc and tomo steps; the others are filled in below
+    steps = [("init", _RHO_RC, None) if instr.op == "init" else ("tomo", instr.args[0], None)
+             for instr in instructions]
+    pol = sorted(where["hwp"] + where["qwp"] + where["rot"] + list(alphas))
+    slot = {k: i for i, k in enumerate(pol)}
+    mats = np.empty((len(slot), 2, 2), dtype=complex)
+    for ks, build, angles in (
+            (where["hwp"], optics._hwp_matrix, np.deg2rad(values("hwp"))),
+            (where["qwp"], optics._qwp_matrix, np.deg2rad(values("qwp"))),
+            (where["rot"] + list(alphas), optics._rotation_matrix,
+             np.concatenate([np.deg2rad(values("rot")), list(alphas.values())]))):
+        mats[[slot[k] for k in ks]] = build(angles)
+    failures = [(pol[i], message) for i, message in
+                optics._unitarity_errors(mats, "polarization element").items()]
+    for op in ("pd", "ipd"):
+        if where[op]:
+            u, _, errors = optics.dephasing_stack(np.deg2rad(values(op)), inverse=op == "ipd")
+            failures += [(where[op][i], message) for i, message in errors.items()]
+            for k, block in zip(where[op], zip(u, u.conj().swapaxes(-1, -2))):
+                steps[k] = (op, *block)
+    if failures:
+        k, message = min(failures)
+        raise CircuitCompileError(f"line {instructions[k].line}: {message}")
+    lifted = optics._kron_slices(mats, ID2)
+    lifts = ((mats, mats.conj().swapaxes(-1, -2)), (lifted, lifted.conj().swapaxes(-1, -2)))
+    for k, i in slot.items():
+        u, u_dagger = lifts[joint[k]]
+        steps[k] = ("unitary", u[i], u_dagger[i])
+    for k, rho in zip(where["thermal"], thermal_matrices(values("thermal"))):
+        steps[k] = ("thermal", rho, None)
+    return tuple(steps)
 
 
 def compile_program(program):
@@ -280,11 +324,20 @@ def compile_program(program):
     Compile-time checks: elements need an initialized state, ``pd`` cannot
     nest, ``ipd`` needs an active ancilla, tap labels are unique and the
     expand/compress gap ratio must exceed 1, omega0*tau be nonnegative and
-    their Jones parameter finite.  ``run`` makes no checks of its own.
+    their Jones parameter finite.  A program that passes them is lowered
+    once to steps with precomputed matrices, whose own checks (unitarity of
+    every element and block, the Kraus completeness of every ``pd``) also
+    raise CircuitCompileError naming the line.  ``run`` checks the states
+    the fold produces, as DensityOperator would: every ``init thermal``
+    state, the joint state before each reduction and each reduced or 2x2
+    tap, ``ipd`` output and final state.  It checks them all at once after
+    the fold, one stack per dimension, and raises the message of the first
+    failure in program order.
     """
     dim = None
     labels = set()
-    for instr in program.instructions:
+    alphas = {}
+    for k, instr in enumerate(program.instructions):
         op = instr.op
         if op == "init":
             if dim == 4:
@@ -299,7 +352,7 @@ def compile_program(program):
             if dim is None:
                 raise CircuitCompileError(f"line {instr.line}: {op} before any init")
             try:
-                optics._jones_parameter(instr.args[0], np.deg2rad(instr.args[1]))
+                alphas[k] = optics._jones_parameter(instr.args[0], np.deg2rad(instr.args[1]))
             except QuantumValueError as exc:
                 raise CircuitCompileError(f"line {instr.line}: {exc}") from exc
         elif op == "pd":
@@ -324,7 +377,7 @@ def compile_program(program):
                     f"line {instr.line}: duplicate tap label {instr.args[0]!r}"
                 )
             labels.add(instr.args[0])
-    return CompiledCircuit(program)
+    return CompiledCircuit(program, _lower(program.instructions, alphas))
 
 
 def _fmt_angle(value):

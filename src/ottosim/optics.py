@@ -39,6 +39,7 @@ __all__ = [
 
 _P0 = np.diag([1, 0]).astype(complex)
 _P1 = np.diag([0, 1]).astype(complex)
+_QWP_AXES = np.diag([1.0, 1.0j])
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,26 @@ def _hwp_matrix(theta):
     return m
 
 
+def _rotation_matrix(alpha):
+    # [[cos, -sin], [sin, cos]]; an array of angles gives a stack of matrices
+    c, s = np.cos(alpha), np.sin(alpha)
+    m = np.empty(np.shape(alpha) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = c, -s, s, c
+    return m
+
+
+def _qwp_matrix(theta):
+    # R(theta) diag(1, i) R(-theta), per angle of an array
+    r = _rotation_matrix(theta)
+    return r @ _QWP_AXES @ r.conj().swapaxes(-1, -2)
+
+
+def _kron_slices(a, b):
+    # np.kron(a, b) of each 2x2 slice of a with the 2x2 b, as the broadcast
+    # product np.kron evaluates: the same products, signed zeros included
+    return (a[..., :, None, :, None] * b[:, None, :]).reshape(a.shape[:-2] + (4, 4))
+
+
 def hwp(theta):
     """Half-wave plate with matrix entries evaluated directly at theta."""
     return OpticalElement("HWP", float(theta), "polarization", _hwp_matrix(theta))
@@ -86,16 +107,12 @@ def hwp(theta):
 
 def rotation(alpha):
     """Polarization rotation exp(-i alpha sigma_y), an SO(2) Jones matrix."""
-    c, s = np.cos(alpha), np.sin(alpha)
-    return OpticalElement("ROT", float(alpha), "polarization",
-                          np.array([[c, -s], [s, c]], dtype=complex))
+    return OpticalElement("ROT", float(alpha), "polarization", _rotation_matrix(alpha))
 
 
 def qwp(theta):
     """Quarter-wave plate at axis angle theta."""
-    r = rotation(theta).matrix
-    m = r @ np.diag([1.0, 1.0j]) @ r.conj().T
-    return OpticalElement("QWP", float(theta), "polarization", m)
+    return OpticalElement("QWP", float(theta), "polarization", _qwp_matrix(theta))
 
 
 def pbs_matrix():
@@ -152,9 +169,8 @@ def _kraus_pairs(theta_v):
 
 
 def _arm_stage(arm_v):
-    # _on_paths(hwp(0), arm_v) per slice; kron(arm_v, P1) as a broadcast
-    # product gives the same products, signed zeros included
-    return _ARM_H + (arm_v[:, :, None, :, None] * _P1[:, None, :]).reshape(-1, 4, 4)
+    # _on_paths(hwp(0), arm_v) per slice
+    return _ARM_H + _kron_slices(arm_v, _P1)
 
 
 def dephasing_stack(theta_v, inverse=False):

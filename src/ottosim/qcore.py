@@ -189,16 +189,24 @@ def wrap_validated(matrix, label=None):
 
 
 def density_operators(matrices, labels):
-    """DensityOperators of labeled matrices, checked as one stack when they share a shape."""
-    arrays = [_as_square(m, "density operator") for m in matrices]
-    if len({a.shape for a in arrays}) != 1:
-        return [DensityOperator(a, label) for a, label in zip(arrays, labels)]
-    stack = np.array(arrays)
-    stack.flags.writeable = False
-    errors = density_errors(stack)[1]
-    if errors:
-        raise QuantumValueError(errors[min(errors)])
-    return [wrap_validated(m, label) for m, label in zip(stack, labels)]
+    """DensityOperators of labeled 2x2 and 4x4 matrices, checked as one stack per shape.
+
+    Raises the constructor's message for the first failing matrix in order.
+    """
+    arrays, labels = [_as_square(m, "density operator") for m in matrices], list(labels)
+    states, failures = [None] * len(arrays), []
+    for dim in (2, 4):
+        where = [i for i, a in enumerate(arrays) if a.shape[0] == dim]
+        if not where:
+            continue
+        stack = np.array([arrays[i] for i in where])
+        stack.flags.writeable = False
+        failures += [(where[pos], message) for pos, message in density_errors(stack)[1].items()]
+        for i, m in zip(where, stack):
+            states[i] = wrap_validated(m, labels[i])
+    if failures:
+        raise QuantumValueError(min(failures)[1])
+    return states
 
 
 def first_errors(*checks):
@@ -296,7 +304,7 @@ def eig_herm(m):
     """
     a = _as_square(m, "eig_herm input")
     defect = np.abs(a - a.conj().T).max()
-    if defect > TOL["eig_herm_input"]:
+    if not defect <= TOL["eig_herm_input"]:
         raise QuantumValueError(f"eig_herm needs a Hermitian matrix: defect {defect:.3g}")
     lam, vec = np.linalg.eigh(a)
     lam = lam[::-1].copy()
@@ -358,7 +366,7 @@ def spectra(stack):
     lam, vec = np.linalg.eigh(stack)
     lam = lam[..., ::-1]
     errors = {i: f"eig_herm needs a Hermitian matrix: defect {defect[i]:.3g}"
-              for i in np.flatnonzero(defect > TOL["eig_herm_input"]).tolist()}
+              for i in np.flatnonzero(~(defect <= TOL["eig_herm_input"])).tolist()}
     return np.where(lam < TOL["eig_clamp"], 0.0, lam), vec[..., ::-1], errors
 
 
@@ -377,12 +385,14 @@ def support_weights(rho, lam_s, vec_s):
     ``lam_s``/``vec_s`` come from :func:`spectra` of a sigma stack; ``rho``
     is one matrix or a stack of them.  Returns the (N, d) weights and
     position -> message for each row with weight above TOL["support"] on an
-    eigenvalue below it (where D(rho || sigma) would be +inf).
+    eigenvalue below it (where D(rho || sigma) would be +inf) or with a NaN
+    weight or eigenvalue (where it would not be a number).
     """
     weights = np.einsum("...ji,...jk,...ki->...i", vec_s.conj(), rho, vec_s).real
     lam_s = np.broadcast_to(lam_s, weights.shape)
+    outside = (lam_s < TOL["support"]) & (weights > TOL["support"])
     errors = {}
-    for i, j in zip(*np.nonzero((lam_s < TOL["support"]) & (weights > TOL["support"]))):
+    for i, j in zip(*np.nonzero(outside | np.isnan(weights + lam_s))):
         errors.setdefault(int(i), f"support violation: weight {weights[i, j]:.3g} "
                                   f"on eigenvalue {lam_s[i, j]:.3g}")
     return weights, errors

@@ -157,7 +157,14 @@ def _spectrum_errors(lam_a, lam_b):
     # a unitary stroke leaves each row's (ascending) spectrum in place
     gap = np.abs(lam_a - lam_b).max(axis=-1)
     return {i: f"not unitary, spectrum moved by {gap[i]:.3g}"
-            for i in np.flatnonzero(gap > 1e-10).tolist()}
+            for i in np.flatnonzero(~(gap <= 1e-10)).tolist()}
+
+
+def _closure_errors(rho_end, rho_start):
+    # the cycle hands each row back the state it started from
+    defect = np.abs(rho_end - rho_start).max(axis=(-2, -1))
+    return {i: f"cycle failed to close, defect {defect[i]:.3g}"
+            for i in np.flatnonzero(~(defect <= TOL["cycle_closure"])).tolist()}
 
 
 class _Rows:
@@ -261,12 +268,10 @@ def _cycle_rows(thetas, config):
     joint = (ipd @ joint) @ ipd.conj().swapaxes(-1, -2)
     rho_a2 = trace_path(joint)
     spec_d, _, bad_sd = spectra(rho_d)
-    closure = np.abs(rho_a2 - rho_a).max(axis=(-2, -1))
     rho_c, rho_d, rho_a2, spec_h, spec_d = rows.keep("D->A", first_errors(
         bad_ipd, density_errors(joint)[1], density_errors(rho_a2)[1],
         bad_sd, support_weights(rho_d, f.spec_cold, f.vec_cold)[1],
-        {i: f"cycle failed to close, defect {closure[i]:.3g}"
-         for i in np.flatnonzero(closure > TOL["cycle_closure"]).tolist()},
+        _closure_errors(rho_a2, rho_a),
     ), rho_c, rho_d, rho_a2, spec_h, spec_d)
 
     e_c_hot = expectations(f.h_hot, rho_c)
@@ -450,14 +455,17 @@ def emit(report, fmt="csv"):
 def load_report(data):
     """Rebuild a SweepReport from its JSON emission."""
     doc = json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data)
+    snaps = [doc["snapshots"][_g(entry["theta_v_deg"])] for entry in doc["rows"]]
+    # every snapshot of the report checked at once; the first bad one in report order is raised
+    states = iter(density_operators([_matrix_from_json(m) for row in snaps for m in row.values()],
+                                    [label for row in snaps for label in row]))
     rows = []
-    for entry in doc["rows"]:
+    for entry, labels in zip(doc["rows"], snaps):
         theta = entry["theta_v_deg"]
         fields = {c: entry[c] for c in CSV_COLUMNS[1:-1]}  # the CycleLedger fields
         ledger = CycleLedger(theta_v=math.radians(theta), **fields)
-        snaps = doc["snapshots"][_g(theta)]
-        states = density_operators([_matrix_from_json(m) for m in snaps.values()], snaps)
-        rows.append(CycleResult(theta_deg=theta, ledger=ledger, snapshots=dict(zip(snaps, states)),
+        rows.append(CycleResult(theta_deg=theta, ledger=ledger,
+                                snapshots={label: next(states) for label in labels},
                                 max_delta_vs_closed_form=entry["max_delta_vs_closed_form"]))
     return SweepReport(rows=tuple(rows), failures=doc["failures"], metadata=doc["metadata"])
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ottosim.optics as optics_mod
 from ottosim.circuit import (
     CircuitCompileError,
     CircuitProgram,
@@ -13,7 +14,9 @@ from ottosim.circuit import (
     parse,
 )
 from ottosim.optics import pd_block
-from ottosim.qcore import ID2, KET_PSI_RC, DensityOperator, apply_kraus
+from ottosim.qcore import (ID2, KET_PSI_RC, DensityOperator, QuantumValueError, apply_kraus,
+                           partial_trace_path)
+from ottosim.thermo import thermal_state
 
 RHO_RC = DensityOperator.from_ket(KET_PSI_RC)
 
@@ -189,6 +192,203 @@ class TestExecute:
     def test_final_state_reduced(self):
         run = compile_program(parse("init rc\npd 22.5")).run()
         assert run.final.dim == 2
+
+
+def _rotation(alpha):
+    # one angle at a time, as the per-instruction fold built it
+    c, s = np.cos(alpha), np.sin(alpha)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _qwp(theta):
+    r = _rotation(theta)
+    return r @ np.diag([1.0, 1.0j]) @ r.conj().T
+
+
+_ELEMENTS = {
+    "hwp": lambda a: optics_mod.hwp(np.deg2rad(a)).matrix,
+    "qwp": lambda a: _qwp(np.deg2rad(a)),
+    "rot": lambda a: _rotation(np.deg2rad(a)),
+    "expand": lambda n, w: _rotation(optics_mod._jones_parameter(n, np.deg2rad(w))),
+    "compress": lambda n, w: _rotation(optics_mod._jones_parameter(n, np.deg2rad(w))),
+}
+
+
+def _reference_run(program, change=None):
+    """The per-instruction fold that the lowered steps replaced, kept as the reference.
+
+    One element or block per instruction, np.kron lifts and a DensityOperator
+    for each checked state, raising at the first failure.  ``change`` maps an
+    instruction position to a function applied to the matrix it uses (its
+    state, lifted unitary or block unitary).  Returns (snapshots, final).
+    """
+    rho, joint, snapshots = None, False, {}
+    for k, instr in enumerate(program.instructions):
+        fix = (change or {}).get(k, lambda m: m)
+        op = instr.op
+        if op == "init":
+            if instr.args[0] == "rc":
+                rho = fix(np.outer(KET_PSI_RC, KET_PSI_RC.conj()))
+            else:  # the state thermal_state checks
+                rho = DensityOperator(fix(thermal_state(instr.args[1]).rho.matrix)).matrix
+            joint = False
+        elif op in _ELEMENTS:
+            u = _ELEMENTS[op](*instr.args)
+            u = fix(np.kron(u, np.eye(2, dtype=complex)) if joint else u)
+            rho = u @ rho @ u.conj().T
+        elif op == "pd":
+            u = fix(pd_block(np.deg2rad(instr.args[0])).unitary)
+            rho = u @ np.kron(rho, np.diag([1.0, 0.0]).astype(complex)) @ u.conj().T
+            joint = True
+        elif op == "ipd":
+            u = fix(optics_mod.ipd_block(np.deg2rad(instr.args[0])).unitary)
+            rho = partial_trace_path(DensityOperator(u @ rho @ u.conj().T)).matrix
+            joint = False
+        else:
+            state = DensityOperator(rho)
+            state = partial_trace_path(state) if joint else state
+            snapshots[instr.args[0]] = state.relabel(instr.args[0])
+    final = None
+    if rho is not None:
+        final = partial_trace_path(DensityOperator(rho)) if joint else DensityOperator(rho)
+    return snapshots, final
+
+
+def _random_program(rng, size):
+    """A well-typed program of full-precision parameters, ancilla segments included."""
+    instructions, ancilla = [Instruction("init", ("thermal", float(rng.uniform(0, 5))))], False
+    for k in range(size):
+        op = ("hwp", "qwp", "rot", "expand", "compress", "pd", "ipd", "tomo", "init")[
+            rng.integers(0, 9)]
+        if op in ("hwp", "qwp", "rot"):
+            instructions.append(Instruction(op, (float(rng.uniform(-720, 720)),)))
+        elif op in ("expand", "compress"):
+            instructions.append(Instruction(op, (float(rng.uniform(1.01, 9)),
+                                                 float(rng.uniform(0, 720)))))
+        elif op == "tomo":
+            instructions.append(Instruction("tomo", (f"T{k}",)))
+        elif op == "pd" and not ancilla or op == "ipd" and ancilla:
+            instructions.append(Instruction(op, (float(rng.uniform(0, 45)),)))
+            ancilla = op == "pd"
+        elif op == "init" and not ancilla:
+            mode = ("rc",) if rng.random() < 0.5 else ("thermal", float(rng.uniform(0, 5)))
+            instructions.append(Instruction("init", mode))
+    return CircuitProgram(tuple(instructions))
+
+
+def _bytes(snapshots, final):
+    return ({label: (state.label, state.matrix.tobytes()) for label, state in snapshots.items()},
+            None if final is None else final.matrix.tobytes())
+
+
+class TestLoweredFold:
+    def test_bytes_equal_the_per_instruction_fold(self, rng):
+        seen = {"joint element": 0, "two pd": 0, "re-init": 0}
+        for _ in range(300):
+            program = _random_program(rng, int(rng.integers(0, 60)))
+            run = compile_program(program).run()
+            assert list(run.snapshots) == list(_reference_run(program)[0])
+            assert _bytes(run.snapshots, run.final) == _bytes(*_reference_run(program))
+            assert all(not s.matrix.flags.writeable for s in run.snapshots.values())
+            ops = [instr.op for instr in program.instructions]
+            seen["two pd"] += ops.count("pd") >= 2
+            seen["re-init"] += ops.count("init") >= 2
+            seen["joint element"] += any(
+                op in _ELEMENTS and ops[:k].count("pd") > ops[:k].count("ipd")
+                for k, op in enumerate(ops))
+        assert min(seen.values()) >= 50, seen
+
+    def test_empty_program(self):
+        run = compile_program(parse("")).run()
+        assert run.snapshots == {} and run.final is None
+
+    @pytest.mark.parametrize("broken, message", [
+        (("_qwp_matrix",), "line 5: polarization element not unitary: defect 0.21"),
+        (("_qwp_matrix", "_hwp_matrix"), "line 2: HWP element not unitary: defect 0.21"),
+        (("_qwp_matrix", "_kraus_pairs"), "line 2: incomplete Kraus set: defect 0.21"),
+    ])
+    def test_lowering_checks_name_the_first_failing_line(self, monkeypatch, broken, message):
+        # the pd arm plate (line 2) is an hwp too, and its Kraus pair is checked first
+        program = parse("init rc\npd 10\nhwp 20\nipd 10\nqwp 30")
+        for name in broken:
+            monkeypatch.setattr(optics_mod, name,
+                                lambda *a, f=getattr(optics_mod, name): 1.1 * f(*a))
+        with pytest.raises(CircuitCompileError) as info:
+            compile_program(program)
+        assert str(info.value) == message
+
+
+def _scaled(factor):
+    return lambda m: factor * m
+
+
+# Hermitian with unit trace but eigenvalue -0.2; dephasing at 22.5 deg makes it physical
+_UNPHYSICAL = np.array([[0.5, -0.7j], [0.7j, 0.5]])
+
+
+def _skewed(m):
+    return m + np.eye(len(m), k=1) * 1e-3  # not Hermitian
+
+
+# source, position of the corrupted instruction, change, the first check that fails
+DEFERRED = {
+    "joint tap": ("init rc\npd 22.5\ntomo A", 0, lambda m: _UNPHYSICAL,
+                  "not positive semidefinite: min eigenvalue -0.2"),
+    "2x2 tap": ("init rc\nhwp 10\ntomo A\npd 5", 1, _scaled(1.1), "trace 1.21"),
+    "thermal init": ("init thermal 0.5\npd 22.5\ntomo A", 0, _skewed, "not Hermitian"),
+    "ipd output": ("init rc\npd 22.5\nipd 22.5\ntomo A", 2, _scaled(1.01), "trace 1.0201"),
+    "final state": ("init rc\ntomo A\nrot 30", 2, _scaled(0.9), "trace 0.81"),
+    "joint final state": ("init rc\ntomo A\npd 30", 2, _scaled(1.01), "trace 1.0201"),
+}
+
+
+def _corrupted_run(source, k, change):
+    """compile_program(parse(source)).run() with step k's matrix changed."""
+    compiled = compile_program(parse(source))
+    steps = list(compiled.steps)
+    op, a, b = steps[k]
+    a = change(a)
+    steps[k] = (op, a, None if b is None else a.conj().T)
+    compiled.steps = tuple(steps)
+    return compiled.run()
+
+
+def _message(fn, *args):
+    with pytest.raises(QuantumValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestDeferredChecks:
+    @pytest.mark.parametrize("case", list(DEFERRED))
+    def test_run_raises_the_constructor_message(self, case):
+        source, k, change, start = DEFERRED[case]
+        expected = _message(_reference_run, parse(source), {k: change})
+        assert expected.startswith(start)
+        assert _message(_corrupted_run, source, k, change) == expected
+
+    def test_a_joint_tap_fails_on_its_joint_state(self):
+        # the reduced state of the "joint tap" case is physical: only the 4x4 check can fail
+        source, k, change, _ = DEFERRED["joint tap"]
+        u = pd_block(np.deg2rad(22.5)).unitary
+        joint = u @ np.kron(_UNPHYSICAL, np.diag([1.0, 0.0])) @ u.conj().T
+        assert np.linalg.eigvalsh(np.einsum("ikjk->ij", joint.reshape(2, 2, 2, 2))).min() > 0
+        assert _message(_corrupted_run, source, k, change) == _message(DensityOperator, joint)
+
+    def test_the_earlier_of_two_bad_taps_is_named(self):
+        source = "init rc\ntomo A\npd 10\ntomo B\nipd 10\nhwp 3\ntomo C"
+        first = _message(_corrupted_run, source, 0, _skewed)        # A, B and C bad
+        later = _message(_corrupted_run, source, 5, _scaled(1.1))  # only C bad
+        assert first == _message(DensityOperator, _skewed(RHO_RC.matrix))
+        assert later == _message(_reference_run, parse(source), {5: _scaled(1.1)})
+        assert first != later
+        both = compile_program(parse(source))
+        steps = list(both.steps)
+        steps[0] = ("init", _skewed(RHO_RC.matrix), None)
+        u = 1.1 * steps[5][1]
+        steps[5] = ("unitary", u, u.conj().T)
+        both.steps = tuple(steps)
+        assert _message(both.run) == first
 
 
 class TestFormat:

@@ -214,6 +214,17 @@ def test_closure_checked_under_noise(monkeypatch):
         _row_key(row) for row in clean.rows if row.theta_deg != 22.5]
 
 
+def test_spectrum_and_closure_gates_fail_nan():
+    rho = np.array([[[0.75, 0.0], [0.0, 0.25]]], dtype=complex)
+    nan = np.full_like(rho, np.nan)
+    lam = np.linalg.eigvalsh(rho)
+    assert runner_mod._spectrum_errors(lam, lam) == {}
+    assert runner_mod._spectrum_errors(lam, np.full_like(lam, np.nan)) == {
+        0: "not unitary, spectrum moved by nan"}
+    assert runner_mod._closure_errors(rho, rho[0]) == {}
+    assert runner_mod._closure_errors(nan, rho[0]) == {0: "cycle failed to close, defect nan"}
+
+
 def _per_tap_tomography(config):
     """Each row's exact snapshots through measure_all -> stokes_from_intensities
     -> reconstruct, tap by tap on the row's substream: snapshot bytes and failures."""

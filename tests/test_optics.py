@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ottosim.optics as optics_mod
 from ottosim.optics import (
     ChannelBlock,
     OpticalElement,
@@ -117,6 +118,30 @@ class TestQwp:
         for theta in rng.uniform(-np.pi, np.pi, size=20):
             m = qwp(theta).matrix
             assert np.abs(m.conj().T @ m - ID2).max() < 1e-12
+
+
+class TestStackedJones:
+    def test_stack_slices_equal_the_single_elements(self, rng):
+        # the circuit compiler builds each kind as one stack; rotation()/qwp()/hwp()
+        # evaluate the same formulas at one angle, and so did the code before them
+        angles = np.concatenate([rng.uniform(-20, 20, size=40), [0.0, -0.0, np.pi, 1e300]])
+        for build, single in ((optics_mod._rotation_matrix, rotation),
+                              (optics_mod._qwp_matrix, qwp), (optics_mod._hwp_matrix, hwp)):
+            stack = build(angles)
+            assert [m.tobytes() for m in stack] == [single(a).matrix.tobytes() for a in angles]
+        for a in angles:
+            c, s = np.cos(a), np.sin(a)
+            r = np.array([[c, -s], [s, c]], dtype=complex)
+            assert rotation(a).matrix.tobytes() == r.tobytes()
+            assert qwp(a).matrix.tobytes() == (r @ np.diag([1.0, 1.0j]) @ r.conj().T).tobytes()
+
+    def test_kron_slices_is_kron(self, rng):
+        stack = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+        stack[0] = -0.0
+        for b in (ID2, np.diag([1.0, 0.0]).astype(complex)):
+            lifted = optics_mod._kron_slices(stack, b)
+            assert [m.tobytes() for m in lifted] == [np.kron(m, b).tobytes() for m in stack]
+            assert optics_mod._kron_slices(stack[1], b).tobytes() == np.kron(stack[1], b).tobytes()
 
 
 class TestPdBlock:

@@ -373,7 +373,33 @@ class TestStackedChecks:
                 density_operators(good + [bad, self.BAD[0]], "abcde")
         mixed = density_operators([good[0], random_density(rng, 4).matrix], "ab")  # two shapes
         assert [s.dim for s in mixed] == [2, 4]
+        assert [s.label for s in mixed] == ["a", "b"]
+        assert not any(s.matrix.flags.writeable for s in mixed)
         assert density_operators([], []) == []
+
+    def test_density_operators_name_the_first_failure_across_shapes(self, rng):
+        # one stack per shape; the failure reported is the first in the given order
+        bad4 = np.diag([1.1, -0.1, 0.0, 0.0])
+        for order in ([self.BAD[1], bad4], [bad4, self.BAD[1]]):
+            with pytest.raises(QuantumValueError) as info:
+                density_operators([random_density(rng, 4).matrix, *order, self.BAD[0]], "abcd")
+            assert str(info.value) == self._message(DensityOperator, order[0])
+
+    def test_nan_fails_the_spectrum_and_support_checks(self):
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(QuantumValueError, match="needs a Hermitian matrix: defect nan"):
+            eig_herm(nan)
+        assert spectra(nan[None].astype(complex))[2] == {
+            0: "eig_herm needs a Hermitian matrix: defect nan"}
+        lam, vec, _ = spectra(RHO_TH3.matrix[None])
+        assert support_weights(RHO_TH3.matrix, lam, vec)[1] == {}
+        assert support_weights(nan, lam, vec)[1] == {
+            0: "support violation: weight nan on eigenvalue 0.998"}
+        assert support_weights(RHO_TH3.matrix, np.full_like(lam, np.nan), vec)[1] == {
+            0: "support violation: weight 0.998 on eigenvalue nan"}
+        lam_pure, vec_pure, _ = spectra(RHO_RC.matrix[None])
+        assert support_weights(nan, lam_pure, vec_pure)[1] == {
+            0: "support violation: weight nan on eigenvalue 1"}
 
     def test_spectra_rejects_non_hermitian(self):
         _, _, errors = spectra(np.array([[[0.5, 0.1], [0.0, 0.5]]], dtype=complex))

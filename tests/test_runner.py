@@ -186,14 +186,22 @@ class TestEmit:
     def test_load_report_rejects_a_corrupted_snapshot(self):
         doc = json.loads(emit(run_sweep(SweepConfig(noise_sigma=0.01, seed=5)), "json"))
         snaps = list(doc["snapshots"].values())
-        snaps[1]["TD"][0][1] = [0.4, 0.3]   # not Hermitian
-        snaps[4]["TA"][0][0] = [0.9, 0.0]   # trace; a later row, so not the one reported
-        with pytest.raises(QuantumValueError) as info:
-            DensityOperator(np.array([[complex(*z) for z in r] for r in snaps[1]["TD"]]))
-        assert str(info.value).startswith("not Hermitian: defect")
+
+        def expected(matrix):
+            with pytest.raises(QuantumValueError) as info:
+                DensityOperator(np.array([[complex(*z) for z in r] for r in matrix]))
+            return str(info.value)
+
+        snaps[4]["TA"][0][0] = [0.9, 0.0]   # trace, in a later row
         with pytest.raises(QuantumValueError) as loaded:
             load_report(json.dumps(doc))
-        assert str(loaded.value) == str(info.value)
+        assert str(loaded.value) == expected(snaps[4]["TA"])
+        assert str(loaded.value).startswith("trace")
+        snaps[1]["TD"][0][1] = [0.4, 0.3]   # not Hermitian, in an earlier row at a later label
+        with pytest.raises(QuantumValueError) as loaded:
+            load_report(json.dumps(doc))
+        assert str(loaded.value) == expected(snaps[1]["TD"])
+        assert str(loaded.value).startswith("not Hermitian: defect")
 
     def test_loaded_snapshots_are_labeled_and_frozen(self):
         loaded = load_report(emit(run_sweep(SweepConfig(noise_sigma=0.01, seed=5)), "json"))
@@ -238,9 +246,14 @@ class TestCompareGolden:
     def test_coherence_gate_can_fail(self, monkeypatch):
         import ottosim.optics as optics_mod
 
-        # a hot stroke that erases coherence instead of scaling it by cos 45
-        original = optics_mod.pd_block
-        monkeypatch.setattr(optics_mod, "pd_block", lambda theta: original(np.pi / 4))
+        # a hot stroke that erases coherence instead of scaling it by cos 45:
+        # the circuit's forward blocks are built at pi/4, the sweep's are not
+        original = optics_mod.dephasing_stack
+
+        def erasing(theta_v, inverse=False):
+            return original(theta_v if inverse else np.full(len(theta_v), np.pi / 4), inverse)
+
+        monkeypatch.setattr(optics_mod, "dephasing_stack", erasing)
         comparison = compare_golden(run_sweep())
         assert comparison.offdiag_simulated == pytest.approx(0.0, abs=1e-12)
         assert all(f >= 0.98 for f in comparison.fidelities.values())
