@@ -258,14 +258,12 @@ def compression_unitary(n, omega0_tau):
 
 
 def kappa_from_theta_deg(theta_deg):
-    """Coherence multiplier cos(2 theta) from an angle in degrees.
+    """Coherence multiplier cos(2 theta) of an angle in degrees, or of each angle of an array.
 
     Exact at the sweep anchors: 0 deg -> 1.0 and 45 deg -> 0.0, so the
     endpoint temperature ratios are reported exactly.
     """
-    two_theta = 2.0 * float(theta_deg)
-    if two_theta == 0.0:
-        return 1.0
-    if two_theta == 90.0:
-        return 0.0
-    return float(np.cos(np.deg2rad(two_theta)))
+    two_theta = 2.0 * np.asarray(theta_deg, dtype=float)
+    kappa = np.where(two_theta == 0.0, 1.0,
+                     np.where(two_theta == 90.0, 0.0, np.cos(np.deg2rad(two_theta))))
+    return kappa if kappa.ndim else kappa.item()

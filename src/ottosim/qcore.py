@@ -37,6 +37,7 @@ __all__ = [
     "density_operators",
     "first_errors",
     "density_errors",
+    "density_spectra",
     "kraus_errors",
     "trace_path",
     "spectra",
@@ -114,8 +115,7 @@ class DensityOperator:
 
     def __init__(self, matrix, label=None):
         m = _as_square(matrix, "density operator").copy()
-        herm, trace, lam = _density_defects(m)
-        message = _density_message(herm, trace, lam.min())
+        message = _density_message(_herm_defect(m), np.trace(m), np.linalg.eigvalsh(m).min())
         if message:
             raise QuantumValueError(message)
         m.flags.writeable = False
@@ -222,10 +222,9 @@ def first_errors(*checks):
     return merged
 
 
-def _density_defects(m):
-    # Hermiticity defect, trace and eigenvalues of a matrix or of each slice of a stack
-    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    return herm, np.trace(m, axis1=-2, axis2=-1), np.linalg.eigvalsh(m)
+def _herm_defect(m):
+    # max-norm Hermiticity defect of a matrix or of each slice of a stack
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def _density_message(herm, trace, lam_min):
@@ -246,11 +245,16 @@ def density_errors(stack):
     position of each failing slice to the message the constructor would
     raise for it.
     """
-    herm, trace, lam = _density_defects(stack)
-    lam_min = lam.min(axis=-1)
+    lam = np.linalg.eigvalsh(stack)
+    return lam, _density_failures(stack, lam, _herm_defect(stack))
+
+
+def _density_failures(stack, lam, herm):
+    # position -> constructor message of each slice failing a check, given its defects
+    trace, lam_min = np.trace(stack, axis1=-2, axis2=-1), lam.min(axis=-1)
     ok = (herm <= TOL["herm"]) & (np.abs(trace - 1.0) <= TOL["trace"]) & (lam_min >= TOL["psd"])
-    return lam, {i: _density_message(herm[i], trace[i], lam_min[i])
-                 for i in np.flatnonzero(~ok).tolist()}
+    return {i: _density_message(herm[i], trace[i], lam_min[i])
+            for i in np.flatnonzero(~ok).tolist()}
 
 
 def kraus_errors(stack):
@@ -319,18 +323,17 @@ def eig_herm(m):
 
 
 def _spectrum(rho):
-    # spectra() of one density operator, raising its check
-    lam, vec, errors = spectra(rho.matrix[None])
+    # a density operator, or a matrix checked as its constructor checks it, and its spectrum
+    m = rho.matrix if isinstance(rho, DensityOperator) else _as_square(rho, "density operator")
+    _, lam, vec, errors = density_spectra(m[None])
     if errors:
         raise QuantumValueError(errors[0])
-    return lam, vec
+    return m, lam, vec
 
 
 def von_neumann_entropy(rho):
     """S = -sum lam ln lam in nats, with 0 ln 0 := 0."""
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
-    return entropies(_spectrum(rho)[0])[0]
+    return entropies(_spectrum(rho)[1])[0]
 
 
 def relative_entropy(rho, sigma):
@@ -339,19 +342,16 @@ def relative_entropy(rho, sigma):
     Raises :class:`SupportError` when rho has weight outside the support of
     sigma (the divergence would be +inf).
     """
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
-    if not isinstance(sigma, DensityOperator):
-        sigma = DensityOperator(sigma)
-    if rho.dim != sigma.dim:
+    m, lam, _ = _spectrum(rho)
+    m_s, lam_s, vec_s = _spectrum(sigma)
+    if m.shape != m_s.shape:
         raise QuantumValueError("relative_entropy needs operators of equal dimension")
-    lam_s, vec_s = _spectrum(sigma)
-    weights, errors = support_weights(rho.matrix, lam_s, vec_s)
+    weights, errors = support_weights(m, lam_s, vec_s)
     if errors:
         raise SupportError(errors[0])
     inside = lam_s >= TOL["support"]
     tr_rho_ln_sigma = float(np.sum(weights[inside] * np.log(lam_s[inside])))
-    return -von_neumann_entropy(rho) - tr_rho_ln_sigma
+    return -entropies(lam)[0] - tr_rho_ln_sigma
 
 
 def spectra(stack):
@@ -362,12 +362,27 @@ def spectra(stack):
     not fixed; nothing computed from them depends on the phase) and
     position -> message for slices failing eig_herm's Hermiticity check.
     """
-    defect = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    lam, vec = np.linalg.eigh(stack)
+    return _clamped_spectra(_herm_defect(stack), *np.linalg.eigh(stack))
+
+
+def _clamped_spectra(defect, lam, vec):
+    # spectra() of a stack from its Hermiticity defects and ascending eigh output
     lam = lam[..., ::-1]
     errors = {i: f"eig_herm needs a Hermitian matrix: defect {defect[i]:.3g}"
               for i in np.flatnonzero(~(defect <= TOL["eig_herm_input"])).tolist()}
     return np.where(lam < TOL["eig_clamp"], 0.0, lam), vec[..., ::-1], errors
+
+
+def density_spectra(stack):
+    """:func:`density_errors` and :func:`spectra` of an (N, d, d) stack from one eigh per slice.
+
+    Returns (lam, spec, vec, errors): the ascending eigenvalues the density
+    checks read, the spectra and eigenvectors of :func:`spectra`, and
+    position -> message of each failing slice, its density check first.
+    """
+    herm, (lam, vec) = _herm_defect(stack), np.linalg.eigh(stack)
+    spec, vec, bad_herm = _clamped_spectra(herm, lam, vec)
+    return lam, spec, vec, first_errors(_density_failures(stack, lam, herm), bad_herm)
 
 
 def entropies(lam):

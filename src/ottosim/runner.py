@@ -22,11 +22,13 @@ invariants, cycle closure included, hold at any noise level.
 
 A sweep runs all of its angles as one stack (``_cycle_rows``): the
 theta-independent strokes once, the per-angle strokes and the tap on
-(N, ., .) arrays, every row still validated; ``run_cycle`` is N = 1.
+(N, ., .) arrays, every row still validated and each state decomposed
+once, and the ledger as columns; ``run_cycle`` is N = 1.
 """
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
@@ -46,25 +48,23 @@ from .qcore import (
     QuantumValueError,
     density_errors,
     density_operators,
+    density_spectra,
     entropies,
     fidelity,
     first_errors,
-    spectra,
     support_weights,
     trace_path,
-    von_neumann_entropy,
     wrap_validated,
 )
 from .thermo import (
     CycleLedger,
     EngineParams,
-    closed_form_energetics,
+    closed_form_energies,
     expectations,
     hamiltonian,
     hot_x_from_kappa,
+    ledger_columns,
     thermal_matrices,
-    thermal_state,
-    work_from_states,
 )
 from .tomography import load_golden_data, tomography_stack
 
@@ -111,6 +111,10 @@ CSV_COLUMNS = (
     "Sigma_cycle",
     "max_delta_vs_closed_form",
 )
+
+
+# the CycleLedger fields after theta_v, in CSV order
+_LEDGER_VALUES = operator.attrgetter(*CSV_COLUMNS[1:-1])
 
 
 class CycleError(RuntimeError):
@@ -191,52 +195,56 @@ def _fixed_part(config):
     params = config.params()
     f = SimpleNamespace(params=params, n=params.n, x_c=params.x_c,
                         h_cold=hamiltonian(1.0), h_hot=hamiltonian(params.n))
-    # A: cold thermal state
-    f.cold = thermal_state(params.x_c)
-    rho_a = f.cold.rho.matrix
-    # A->B: expansion (work stroke)
+    # A: cold thermal state; A->B: expansion (work stroke), rho_B checked in one stack with rho_A
+    rho_a = thermal_matrices([params.x_c])[0]
     try:
         u_e = expansion_unitary(f.n, config.omega0_tau).matrix
-        f.rho_b = DensityOperator(u_e @ rho_a @ u_e.conj().T)
     except QuantumValueError as exc:
+        DensityOperator(rho_a)  # a bad cold state is reported first, as thermal_state would
         raise CycleError(f"stroke A->B: {exc}") from exc
-    moved = _spectrum_errors(np.linalg.eigvalsh(rho_a[None]),
-                             np.linalg.eigvalsh(f.rho_b.matrix[None]))
+    states = np.array([rho_a, u_e @ rho_a @ u_e.conj().T])
+    states.flags.writeable = False
+    lam, spec, vec, bad = density_spectra(states)
+    if 0 in bad:
+        raise QuantumValueError(bad[0])
+    if 1 in bad:
+        raise CycleError(f"stroke A->B: {bad[1]}")
+    moved = _spectrum_errors(lam[:1], lam[1:])
     if moved:
         raise CycleError(f"stroke A->B: {moved[0]}")
-    f.w_ab = work_from_states(f.cold.rho, f.rho_b, f.h_cold, f.h_hot)
-    f.e_b_hot = expectations(f.h_hot, f.rho_b.matrix[None])[0]
+    f.rho_a, f.rho_b = states
+    e_a_cold, f.e_b_hot = expectations(np.array([f.h_cold, f.h_hot]), states).tolist()
+    f.w_ab = f.e_b_hot - e_a_cold
+    f.s_cold, f.s_b = entropies(spec)
+    f.spec_cold, f.vec_cold = spec[:1], vec[:1]
     # B->C takes the ancilla in k0; C->D acts on the polarization of both
     # arms (its rotation has the arguments expansion_unitary accepted)
-    f.joint_b = np.kron(f.rho_b.matrix, np.diag([1.0, 0.0]).astype(complex))
+    f.joint_b = np.kron(f.rho_b, np.diag([1.0, 0.0]).astype(complex))
     f.k_c = np.kron(compression_unitary(f.n, config.omega0_tau).matrix, np.eye(2, dtype=complex))
-    f.k_c_h = f.k_c.conj().T
-    f.s_b = von_neumann_entropy(f.rho_b)
-    f.s_cold = von_neumann_entropy(f.cold.rho)
-    # von_neumann_entropy above ran the Hermiticity check of these spectra
-    f.spec_cold, f.vec_cold, _ = spectra(rho_a[None])
     return f
 
 
 def _cycle_rows(thetas, config):
     """Run one cycle per angle of ``thetas`` (degrees), all angles as one stack.
 
-    The theta-independent part (Hamiltonians, cold state, the A->B stroke
-    with its spectrum check, rho_B and W_AB, the compression, the entropies
-    of the cold state and of rho_B) is computed once.  The per-angle
-    strokes run on (N, ., .) stacks; every per-angle matrix passes the same
-    TOL checks a single-matrix computation applies, row by row, and a row
-    stops at its first failed check with its stroke named while the other
-    rows go on.  With noise, the surviving rows' snapshots are tapped as one
-    stack.  Returns (results, errors): the CycleResult of each finished row
-    and the exception of each stopped row, keyed by position in ``thetas``.
+    The theta-independent part (``_fixed_part``) is computed once.  The
+    per-angle strokes run on (N, ., .) stacks; every per-angle matrix passes
+    the same TOL checks a single-matrix computation applies, row by row, and
+    a row stops at its first failed check with its stroke named while the
+    other rows go on.  Each state is decomposed once.  The ledger and its
+    closed form are columns over the surviving rows; only IEEE arithmetic
+    is vectorised (tanh(x_c) and each row's arctanh stay ``math`` scalars),
+    so each value has the bits of the per-row formulas.  With noise, the
+    surviving rows' snapshots are tapped as one stack.  Returns (results,
+    errors): the CycleResult of each finished row and the exception of each
+    stopped row, keyed by position in ``thetas``.
     """
     try:
         f = _fixed_part(config)
     except (CycleError, QuantumValueError) as exc:
         return {}, dict.fromkeys(range(len(thetas)), exc)
-    kappa = [kappa_from_theta_deg(theta) for theta in thetas]
-    hot_x = [hot_x_from_kappa(k, f.params) for k in kappa]
+    kappa = kappa_from_theta_deg(thetas)
+    x_h, r = np.array([hot_x_from_kappa(k, f.params) for k in kappa.tolist()]).reshape(-1, 2).T
     rows = _Rows(len(thetas))
     theta_v = np.array([math.radians(theta) for theta in thetas])
 
@@ -246,86 +254,65 @@ def _cycle_rows(thetas, config):
     joint = (pd @ f.joint_b) @ pd.conj().swapaxes(-1, -2)
     rho_c = trace_path(joint)
     lam_c, bad_c = density_errors(rho_c)
-    hot = thermal_matrices([h.x_h for h in hot_x])
-    spec_h, vec_h, bad_h = spectra(hot)
+    _, spec_h, vec_h, bad_h = density_spectra(thermal_matrices(x_h.tolist()))
     theta_v, joint, rho_c, lam_c, spec_h = rows.keep("B->C", first_errors(
-        bad_pd, density_errors(joint)[1], bad_c, density_errors(hot)[1], bad_h,
-        support_weights(f.rho_b.matrix, spec_h, vec_h)[1],
+        bad_pd, density_errors(joint)[1], bad_c, bad_h,
+        support_weights(f.rho_b, spec_h, vec_h)[1],
     ), theta_v, joint, rho_c, lam_c, spec_h)
 
     # C->D: compression applied to the polarization of both arms
-    joint = (f.k_c @ joint) @ f.k_c_h
+    joint = (f.k_c @ joint) @ f.k_c.conj().T
     rho_d = trace_path(joint)
-    lam_d, bad_d = density_errors(rho_d)
-    theta_v, joint, rho_c, rho_d, spec_h = rows.keep("C->D", first_errors(
+    lam_d, spec_d, _, bad_d = density_spectra(rho_d)
+    theta_v, joint, rho_c, rho_d, spec_h, spec_d = rows.keep("C->D", first_errors(
         density_errors(joint)[1], bad_d, _spectrum_errors(lam_c, lam_d),
-    ), theta_v, joint, rho_c, rho_d, spec_h)
+    ), theta_v, joint, rho_c, rho_d, spec_h, spec_d)
 
     # D->A: the inverted block consumes the dephasing record, then the
     # entropy produced relaxing rho_D to the cold state; the cycle must close
-    rho_a = f.cold.rho.matrix
     ipd, _, bad_ipd = dephasing_stack(theta_v, inverse=True)
     joint = (ipd @ joint) @ ipd.conj().swapaxes(-1, -2)
     rho_a2 = trace_path(joint)
-    spec_d, _, bad_sd = spectra(rho_d)
-    rho_c, rho_d, rho_a2, spec_h, spec_d = rows.keep("D->A", first_errors(
+    theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d = rows.keep("D->A", first_errors(
         bad_ipd, density_errors(joint)[1], density_errors(rho_a2)[1],
-        bad_sd, support_weights(rho_d, f.spec_cold, f.vec_cold)[1],
-        _closure_errors(rho_a2, rho_a),
-    ), rho_c, rho_d, rho_a2, spec_h, spec_d)
+        support_weights(rho_d, f.spec_cold, f.vec_cold)[1],
+        _closure_errors(rho_a2, f.rho_a),
+    ), theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d)
 
+    # the ledger as columns; q_BC in hbar*omega_fin units so beta*Q reduces to x_h * q
     e_c_hot = expectations(f.h_hot, rho_c)
     e_d_cold = expectations(f.h_cold, rho_d)
-    e_a2_cold = expectations(f.h_cold, rho_a2)
-    s_hot, s_d = entropies(spec_h), entropies(spec_d)
+    q_bc = e_c_hot - f.e_b_hot
+    w_cd = e_d_cold - e_c_hot
+    q_da = expectations(f.h_cold, rho_a2) - e_d_cold
+    sig_e = (np.array(entropies(spec_h)) - f.s_b) - x_h[rows.index] * (q_bc / f.n)
+    sig_c = (f.s_cold - np.array(entropies(spec_d))) - f.x_c * q_da
+    energies = np.stack(np.broadcast_arrays(f.w_ab, q_bc, w_cd, q_da))
+    closed = closed_form_energies(kappa[rows.index], f.params)
+    columns = np.vstack([
+        ledger_columns(theta_v, kappa[rows.index], r[rows.index], energies, sig_e, sig_c),
+        np.abs(energies - closed).max(axis=0)]).T.tolist()
+
     for stack in (rho_c, rho_d, rho_a2):
         stack.flags.writeable = False
     # the snapshot stacks (read-only views); with noise one (K, 5, 2, 2) tap, row i on substream i
-    taps, tap_errors = np.broadcast_arrays(rho_a, f.rho_b.matrix, rho_c, rho_d, rho_a2), {}
+    taps, tap_errors = np.broadcast_arrays(f.rho_a, f.rho_b, rho_c, rho_d, rho_a2), {}
     if config.noise_sigma > 0.0:
         streams = np.random.SeedSequence(config.seed).spawn(len(thetas))
         taps, tap_errors = tomography_stack(np.stack(taps, axis=1), config.noise_sigma, [
             np.random.default_rng(streams[i]) for i in rows.index.tolist()])
         taps = taps.swapaxes(0, 1)
     results = {}
-    for k, i in enumerate(rows.index.tolist()):
+    for k, (i, values) in enumerate(zip(rows.index.tolist(), columns)):
         if k in tap_errors:
             rows.errors[i] = QuantumValueError(tap_errors[k])
             continue
-        x_h, r = hot_x[i]
-        q_bc = e_c_hot[k] - f.e_b_hot
-        w_cd = e_d_cold[k] - e_c_hot[k]
-        q_da = e_a2_cold[k] - e_d_cold[k]
-        # q in hbar*omega_fin units so beta*Q reduces to x_h * q
-        sig_e = (s_hot[k] - f.s_b) - x_h * (q_bc / f.n)
-        sig_c = (f.s_cold - s_d[k]) - f.x_c * q_da
-        ledger = CycleLedger(
-            theta_v=math.radians(thetas[i]),
-            kappa=kappa[i],
-            r=r,
-            W_AB=f.w_ab,
-            Q_BC=q_bc,
-            W_CD=w_cd,
-            Q_DA=q_da,
-            dU_cycle=f.w_ab + q_bc + w_cd + q_da,
-            W_extracted=abs(q_bc) - abs(q_da),
-            Sigma_e=sig_e,
-            Sigma_c=sig_c,
-            Sigma_cycle=sig_e + sig_c,
-        )
-        closed = closed_form_energetics(kappa[i], f.params)
-        max_delta = max(
-            abs(ledger.W_AB - closed.W_AB),
-            abs(ledger.Q_BC - closed.Q_BC),
-            abs(ledger.W_CD - closed.W_CD),
-            abs(ledger.Q_DA - closed.Q_DA),
-        )
         results[i] = CycleResult(
             theta_deg=float(thetas[i]),
-            ledger=ledger,
+            ledger=CycleLedger(*values[:-1]),
             snapshots={label: wrap_validated(stack[k], label)
                        for label, stack in zip(SNAPSHOT_LABELS, taps)},
-            max_delta_vs_closed_form=max_delta,
+            max_delta_vs_closed_form=values[-1],
         )
     return results, rows.errors
 
@@ -394,23 +381,11 @@ def _g(value):
     return f"{value:.12g}"
 
 
+_CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS))  # one format per row; %.12g is _g
+
+
 def _row_values(row):
-    led = row.ledger
-    return (
-        row.theta_deg,
-        led.kappa,
-        led.r,
-        led.W_AB,
-        led.Q_BC,
-        led.W_CD,
-        led.Q_DA,
-        led.dU_cycle,
-        led.W_extracted,
-        led.Sigma_e,
-        led.Sigma_c,
-        led.Sigma_cycle,
-        row.max_delta_vs_closed_form,
-    )
+    return (row.theta_deg, *_LEDGER_VALUES(row.ledger), row.max_delta_vs_closed_form)
 
 
 def _matrix_to_json(m):
@@ -428,7 +403,7 @@ def emit(report, fmt="csv"):
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for row in report.rows:
-            lines.append(",".join(_g(v) for v in _row_values(row)))
+            lines.append(_CSV_ROW % _row_values(row))
         for theta, message in report.failures.items():
             lines.append(f"# FAILED theta_v_deg={theta}: {message}")
         return ("\n".join(lines) + "\n").encode()

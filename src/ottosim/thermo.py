@@ -38,7 +38,9 @@ __all__ = [
     "thermal_matrices",
     "expectations",
     "hot_x_from_kappa",
+    "closed_form_energies",
     "closed_form_energetics",
+    "ledger_columns",
     "work_from_states",
     "heat_from_states",
     "entropy_production",
@@ -140,55 +142,66 @@ def _classical_kl(p, q):
     return total
 
 
-def closed_form_energetics(kappa, params):
-    """Closed-form ledger for a cycle at dephasing multiplier kappa.
+def closed_form_energies(kappa, params):
+    """Closed-form (W_AB, Q_BC, W_CD, Q_DA) at each dephasing multiplier of an array.
 
     With t_c = tanh(x_c) and t_h = kappa t_c:
 
         W_AB = -(n - 1) t_c        Q_BC = n (t_c - t_h)
         W_CD =  (n - 1) t_h        Q_DA = -(t_c - t_h)
 
-    The entropy productions are the aligned two-outcome divergences between
-    the post-stroke states and their thermalization targets.
+    Returns a (4, N) array.  tanh(x_c) is one ``math`` scalar and kappa meets
+    only IEEE products and differences, so every entry has the bits of the
+    same formula evaluated on Python floats.
+    """
+    n, t_c = params.n, math.tanh(params.x_c)
+    t_h = kappa * t_c
+    w_ab = np.full_like(t_h, -(n - 1.0) * t_c)
+    return np.stack([w_ab, n * (t_c - t_h), (n - 1.0) * t_h, -(t_c - t_h)])
+
+
+def closed_form_energetics(kappa, params):
+    """Closed-form ledger for a cycle at dephasing multiplier kappa.
+
+    The energies are :func:`closed_form_energies` at N = 1; the entropy
+    productions are the aligned two-outcome divergences between the
+    post-stroke states and their thermalization targets.
     """
     if not 0.0 <= kappa <= 1.0:
         raise QuantumValueError(f"kappa = {kappa:.6g} outside [0, 1]")
-    n = params.n
+    energies = closed_form_energies(np.array([kappa]), params)
     t_c = math.tanh(params.x_c)
     t_h = kappa * t_c
-    w_ab = -(n - 1.0) * t_c
-    q_bc = n * (t_c - t_h)
-    w_cd = (n - 1.0) * t_h
-    q_da = -(t_c - t_h)
     x_h, r = hot_x_from_kappa(kappa, params)
 
     p_cold = ((1.0 + t_c) / 2.0, (1.0 - t_c) / 2.0)
     p_hot = ((1.0 + t_h) / 2.0, (1.0 - t_h) / 2.0)
     sigma_e = _classical_kl(p_cold, p_hot)
     sigma_c = _classical_kl(p_hot, p_cold)
-    return CycleLedger(
-        theta_v=0.5 * math.acos(min(max(kappa, -1.0), 1.0)),
-        kappa=kappa,
-        r=r,
-        W_AB=w_ab,
-        Q_BC=q_bc,
-        W_CD=w_cd,
-        Q_DA=q_da,
-        dU_cycle=w_ab + q_bc + w_cd + q_da,
-        W_extracted=abs(q_bc) - abs(q_da),
-        Sigma_e=sigma_e,
-        Sigma_c=sigma_c,
-        Sigma_cycle=sigma_e + sigma_c,
-    )
+    theta_v = 0.5 * math.acos(min(max(kappa, -1.0), 1.0))
+    columns = ledger_columns(theta_v, kappa, r, energies, sigma_e, sigma_c)
+    return CycleLedger(*columns[:, 0].tolist())
+
+
+def ledger_columns(theta_v, kappa, r, energies, sigma_e, sigma_c):
+    """The twelve CycleLedger fields in order, as the rows of a (12, N) array.
+
+    ``energies`` holds W_AB, Q_BC, W_CD and Q_DA; dU_cycle, W_extracted and
+    Sigma_cycle are derived from them and the two entropy productions.
+    """
+    w_ab, q_bc, w_cd, q_da = energies
+    return np.stack(np.broadcast_arrays(
+        theta_v, kappa, r, *energies, w_ab + q_bc + w_cd + q_da, np.abs(q_bc) - np.abs(q_da),
+        sigma_e, sigma_c, sigma_e + sigma_c))
 
 
 def expectations(h, stack):
-    """tr(H rho) of each slice of an (N, 2, 2) stack, as Python floats."""
-    return np.trace(h @ stack, axis1=-2, axis2=-1).real.tolist()
+    """tr(H rho) of each slice of an (N, 2, 2) stack, as an (N,) float array."""
+    return np.trace(h @ stack, axis1=-2, axis2=-1).real
 
 
 def _expect(h, rho):
-    return expectations(h, rho.matrix[None])[0]
+    return expectations(h, rho.matrix[None])[0].item()
 
 
 def work_from_states(rho_start, rho_end, h_start, h_end):
@@ -224,8 +237,6 @@ def entropy_production(rho_after_unitary, target, x, q):
     Delta S - beta Q and the relative entropy to the target; the two agree
     identically whenever q is the heat into the exact target state.
     """
-    if not isinstance(rho_after_unitary, DensityOperator):
-        rho_after_unitary = DensityOperator(rho_after_unitary)
     d_s = von_neumann_entropy(target.rho) - von_neumann_entropy(rho_after_unitary)
     balance = d_s - x * q
     divergence = relative_entropy(rho_after_unitary, target.rho)

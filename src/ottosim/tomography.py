@@ -92,7 +92,7 @@ class StokesVector:
     s3: float
 
     def __post_init__(self):
-        if abs(self.s0 - 1.0) > 1e-9:
+        if not abs(self.s0 - 1.0) <= 1e-9:
             raise QuantumValueError(f"s0 = {self.s0:.6g} != 1 after normalization")
 
     @property
@@ -280,7 +280,7 @@ def _sanitize_measured(m):
         m = 0.5 * (m + m.conj().T)
         notes.append(f"hermitized (defect {herm_defect:.3g})")
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TOL["trace"]:
+    if not abs(tr - 1.0) <= TOL["trace"]:
         m = m / tr
         notes.append(f"trace renormalized from {tr:.6g}")
     projected, norm = _densities(np.array([float(np.trace(p @ m).real) for p in PAULIS]))

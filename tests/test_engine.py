@@ -15,14 +15,19 @@ import pytest
 import ottosim.optics as optics_mod
 import ottosim.runner as runner_mod
 from ottosim.circuit import compile_program, parse
-from ottosim.qcore import QuantumValueError
+from ottosim.optics import kappa_from_theta_deg
+from ottosim.qcore import QuantumValueError, entropies, spectra
 from ottosim.runner import (
     DEFAULT_THETAS,
     SNAPSHOT_LABELS,
+    CycleResult,
     SweepConfig,
+    SweepReport,
+    emit,
     run_cycle,
     run_sweep,
 )
+from ottosim.thermo import CycleLedger, hamiltonian, thermal_matrices
 from ottosim.tomography import measure_all, reconstruct, stokes_from_intensities
 
 GRID_200 = tuple(45.0 * k / 199 for k in range(200))
@@ -86,8 +91,8 @@ def test_snapshots_match_circuit_path():
         )
         snaps = compile_program(parse(source)).run().snapshots
         for label in SNAPSHOT_LABELS:
-            gap = np.abs(snaps[label].matrix - row.snapshots[label].matrix).max()
-            assert gap <= 1e-12, (row.theta_deg, label, gap)
+            assert snaps[label].matrix.tobytes() == row.snapshots[label].matrix.tobytes(), (
+                row.theta_deg, label)
 
 
 def test_empty_sweep():
@@ -265,3 +270,113 @@ def test_noisy_snapshots_equal_per_tap_tomography(sigma):
         failed += len(failures)
     if sigma == 1.0:  # a dark basis stops some rows; the check above compared their messages
         assert failed > 0
+
+
+# -- the columnar ledger against the per-row tail it replaced ------------------
+
+
+def _kappa_ref(theta_deg):
+    two_theta = 2.0 * float(theta_deg)
+    if two_theta == 0.0:
+        return 1.0
+    if two_theta == 90.0:
+        return 0.0
+    return float(np.cos(np.deg2rad(two_theta)))
+
+
+def _hot_x_ref(kappa, x_c):
+    if kappa == 1.0:
+        x_h = x_c
+    elif kappa == 0.0:
+        x_h = 0.0
+    else:
+        x_h = math.atanh(kappa * math.tanh(x_c))
+    return x_h, x_h / x_c
+
+
+def _closed_form_ref(kappa, n, x_c):
+    t_c = math.tanh(x_c)
+    t_h = kappa * t_c
+    return -(n - 1.0) * t_c, n * (t_c - t_h), (n - 1.0) * t_h, -(t_c - t_h)
+
+
+def _expect_ref(h, m):
+    return np.trace(h @ m[None], axis1=-2, axis2=-1).real.tolist()[0]
+
+
+def _entropy_ref(m):
+    return entropies(spectra(m[None])[0])[0]
+
+
+def _ledger_ref(row, n, x_c):
+    """The per-row tail on a row's exact snapshots: repr of each ledger field and max delta."""
+    s = {label: state.matrix for label, state in row.snapshots.items()}
+    h_cold, h_hot = hamiltonian(1.0), hamiltonian(n)
+    kappa = _kappa_ref(row.theta_deg)
+    x_h, r = _hot_x_ref(kappa, x_c)
+    e_b_hot = _expect_ref(h_hot, s["TB"])
+    e_c_hot = _expect_ref(h_hot, s["TC"])
+    e_d_cold = _expect_ref(h_cold, s["TD"])
+    w_ab = e_b_hot - _expect_ref(h_cold, s["TA"])
+    q_bc = e_c_hot - e_b_hot
+    w_cd = e_d_cold - e_c_hot
+    q_da = _expect_ref(h_cold, s["TA2"]) - e_d_cold
+    sig_e = (_entropy_ref(thermal_matrices([x_h])[0]) - _entropy_ref(s["TB"])) - x_h * (q_bc / n)
+    sig_c = (_entropy_ref(s["TA"]) - _entropy_ref(s["TD"])) - x_c * q_da
+    values = [math.radians(row.theta_deg), kappa, r, w_ab, q_bc, w_cd, q_da,
+              w_ab + q_bc + w_cd + q_da, abs(q_bc) - abs(q_da), sig_e, sig_c, sig_e + sig_c]
+    closed = _closed_form_ref(kappa, n, x_c)
+    max_delta = max(abs(got - want) for got, want in zip(values[3:7], closed))
+    return [repr(v) for v in values + [max_delta]]
+
+
+def _random_configs(count):
+    rng = np.random.default_rng(6)
+    for _ in range(count):
+        thetas = (0.0, 45.0, 22.5) + tuple(rng.uniform(0.0, 45.0, 30).tolist())
+        yield SweepConfig(theta_list_deg=thetas, n=float(rng.choice([1.05, 2.0, 37.0, 1e4, 1e7])),
+                          x_c=float(rng.uniform(0.05, 13.0)),
+                          omega0_tau=float(rng.uniform(0.0, 2 * math.pi)),
+                          noise_sigma=float(rng.choice([0.0, 0.0, 0.05, 0.3])), seed=7)
+
+
+@pytest.mark.filterwarnings("ignore::ottosim.tomography.UnphysicalStokesWarning")
+@pytest.mark.parametrize(
+    "config",
+    [SweepConfig(), SweepConfig(theta_list_deg=tuple(45.0 * k / 999 for k in range(1000))),
+     SweepConfig(x_c=40.0), *_random_configs(10)],
+    ids=["default", "grid1000", "xc40"] + [f"random{k}" for k in range(10)],
+)
+def test_columnar_ledger_equals_the_per_row_tail(config):
+    report = run_sweep(config)
+    # the ledger comes from the exact states at any noise level
+    exact = {row.theta_deg: row for row in run_sweep(replace(config, noise_sigma=0.0)).rows}
+    assert report.rows
+    for row in report.rows:
+        ledger = row.ledger
+        got = [repr(getattr(ledger, name)) for name in ledger.__dataclass_fields__]
+        assert got + [repr(row.max_delta_vs_closed_form)] == _ledger_ref(
+            exact[row.theta_deg], config.n, config.x_c), row.theta_deg
+    if config.x_c == 40.0:
+        assert [row.theta_deg for row in report.rows] == [0.0] and len(report.failures) == 6
+
+
+def test_kappa_column_equals_the_scalar_formula():
+    thetas = [0.0, 45.0] + np.random.default_rng(8).uniform(0.0, 45.0, 20000).tolist() + [
+        45.0 * k / 1000 for k in range(1001)]
+    column = kappa_from_theta_deg(np.array(thetas)).tolist()
+    assert column[:2] == [1.0, 0.0] and kappa_from_theta_deg(0.0) == 1.0
+    assert kappa_from_theta_deg(45.0) == 0.0
+    assert [repr(k) for k in column] == [repr(_kappa_ref(t)) for t in thetas]
+    assert [repr(kappa_from_theta_deg(t)) for t in thetas[:2000]] == list(map(repr, column[:2000]))
+
+
+def test_csv_rows_format_each_value_with_g12():
+    specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1.2345678901234e-7,
+                1.0 / 3.0, 2.5, -7.0, 1e-16, 123456789012.5]
+    row = CycleResult(theta_deg=specials[0], ledger=CycleLedger(*specials[1:]), snapshots={},
+                      max_delta_vs_closed_form=specials[-1])
+    report = run_sweep()
+    for rows in ((row,), report.rows):
+        lines = emit(SweepReport(rows=rows, failures={}, metadata={})).decode().splitlines()[1:]
+        assert lines == [",".join(f"{v:.12g}" for v in runner_mod._row_values(r)) for r in rows]

@@ -16,6 +16,7 @@ from ottosim.qcore import (
     SupportError,
     apply_kraus,
     density_errors,
+    density_spectra,
     density_operators,
     eig_herm,
     entropies,
@@ -310,6 +311,11 @@ class TestStackedChecks:
         lam, errors = density_errors(stack)
         assert errors == {2 + k: self._message(DensityOperator, m) for k, m in enumerate(self.BAD)}
         assert lam.tobytes() == np.linalg.eigvalsh(stack).tobytes()
+        # one eigh for the same checks and for spectra()
+        lam, spec, vec, both = density_spectra(stack)
+        assert both == errors
+        assert lam.tobytes() == np.linalg.eigh(stack)[0].tobytes()
+        assert [a.tobytes() for a in (spec, vec)] == [a.tobytes() for a in spectra(stack)[:2]]
 
     def test_kraus_errors_match_kraus_set(self):
         ok = [np.diag([1.0, 0.6]), np.diag([0.0, 0.8])]
@@ -352,6 +358,7 @@ class TestStackedChecks:
     def test_nan_fails_the_density_checks(self):
         nan = np.full((2, 2), np.nan)
         assert density_errors(np.array([0.5 * ID2, nan]))[1] == {1: "not Hermitian: defect nan"}
+        assert density_spectra(np.array([0.5 * ID2, nan]))[3] == {1: "not Hermitian: defect nan"}
         with pytest.raises(QuantumValueError, match="not Hermitian: defect nan"):
             DensityOperator(nan)
 

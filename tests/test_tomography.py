@@ -22,6 +22,7 @@ from ottosim.tomography import (
     IntensityRecord,
     StokesVector,
     UnphysicalStokesWarning,
+    _sanitize_measured,
     load_golden_data,
     measure,
     measure_all,
@@ -126,6 +127,13 @@ class TestReconstruct:
     def test_north_pole_is_horizontal(self):
         rho = reconstruct(StokesVector(1.0, 0.0, 0.0, 1.0))
         assert np.abs(rho.matrix - np.outer(KET_H, KET_H.conj())).max() < 1e-15
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # renormalizing by a NaN trace
+    def test_normalization_gates_fail_nan(self):
+        with pytest.raises(QuantumValueError, match="s0 = nan != 1"):
+            StokesVector(math.nan, 0.0, 0.0, 0.0)
+        with pytest.raises(QuantumValueError, match="not Hermitian: defect nan"):
+            _sanitize_measured(np.array([[math.nan, 0.0], [0.0, 0.5]], dtype=complex))
 
     def test_roundtrip_exact_without_noise(self, rng):
         for _ in range(100):
