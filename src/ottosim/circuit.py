@@ -25,6 +25,7 @@ through the steps and then checks every state it must, as one stack per
 dimension, raising the first failure in program order.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -121,80 +122,78 @@ def parse(source):
     instructions = []
     errors = []
 
-    def fail(line_no, col, message, token):
-        errors.append(ParseError(line_no, col, message, token))
+    def fail(k, message):
+        # names word k of the current line; its column is found only here, on failure
+        col = [m.start() for m in _TOKEN.finditer(line)][k] + 1
+        errors.append(ParseError(line_no, col, message, words[k]))
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
         if len(errors) >= MAX_PARSE_ERRORS:
             break
         line = raw.split("#", 1)[0]
-        tokens = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
-        if not tokens:
+        words = line.split()
+        if not words:
             continue
-        (word, col0), rest = tokens[0], tokens[1:]
+        word, rest = words[0], words[1:]
+        col0 = len(line) - len(line.lstrip()) + 1
         op = word.lower()
 
         if op == "init":
             if not rest:
-                fail(line_no, col0, "init needs 'rc' or 'thermal NUM'", word)
+                fail(0, "init needs 'rc' or 'thermal NUM'")
                 continue
-            mode = rest[0][0].lower()
+            mode = rest[0].lower()
             if mode == "rc":
                 if len(rest) != 1:
-                    fail(line_no, rest[1][1], "init rc takes no further arguments", rest[1][0])
+                    fail(2, "init rc takes no further arguments")
                     continue
                 instructions.append(Instruction("init", ("rc",), line_no, col0))
             elif mode == "thermal":
                 if len(rest) != 2:
-                    fail(line_no, col0, "init thermal needs one number", word)
+                    fail(0, "init thermal needs one number")
                     continue
-                tok, col = rest[1]
                 try:
-                    x = float(tok)
+                    x = float(rest[1])
                 except ValueError:
-                    fail(line_no, col, "expected a number", tok)
+                    fail(2, "expected a number")
                     continue
-                if not np.isfinite(x) or x < 0.0:
-                    fail(line_no, col, "thermal x must be finite and nonnegative", tok)
+                if not math.isfinite(x) or x < 0.0:
+                    fail(2, "thermal x must be finite and nonnegative")
                     continue
                 instructions.append(Instruction("init", ("thermal", x), line_no, col0))
             else:
-                fail(line_no, rest[0][1], "init mode must be 'rc' or 'thermal'", rest[0][0])
+                fail(1, "init mode must be 'rc' or 'thermal'")
             continue
 
         sig = _SIGNATURES.get(op)
         if sig is None:
-            fail(line_no, col0, f"unknown keyword {word!r}", word)
+            fail(0, f"unknown keyword {word!r}")
             continue
         if len(rest) != len(sig):
-            fail(line_no, col0, f"{op} expects {len(sig)} argument(s), got {len(rest)}", word)
+            fail(0, f"{op} expects {len(sig)} argument(s), got {len(rest)}")
             continue
 
         args = []
-        ok = True
-        for kind, (tok, col) in zip(sig, rest):
+        for k, (kind, tok) in enumerate(zip(sig, rest), start=1):
             if kind == "ident":
                 if not _IDENT.match(tok):
-                    fail(line_no, col, "expected an identifier", tok)
-                    ok = False
+                    fail(k, "expected an identifier")
                     break
                 args.append(tok)
                 continue
             try:
                 value = float(tok)
             except ValueError:
-                fail(line_no, col, "expected a number", tok)
-                ok = False
+                fail(k, "expected a number")
                 break
-            if not np.isfinite(value):
-                fail(line_no, col, "number must be finite", tok)
-                ok = False
+            if not math.isfinite(value):
+                fail(k, "number must be finite")
                 break
             args.append(value)
-        if not ok:
+        if len(args) != len(sig):  # an argument failed
             continue
         if op in ("pd", "ipd") and not 0.0 <= args[0] <= 45.0:
-            fail(line_no, rest[0][1], "angle out of range (0-45 degrees)", rest[0][0])
+            fail(1, "angle out of range (0-45 degrees)")
             continue
         instructions.append(Instruction(op, tuple(args), line_no, col0))
 
@@ -352,7 +351,7 @@ def compile_program(program):
             if dim is None:
                 raise CircuitCompileError(f"line {instr.line}: {op} before any init")
             try:
-                alphas[k] = optics._jones_parameter(instr.args[0], np.deg2rad(instr.args[1]))
+                alphas[k] = optics._jones_parameter(instr.args[0], math.radians(instr.args[1]))
             except QuantumValueError as exc:
                 raise CircuitCompileError(f"line {instr.line}: {exc}") from exc
         elif op == "pd":

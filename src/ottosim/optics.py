@@ -16,6 +16,7 @@ kappa = cos(2 theta_v) while preserving populations.  The inverted block is
 the mirror circuit undoing it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,7 +239,7 @@ def _jones_parameter(n, omega0_tau):
     if omega0_tau < 0.0:
         raise QuantumValueError(f"omega0*tau = {omega0_tau:.6g} must be nonnegative")
     alpha = (float(n) + 1.0) * float(omega0_tau) / 2.0
-    if not np.isfinite(alpha):
+    if not math.isfinite(alpha):
         raise QuantumValueError(f"Jones parameter (n + 1) omega0*tau / 2 = {alpha} is not finite")
     return alpha
 

@@ -139,8 +139,9 @@ class SweepConfig:
         for theta in self.theta_list_deg:
             if not 0.0 <= theta <= 45.0:
                 raise QuantumValueError(f"theta_V = {theta:.6g} deg outside [0, 45]")
-        if self.noise_sigma < 0.0:
-            raise QuantumValueError("noise_sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise QuantumValueError(
+                f"noise_sigma = {self.noise_sigma:.6g} must be finite and nonnegative")
         if self.fmt not in ("csv", "json"):
             raise QuantumValueError(f"format must be csv or json, got {self.fmt!r}")
         EngineParams(n=self.n, x_c=self.x_c)  # range checks

@@ -21,7 +21,6 @@ import numpy as np
 from .qcore import (
     ID2,
     SIGMA_Y,
-    TOL,
     DensityOperator,
     QuantumValueError,
     relative_entropy,
@@ -55,10 +54,10 @@ class EngineParams:
     x_c: float = 3.0
 
     def __post_init__(self):
-        if self.n <= 1.0:
-            raise QuantumValueError(f"gap ratio n = {self.n:.6g} must exceed 1")
-        if self.x_c <= 0.0:
-            raise QuantumValueError(f"x_c = {self.x_c:.6g} must be positive")
+        if not 1.0 < self.n < math.inf:
+            raise QuantumValueError(f"gap ratio n = {self.n:.6g} must be finite and exceed 1")
+        if not 0.0 < self.x_c < math.inf:
+            raise QuantumValueError(f"x_c = {self.x_c:.6g} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -134,12 +133,15 @@ class CycleLedger:
     Sigma_cycle: float
 
 
-def _classical_kl(p, q):
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi > TOL["eig_clamp"]:
-            total += pi * (math.log(pi) - math.log(qi))
-    return total
+def _log_populations(x):
+    """log((1 + tanh x)/2) and log((1 - tanh x)/2) for x >= 0, never forming 1 - tanh x."""
+    tail = math.log1p(math.exp(-2.0 * x))
+    return -tail, -2.0 * x - tail
+
+
+def _classical_kl(log_p, log_q):
+    """Two-outcome divergence D(p || q) from the log populations of p and q."""
+    return sum(math.exp(lp) * (lp - lq) for lp, lq in zip(log_p, log_q))
 
 
 def closed_form_energies(kappa, params):
@@ -170,14 +172,10 @@ def closed_form_energetics(kappa, params):
     if not 0.0 <= kappa <= 1.0:
         raise QuantumValueError(f"kappa = {kappa:.6g} outside [0, 1]")
     energies = closed_form_energies(np.array([kappa]), params)
-    t_c = math.tanh(params.x_c)
-    t_h = kappa * t_c
     x_h, r = hot_x_from_kappa(kappa, params)
-
-    p_cold = ((1.0 + t_c) / 2.0, (1.0 - t_c) / 2.0)
-    p_hot = ((1.0 + t_h) / 2.0, (1.0 - t_h) / 2.0)
-    sigma_e = _classical_kl(p_cold, p_hot)
-    sigma_c = _classical_kl(p_hot, p_cold)
+    log_cold, log_hot = _log_populations(params.x_c), _log_populations(x_h)
+    sigma_e = _classical_kl(log_cold, log_hot)
+    sigma_c = _classical_kl(log_hot, log_cold)
     theta_v = 0.5 * math.acos(min(max(kappa, -1.0), 1.0))
     columns = ledger_columns(theta_v, kappa, r, energies, sigma_e, sigma_c)
     return CycleLedger(*columns[:, 0].tolist())

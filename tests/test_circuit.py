@@ -1,14 +1,19 @@
 """Tests for the circuit description language: parse, compile, format."""
 
+import re
+
 import numpy as np
 import pytest
 
 import ottosim.optics as optics_mod
 from ottosim.circuit import (
+    _SIGNATURES,
+    MAX_PARSE_ERRORS,
     CircuitCompileError,
     CircuitProgram,
     CircuitSyntaxError,
     Instruction,
+    ParseError,
     compile_program,
     format_program,
     parse,
@@ -459,3 +464,170 @@ class TestFuzz:
                 parse(text)
             except CircuitSyntaxError:
                 pass
+
+
+_REF_IDENT = re.compile(r"[A-Za-z_]\w*\Z")
+_REF_TOKEN = re.compile(r"\S+")
+
+
+def _reference_parse(source):
+    """Reference parser: scans every line into (token, column) pairs with a regex."""
+    if isinstance(source, (bytes, bytearray)):
+        source = bytes(source).decode("utf-8", errors="replace")
+    instructions, errors = [], []
+
+    def fail(line_no, col, message, token):
+        errors.append(ParseError(line_no, col, message, token))
+
+    for line_no, raw in enumerate(source.splitlines(), start=1):
+        if len(errors) >= MAX_PARSE_ERRORS:
+            break
+        line = raw.split("#", 1)[0]
+        tokens = [(m.group(0), m.start() + 1) for m in _REF_TOKEN.finditer(line)]
+        if not tokens:
+            continue
+        (word, col0), rest = tokens[0], tokens[1:]
+        op = word.lower()
+        if op == "init":
+            if not rest:
+                fail(line_no, col0, "init needs 'rc' or 'thermal NUM'", word)
+                continue
+            mode = rest[0][0].lower()
+            if mode == "rc":
+                if len(rest) != 1:
+                    fail(line_no, rest[1][1], "init rc takes no further arguments", rest[1][0])
+                    continue
+                instructions.append(Instruction("init", ("rc",), line_no, col0))
+            elif mode == "thermal":
+                if len(rest) != 2:
+                    fail(line_no, col0, "init thermal needs one number", word)
+                    continue
+                tok, col = rest[1]
+                try:
+                    x = float(tok)
+                except ValueError:
+                    fail(line_no, col, "expected a number", tok)
+                    continue
+                if not np.isfinite(x) or x < 0.0:
+                    fail(line_no, col, "thermal x must be finite and nonnegative", tok)
+                    continue
+                instructions.append(Instruction("init", ("thermal", x), line_no, col0))
+            else:
+                fail(line_no, rest[0][1], "init mode must be 'rc' or 'thermal'", rest[0][0])
+            continue
+        sig = _SIGNATURES.get(op)
+        if sig is None:
+            fail(line_no, col0, f"unknown keyword {word!r}", word)
+            continue
+        if len(rest) != len(sig):
+            fail(line_no, col0, f"{op} expects {len(sig)} argument(s), got {len(rest)}", word)
+            continue
+        args = []
+        ok = True
+        for kind, (tok, col) in zip(sig, rest):
+            if kind == "ident":
+                if not _REF_IDENT.match(tok):
+                    fail(line_no, col, "expected an identifier", tok)
+                    ok = False
+                    break
+                args.append(tok)
+                continue
+            try:
+                value = float(tok)
+            except ValueError:
+                fail(line_no, col, "expected a number", tok)
+                ok = False
+                break
+            if not np.isfinite(value):
+                fail(line_no, col, "number must be finite", tok)
+                ok = False
+                break
+            args.append(value)
+        if not ok:
+            continue
+        if op in ("pd", "ipd") and not 0.0 <= args[0] <= 45.0:
+            fail(line_no, rest[0][1], "angle out of range (0-45 degrees)", rest[0][0])
+            continue
+        instructions.append(Instruction(op, tuple(args), line_no, col0))
+    if errors:
+        raise CircuitSyntaxError(errors)
+    return CircuitProgram(tuple(instructions))
+
+
+def _outcome(parser, source):
+    """Every position-bearing field of the parse: instructions, or the error records."""
+    try:
+        return "ok", [(i.op, i.args, i.line, i.column) for i in parser(source).instructions]
+    except CircuitSyntaxError as exc:
+        return "error", [(e.line, e.column, e.message, e.token) for e in exc.errors]
+
+
+# str.isspace characters: the first eight stay inside a line, the rest also end one
+_SPACES = (" ", "  ", "\t", "\xa0", "\u3000", "\x1f", "\u2009", "\u1680",
+           "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028")
+_NEWLINES = ("\n", "\r\n", "\r")
+_WORDS = ("init", "INIT", "rc", "thermal", "hwp", "qwp", "rot", "expand", "compress", "pd", "Ipd",
+          "tomo", "frob", "22.5", "45", "45.01", "-0", "1e-3", "+3", "1_0", "1e999", "nan", "-inf",
+          "abc", "T1", "_x", "9x", "x#y", "# note", "#", "\u0663", "\xe9", "\ufffd")
+
+
+def _fuzzed_source(rng):
+    lines = []
+    for _ in range(int(rng.integers(0, 14))):
+        words = [_WORDS[i] for i in rng.integers(0, len(_WORDS), size=int(rng.integers(0, 5)))]
+        seps = [_SPACES[i] for i in rng.integers(0, len(_SPACES), size=len(words) + 1)]
+        lines.append("".join(sep + word for sep, word in zip(seps, words + [""])))
+    return "".join(line + _NEWLINES[rng.integers(0, 3)] for line in lines)
+
+
+def _scattered_source(rng, program):
+    """The program at full precision, with random case, spacing, comments and line breaks."""
+    out = []
+    for instr in program.instructions:
+        args = [a if isinstance(a, str) else repr(a) for a in instr.args]
+        words = [instr.op.upper() if rng.random() < 0.2 else instr.op] + args
+        pad = [_SPACES[i] for i in rng.integers(0, 8, size=len(words) + 1)]
+        text = "".join(p + w for p, w in zip(pad, words + [""]))
+        if rng.random() < 0.3:
+            text += "# " + " ".join(words)
+        out.append(text + _NEWLINES[rng.integers(0, 2)])
+    return "".join(out)
+
+
+class TestParserEquivalence:
+    def test_random_programs_match_the_reference(self, rng):
+        for _ in range(200):
+            program = _random_program(rng, int(rng.integers(0, 40)))
+            source = _scattered_source(rng, program)
+            assert _outcome(parse, source) == _outcome(_reference_parse, source)
+            assert parse(source) == program
+
+    def test_fuzzed_sources_match_the_reference(self):
+        rng = np.random.default_rng(7)
+        seen = {"ok": 0, "error": 0, "capped": 0}
+        sources = ["", "\r\n", "\u3000# only a comment\r\n", "\n".join(["bogus 1"] * 25)]
+        sources += [_fuzzed_source(rng) for _ in range(3000)]
+        for source in sources + [s.encode() for s in sources[:200]]:
+            kind, records = _outcome(parse, source)
+            assert (kind, records) == _outcome(_reference_parse, source), repr(source)
+            seen[kind] += 1
+            seen["capped"] += len(records) == MAX_PARSE_ERRORS and kind == "error"
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("source, column, token, message", [
+        ("  init\xa0rc\tx", 11, "x", "init rc takes no further"),
+        ("init thermal  zz", 15, "zz", "expected a number"),
+        ("init\u3000thermal inf", 14, "inf", "finite and nonnegative"),
+        ("init  hot", 7, "hot", "init mode"),
+        ("\thwp  abc # c", 7, "abc", "expected a number"),
+        ("expand 2\u2009nan", 10, "nan", "number must be finite"),
+        ("tomo   9x", 8, "9x", "expected an identifier"),
+        (" pd\x1f50", 5, "50", "angle out of range"),
+        ("ipd  -1", 6, "-1", "angle out of range"),
+    ])
+    def test_error_names_the_failing_argument_column(self, source, column, token, message):
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse("init rc\n" + source)
+        (e,) = err.value.errors
+        assert (e.line, e.column, e.token) == (2, column, token)
+        assert message in e.message

@@ -45,6 +45,12 @@ class TestSweepConfig:
         with pytest.raises(QuantumValueError):
             SweepConfig(n=0.9)
 
+    @pytest.mark.parametrize("field", ["n", "x_c", "noise_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(QuantumValueError, match="must be finite"):
+            SweepConfig(**{field: value})
+
 
 class TestRunCycle:
     def test_idle_cycle_at_zero_angle(self):
@@ -340,6 +346,13 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("theta_list_deg = 99\n")
         assert cli.main(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--n", "--xc", "--noise"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_sweep_non_finite_parameter_exits_2(self, flag, value, capsys):
+        assert cli.main(["sweep", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
 
     def test_run_circuit(self, tmp_path, capsys):
         circ = tmp_path / "cycle.otto"

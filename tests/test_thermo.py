@@ -1,6 +1,7 @@
 """Tests for thermal states, closed-form energetics and entropy production."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ class TestEngineParams:
             EngineParams(n=1.0)
         with pytest.raises(QuantumValueError):
             EngineParams(x_c=0.0)
+
+    @pytest.mark.parametrize("field", ["n", "x_c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(QuantumValueError, match="must be finite"):
+            EngineParams(**{field: value})
 
 
 class TestThermalState:
@@ -123,6 +130,22 @@ class TestClosedFormEnergetics:
         for kappa in (0.0, 0.3, 0.9, 0.999):
             assert closed_form_energetics(kappa, PARAMS).Q_DA < 0.0
         assert closed_form_energetics(1.0, PARAMS).Q_DA == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("x_c", [19.0, 19.5, 25.0, 40.0])
+    def test_entropy_productions_at_large_x_c(self, x_c):
+        # 1 - tanh(x_c) rounds to 0 from x_c = 19.5; the reference keeps 50 digits
+        for kappa in (0.0, 0.1, 0.5, 0.9):
+            led = closed_form_energetics(kappa, EngineParams(x_c=x_c))
+            with localcontext() as ctx:
+                ctx.prec = 50
+                e = (Decimal(-2) * Decimal(x_c)).exp()
+                t_c = (1 - e) / (1 + e)
+                t_h = Decimal(kappa) * t_c
+                p_c, p_h = ((1 + t_c) / 2, (1 - t_c) / 2), ((1 + t_h) / 2, (1 - t_h) / 2)
+                exact = [sum(a * (a.ln() - b.ln()) for a, b in zip(p, q))
+                         for p, q in ((p_c, p_h), (p_h, p_c))]
+            assert led.Sigma_e == pytest.approx(float(exact[0]), rel=1e-12)
+            assert led.Sigma_c == pytest.approx(float(exact[1]), rel=1e-12)
 
 
 class TestWorkHeatFromStates:
