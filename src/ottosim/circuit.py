@@ -297,7 +297,7 @@ def _lower(instructions, alphas):
              np.concatenate([np.deg2rad(values("rot")), list(alphas.values())]))):
         mats[[slot[k] for k in ks]] = build(angles)
     failures = [(pol[i], message) for i, message in
-                optics._unitarity_errors(mats, "polarization element").items()]
+                optics._unitarity_errors(mats, "polarization element")[0].items()]
     for op in ("pd", "ipd"):
         if where[op]:
             u, _, errors = optics.dephasing_stack(np.deg2rad(values(op)), inverse=op == "ipd")

@@ -28,6 +28,7 @@ from .qcore import QuantumValueError
 from .runner import (
     SweepConfig,
     _matrix_to_json,
+    _theta_list,
     compare_golden,
     emit,
     load_config_file,
@@ -58,25 +59,17 @@ def _write_out(data, out):
     return EXIT_OK
 
 
+# sweep option -> SweepConfig field it overrides (--theta-list is parsed apart)
+_OVERRIDES = {"n": "n", "xc": "x_c", "noise": "noise_sigma", "seed": "seed", "out": "out",
+              "format": "fmt"}
+
+
 def _sweep_config(args):
     config = load_config_file(args.config) if args.config else SweepConfig()
-    overrides = {}
+    overrides = {field: getattr(args, option) for option, field in _OVERRIDES.items()
+                 if getattr(args, option) is not None}
     if args.theta_list is not None:
-        overrides["theta_list_deg"] = tuple(
-            float(v) for v in args.theta_list.split(",") if v.strip()
-        )
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.xc is not None:
-        overrides["x_c"] = args.xc
-    if args.noise is not None:
-        overrides["noise_sigma"] = args.noise
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.format is not None:
-        overrides["fmt"] = args.format
+        overrides["theta_list_deg"] = _theta_list(args.theta_list)
     return dataclasses.replace(config, **overrides)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "pd_block",
     "ipd_block",
     "dephasing_stack",
+    "dephasing_pair",
     "expansion_unitary",
     "compression_unitary",
     "kappa_from_theta_deg",
@@ -59,16 +60,17 @@ class OpticalElement:
         object.__setattr__(self, "matrix", m)
 
 
-def _unitarity_errors(stack, what):
-    # position -> message for each slice of an (N, d, d) stack that is not unitary
+def _unitarity_errors(stack, *whats):
+    # position -> message for each slice that is not unitary, one dict per name: an
+    # (N, d, d) stack takes one name, a (K, N, d, d) stack one name per (N, d, d) part
     defect = np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))
-    defect = defect.max(axis=(-2, -1))
-    return {i: f"{what} not unitary: defect {defect[i]:.3g}"
-            for i in np.flatnonzero(~(defect <= TOL["unitary"])).tolist()}
+    return [{i: f"{what} not unitary: defect {part[i]:.3g}"
+             for i in np.flatnonzero(~(part <= TOL["unitary"])).tolist()}
+            for what, part in zip(whats, defect.max(axis=(-2, -1)).reshape(len(whats), -1))]
 
 
 def _check_unitary(m, what):
-    errors = _unitarity_errors(m[None], what)
+    errors = _unitarity_errors(m[None], what)[0]
     if errors:
         raise QuantumValueError(errors[0])
 
@@ -140,8 +142,8 @@ def _frozen(m):
 _PBS = _frozen(pbs_matrix())
 _ARM_H = _frozen(np.kron(hwp(0.0).matrix, _P0))             # H arm plate leaves |H> unchanged
 _FLIP = _frozen(_on_paths(ID2, hwp(np.pi / 2).matrix))     # HWP5: |H> -> |V> on k1
-_FLIP_PBS = _frozen(_FLIP @ _PBS)
 _PHASE_0 = _frozen(phase_on_path1(0.0))
+_FLIP_PBS_PHASE = _frozen((_FLIP @ _PBS) @ _PHASE_0)
 
 
 @dataclass(frozen=True)
@@ -174,6 +176,24 @@ def _arm_stage(arm_v):
     return _ARM_H + _kron_slices(arm_v, _P1)
 
 
+def _arm_plates(theta_v):
+    # what both blocks share: the angles, their range check and the arm-plate stage, checked
+    theta_v = np.asarray(theta_v, dtype=float)
+    in_range = (theta_v >= 0.0) & (theta_v <= np.pi / 4 + 1e-15)
+    bad_range = {i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]"
+                 for i in np.flatnonzero(~in_range).tolist()}
+    arm_v = _hwp_matrix(np.pi - 2.0 * theta_v)
+    return theta_v, _arm_stage(arm_v), bad_range, _unitarity_errors(arm_v, "HWP element")[0]
+
+
+def _pd_product(arms):
+    return (_FLIP_PBS_PHASE @ arms) @ _PBS
+
+
+def _ipd_product(arms):
+    return (((_PBS @ arms) @ _PHASE_0) @ _PBS) @ _FLIP
+
+
 def dephasing_stack(theta_v, inverse=False):
     """Dilation unitaries of the PD (or, with ``inverse``, IPD) block per angle.
 
@@ -187,23 +207,23 @@ def dephasing_stack(theta_v, inverse=False):
     stacked products keep the single-block product order, so each slice has
     the bits of the block built alone.
     """
-    theta_v = np.asarray(theta_v, dtype=float)
-    in_range = (theta_v >= 0.0) & (theta_v <= np.pi / 4 + 1e-15)
-    checks = [{i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]"
-               for i in np.flatnonzero(~in_range).tolist()}]
-    kraus = None
-    if not inverse:
-        kraus = _kraus_pairs(theta_v)
-        checks.append(kraus_errors(kraus))
-    arm_v = _hwp_matrix(np.pi - 2.0 * theta_v)
-    checks.append(_unitarity_errors(arm_v, "HWP element"))
-    arms = _arm_stage(arm_v)
+    theta_v, arms, bad_range, bad_arm = _arm_plates(theta_v)
     if inverse:
-        u = (((_PBS @ arms) @ _PHASE_0) @ _PBS) @ _FLIP
-    else:
-        u = ((_FLIP_PBS @ _PHASE_0) @ arms) @ _PBS
-    checks.append(_unitarity_errors(u, "IPD block" if inverse else "PD block"))
-    return u, kraus, first_errors(*checks)
+        u = _ipd_product(arms)
+        return u, None, first_errors(bad_range, bad_arm, _unitarity_errors(u, "IPD block")[0])
+    kraus, u = _kraus_pairs(theta_v), _pd_product(arms)
+    return u, kraus, first_errors(bad_range, kraus_errors(kraus), bad_arm,
+                                  _unitarity_errors(u, "PD block")[0])
+
+
+def dephasing_pair(theta_v):
+    """(pd, ipd, Kraus pairs, pd_errors, ipd_errors) per angle, each as :func:`dephasing_stack`
+    gives it, from one range check, one arm-plate build and check and one unitarity check."""
+    theta_v, arms, bad_range, bad_arm = _arm_plates(theta_v)
+    kraus, pd, ipd = _kraus_pairs(theta_v), _pd_product(arms), _ipd_product(arms)
+    bad_pd, bad_ipd = _unitarity_errors(np.stack([pd, ipd]), "PD block", "IPD block")
+    return (pd, ipd, kraus, first_errors(bad_range, kraus_errors(kraus), bad_arm, bad_pd),
+            first_errors(bad_range, bad_arm, bad_ipd))
 
 
 def pd_block(theta_v):

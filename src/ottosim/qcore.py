@@ -115,7 +115,8 @@ class DensityOperator:
 
     def __init__(self, matrix, label=None):
         m = _as_square(matrix, "density operator").copy()
-        message = _density_message(_herm_defect(m), np.trace(m), np.linalg.eigvalsh(m).min())
+        herm, lam = _decomposed(np.linalg.eigvalsh, m)
+        message = _density_message(herm, np.trace(m), lam.min())
         if message:
             raise QuantumValueError(message)
         m.flags.writeable = False
@@ -222,9 +223,19 @@ def first_errors(*checks):
     return merged
 
 
-def _herm_defect(m):
-    # max-norm Hermiticity defect of a matrix or of each slice of a stack
-    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+def _decomposed(eig, stack):
+    # the max-norm Hermiticity defect of a matrix or of each slice of a stack, and eig (eigvalsh
+    # or eigh) of each slice whose defect is finite; a slice holding NaN or inf (inf - inf is NaN
+    # here, not a warning) gets NaN: LAPACK cannot decompose it, and it fails Hermiticity first
+    with np.errstate(invalid="ignore"):
+        herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    skip = ~np.isfinite(herm)
+    if not skip.any():
+        return herm, eig(stack)
+    out = eig(np.where(skip[..., None, None], 0.0, stack))
+    for part in out if isinstance(out, tuple) else (out,):
+        part[skip] = np.nan
+    return herm, out
 
 
 def _density_message(herm, trace, lam_min):
@@ -245,8 +256,8 @@ def density_errors(stack):
     position of each failing slice to the message the constructor would
     raise for it.
     """
-    lam = np.linalg.eigvalsh(stack)
-    return lam, _density_failures(stack, lam, _herm_defect(stack))
+    herm, lam = _decomposed(np.linalg.eigvalsh, stack)
+    return lam, _density_failures(stack, lam, herm)
 
 
 def _density_failures(stack, lam, herm):
@@ -362,7 +373,8 @@ def spectra(stack):
     not fixed; nothing computed from them depends on the phase) and
     position -> message for slices failing eig_herm's Hermiticity check.
     """
-    return _clamped_spectra(_herm_defect(stack), *np.linalg.eigh(stack))
+    herm, (lam, vec) = _decomposed(np.linalg.eigh, stack)
+    return _clamped_spectra(herm, lam, vec)
 
 
 def _clamped_spectra(defect, lam, vec):
@@ -380,7 +392,7 @@ def density_spectra(stack):
     checks read, the spectra and eigenvectors of :func:`spectra`, and
     position -> message of each failing slice, its density check first.
     """
-    herm, (lam, vec) = _herm_defect(stack), np.linalg.eigh(stack)
+    herm, (lam, vec) = _decomposed(np.linalg.eigh, stack)
     spec, vec, bad_herm = _clamped_spectra(herm, lam, vec)
     return lam, spec, vec, first_errors(_density_failures(stack, lam, herm), bad_herm)
 

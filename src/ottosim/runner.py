@@ -21,14 +21,13 @@ ledger itself is always computed from the exact simulated states so its
 invariants, cycle closure included, hold at any noise level.
 
 A sweep runs all of its angles as one stack (``_cycle_rows``): the
-theta-independent strokes once, the per-angle strokes and the tap on
-(N, ., .) arrays, every row still validated and each state decomposed
-once, and the ledger as columns; ``run_cycle`` is N = 1.
+theta-independent strokes once, the per-angle strokes on (N, ., .) arrays
+with every state checked after the last one, one call per group and each
+state decomposed once, then the ledger as columns; ``run_cycle`` is N = 1.
 """
 
 import json
 import math
-import operator
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
@@ -36,13 +35,9 @@ import numpy as np
 
 from . import __version__
 from .circuit import compile_program, parse
-from .optics import (
-    compression_unitary,
-    dephasing_stack,
-    expansion_unitary,
-    kappa_from_theta_deg,
-)
+from .optics import _kron_slices, dephasing_pair, expansion_unitary, kappa_from_theta_deg
 from .qcore import (
+    ID2,
     TOL,
     DensityOperator,
     QuantumValueError,
@@ -62,7 +57,7 @@ from .thermo import (
     closed_form_energies,
     expectations,
     hamiltonian,
-    hot_x_from_kappa,
+    hot_x_column,
     ledger_columns,
     thermal_matrices,
 )
@@ -111,10 +106,6 @@ CSV_COLUMNS = (
     "Sigma_cycle",
     "max_delta_vs_closed_form",
 )
-
-
-# the CycleLedger fields after theta_v, in CSV order
-_LEDGER_VALUES = operator.attrgetter(*CSV_COLUMNS[1:-1])
 
 
 class CycleError(RuntimeError):
@@ -172,23 +163,10 @@ def _closure_errors(rho_end, rho_start):
             for i in np.flatnonzero(~(defect <= TOL["cycle_closure"])).tolist()}
 
 
-class _Rows:
-    """Positions of the rows still running and the error of each row that stopped."""
-
-    def __init__(self, count):
-        self.index = np.arange(count)
-        self.errors = {}
-
-    def keep(self, stroke, bad, *stacks):
-        """Stop the rows at the positions in ``bad``; return ``stacks`` without them."""
-        if not bad:
-            return stacks
-        mask = np.ones(len(self.index), dtype=bool)
-        for pos, message in bad.items():
-            self.errors[int(self.index[pos])] = CycleError(f"stroke {stroke}: {message}")
-            mask[pos] = False
-        self.index = self.index[mask]
-        return tuple(stack[mask] for stack in stacks)
+def _parts(errors, count, parts):
+    # position -> message of `parts` stacks of `count` rows stacked as one, split per stack
+    return [{pos - k * count: message for pos, message in errors.items() if pos // count == k}
+            for k in range(parts)]
 
 
 def _fixed_part(config):
@@ -218,25 +196,23 @@ def _fixed_part(config):
     f.w_ab = f.e_b_hot - e_a_cold
     f.s_cold, f.s_b = entropies(spec)
     f.spec_cold, f.vec_cold = spec[:1], vec[:1]
-    # B->C takes the ancilla in k0; C->D acts on the polarization of both
-    # arms (its rotation has the arguments expansion_unitary accepted)
-    f.joint_b = np.kron(f.rho_b, np.diag([1.0, 0.0]).astype(complex))
-    f.k_c = np.kron(compression_unitary(f.n, config.omega0_tau).matrix, np.eye(2, dtype=complex))
+    # B->C takes the ancilla in k0; C->D turns the polarization of both arms by
+    # the A->B rotation (compression_unitary has the same Jones parameter)
+    f.joint_b = _kron_slices(f.rho_b, np.diag([1.0, 0.0]).astype(complex))
+    f.k_c = _kron_slices(u_e, ID2)
     return f
 
 
 def _cycle_rows(thetas, config):
     """Run one cycle per angle of ``thetas`` (degrees), all angles as one stack.
 
-    The theta-independent part (``_fixed_part``) is computed once.  The
-    per-angle strokes run on (N, ., .) stacks; every per-angle matrix passes
-    the same TOL checks a single-matrix computation applies, row by row, and
-    a row stops at its first failed check with its stroke named while the
-    other rows go on.  Each state is decomposed once.  The ledger and its
-    closed form are columns over the surviving rows; only IEEE arithmetic
-    is vectorised (tanh(x_c) and each row's arctanh stay ``math`` scalars),
-    so each value has the bits of the per-row formulas.  With noise, the
-    surviving rows' snapshots are tapped as one stack.  Returns (results,
+    After ``_fixed_part``, B->C, C->D and D->A run on all N rows, then every
+    state is checked in one call per group against the TOL checks a
+    single-matrix computation applies.  A row reports its first failed
+    check, in stroke order, with its stroke named; the other rows go on.
+    The ledger is columns over the passing rows, with only IEEE arithmetic
+    vectorised, so each value has the bits of the per-row formulas; with
+    noise their snapshots are tapped as one stack.  Returns (results,
     errors): the CycleResult of each finished row and the exception of each
     stopped row, keyed by position in ``thetas``.
     """
@@ -244,41 +220,46 @@ def _cycle_rows(thetas, config):
         f = _fixed_part(config)
     except (CycleError, QuantumValueError) as exc:
         return {}, dict.fromkeys(range(len(thetas)), exc)
+    count = len(thetas)
     kappa = kappa_from_theta_deg(thetas)
-    x_h, r = np.array([hot_x_from_kappa(k, f.params) for k in kappa.tolist()]).reshape(-1, 2).T
-    rows = _Rows(len(thetas))
+    x_h = np.array(hot_x_column(kappa, f.params))
     theta_v = np.array([math.radians(theta) for theta in thetas])
+    pd, ipd, _, bad_pd, bad_ipd = dephasing_pair(theta_v)
 
-    # B->C: dephasing block as the hot reservoir, then the entropy produced
-    # relaxing rho_B to the thermal state at x_h
-    pd, _, bad_pd = dephasing_stack(theta_v)
-    joint = (pd @ f.joint_b) @ pd.conj().swapaxes(-1, -2)
-    rho_c = trace_path(joint)
-    lam_c, bad_c = density_errors(rho_c)
-    _, spec_h, vec_h, bad_h = density_spectra(thermal_matrices(x_h.tolist()))
-    theta_v, joint, rho_c, lam_c, spec_h = rows.keep("B->C", first_errors(
-        bad_pd, density_errors(joint)[1], bad_c, bad_h,
-        support_weights(f.rho_b, spec_h, vec_h)[1],
-    ), theta_v, joint, rho_c, lam_c, spec_h)
+    # B->C: dephasing block as the hot reservoir; C->D: compression applied to
+    # the polarization of both arms; D->A: the inverted block consumes the
+    # dephasing record.  Rows that fail a check run on and are dropped below.
+    joint = np.empty((3, count, 4, 4), dtype=complex)
+    np.matmul(pd @ f.joint_b, pd.conj().swapaxes(-1, -2), out=joint[0])
+    np.matmul(f.k_c @ joint[0], f.k_c.conj().T, out=joint[1])
+    np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
+    joint = joint.reshape(-1, 4, 4)
+    rho_c, rho_d, rho_a2 = trace_path(joint).reshape(3, count, 2, 2)
 
-    # C->D: compression applied to the polarization of both arms
-    joint = (f.k_c @ joint) @ f.k_c.conj().T
-    rho_d = trace_path(joint)
-    lam_d, spec_d, _, bad_d = density_spectra(rho_d)
-    theta_v, joint, rho_c, rho_d, spec_h, spec_d = rows.keep("C->D", first_errors(
-        density_errors(joint)[1], bad_d, _spectrum_errors(lam_c, lam_d),
-    ), theta_v, joint, rho_c, rho_d, spec_h, spec_d)
-
-    # D->A: the inverted block consumes the dephasing record, then the
-    # entropy produced relaxing rho_D to the cold state; the cycle must close
-    ipd, _, bad_ipd = dephasing_stack(theta_v, inverse=True)
-    joint = (ipd @ joint) @ ipd.conj().swapaxes(-1, -2)
-    rho_a2 = trace_path(joint)
-    theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d = rows.keep("D->A", first_errors(
-        bad_ipd, density_errors(joint)[1], density_errors(rho_a2)[1],
-        support_weights(rho_d, f.spec_cold, f.vec_cold)[1],
-        _closure_errors(rho_a2, f.rho_a),
-    ), theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d)
+    # every state checked in one call per group; the entropies produced relaxing
+    # rho_B to the thermal state at x_h and rho_D to the cold state need the supports
+    bad_jc, bad_jd, bad_ja = _parts(density_errors(joint)[1], count, 3)
+    lam_ca, bad_ca = density_errors(np.concatenate([rho_c, rho_a2]))
+    lam_dh, spec_dh, vec_dh, bad_dh = density_spectra(
+        np.concatenate([rho_d, thermal_matrices(x_h.tolist())]))
+    spec_d, spec_h, vec_h = spec_dh[:count], spec_dh[count:], vec_dh[count:]
+    bad_support = support_weights(
+        np.concatenate([np.broadcast_to(f.rho_b, rho_d.shape), rho_d]),
+        np.concatenate([spec_h, np.broadcast_to(f.spec_cold, spec_h.shape)]),
+        np.concatenate([vec_h, np.broadcast_to(f.vec_cold, vec_h.shape)]))[1]
+    (bad_c, bad_a2), (bad_d, bad_h) = _parts(bad_ca, count, 2), _parts(bad_dh, count, 2)
+    bad_hot, bad_cold = _parts(bad_support, count, 2)
+    errors = {}
+    for stroke, checks in (
+            ("B->C", (bad_pd, bad_jc, bad_c, bad_h, bad_hot)),
+            ("C->D", (bad_jd, bad_d, _spectrum_errors(lam_ca[:count], lam_dh[:count]))),
+            ("D->A", (bad_ipd, bad_ja, bad_a2, bad_cold, _closure_errors(rho_a2, f.rho_a)))):
+        for i, message in first_errors(*checks).items():
+            errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
+    keep = [i for i in range(count) if i not in errors]
+    if errors:
+        theta_v, kappa, x_h, rho_c, rho_d, rho_a2, spec_h, spec_d = (
+            a[keep] for a in (theta_v, kappa, x_h, rho_c, rho_d, rho_a2, spec_h, spec_d))
 
     # the ledger as columns; q_BC in hbar*omega_fin units so beta*Q reduces to x_h * q
     e_c_hot = expectations(f.h_hot, rho_c)
@@ -286,36 +267,37 @@ def _cycle_rows(thetas, config):
     q_bc = e_c_hot - f.e_b_hot
     w_cd = e_d_cold - e_c_hot
     q_da = expectations(f.h_cold, rho_a2) - e_d_cold
-    sig_e = (np.array(entropies(spec_h)) - f.s_b) - x_h[rows.index] * (q_bc / f.n)
+    sig_e = (np.array(entropies(spec_h)) - f.s_b) - x_h * (q_bc / f.n)
     sig_c = (f.s_cold - np.array(entropies(spec_d))) - f.x_c * q_da
     energies = np.stack(np.broadcast_arrays(f.w_ab, q_bc, w_cd, q_da))
-    closed = closed_form_energies(kappa[rows.index], f.params)
     columns = np.vstack([
-        ledger_columns(theta_v, kappa[rows.index], r[rows.index], energies, sig_e, sig_c),
-        np.abs(energies - closed).max(axis=0)]).T.tolist()
+        ledger_columns(theta_v, kappa, x_h / f.x_c, energies, sig_e, sig_c),
+        np.abs(energies - closed_form_energies(kappa, f.params)).max(axis=0)]).T.tolist()
 
     for stack in (rho_c, rho_d, rho_a2):
         stack.flags.writeable = False
-    # the snapshot stacks (read-only views); with noise one (K, 5, 2, 2) tap, row i on substream i
-    taps, tap_errors = np.broadcast_arrays(f.rho_a, f.rho_b, rho_c, rho_d, rho_a2), {}
+    # the snapshots (read-only views); with noise one (K, 5, 2, 2) tap, row i on substream i,
+    # without it every row shares one TA and one TB
     if config.noise_sigma > 0.0:
-        streams = np.random.SeedSequence(config.seed).spawn(len(thetas))
-        taps, tap_errors = tomography_stack(np.stack(taps, axis=1), config.noise_sigma, [
-            np.random.default_rng(streams[i]) for i in rows.index.tolist()])
-        taps = taps.swapaxes(0, 1)
+        streams = np.random.SeedSequence(config.seed).spawn(count)
+        taps, tap_errors = tomography_stack(
+            np.stack(np.broadcast_arrays(f.rho_a, f.rho_b, rho_c, rho_d, rho_a2), axis=1),
+            config.noise_sigma, [np.random.default_rng(streams[i]) for i in keep])
+        snapshots = ({label: wrap_validated(m, label) for label, m in zip(SNAPSHOT_LABELS, tap)}
+                     for tap in taps)
+    else:
+        ta, tb, tap_errors = wrap_validated(f.rho_a, "TA"), wrap_validated(f.rho_b, "TB"), {}
+        snapshots = ({"TA": ta, "TB": tb, "TC": wrap_validated(c, "TC"),
+                      "TD": wrap_validated(d, "TD"), "TA2": wrap_validated(a2, "TA2")}
+                     for c, d, a2 in zip(rho_c, rho_d, rho_a2))
     results = {}
-    for k, (i, values) in enumerate(zip(rows.index.tolist(), columns)):
+    for k, (i, values, snaps) in enumerate(zip(keep, columns, snapshots)):
         if k in tap_errors:
-            rows.errors[i] = QuantumValueError(tap_errors[k])
+            errors[i] = QuantumValueError(tap_errors[k])
             continue
-        results[i] = CycleResult(
-            theta_deg=float(thetas[i]),
-            ledger=CycleLedger(*values[:-1]),
-            snapshots={label: wrap_validated(stack[k], label)
-                       for label, stack in zip(SNAPSHOT_LABELS, taps)},
-            max_delta_vs_closed_form=values[-1],
-        )
-    return results, rows.errors
+        results[i] = CycleResult(theta_deg=float(thetas[i]), ledger=CycleLedger(*values[:-1]),
+                                 snapshots=snaps, max_delta_vs_closed_form=values[-1])
+    return results, errors
 
 
 def run_cycle(theta_deg, config=None):
@@ -348,10 +330,8 @@ class SweepReport:
 def run_sweep(config=None):
     """One cycle per configured theta_V, all angles run as one stack.
 
-    The theta-independent strokes and states are computed once per sweep
-    and the per-angle strokes run stacked, each angle still checked row by
-    row (see ``run_cycle`` for a single angle; a sweep over N angles equals
-    N single-angle runs float for float).  Rows come back sorted by r
+    Each angle is still checked row by row, and a sweep over N angles
+    equals N single-angle runs float for float.  Rows come back sorted by r
     ascending.  A failing row is recorded under ``failures`` with its
     stroke named instead of aborting the sweep.  Deterministic for a fixed
     config and seed (per-row seeded generator substreams).
@@ -382,11 +362,12 @@ def _g(value):
     return f"{value:.12g}"
 
 
-_CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS))  # one format per row; %.12g is _g
+_CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS)) + "\n"  # %.12g is _g
 
 
 def _row_values(row):
-    return (row.theta_deg, *_LEDGER_VALUES(row.ledger), row.max_delta_vs_closed_form)
+    # the CycleLedger fields after theta_v are the CSV columns between its first and last
+    return (row.theta_deg, *row.ledger[1:], row.max_delta_vs_closed_form)
 
 
 def _matrix_to_json(m):
@@ -402,12 +383,11 @@ def _matrix_from_json(rows):
 def emit(report, fmt="csv"):
     """Serialize a report to bytes, CSV (ledger table) or JSON (full)."""
     if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in report.rows:
-            lines.append(_CSV_ROW % _row_values(row))
-        for theta, message in report.failures.items():
-            lines.append(f"# FAILED theta_v_deg={theta}: {message}")
-        return ("\n".join(lines) + "\n").encode()
+        body = (_CSV_ROW * len(report.rows)) % tuple(
+            [value for row in report.rows for value in _row_values(row)])
+        failed = "".join(f"# FAILED theta_v_deg={theta}: {message}\n"
+                         for theta, message in report.failures.items())
+        return (",".join(CSV_COLUMNS) + "\n" + body + failed).encode()
     if fmt == "json":
         doc = {
             "metadata": report.metadata,
@@ -438,8 +418,7 @@ def load_report(data):
     rows = []
     for entry, labels in zip(doc["rows"], snaps):
         theta = entry["theta_v_deg"]
-        fields = {c: entry[c] for c in CSV_COLUMNS[1:-1]}  # the CycleLedger fields
-        ledger = CycleLedger(theta_v=math.radians(theta), **fields)
+        ledger = CycleLedger(math.radians(theta), *(entry[c] for c in CSV_COLUMNS[1:-1]))
         rows.append(CycleResult(theta_deg=theta, ledger=ledger,
                                 snapshots={label: next(states) for label in labels},
                                 max_delta_vs_closed_form=entry["max_delta_vs_closed_form"]))
@@ -477,9 +456,7 @@ def compare_golden(report):
         raise QuantumValueError("report has no theta_V = 22.5 deg row to compare")
     row = target_rows[0]
     golden = load_golden_data()
-    fids = {}
-    fids_sq = {}
-    deltas = {}
+    fids, fids_sq, deltas = {}, {}, {}
     for label, gold_label in GOLDEN_MAP.items():
         sim = row.snapshots[label]
         exp = golden.states[gold_label]
@@ -492,19 +469,21 @@ def compare_golden(report):
     offdiag_sim = float(abs(tc.matrix[0, 1]))
     offdiag_gold = float(abs(golden.raw["B_to_C"][0, 1].imag))
     passed = all(f >= TOL["golden_fidelity"] for f in fids.values()) and (
-        abs(offdiag_sim - offdiag_gold) <= 0.02
-    )
-    return GoldenComparison(
-        fidelities=fids,
-        fidelities_squared=fids_sq,
-        max_entry_deltas=deltas,
-        offdiag_simulated=offdiag_sim,
-        offdiag_golden=offdiag_gold,
-        passed=passed,
-    )
+        abs(offdiag_sim - offdiag_gold) <= 0.02)
+    return GoldenComparison(fidelities=fids, fidelities_squared=fids_sq, max_entry_deltas=deltas,
+                            offdiag_simulated=offdiag_sim, offdiag_golden=offdiag_gold,
+                            passed=passed)
 
 
 _CONFIG_KEYS = {f.name for f in fields(SweepConfig)}
+
+
+def _theta_list(text):
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+# config key -> parser of its value; every other key is a float
+_CONFIG_PARSERS = {"theta_list_deg": _theta_list, "seed": int, "out": str, "fmt": str}
 
 
 def load_config_file(path):
@@ -517,20 +496,8 @@ def load_config_file(path):
                 continue
             if "=" not in line:
                 raise QuantumValueError(f"{path}:{ln}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
             if key not in _CONFIG_KEYS:
                 raise QuantumValueError(f"{path}:{ln}: unknown key {key!r}")
             values[key] = val
-    kwargs = {}
-    for key, val in values.items():
-        if key == "theta_list_deg":
-            kwargs[key] = tuple(float(v) for v in val.split(",") if v.strip())
-        elif key == "seed":
-            kwargs[key] = int(val)
-        elif key in ("out", "fmt"):
-            kwargs[key] = val
-        else:
-            kwargs[key] = float(val)
-    return SweepConfig(**kwargs)
+    return SweepConfig(**{key: _CONFIG_PARSERS.get(key, float)(val) for key, val in values.items()})

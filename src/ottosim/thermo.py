@@ -37,6 +37,7 @@ __all__ = [
     "thermal_matrices",
     "expectations",
     "hot_x_from_kappa",
+    "hot_x_column",
     "closed_form_energies",
     "closed_form_energetics",
     "ledger_columns",
@@ -99,19 +100,20 @@ def hot_x_from_kappa(kappa, params):
     returns r = x_h / x_c, the (omega_fin beta_h)/(omega_ini beta_c) ratio.
     The endpoints kappa = 1 and kappa = 0 are returned exactly.
     """
-    if not 0.0 <= kappa <= 1.0:
-        raise QuantumValueError(f"kappa = {kappa:.6g} outside [0, 1]")
-    if kappa == 1.0:
-        x_h = params.x_c
-    elif kappa == 0.0:
-        x_h = 0.0
-    else:
-        x_h = math.atanh(kappa * math.tanh(params.x_c))
+    x_h = hot_x_column(np.array([kappa], dtype=float), params)[0]
     return HotTemperature(x_h=x_h, r=x_h / params.x_c)
 
 
-@dataclass(frozen=True)
-class CycleLedger:
+def hot_x_column(kappa, params):
+    """The x_h of :func:`hot_x_from_kappa` at each kappa of an array, as a list of floats."""
+    outside = np.flatnonzero(~((kappa >= 0.0) & (kappa <= 1.0)))
+    if outside.size:
+        raise QuantumValueError(f"kappa = {kappa[outside[0]]:.6g} outside [0, 1]")
+    x_c, t_c = params.x_c, math.tanh(params.x_c)
+    return [x_c if k == 1.0 else 0.0 if k == 0.0 else math.atanh(k * t_c) for k in kappa.tolist()]
+
+
+class CycleLedger(NamedTuple):
     """Per-cycle record of energetics and entropy production.
 
     theta_v is stored in radians; energies in hbar omega0 units; Sigma
@@ -169,10 +171,8 @@ def closed_form_energetics(kappa, params):
     productions are the aligned two-outcome divergences between the
     post-stroke states and their thermalization targets.
     """
-    if not 0.0 <= kappa <= 1.0:
-        raise QuantumValueError(f"kappa = {kappa:.6g} outside [0, 1]")
+    x_h, r = hot_x_from_kappa(kappa, params)  # checks the range of kappa
     energies = closed_form_energies(np.array([kappa]), params)
-    x_h, r = hot_x_from_kappa(kappa, params)
     log_cold, log_hot = _log_populations(params.x_c), _log_populations(x_h)
     sigma_e = _classical_kl(log_cold, log_hot)
     sigma_c = _classical_kl(log_hot, log_cold)

@@ -61,7 +61,6 @@ def _projector(ket):
     return p
 
 
-_SQ2 = np.sqrt(2.0)
 # basis -> (alpha label, beta label, alpha projector, beta projector)
 BASES = {
     "HV": ("H", "V", _projector([1, 0]), _projector([0, 1])),
@@ -117,8 +116,8 @@ class IntensityRecord:
     def __post_init__(self):
         if self.basis not in BASES:
             raise QuantumValueError(f"unknown basis {self.basis!r}")
-        if self.i_alpha < 0.0 or self.i_beta < 0.0:
-            raise QuantumValueError("intensities must be nonnegative")
+        if not (0.0 <= self.i_alpha < np.inf and 0.0 <= self.i_beta < np.inf):
+            raise QuantumValueError("intensities must be finite and nonnegative")
 
 
 def _intensities(stack, projectors, noise_sigma, xi):
@@ -156,6 +155,14 @@ def _densities(vec, s0=1.0):
     return 0.5 * (s0 * ID2 + sum(vec[..., j, None, None] * p for j, p in enumerate(PAULIS))), norm
 
 
+def _read_out(basis, i_a, i_b):
+    # the record of a validated state's port intensities, not checked again: a state that
+    # skipped its checks then fails at reconstruct, as it does in tomography_stack
+    record = object.__new__(IntensityRecord)
+    record.__dict__.update(basis=basis, i_alpha=i_a, i_beta=i_b)
+    return record
+
+
 def measure(rho, basis, noise_sigma=0.0, rng=None):
     """Project rho onto one basis pair and return the port intensities.
 
@@ -168,13 +175,13 @@ def measure(rho, basis, noise_sigma=0.0, rng=None):
         raise QuantumValueError(f"unknown basis {basis!r}")
     j = 2 * _ORDER.index(basis)
     i_a, i_b = _measured(rho, _PROJECTORS[j:j + 2], noise_sigma, rng).tolist()
-    return IntensityRecord(basis=basis, i_alpha=i_a, i_beta=i_b)
+    return _read_out(basis, i_a, i_b)
 
 
 def measure_all(rho, noise_sigma=0.0, rng=None):
     """Measure all three bases; one record each, in HV, DAD, RL order."""
     i = _measured(rho, _PROJECTORS, noise_sigma, rng).reshape(3, 2).tolist()
-    return tuple(IntensityRecord(b, i_a, i_b) for b, (i_a, i_b) in zip(_ORDER, i))
+    return tuple(_read_out(b, i_a, i_b) for b, (i_a, i_b) in zip(_ORDER, i))
 
 
 def stokes_from_intensities(records):

@@ -8,6 +8,7 @@ of a stack while the other rows go on, naming the failing stroke.
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,11 +16,29 @@ import pytest
 import ottosim.optics as optics_mod
 import ottosim.runner as runner_mod
 from ottosim.circuit import compile_program, parse
-from ottosim.optics import kappa_from_theta_deg
-from ottosim.qcore import QuantumValueError, entropies, spectra
+from ottosim.optics import (
+    compression_unitary,
+    dephasing_stack,
+    expansion_unitary,
+    kappa_from_theta_deg,
+)
+from ottosim.qcore import (
+    TOL,
+    DensityOperator,
+    QuantumValueError,
+    density_errors,
+    density_spectra,
+    entropies,
+    first_errors,
+    spectra,
+    support_weights,
+    trace_path,
+    wrap_validated,
+)
 from ottosim.runner import (
     DEFAULT_THETAS,
     SNAPSHOT_LABELS,
+    CycleError,
     CycleResult,
     SweepConfig,
     SweepReport,
@@ -27,8 +46,21 @@ from ottosim.runner import (
     run_cycle,
     run_sweep,
 )
-from ottosim.thermo import CycleLedger, hamiltonian, thermal_matrices
-from ottosim.tomography import measure_all, reconstruct, stokes_from_intensities
+from ottosim.thermo import (
+    CycleLedger,
+    closed_form_energies,
+    expectations,
+    hamiltonian,
+    hot_x_from_kappa,
+    ledger_columns,
+    thermal_matrices,
+)
+from ottosim.tomography import (
+    measure_all,
+    reconstruct,
+    stokes_from_intensities,
+    tomography_stack,
+)
 
 GRID_200 = tuple(45.0 * k / 199 for k in range(200))
 ROW = DEFAULT_THETAS.index(22.5)  # position of the corrupted row in every stack
@@ -36,7 +68,7 @@ ROW = DEFAULT_THETAS.index(22.5)  # position of the corrupted row in every stack
 
 def _row_key(row):
     ledger = row.ledger
-    values = [getattr(ledger, name) for name in ledger.__dataclass_fields__]
+    values = [getattr(ledger, name) for name in ledger._fields]
     return (
         [repr(v) for v in values + [row.theta_deg, row.max_delta_vs_closed_form]],
         {label: state.matrix.tobytes() for label, state in row.snapshots.items()},
@@ -112,35 +144,59 @@ def test_sweep_wide_failure_fails_every_row():
 # -- one corrupted row per gate ------------------------------------------------
 
 
-def _corrupt_nth_stack(monkeypatch, owner, name, nth, change):
-    """Patch ``owner.name`` so that its nth call on a stack of all rows has row ROW changed."""
+def _corrupt_nth_stack(monkeypatch, owner, name, nth, change, part=0, parts=1):
+    """Patch ``owner.name`` so that its nth call on a stack of all rows has row ROW changed.
+
+    A call on ``parts`` stacks of all rows stacked as one (the engine's
+    [B->C; C->D; D->A] joint stack, say) changes row ROW of stack ``part``.
+    """
     original = getattr(owner, name)
     calls = []
 
     def patched(*args, **kwargs):
         out = original(*args, **kwargs)
-        if np.ndim(out) == 3 and len(out) == len(DEFAULT_THETAS):
+        if np.ndim(out) == 3 and len(out) == parts * len(DEFAULT_THETAS):
             calls.append(None)
             if len(calls) == nth:
                 out = out.copy()
-                out[ROW] = change(out[ROW])
+                at = part * len(DEFAULT_THETAS) + ROW
+                out[at] = change(out[at])
         return out
 
     monkeypatch.setattr(owner, name, patched)
 
 
-def _corrupt_block(monkeypatch, inverse, change):
-    """Patch the engine's block builder: row ROW of the PD (or IPD) stack changed, no error."""
-    original = runner_mod.dephasing_stack
+def _corrupt_block(monkeypatch, inverse, change, row=ROW):
+    """Patch the engine's block builder: row ``row`` of the PD (or IPD) stack changed, no error."""
+    original = runner_mod.dephasing_pair
 
-    def patched(theta_v, *args, **kwargs):
-        u, kraus, errors = original(theta_v, *args, **kwargs)
-        if kwargs.get("inverse", False) == inverse:
-            u = u.copy()
-            u[ROW] = change(u[ROW])
-        return u, kraus, errors
+    def patched(theta_v):
+        blocks = list(original(theta_v))
+        u = blocks[inverse] = blocks[inverse].copy()
+        u[row] = change(u[row])
+        return tuple(blocks)
 
-    monkeypatch.setattr(runner_mod, "dephasing_stack", patched)
+    monkeypatch.setattr(runner_mod, "dephasing_pair", patched)
+
+
+def _skew_path_coherence(monkeypatch, part):
+    """Before the engine traces out the path, add 1e-6 to one path-coherence entry of row ROW
+    of its joint stack ``part`` (B->C, C->D, D->A): the joint state is no longer Hermitian
+    while its reduced polarization state, which never reads that entry, is unchanged."""
+    original = runner_mod.trace_path
+
+    def patched(stack):
+        stack[part * len(DEFAULT_THETAS) + ROW, 0, 1] += 1e-6  # <H, k0| . |H, k1>
+        return original(stack)
+
+    monkeypatch.setattr(runner_mod, "trace_path", patched)
+
+
+def _lossy_ipd_phase(monkeypatch):
+    """Row ROW of the IPD's zero-phase PZT stage (used by no other block) scaled by 1.01."""
+    stage = np.array([optics_mod._PHASE_0] * len(DEFAULT_THETAS))
+    stage[ROW] *= 1.01
+    monkeypatch.setattr(optics_mod, "_PHASE_0", stage)
 
 
 def _break_kraus(monkeypatch):
@@ -168,8 +224,11 @@ GATES = {
                      "stroke B->C: PD block not unitary"),
     "joint state": (lambda mp: _corrupt_block(mp, False, lambda u: 1.01 * u),
                     "stroke B->C: trace"),
+    "B->C joint": (lambda mp: _skew_path_coherence(mp, 0), "stroke B->C: not Hermitian"),
+    "C->D joint": (lambda mp: _skew_path_coherence(mp, 1), "stroke C->D: not Hermitian"),
+    "D->A joint": (lambda mp: _skew_path_coherence(mp, 2), "stroke D->A: not Hermitian"),
     "reduced state": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "trace_path", 1,
-                                                    lambda m: m + [[0, 1e-6], [0, 0]]),
+                                                    lambda m: m + [[0, 1e-6], [0, 0]], 0, 3),
                       "stroke B->C: not Hermitian"),
     "hot target": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "thermal_matrices", 1,
                                                  lambda m: np.diag([1.1, -0.1])),
@@ -177,12 +236,10 @@ GATES = {
     "hot support": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "thermal_matrices", 1,
                                                   _pure),
                     "stroke B->C: support violation"),
-    "spectrum": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "trace_path", 2,
-                                               lambda m: 0.5 * np.eye(2)),
+    "spectrum": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "trace_path", 1,
+                                               lambda m: 0.5 * np.eye(2), 1, 3),
                  "stroke C->D: not unitary, spectrum moved"),
-    "ipd unitarity": (lambda mp: _corrupt_nth_stack(mp, optics_mod, "_arm_stage", 2,
-                                                    lambda m: 1.01 * m),
-                      "stroke D->A: IPD block not unitary"),
+    "ipd unitarity": (_lossy_ipd_phase, "stroke D->A: IPD block not unitary"),
     "closure": (lambda mp: _corrupt_block(mp, True, lambda u: np.eye(4)),
                 "stroke D->A: cycle failed to close"),
 }
@@ -354,7 +411,7 @@ def test_columnar_ledger_equals_the_per_row_tail(config):
     assert report.rows
     for row in report.rows:
         ledger = row.ledger
-        got = [repr(getattr(ledger, name)) for name in ledger.__dataclass_fields__]
+        got = [repr(getattr(ledger, name)) for name in ledger._fields]
         assert got + [repr(row.max_delta_vs_closed_form)] == _ledger_ref(
             exact[row.theta_deg], config.n, config.x_c), row.theta_deg
     if config.x_c == 40.0:
@@ -380,3 +437,215 @@ def test_csv_rows_format_each_value_with_g12():
     for rows in ((row,), report.rows):
         lines = emit(SweepReport(rows=rows, failures={}, metadata={})).decode().splitlines()[1:]
         assert lines == [",".join(f"{v:.12g}" for v in runner_mod._row_values(r)) for r in rows]
+
+
+# -- the deferred checks against the stroke-by-stroke engine they replaced ------
+
+
+class _Rows:
+    """Positions of the rows still running and the error of each row that stopped."""
+
+    def __init__(self, count):
+        self.index = np.arange(count)
+        self.errors = {}
+
+    def keep(self, stroke, bad, *stacks):
+        """Stop the rows at the positions in ``bad``; return ``stacks`` without them."""
+        if not bad:
+            return stacks
+        mask = np.ones(len(self.index), dtype=bool)
+        for pos, message in bad.items():
+            self.errors[int(self.index[pos])] = CycleError(f"stroke {stroke}: {message}")
+            mask[pos] = False
+        self.index = self.index[mask]
+        return tuple(stack[mask] for stack in stacks)
+
+
+def _reference_spectrum_errors(lam_a, lam_b):
+    gap = np.abs(lam_a - lam_b).max(axis=-1)
+    return {i: f"not unitary, spectrum moved by {gap[i]:.3g}"
+            for i in np.flatnonzero(~(gap <= 1e-10)).tolist()}
+
+
+def _reference_closure_errors(rho_end, rho_start):
+    defect = np.abs(rho_end - rho_start).max(axis=(-2, -1))
+    return {i: f"cycle failed to close, defect {defect[i]:.3g}"
+            for i in np.flatnonzero(~(defect <= TOL["cycle_closure"])).tolist()}
+
+
+def _reference_fixed_part(config):
+    params = config.params()
+    f = SimpleNamespace(params=params, n=params.n, x_c=params.x_c,
+                        h_cold=hamiltonian(1.0), h_hot=hamiltonian(params.n))
+    rho_a = thermal_matrices([params.x_c])[0]
+    try:
+        u_e = expansion_unitary(f.n, config.omega0_tau).matrix
+    except QuantumValueError as exc:
+        DensityOperator(rho_a)
+        raise CycleError(f"stroke A->B: {exc}") from exc
+    states = np.array([rho_a, u_e @ rho_a @ u_e.conj().T])
+    states.flags.writeable = False
+    lam, spec, vec, bad = density_spectra(states)
+    if 0 in bad:
+        raise QuantumValueError(bad[0])
+    if 1 in bad:
+        raise CycleError(f"stroke A->B: {bad[1]}")
+    moved = _reference_spectrum_errors(lam[:1], lam[1:])
+    if moved:
+        raise CycleError(f"stroke A->B: {moved[0]}")
+    f.rho_a, f.rho_b = states
+    e_a_cold, f.e_b_hot = expectations(np.array([f.h_cold, f.h_hot]), states).tolist()
+    f.w_ab = f.e_b_hot - e_a_cold
+    f.s_cold, f.s_b = entropies(spec)
+    f.spec_cold, f.vec_cold = spec[:1], vec[:1]
+    f.joint_b = np.kron(f.rho_b, np.diag([1.0, 0.0]).astype(complex))
+    f.k_c = np.kron(compression_unitary(f.n, config.omega0_tau).matrix, np.eye(2, dtype=complex))
+    return f
+
+
+def _reference_cycle_rows(thetas, config):
+    """The engine before its checks were deferred: each stroke runs on the rows that
+    passed the one before, and ``_Rows.keep`` drops a row at its first failed check."""
+    try:
+        f = _reference_fixed_part(config)
+    except (CycleError, QuantumValueError) as exc:
+        return {}, dict.fromkeys(range(len(thetas)), exc)
+    kappa = kappa_from_theta_deg(thetas)
+    x_h, r = np.array([hot_x_from_kappa(k, f.params) for k in kappa.tolist()]).reshape(-1, 2).T
+    rows = _Rows(len(thetas))
+    theta_v = np.array([math.radians(theta) for theta in thetas])
+
+    pd, _, bad_pd = dephasing_stack(theta_v)
+    joint = (pd @ f.joint_b) @ pd.conj().swapaxes(-1, -2)
+    rho_c = trace_path(joint)
+    lam_c, bad_c = density_errors(rho_c)
+    _, spec_h, vec_h, bad_h = density_spectra(thermal_matrices(x_h.tolist()))
+    theta_v, joint, rho_c, lam_c, spec_h = rows.keep("B->C", first_errors(
+        bad_pd, density_errors(joint)[1], bad_c, bad_h,
+        support_weights(f.rho_b, spec_h, vec_h)[1],
+    ), theta_v, joint, rho_c, lam_c, spec_h)
+
+    joint = (f.k_c @ joint) @ f.k_c.conj().T
+    rho_d = trace_path(joint)
+    lam_d, spec_d, _, bad_d = density_spectra(rho_d)
+    theta_v, joint, rho_c, rho_d, spec_h, spec_d = rows.keep("C->D", first_errors(
+        density_errors(joint)[1], bad_d, _reference_spectrum_errors(lam_c, lam_d),
+    ), theta_v, joint, rho_c, rho_d, spec_h, spec_d)
+
+    ipd, _, bad_ipd = dephasing_stack(theta_v, inverse=True)
+    joint = (ipd @ joint) @ ipd.conj().swapaxes(-1, -2)
+    rho_a2 = trace_path(joint)
+    theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d = rows.keep("D->A", first_errors(
+        bad_ipd, density_errors(joint)[1], density_errors(rho_a2)[1],
+        support_weights(rho_d, f.spec_cold, f.vec_cold)[1],
+        _reference_closure_errors(rho_a2, f.rho_a),
+    ), theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d)
+
+    e_c_hot = expectations(f.h_hot, rho_c)
+    e_d_cold = expectations(f.h_cold, rho_d)
+    q_bc = e_c_hot - f.e_b_hot
+    w_cd = e_d_cold - e_c_hot
+    q_da = expectations(f.h_cold, rho_a2) - e_d_cold
+    sig_e = (np.array(entropies(spec_h)) - f.s_b) - x_h[rows.index] * (q_bc / f.n)
+    sig_c = (f.s_cold - np.array(entropies(spec_d))) - f.x_c * q_da
+    energies = np.stack(np.broadcast_arrays(f.w_ab, q_bc, w_cd, q_da))
+    closed = closed_form_energies(kappa[rows.index], f.params)
+    columns = np.vstack([
+        ledger_columns(theta_v, kappa[rows.index], r[rows.index], energies, sig_e, sig_c),
+        np.abs(energies - closed).max(axis=0)]).T.tolist()
+
+    for stack in (rho_c, rho_d, rho_a2):
+        stack.flags.writeable = False
+    taps, tap_errors = np.broadcast_arrays(f.rho_a, f.rho_b, rho_c, rho_d, rho_a2), {}
+    if config.noise_sigma > 0.0:
+        streams = np.random.SeedSequence(config.seed).spawn(len(thetas))
+        taps, tap_errors = tomography_stack(np.stack(taps, axis=1), config.noise_sigma, [
+            np.random.default_rng(streams[i]) for i in rows.index.tolist()])
+        taps = taps.swapaxes(0, 1)
+    results = {}
+    for k, (i, values) in enumerate(zip(rows.index.tolist(), columns)):
+        if k in tap_errors:
+            rows.errors[i] = QuantumValueError(tap_errors[k])
+            continue
+        results[i] = CycleResult(
+            theta_deg=float(thetas[i]),
+            ledger=CycleLedger(*values[:-1]),
+            snapshots={label: wrap_validated(stack[k], label)
+                       for label, stack in zip(SNAPSHOT_LABELS, taps)},
+            max_delta_vs_closed_form=values[-1],
+        )
+    return results, rows.errors
+
+
+def _outcome(engine, config):
+    """Each row's ledger reprs and labeled snapshot bytes, each stopped row's error and
+    all warnings."""
+    (results, errors), caught = _recorded(engine, config.theta_list_deg, config)
+    rows = {i: (_row_key(row), [state.label for state in row.snapshots.values()])
+            for i, row in results.items()}
+    return rows, {i: (type(exc), str(exc)) for i, exc in errors.items()}, caught
+
+
+def _engine_configs():
+    yield SweepConfig()
+    yield SweepConfig(theta_list_deg=tuple(45.0 * k / 999 for k in range(1000)))
+    for x_c in (14.0, 40.0):
+        yield SweepConfig(x_c=x_c)
+    for omega0_tau in (-1.0, math.inf):
+        yield SweepConfig(omega0_tau=omega0_tau)
+    yield SweepConfig(n=1e308)
+    for sigma in (0.02, 0.1, 0.25, 0.5, 1.0):
+        for seed in (0, 3, 7):
+            yield SweepConfig(noise_sigma=sigma, seed=seed)
+    rng = np.random.default_rng(9)
+    for _ in range(80):
+        thetas = tuple(rng.uniform(0.0, 45.0, int(rng.integers(1, 40))).tolist())
+        if rng.random() < 0.5:
+            thetas = (0.0, 45.0, 22.5) + thetas
+        yield SweepConfig(theta_list_deg=thetas,
+                          n=float(rng.choice([1.05, 2.0, 37.0, 1e4, 1e7])),
+                          x_c=float(rng.uniform(0.05, 13.0) if rng.random() < 0.5
+                                    else rng.uniform(13.0, 25.0)),
+                          omega0_tau=float(rng.uniform(0.0, 2 * math.pi)),
+                          noise_sigma=float(rng.choice([0.0, 0.0, 0.05, 0.3])),
+                          seed=int(rng.integers(0, 100)))
+
+
+ENGINE_CONFIGS = list(_engine_configs())
+
+
+@pytest.mark.parametrize("batch", range(8))
+def test_deferred_checks_equal_the_stroke_by_stroke_engine(batch):
+    # 102 sweeps: the default and a 1000-angle grid, x_c 14 and 40, omega0*tau -1 and inf,
+    # n = 1e308, 15 noisy configs and 80 random ones, a thirteen-sweep slice per batch
+    assert len(ENGINE_CONFIGS) == 102
+    for config in ENGINE_CONFIGS[batch::8]:
+        rows, errors, caught = _outcome(runner_mod._cycle_rows, config)
+        assert (rows, errors, caught) == _outcome(_reference_cycle_rows, config), config
+        assert set(rows) | set(errors) == set(range(len(config.theta_list_deg)))
+
+
+def test_a_row_reports_its_first_failed_stroke(monkeypatch):
+    # the 22.5 deg row breaks at B->C, and its later strokes are broken too: a spectrum
+    # that moves at C->D and a NaN inverted block at D->A; the 37 deg row breaks at D->A only
+    clean = run_sweep()
+    last = DEFAULT_THETAS.index(37.0)
+    _corrupt_block(monkeypatch, False, lambda u: 1.01 * u)
+    _corrupt_nth_stack(monkeypatch, runner_mod, "trace_path", 1, lambda m: 0.5 * np.eye(2), 1, 3)
+    _corrupt_block(monkeypatch, True, lambda u: np.full_like(u, np.nan))
+    _corrupt_block(monkeypatch, True, lambda u: np.eye(4), row=last)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_sweep()
+    assert list(report.failures) == ["22.5", "37"]
+    assert report.failures["22.5"].startswith("stroke B->C: trace"), report.failures
+    assert report.failures["37"].startswith("stroke D->A: cycle failed to close"), report.failures
+    assert [_row_key(row) for row in report.rows] == [
+        _row_key(row) for row in clean.rows if row.theta_deg not in (22.5, 37.0)]
+
+
+def test_noiseless_rows_share_their_fixed_snapshots():
+    rows = run_sweep().rows
+    for label in ("TA", "TB"):
+        assert len({id(row.snapshots[label]) for row in rows}) == 1
+    assert len({id(row.snapshots["TC"]) for row in rows}) == len(rows)

@@ -2,12 +2,14 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from ottosim.qcore import (
     ID2,
+    ID4,
     KET_PSI_RC,
     SIGMA_Y,
     DensityOperator,
@@ -361,6 +363,38 @@ class TestStackedChecks:
         assert density_spectra(np.array([0.5 * ID2, nan]))[3] == {1: "not Hermitian: defect nan"}
         with pytest.raises(QuantumValueError, match="not Hermitian: defect nan"):
             DensityOperator(nan)
+
+    @pytest.mark.parametrize("value, defect", [(np.nan, "nan"), (np.inf, "nan"), (-np.inf, "nan"),
+                                               ("inf off the diagonal", "inf")])
+    def test_non_finite_4x4_state_fails_hermiticity_not_lapack(self, value, defect):
+        # LAPACK cannot decompose a 4x4 matrix holding NaN or inf; such a slice is not
+        # decomposed and fails the Hermiticity check, which is reported first, with no warning
+        bad = np.zeros((4, 4), dtype=complex)
+        if isinstance(value, str):
+            bad[0, 1] = np.inf
+        else:
+            bad[:] = value
+        stack = np.array([0.25 * ID4, bad, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)])
+        message = f"not Hermitian: defect {defect}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuantumValueError) as info:
+                DensityOperator(bad)
+            assert str(info.value) == message
+            with pytest.raises(QuantumValueError, match=message):
+                density_operators([0.25 * ID4, bad], ["a", "b"])
+            lam, errors = density_errors(stack)
+            assert errors == {1: message}
+            lam_h, spec, vec, both = density_spectra(stack)
+            assert both == errors
+            spec_s, vec_s, bad_herm = spectra(stack)
+            assert bad_herm == {1: f"eig_herm needs a Hermitian matrix: defect {defect}"}
+        # the finite slices keep the bits of their own decomposition; the other one is NaN
+        good = stack[[0, 2]]
+        assert lam[[0, 2]].tobytes() == np.linalg.eigvalsh(good).tobytes()
+        assert lam_h[[0, 2]].tobytes() == np.linalg.eigh(good)[0].tobytes()
+        assert vec[[0, 2]].tobytes() == vec_s[[0, 2]].tobytes() == spectra(good)[1].tobytes()
+        assert all(np.isnan(a[1]).all() for a in (lam, lam_h, spec, vec, spec_s, vec_s))
 
     def test_nan_fails_the_kraus_check(self):
         bad = [np.diag([1.0, np.nan]), np.diag([0.0, 0.8])]

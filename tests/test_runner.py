@@ -150,16 +150,16 @@ class TestRunSweep:
     def test_failure_markers(self, monkeypatch):
         import ottosim.runner as runner_mod
 
-        original = runner_mod.dephasing_stack
+        original = runner_mod.dephasing_pair
 
-        def flaky(theta_v, *args, **kwargs):
-            # reports an error for the 16 deg row of every stack it builds
-            u, kraus, errors = original(theta_v, *args, **kwargs)
+        def flaky(theta_v):
+            # reports an error for the 16 deg row of both blocks it builds
+            pd, ipd, kraus, bad_pd, bad_ipd = original(theta_v)
             for i in np.flatnonzero(np.abs(theta_v - math.radians(16.0)) < 1e-12).tolist():
-                errors[i] = "injected fault"
-            return u, kraus, errors
+                bad_pd[i] = bad_ipd[i] = "injected fault"
+            return pd, ipd, kraus, bad_pd, bad_ipd
 
-        monkeypatch.setattr(runner_mod, "dephasing_stack", flaky)
+        monkeypatch.setattr(runner_mod, "dephasing_pair", flaky)
         report = run_sweep()
         assert len(report.rows) == 6
         assert list(report.failures) == ["16"]
@@ -208,6 +208,13 @@ class TestEmit:
             load_report(json.dumps(doc))
         assert str(loaded.value) == expected(snaps[1]["TD"])
         assert str(loaded.value).startswith("not Hermitian: defect")
+
+    def test_load_report_rejects_a_non_finite_4x4_snapshot(self):
+        # a JSON NaN in a 4x4 snapshot fails its Hermiticity check instead of LAPACK
+        doc = json.loads(emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5))), "json"))
+        doc["snapshots"]["22.5"]["TC"] = [[[math.nan, 0.0]] * 4] * 4
+        with pytest.raises(QuantumValueError, match="^not Hermitian: defect nan$"):
+            load_report(json.dumps(doc))
 
     def test_loaded_snapshots_are_labeled_and_frozen(self):
         loaded = load_report(emit(run_sweep(SweepConfig(noise_sigma=0.01, seed=5)), "json"))
@@ -381,6 +388,14 @@ class TestCli:
         data = tmp_path / "bad.txt"
         data.write_text("HV 1\n")
         assert cli.main(["tomo", str(data)]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_tomo_bad_intensity_names_its_line(self, tmp_path, capsys, value):
+        data = tmp_path / "intensities.txt"
+        data.write_text(f"HV 0.5 0.5\nDAD 0.5 {value}\nRL 0.0 1.0\n")
+        assert cli.main(["tomo", str(data)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}:2: intensities must be finite and nonnegative\n")
 
     def test_golden_passes(self, capsys):
         assert cli.main(["golden"]) == 0

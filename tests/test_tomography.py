@@ -112,6 +112,13 @@ class TestStokesFromIntensities:
         with pytest.raises(QuantumValueError, match="zero total"):
             stokes_from_intensities(records)
 
+    @pytest.mark.parametrize("i_alpha, i_beta", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                                                 (0.5, math.inf), (-0.1, 0.5), (0.5, -math.inf)])
+    def test_intensities_must_be_finite_and_nonnegative(self, i_alpha, i_beta):
+        with pytest.raises(QuantumValueError, match="^intensities must be finite and nonnegative$"):
+            IntensityRecord("HV", i_alpha, i_beta)
+        assert IntensityRecord("HV", 0.0, 1e308).i_beta == 1e308
+
     def test_duplicate_and_missing_bases_rejected(self):
         with pytest.raises(QuantumValueError, match="duplicate"):
             stokes_from_intensities([IntensityRecord("HV", 1, 0)] * 2)
