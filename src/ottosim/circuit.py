@@ -262,31 +262,27 @@ class CompiledCircuit:
                           final=states[-1])
 
 
-def _lower(instructions, alphas):
+def _lower(instructions, where, joint, alphas):
     """The steps of a checked program, every matrix built once as part of a stack.
 
     One build per kind: the Jones matrices of all polarization elements
-    with one unitarity check and their joint-space lifts, all ``pd`` and all
-    ``ipd`` blocks with one ``dephasing_stack`` each, and all thermal
-    states.  ``alphas`` maps the position of each expand/compress to its
-    Jones parameter, the angle of its rotation.  A failed check raises
-    CircuitCompileError naming the first failing line.
+    with one unitarity check and their joint-space lifts, all ``pd`` and
+    ``ipd`` blocks with one ``dephasing_blocks`` call, and all thermal
+    states.  ``where`` maps each kind (``init`` for ``init rc``,
+    ``thermal`` for ``init thermal``, or the op) to the positions of its
+    instructions, ``joint`` tells per position whether the ancilla is
+    active after it, and ``alphas`` maps the position of each
+    expand/compress to its Jones parameter, the angle of its rotation.  A
+    failed check raises CircuitCompileError naming the first failing line.
     """
-    where = {op: [] for op in ("hwp", "qwp", "rot", "pd", "ipd", "thermal")}
-    joint, active = [], False
-    for k, instr in enumerate(instructions):
-        op = "thermal" if instr.op == "init" and instr.args[0] == "thermal" else instr.op
-        if op in where:
-            where[op].append(k)
-        active = op == "pd" or active and op != "ipd"
-        joint.append(active)
-
     def values(op):
         return np.array([instructions[k].args[-1] for k in where[op]], dtype=float)
 
-    # init rc and tomo steps; the others are filled in below
-    steps = [("init", _RHO_RC, None) if instr.op == "init" else ("tomo", instr.args[0], None)
-             for instr in instructions]
+    steps = [None] * len(instructions)
+    for k in where["init"]:
+        steps[k] = ("init", _RHO_RC, None)
+    for k in where["tomo"]:
+        steps[k] = ("tomo", instructions[k].args[0], None)
     pol = sorted(where["hwp"] + where["qwp"] + where["rot"] + list(alphas))
     slot = {k: i for i, k in enumerate(pol)}
     mats = np.empty((len(slot), 2, 2), dtype=complex)
@@ -297,10 +293,11 @@ def _lower(instructions, alphas):
              np.concatenate([np.deg2rad(values("rot")), list(alphas.values())]))):
         mats[[slot[k] for k in ks]] = build(angles)
     failures = [(pol[i], message) for i, message in
-                optics._unitarity_errors(mats, "polarization element")[0].items()]
-    for op in ("pd", "ipd"):
-        if where[op]:
-            u, _, errors = optics.dephasing_stack(np.deg2rad(values(op)), inverse=op == "ipd")
+                optics._unitarity_errors(mats, "polarization element").items()]
+    if where["pd"] or where["ipd"]:
+        pd, ipd, _, bad_pd, bad_ipd = optics.dephasing_blocks(np.deg2rad(values("pd")),
+                                                              np.deg2rad(values("ipd")))
+        for op, u, errors in (("pd", pd, bad_pd), ("ipd", ipd, bad_ipd)):
             failures += [(where[op][i], message) for i, message in errors.items()]
             for k, block in zip(where[op], zip(u, u.conj().swapaxes(-1, -2))):
                 steps[k] = (op, *block)
@@ -336,27 +333,25 @@ def compile_program(program):
     dim = None
     labels = set()
     alphas = {}
+    where = {kind: [] for kind in ("init", "thermal", *_SIGNATURES)}
+    joint = []      # per position: the ancilla is active after it
     for k, instr in enumerate(program.instructions):
         op = instr.op
+        if dim is None and op not in ("init", "ipd"):
+            raise CircuitCompileError(f"line {instr.line}: {op} before any init")
         if op == "init":
             if dim == 4:
                 raise CircuitCompileError(
                     f"line {instr.line}: init while the ancilla is still active"
                 )
             dim = 2
-        elif op in ("hwp", "qwp", "rot"):
-            if dim is None:
-                raise CircuitCompileError(f"line {instr.line}: {op} before any init")
+            op = "thermal" if instr.args[0] == "thermal" else op
         elif op in ("expand", "compress"):
-            if dim is None:
-                raise CircuitCompileError(f"line {instr.line}: {op} before any init")
             try:
                 alphas[k] = optics._jones_parameter(instr.args[0], math.radians(instr.args[1]))
             except QuantumValueError as exc:
                 raise CircuitCompileError(f"line {instr.line}: {exc}") from exc
         elif op == "pd":
-            if dim is None:
-                raise CircuitCompileError(f"line {instr.line}: pd before any init")
             if dim == 4:
                 raise CircuitCompileError(
                     f"line {instr.line}: pd while the ancilla is already active"
@@ -369,14 +364,14 @@ def compile_program(program):
                 )
             dim = 2
         elif op == "tomo":
-            if dim is None:
-                raise CircuitCompileError(f"line {instr.line}: tomo before any init")
             if instr.args[0] in labels:
                 raise CircuitCompileError(
                     f"line {instr.line}: duplicate tap label {instr.args[0]!r}"
                 )
             labels.add(instr.args[0])
-    return CompiledCircuit(program, _lower(program.instructions, alphas))
+        where[op].append(k)
+        joint.append(dim == 4)
+    return CompiledCircuit(program, _lower(program.instructions, where, joint, alphas))
 
 
 def _fmt_angle(value):

@@ -32,8 +32,7 @@ __all__ = [
     "pbs_matrix",
     "pd_block",
     "ipd_block",
-    "dephasing_stack",
-    "dephasing_pair",
+    "dephasing_blocks",
     "expansion_unitary",
     "compression_unitary",
     "kappa_from_theta_deg",
@@ -44,14 +43,12 @@ _P1 = np.diag([0, 1]).astype(complex)
 _QWP_AXES = np.diag([1.0, 1.0j])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpticalElement:
-    """A single unitary element: its kind, parameter and target space."""
+    """A single checked unitary element; ``kind`` (HWP | QWP | ROT) names it in messages."""
 
-    kind: str                 # HWP | QWP | PBS | PHASE | ROT
-    angle_or_phase: float     # radians
-    target: str               # "polarization" | "path" | "joint"
-    matrix: np.ndarray = field(compare=False)
+    kind: str
+    matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -60,17 +57,25 @@ class OpticalElement:
         object.__setattr__(self, "matrix", m)
 
 
-def _unitarity_errors(stack, *whats):
-    # position -> message for each slice that is not unitary, one dict per name: an
-    # (N, d, d) stack takes one name, a (K, N, d, d) stack one name per (N, d, d) part
+def _unitarity_defects(stack):
+    # max-norm defect of U^dag U - 1 per slice of an (N, d, d) stack
     defect = np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))
-    return [{i: f"{what} not unitary: defect {part[i]:.3g}"
-             for i in np.flatnonzero(~(part <= TOL["unitary"])).tolist()}
-            for what, part in zip(whats, defect.max(axis=(-2, -1)).reshape(len(whats), -1))]
+    return defect.max(axis=(-2, -1))
+
+
+def _not_unitary(defect, what):
+    # position -> message for each defect above TOL["unitary"], NaN included
+    return {i: f"{what} not unitary: defect {defect[i]:.3g}"
+            for i in np.flatnonzero(~(defect <= TOL["unitary"])).tolist()}
+
+
+def _unitarity_errors(stack, what):
+    # position -> message for each slice of an (N, d, d) stack that is not unitary
+    return _not_unitary(_unitarity_defects(stack), what)
 
 
 def _check_unitary(m, what):
-    errors = _unitarity_errors(m[None], what)[0]
+    errors = _unitarity_errors(m[None], what)
     if errors:
         raise QuantumValueError(errors[0])
 
@@ -105,17 +110,17 @@ def _kron_slices(a, b):
 
 def hwp(theta):
     """Half-wave plate with matrix entries evaluated directly at theta."""
-    return OpticalElement("HWP", float(theta), "polarization", _hwp_matrix(theta))
+    return OpticalElement("HWP", _hwp_matrix(theta))
 
 
 def rotation(alpha):
     """Polarization rotation exp(-i alpha sigma_y), an SO(2) Jones matrix."""
-    return OpticalElement("ROT", float(alpha), "polarization", _rotation_matrix(alpha))
+    return OpticalElement("ROT", _rotation_matrix(alpha))
 
 
 def qwp(theta):
     """Quarter-wave plate at axis angle theta."""
-    return OpticalElement("QWP", float(theta), "polarization", _qwp_matrix(theta))
+    return OpticalElement("QWP", _qwp_matrix(theta))
 
 
 def pbs_matrix():
@@ -148,18 +153,17 @@ _FLIP_PBS_PHASE = _frozen((_FLIP @ _PBS) @ _PHASE_0)
 
 @dataclass(frozen=True)
 class ChannelBlock:
-    """A composite block in dilation (joint unitary) and/or Kraus form."""
+    """A composite block as its checked dilation (joint unitary), with its Kraus form if any."""
 
     name: str
-    unitary: np.ndarray | None = field(default=None, compare=False)
+    unitary: np.ndarray = field(compare=False)
     kraus: KrausSet | None = None
 
     def __post_init__(self):
-        if self.unitary is not None:
-            u = np.asarray(self.unitary, dtype=complex)
-            _check_unitary(u, f"{self.name} block")
-            u.flags.writeable = False
-            object.__setattr__(self, "unitary", u)
+        u = np.asarray(self.unitary, dtype=complex)
+        _check_unitary(u, f"{self.name} block")
+        u.flags.writeable = False
+        object.__setattr__(self, "unitary", u)
 
 
 def _kraus_pairs(theta_v):
@@ -176,16 +180,6 @@ def _arm_stage(arm_v):
     return _ARM_H + _kron_slices(arm_v, _P1)
 
 
-def _arm_plates(theta_v):
-    # what both blocks share: the angles, their range check and the arm-plate stage, checked
-    theta_v = np.asarray(theta_v, dtype=float)
-    in_range = (theta_v >= 0.0) & (theta_v <= np.pi / 4 + 1e-15)
-    bad_range = {i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]"
-                 for i in np.flatnonzero(~in_range).tolist()}
-    arm_v = _hwp_matrix(np.pi - 2.0 * theta_v)
-    return theta_v, _arm_stage(arm_v), bad_range, _unitarity_errors(arm_v, "HWP element")[0]
-
-
 def _pd_product(arms):
     return (_FLIP_PBS_PHASE @ arms) @ _PBS
 
@@ -194,36 +188,38 @@ def _ipd_product(arms):
     return (((_PBS @ arms) @ _PHASE_0) @ _PBS) @ _FLIP
 
 
-def dephasing_stack(theta_v, inverse=False):
-    """Dilation unitaries of the PD (or, with ``inverse``, IPD) block per angle.
+def dephasing_blocks(pd_theta, ipd_theta):
+    """Dilation unitaries of a PD block per angle of ``pd_theta`` and an IPD block per angle of
+    ``ipd_theta`` (radians; either list may be empty).
 
-    ``theta_v`` is a sequence of wave-plate angles in radians.  The PD
-    circuit is PBS1 -> arm plates (H arm fixed, V arm at hwp(pi - 2 theta_v),
-    so |V> -> sin 2t |H> + cos 2t |V>) -> PZT at zero phase -> PBS2 -> HWP5;
-    the IPD is its mirror.  Returns (unitaries (N, 4, 4), Kraus pairs
-    (N, 2, 2, 2) or None for the IPD, errors): ``errors`` maps the position
-    of each angle that fails a check (angle range, Kraus completeness,
-    arm-plate and block unitarity, in that order) to its message.  The
-    stacked products keep the single-block product order, so each slice has
-    the bits of the block built alone.
+    The PD circuit is PBS1 -> arm plates (H arm fixed, V arm at
+    hwp(pi - 2 theta_v), so |V> -> sin 2t |H> + cos 2t |V>) -> PZT at zero
+    phase -> PBS2 -> HWP5; the IPD is its mirror.  Both lists share one
+    range check, one arm-plate build and check and one block unitarity
+    check.  Returns (pd (P, 4, 4), ipd (Q, 4, 4), the PD Kraus pairs
+    (P, 2, 2, 2), pd_errors, ipd_errors): each errors dict maps the position
+    in its list of each angle that fails a check (angle range, Kraus
+    completeness for a PD, arm-plate and block unitarity, in that order) to
+    its message.  The stacked products keep the single-block product order,
+    so each slice has the bits of the block built alone.
     """
-    theta_v, arms, bad_range, bad_arm = _arm_plates(theta_v)
-    if inverse:
-        u = _ipd_product(arms)
-        return u, None, first_errors(bad_range, bad_arm, _unitarity_errors(u, "IPD block")[0])
-    kraus, u = _kraus_pairs(theta_v), _pd_product(arms)
-    return u, kraus, first_errors(bad_range, kraus_errors(kraus), bad_arm,
-                                  _unitarity_errors(u, "PD block")[0])
-
-
-def dephasing_pair(theta_v):
-    """(pd, ipd, Kraus pairs, pd_errors, ipd_errors) per angle, each as :func:`dephasing_stack`
-    gives it, from one range check, one arm-plate build and check and one unitarity check."""
-    theta_v, arms, bad_range, bad_arm = _arm_plates(theta_v)
-    kraus, pd, ipd = _kraus_pairs(theta_v), _pd_product(arms), _ipd_product(arms)
-    bad_pd, bad_ipd = _unitarity_errors(np.stack([pd, ipd]), "PD block", "IPD block")
-    return (pd, ipd, kraus, first_errors(bad_range, kraus_errors(kraus), bad_arm, bad_pd),
-            first_errors(bad_range, bad_arm, bad_ipd))
+    pd_theta = np.asarray(pd_theta, dtype=float)
+    count = len(pd_theta)
+    theta_v = np.concatenate([pd_theta, ipd_theta])
+    in_range = (theta_v >= 0.0) & (theta_v <= np.pi / 4 + 1e-15)
+    arm_v = _hwp_matrix(np.pi - 2.0 * theta_v)
+    arms, kraus = _arm_stage(arm_v), _kraus_pairs(pd_theta)
+    pd, ipd = _pd_product(arms[:count]), _ipd_product(arms[count:])
+    defect = _unitarity_defects(np.concatenate([pd, ipd]))
+    # positions run over both lists, the PD angles first (the only ones with Kraus pairs)
+    errors = first_errors(
+        {i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]"
+         for i in np.flatnonzero(~in_range).tolist()},
+        kraus_errors(kraus), _unitarity_errors(arm_v, "HWP element"),
+        _not_unitary(defect[:count], "PD block"),
+        {count + i: message for i, message in _not_unitary(defect[count:], "IPD block").items()})
+    return (pd, ipd, kraus, {i: message for i, message in errors.items() if i < count},
+            {i - count: message for i, message in errors.items() if i >= count})
 
 
 def pd_block(theta_v):
@@ -234,7 +230,7 @@ def pd_block(theta_v):
     starts in k0 and is traced after), and the equivalent 2-dim Kraus pair
     diag(1, cos 2theta_v), diag(0, sin 2theta_v).
     """
-    u, kraus, errors = dephasing_stack([theta_v])
+    u, _, kraus, errors, _ = dephasing_blocks([theta_v], [])
     if errors:
         raise QuantumValueError(errors[0])
     return ChannelBlock("PD", unitary=u[0], kraus=KrausSet(kraus[0]))
@@ -247,7 +243,7 @@ def ipd_block(theta_v):
     PBS4) composes to the inverse of the dephasing unitary: with both PZTs
     at zero phase the joint composite satisfies ipd . pd = identity.
     """
-    u, _, errors = dephasing_stack([theta_v], inverse=True)
+    _, u, _, _, errors = dephasing_blocks([], [theta_v])
     if errors:
         raise QuantumValueError(errors[0])
     return ChannelBlock("IPD", unitary=u[0])

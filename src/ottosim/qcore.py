@@ -59,7 +59,6 @@ TOL = {
     "kraus": 1e-12,         # completeness defect of a Kraus set
     "unitary": 1e-12,       # unitarity defect of optical elements
     "eig_herm_input": 1e-10,    # Hermiticity required by eig_herm
-    "eig_reconstruct": 1e-10,   # ||V diag(lam) V^dag - m||_max
     "eig_clamp": 1e-14,     # eigenvalues below this are treated as 0 in logs
     "support": 1e-12,       # sigma eigenvalues below this count as outside support
     "dilation_vs_kraus": 1e-12,  # agreement of the two PD realizations

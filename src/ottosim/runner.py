@@ -35,11 +35,11 @@ import numpy as np
 
 from . import __version__
 from .circuit import compile_program, parse
-from .optics import _kron_slices, dephasing_pair, expansion_unitary, kappa_from_theta_deg
+from .optics import (_jones_parameter, _kron_slices, dephasing_blocks, expansion_unitary,
+                     kappa_from_theta_deg)
 from .qcore import (
     ID2,
     TOL,
-    DensityOperator,
     QuantumValueError,
     density_errors,
     density_operators,
@@ -136,6 +136,7 @@ class SweepConfig:
         if self.fmt not in ("csv", "json"):
             raise QuantumValueError(f"format must be csv or json, got {self.fmt!r}")
         EngineParams(n=self.n, x_c=self.x_c)  # range checks
+        _jones_parameter(self.n, self.omega0_tau)  # the A->B rotation angle must be finite
 
     def params(self):
         return EngineParams(n=self.n, x_c=self.x_c)
@@ -176,11 +177,7 @@ def _fixed_part(config):
                         h_cold=hamiltonian(1.0), h_hot=hamiltonian(params.n))
     # A: cold thermal state; A->B: expansion (work stroke), rho_B checked in one stack with rho_A
     rho_a = thermal_matrices([params.x_c])[0]
-    try:
-        u_e = expansion_unitary(f.n, config.omega0_tau).matrix
-    except QuantumValueError as exc:
-        DensityOperator(rho_a)  # a bad cold state is reported first, as thermal_state would
-        raise CycleError(f"stroke A->B: {exc}") from exc
+    u_e = expansion_unitary(f.n, config.omega0_tau).matrix
     states = np.array([rho_a, u_e @ rho_a @ u_e.conj().T])
     states.flags.writeable = False
     lam, spec, vec, bad = density_spectra(states)
@@ -224,7 +221,7 @@ def _cycle_rows(thetas, config):
     kappa = kappa_from_theta_deg(thetas)
     x_h = np.array(hot_x_column(kappa, f.params))
     theta_v = np.array([math.radians(theta) for theta in thetas])
-    pd, ipd, _, bad_pd, bad_ipd = dephasing_pair(theta_v)
+    pd, ipd, _, bad_pd, bad_ipd = dephasing_blocks(theta_v, theta_v)
 
     # B->C: dephasing block as the hot reservoir; C->D: compression applied to
     # the polarization of both arms; D->A: the inverted block consumes the

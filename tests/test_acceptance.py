@@ -23,6 +23,7 @@ from ottosim.optics import (
 from ottosim.qcore import (
     ID2,
     KET_PSI_RC,
+    TOL,
     DensityOperator,
     apply_kraus,
     partial_trace_path,
@@ -68,7 +69,7 @@ def test_criterion_1_closed_form_reproduction():
         for name in ("W_AB", "Q_BC", "W_CD", "Q_DA"):
             worst = max(worst, abs(getattr(res.ledger, name) - getattr(closed, name)))
     elapsed = time.perf_counter() - start
-    assert worst <= 1e-9
+    assert worst <= TOL["energy"]
     assert elapsed < 1.0
     _report(1, f"max |simulated - closed form| = {worst:.3g}, runtime {elapsed * 1e3:.0f} ms")
 
@@ -76,7 +77,7 @@ def test_criterion_1_closed_form_reproduction():
 def test_criterion_2_first_law():
     """|dU| per closed cycle stays below 1e-9 in ideal mode."""
     worst = max(abs(run_cycle(theta).ledger.dU_cycle) for theta in DEFAULT_THETAS)
-    assert worst <= 1e-9
+    assert worst <= TOL["energy"]
     _report(2, f"max |dU_cycle| = {worst:.3g}")
 
 
@@ -127,8 +128,8 @@ def test_criterion_5_entropy_identity():
         ledger = run_cycle(theta).ledger
         assert ledger.Sigma_cycle >= 0.0
         if theta == 0.0:
-            assert ledger.Sigma_cycle <= 1e-9
-    assert worst_gap <= 1e-9
+            assert ledger.Sigma_cycle <= TOL["entropy_identity"]
+    assert worst_gap <= TOL["entropy_identity"]
 
     # independent oracle: both states are diagonal in the sigma_y eigenbasis,
     # so the divergence is the classical KL of the aligned spectra
@@ -136,7 +137,7 @@ def test_criterion_5_entropy_identity():
     p = ((1 + t_c) / 2, (1 - t_c) / 2)
     brute = sum(pi * (math.log(pi) - math.log(0.5)) for pi in p)
     sigma_e_k0 = run_cycle(45.0).ledger.Sigma_e
-    assert abs(sigma_e_k0 - brute) <= 1e-9
+    assert abs(sigma_e_k0 - brute) <= TOL["entropy_identity"]
     assert brute == pytest.approx(0.67584, abs=5e-6)
     _report(5, f"max identity gap {worst_gap:.3g}, Sigma_e(kappa=0) = {sigma_e_k0:.5f}")
 
@@ -157,7 +158,7 @@ def test_criterion_6_dilation_kraus_equivalence():
             traced = partial_trace_path(DensityOperator(joint))
             kraus_out = apply_kraus(rho, block.kraus)
             worst = max(worst, np.abs(traced.matrix - kraus_out.matrix).max())
-    assert worst <= 1e-12
+    assert worst <= TOL["dilation_vs_kraus"]
     _report(6, f"max |dilation - Kraus| = {worst:.3g} over 4000 pairs")
 
 
@@ -171,7 +172,7 @@ def test_criterion_7_tomography_roundtrip():
         rho = random_density(rng)
         rebuilt = reconstruct(stokes_from_intensities(measure_all(rho)))
         worst = max(worst, np.abs(rebuilt.matrix - rho.matrix).max())
-    assert worst <= 1e-12
+    assert worst <= TOL["roundtrip"]
 
     measured = np.array([[0.5134, 0.0033 + 0.4999j], [0.0033 - 0.4999j, 0.4865]])
     records = [

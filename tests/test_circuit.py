@@ -116,9 +116,19 @@ class TestCompile:
         with pytest.raises(CircuitCompileError, match="already active"):
             compile_program(parse("init rc\npd 10\npd 10"))
 
-    def test_element_before_init(self):
-        with pytest.raises(CircuitCompileError, match="before any init"):
-            compile_program(parse("hwp 10"))
+    # expand 1 180 also has a bad gap ratio: the init check comes before an op's own checks
+    @pytest.mark.parametrize("line", ["hwp 10", "qwp 10", "rot 10", "expand 1 180",
+                                      "compress 2 180", "pd 10", "tomo A"],
+                             ids=lambda line: line.split()[0])
+    def test_element_before_init(self, line):
+        with pytest.raises(CircuitCompileError) as info:
+            compile_program(parse(f"# header\n{line}\ninit rc"))
+        assert str(info.value) == f"line 2: {line.split()[0]} before any init"
+
+    def test_ipd_before_init_needs_a_pd(self):
+        with pytest.raises(CircuitCompileError) as info:
+            compile_program(parse("ipd 10\ninit rc"))
+        assert str(info.value) == "line 1: ipd without a preceding pd (no ancilla to consume)"
 
     def test_duplicate_tap_label(self):
         with pytest.raises(CircuitCompileError, match="duplicate tap"):

@@ -10,7 +10,7 @@ from ottosim.optics import (
     ChannelBlock,
     OpticalElement,
     compression_unitary,
-    dephasing_stack,
+    dephasing_blocks,
     expansion_unitary,
     hwp,
     ipd_block,
@@ -197,7 +197,7 @@ class TestPdBlock:
 
     def test_nan_fails_the_unitarity_check(self):
         with pytest.raises(QuantumValueError, match="not unitary: defect nan"):
-            OpticalElement("ROT", 0.0, "polarization", np.full((2, 2), np.nan))
+            OpticalElement("ROT", np.full((2, 2), np.nan))
         with pytest.raises(QuantumValueError, match="HWP element not unitary: defect nan"):
             hwp(np.nan)
 
@@ -241,33 +241,63 @@ def reference_blocks(theta):
     return pd, ipd
 
 
-class TestDephasingStack:
+class TestDephasingBlocks:
     def test_slices_equal_reference_products(self, rng):
         thetas = np.concatenate([[0.0, np.pi / 8, np.pi / 4], rng.uniform(0, np.pi / 4, 20)])
-        u_pd, kraus, errors = dephasing_stack(thetas)
-        u_ipd, none, errors_ipd = dephasing_stack(thetas, inverse=True)
-        assert errors == errors_ipd == {} and none is None
-        for k, theta in enumerate(thetas):
-            ref_pd, ref_ipd = reference_blocks(theta)
-            assert u_pd[k].tobytes() == ref_pd.tobytes()
-            assert u_ipd[k].tobytes() == ref_ipd.tobytes()
-            c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
-            assert kraus[k].tobytes() == np.array(
-                [np.diag([1.0, c]), np.diag([0.0, s])], dtype=complex).tobytes()
+        # lists of different lengths, and each list alone with the other one empty
+        for pd_theta, ipd_theta in ((thetas, thetas[5:]), (thetas[:7], thetas),
+                                    (thetas, []), ([], thetas)):
+            u_pd, u_ipd, kraus, errors, errors_ipd = dephasing_blocks(pd_theta, ipd_theta)
+            assert errors == errors_ipd == {}
+            assert u_pd.shape == (len(pd_theta), 4, 4) and u_ipd.shape == (len(ipd_theta), 4, 4)
+            assert kraus.shape == (len(pd_theta), 2, 2, 2)
+            for k, theta in enumerate(pd_theta):
+                assert u_pd[k].tobytes() == reference_blocks(theta)[0].tobytes()
+                c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+                assert kraus[k].tobytes() == np.array(
+                    [np.diag([1.0, c]), np.diag([0.0, s])], dtype=complex).tobytes()
+            for k, theta in enumerate(ipd_theta):
+                assert u_ipd[k].tobytes() == reference_blocks(theta)[1].tobytes()
 
     def test_out_of_range_rows_reported(self):
-        _, _, errors = dephasing_stack([0.1, -0.1, 0.2, 1.0])
-        assert set(errors) == {1, 3}
+        _, _, _, errors, errors_ipd = dephasing_blocks([0.1, -0.1, 0.2, 1.0], [])
+        assert set(errors) == {1, 3} and errors_ipd == {}
         with pytest.raises(QuantumValueError) as info:
             pd_block(-0.1)
         assert errors[1] == str(info.value)
+
+    def test_errors_split_per_list_in_check_order(self, monkeypatch):
+        # PD rows: 0 out of range, 1 an incomplete Kraus pair, 2 a bad arm plate, 3 a bad
+        # block; IPD rows: 0 out of range, 1 a bad arm plate, 2 a bad block
+        kraus_pairs, hwp_matrix, arm_stage = (
+            optics_mod._kraus_pairs, optics_mod._hwp_matrix, optics_mod._arm_stage)
+
+        def scaled(original, rows):
+            def patched(theta):
+                out = original(theta).copy()
+                out[rows] *= 1.1
+                return out
+            return patched
+
+        # an out-of-range row fails every later check too, and keeps its range message
+        monkeypatch.setattr(optics_mod, "_kraus_pairs", scaled(kraus_pairs, [0, 1]))
+        monkeypatch.setattr(optics_mod, "_hwp_matrix", scaled(hwp_matrix, [0, 1, 2, 4, 5]))
+        monkeypatch.setattr(optics_mod, "_arm_stage", scaled(arm_stage, [3, 6]))
+        _, _, _, errors, errors_ipd = dephasing_blocks([-0.1, 0.1, 0.2, 0.3], [1.0, 0.1, 0.2])
+        assert errors[0] == "theta_v = -0.1 rad outside [0, pi/4]"
+        assert errors[1].startswith("incomplete Kraus set: defect")
+        assert errors[2].startswith("HWP element not unitary: defect")
+        assert errors[3].startswith("PD block not unitary: defect")
+        assert errors_ipd[0] == "theta_v = 1 rad outside [0, pi/4]"
+        assert errors_ipd[1].startswith("HWP element not unitary: defect")
+        assert errors_ipd[2].startswith("IPD block not unitary: defect")
+        assert len(errors) == 4 and len(errors_ipd) == 3
 
 
 class TestExpansionCompression:
     def test_reference_jones_parameter(self):
         # n = 2 and omega0 tau = pi give alpha = 3 pi / 2
         el = expansion_unitary(2.0, np.pi)
-        assert el.angle_or_phase == pytest.approx(3 * np.pi / 2, abs=1e-15)
         assert np.abs(el.matrix - rotation(3 * np.pi / 2).matrix).max() < 1e-15
 
     def test_compression_same_parameter(self):

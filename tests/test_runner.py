@@ -150,16 +150,18 @@ class TestRunSweep:
     def test_failure_markers(self, monkeypatch):
         import ottosim.runner as runner_mod
 
-        original = runner_mod.dephasing_pair
+        original = runner_mod.dephasing_blocks
 
-        def flaky(theta_v):
+        def flaky(pd_theta, ipd_theta):
             # reports an error for the 16 deg row of both blocks it builds
-            pd, ipd, kraus, bad_pd, bad_ipd = original(theta_v)
-            for i in np.flatnonzero(np.abs(theta_v - math.radians(16.0)) < 1e-12).tolist():
-                bad_pd[i] = bad_ipd[i] = "injected fault"
+            pd, ipd, kraus, bad_pd, bad_ipd = original(pd_theta, ipd_theta)
+            for i in np.flatnonzero(np.abs(pd_theta - math.radians(16.0)) < 1e-12).tolist():
+                bad_pd[i] = "injected fault"
+            for i in np.flatnonzero(np.abs(ipd_theta - math.radians(16.0)) < 1e-12).tolist():
+                bad_ipd[i] = "injected fault"
             return pd, ipd, kraus, bad_pd, bad_ipd
 
-        monkeypatch.setattr(runner_mod, "dephasing_pair", flaky)
+        monkeypatch.setattr(runner_mod, "dephasing_blocks", flaky)
         report = run_sweep()
         assert len(report.rows) == 6
         assert list(report.failures) == ["16"]
@@ -259,14 +261,15 @@ class TestCompareGolden:
     def test_coherence_gate_can_fail(self, monkeypatch):
         import ottosim.optics as optics_mod
 
-        # a hot stroke that erases coherence instead of scaling it by cos 45:
-        # the circuit's forward blocks are built at pi/4, the sweep's are not
-        original = optics_mod.dephasing_stack
+        # a hot stroke that erases coherence instead of scaling it by cos 45: the circuit
+        # (which calls optics.dephasing_blocks) builds its forward blocks at pi/4, while the
+        # sweep keeps its own binding of the builder and its blocks
+        original = optics_mod.dephasing_blocks
 
-        def erasing(theta_v, inverse=False):
-            return original(theta_v if inverse else np.full(len(theta_v), np.pi / 4), inverse)
+        def erasing(pd_theta, ipd_theta):
+            return original(np.full(len(pd_theta), np.pi / 4), ipd_theta)
 
-        monkeypatch.setattr(optics_mod, "dephasing_stack", erasing)
+        monkeypatch.setattr(optics_mod, "dephasing_blocks", erasing)
         comparison = compare_golden(run_sweep())
         assert comparison.offdiag_simulated == pytest.approx(0.0, abs=1e-12)
         assert all(f >= 0.98 for f in comparison.fidelities.values())
@@ -360,6 +363,19 @@ class TestCli:
         assert cli.main(["sweep", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite" in err
+
+    def test_sweep_infinite_jones_parameter_exits_2(self, capsys):
+        # n = 1e308 is finite, but (n + 1) omega0*tau / 2 is not
+        assert cli.main(["sweep", "--n", "1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "error: Jones parameter (n + 1) omega0*tau / 2 = inf is not finite\n")
+
+    def test_sweep_config_file_nan_omega0_tau_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("omega0_tau = nan\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: Jones parameter (n + 1) omega0*tau / 2 = nan is not finite\n")
 
     def test_run_circuit(self, tmp_path, capsys):
         circ = tmp_path / "cycle.otto"
