@@ -45,6 +45,7 @@ __all__ = [
     "support_weights",
     "apply_kraus",
     "eig_herm",
+    "eigh2",
     "von_neumann_entropy",
     "relative_entropy",
     "fidelity",
@@ -62,6 +63,7 @@ TOL = {
     "eig_clamp": 1e-14,     # eigenvalues below this are treated as 0 in logs
     "support": 1e-12,       # sigma eigenvalues below this count as outside support
     "dilation_vs_kraus": 1e-12,  # agreement of the two PD realizations
+    "dsl_vs_api": 1e-12,    # .otto circuit snapshots vs the same strokes built by hand
     "energy": 1e-9,         # closed-form vs state-derived energetics, first law
     "entropy_identity": 1e-9,    # Delta S - beta Q vs relative entropy
     "cycle_closure": 1e-10,      # final vs initial polarization state
@@ -114,7 +116,7 @@ class DensityOperator:
 
     def __init__(self, matrix, label=None):
         m = _as_square(matrix, "density operator").copy()
-        herm, lam = _decomposed(np.linalg.eigvalsh, m)
+        herm, lam = _decomposed(m)
         message = _density_message(herm, np.trace(m), lam.min())
         if message:
             raise QuantumValueError(message)
@@ -222,17 +224,44 @@ def first_errors(*checks):
     return merged
 
 
-def _decomposed(eig, stack):
-    # the max-norm Hermiticity defect of a matrix or of each slice of a stack, and eig (eigvalsh
-    # or eigh) of each slice whose defect is finite; a slice holding NaN or inf (inf - inf is NaN
-    # here, not a warning) gets NaN: LAPACK cannot decompose it, and it fails Hermiticity first
-    with np.errstate(invalid="ignore"):
+def eigh2(stack, vectors=False):
+    """Ascending eigenvalues (and eigenvector columns) of each slice of a (..., 2, 2) stack.
+
+    Reads the real diagonal a, d and the lower entry b, as LAPACK does.  The eigenvalues
+    m -+ r (m = (a + d)/2, h = (a - d)/2, r = hypot(h, |b|)) are min(a, d) - t and
+    max(a, d) + t, t = |b|^2/(r + |h|): no cancellation when r << |m|, and exactly a, d
+    when b = 0.  The upper eigenvector is (r + h, b) for h > 0, else (conj b, r - h).
+    """
+    m = stack.reshape(-1, 4)
+    a, d, b = m[:, 0].real, m[:, 3].real, m[:, 2]
+    h, bb = 0.5 * (a - d), np.abs(b)
+    s = np.maximum(np.hypot(h, bb) + np.abs(h), 5e-324)  # r + |h|, 0 only where b = 0
+    t = bb * (bb / s)
+    lam = np.stack([np.minimum(a, d) - t, np.maximum(a, d) + t], axis=-1).reshape(stack.shape[:-1])
+    if not vectors:
+        return lam
+    vec = np.empty((len(m), 4), dtype=complex)  # the columns (lower, upper) in row-major order
+    vec[:, 1], vec[:, 3] = np.where(h > 0, [s, b], [b.conj(), s])
+    # normalized as floats: a complex division would overflow at a subnormal norm
+    vec.view(float).reshape(-1, 4, 2)[:, 1::2] /= np.hypot(s, bb)[:, None, None]
+    vec[:, 0], vec[:, 2] = -vec[:, 3].conj(), vec[:, 1].conj()
+    return lam, vec.reshape(stack.shape)
+
+
+def _decomposed(stack, vectors=False):
+    # the max-norm Hermiticity defect and ascending eigh2 (2x2) or LAPACK (4x4) output of a matrix
+    # or of each slice of a stack; a slice holding NaN or inf fails Hermiticity first and gets NaN
+    def eig(a):
+        return eigh2(a, vectors) if a.shape[-1] == 2 else (
+            np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a))
+
+    if np.isfinite(stack).all():
+        return np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)), eig(stack)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN here, not a warning
         herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    skip = ~np.isfinite(herm)
-    if not skip.any():
-        return herm, eig(stack)
-    out = eig(np.where(skip[..., None, None], 0.0, stack))
-    for part in out if isinstance(out, tuple) else (out,):
+        skip = ~np.isfinite(herm)
+        out = eig(stack if stack.shape[-1] == 2 else np.where(skip[..., None, None], 0.0, stack))
+    for part in out if vectors else (out,):
         part[skip] = np.nan
     return herm, out
 
@@ -255,7 +284,7 @@ def density_errors(stack):
     position of each failing slice to the message the constructor would
     raise for it.
     """
-    herm, lam = _decomposed(np.linalg.eigvalsh, stack)
+    herm, lam = _decomposed(stack)
     return lam, _density_failures(stack, lam, herm)
 
 
@@ -310,19 +339,16 @@ def apply_kraus(rho, kraus):
 
 
 def eig_herm(m):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix (:func:`eigh2` for a qubit, LAPACK otherwise).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
     and eigenvector columns phase-fixed so the first component of magnitude
     above 1e-12 is real positive.
     """
-    a = _as_square(m, "eig_herm input")
-    defect = np.abs(a - a.conj().T).max()
+    defect, (lam, vec) = _decomposed(_as_square(m, "eig_herm input"), True)
     if not defect <= TOL["eig_herm_input"]:
         raise QuantumValueError(f"eig_herm needs a Hermitian matrix: defect {defect:.3g}")
-    lam, vec = np.linalg.eigh(a)
-    lam = lam[::-1].copy()
-    vec = vec[:, ::-1].copy()
+    lam, vec = lam[::-1].copy(), vec[:, ::-1].copy()
     for j in range(vec.shape[1]):
         col = vec[:, j]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
@@ -372,7 +398,7 @@ def spectra(stack):
     not fixed; nothing computed from them depends on the phase) and
     position -> message for slices failing eig_herm's Hermiticity check.
     """
-    herm, (lam, vec) = _decomposed(np.linalg.eigh, stack)
+    herm, (lam, vec) = _decomposed(stack, True)
     return _clamped_spectra(herm, lam, vec)
 
 
@@ -391,7 +417,7 @@ def density_spectra(stack):
     checks read, the spectra and eigenvectors of :func:`spectra`, and
     position -> message of each failing slice, its density check first.
     """
-    herm, (lam, vec) = _decomposed(np.linalg.eigh, stack)
+    herm, (lam, vec) = _decomposed(stack, True)
     spec, vec, bad_herm = _clamped_spectra(herm, lam, vec)
     return lam, spec, vec, first_errors(_density_failures(stack, lam, herm), bad_herm)
 

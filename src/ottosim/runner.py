@@ -23,7 +23,9 @@ invariants, cycle closure included, hold at any noise level.
 A sweep runs all of its angles as one stack (``_cycle_rows``): the
 theta-independent strokes once, the per-angle strokes on (N, ., .) arrays
 with every state checked after the last one, one call per group and each
-state decomposed once, then the ledger as columns; ``run_cycle`` is N = 1.
+state decomposed once (a 2x2 one in closed form, ``qcore.eigh2``), then the
+ledger as columns.  Its SweepReport keeps the columns and the snapshot stack
+and builds the rows when they are first read; ``run_cycle`` is N = 1.
 """
 
 import json
@@ -203,21 +205,21 @@ def _fixed_part(config):
 def _cycle_rows(thetas, config):
     """Run one cycle per angle of ``thetas`` (degrees), all angles as one stack.
 
-    After ``_fixed_part``, B->C, C->D and D->A run on all N rows, then every
-    state is checked in one call per group against the TOL checks a
-    single-matrix computation applies.  A row reports its first failed
-    check, in stroke order, with its stroke named; the other rows go on.
-    The ledger is columns over the passing rows, with only IEEE arithmetic
-    vectorised, so each value has the bits of the per-row formulas; with
-    noise their snapshots are tapped as one stack.  Returns (results,
-    errors): the CycleResult of each finished row and the exception of each
-    stopped row, keyed by position in ``thetas``.
+    After ``_fixed_part``, B->C, C->D and D->A run on all N rows, then every state is
+    checked in one call per group against the TOL checks a single-matrix computation
+    applies.  A row reports its first failed check, in stroke order, with its stroke
+    named; the other rows go on.  The ledger is columns over the passing rows, with only
+    IEEE arithmetic vectorised, so each value has the bits of the per-row formulas; with
+    noise their snapshots are tapped as one stack.  Returns the finished rows sorted by
+    (r, theta_V), as positions in ``thetas``, CSV values and snapshot planes (see
+    SweepReport), and the error of each stopped row.
     """
+    count = len(thetas)
     try:
         f = _fixed_part(config)
     except (CycleError, QuantumValueError) as exc:
-        return {}, dict.fromkeys(range(len(thetas)), exc)
-    count = len(thetas)
+        planes = (np.empty((0, 2, 2), complex),) * len(SNAPSHOT_LABELS)
+        return [], np.empty((0, len(CSV_COLUMNS))), planes, dict.fromkeys(range(count), exc)
     kappa = kappa_from_theta_deg(thetas)
     x_h = np.array(hot_x_column(kappa, f.params))
     theta_v = np.array([math.radians(theta) for theta in thetas])
@@ -267,34 +269,27 @@ def _cycle_rows(thetas, config):
     sig_e = (np.array(entropies(spec_h)) - f.s_b) - x_h * (q_bc / f.n)
     sig_c = (f.s_cold - np.array(entropies(spec_d))) - f.x_c * q_da
     energies = np.stack(np.broadcast_arrays(f.w_ab, q_bc, w_cd, q_da))
-    columns = np.vstack([
-        ledger_columns(theta_v, kappa, x_h / f.x_c, energies, sig_e, sig_c),
-        np.abs(energies - closed_form_energies(kappa, f.params)).max(axis=0)]).T.tolist()
+    table = np.vstack([
+        np.array(thetas, dtype=float)[keep],
+        ledger_columns(theta_v, kappa, x_h / f.x_c, energies, sig_e, sig_c)[1:],
+        np.abs(energies - closed_form_energies(kappa, f.params)).max(axis=0)]).T
 
-    for stack in (rho_c, rho_d, rho_a2):
-        stack.flags.writeable = False
-    # the snapshots (read-only views); with noise one (K, 5, 2, 2) tap, row i on substream i,
-    # without it every row shares one TA and one TB
+    # with noise the snapshots pass through one (K, 5, 2, 2) tap, row i on substream i
+    exact, tap_errors = (f.rho_a, f.rho_b, rho_c, rho_d, rho_a2), {}
     if config.noise_sigma > 0.0:
         streams = np.random.SeedSequence(config.seed).spawn(count)
         taps, tap_errors = tomography_stack(
-            np.stack(np.broadcast_arrays(f.rho_a, f.rho_b, rho_c, rho_d, rho_a2), axis=1),
+            np.stack(np.broadcast_arrays(*exact), axis=1),
             config.noise_sigma, [np.random.default_rng(streams[i]) for i in keep])
-        snapshots = ({label: wrap_validated(m, label) for label, m in zip(SNAPSHOT_LABELS, tap)}
-                     for tap in taps)
-    else:
-        ta, tb, tap_errors = wrap_validated(f.rho_a, "TA"), wrap_validated(f.rho_b, "TB"), {}
-        snapshots = ({"TA": ta, "TB": tb, "TC": wrap_validated(c, "TC"),
-                      "TD": wrap_validated(d, "TD"), "TA2": wrap_validated(a2, "TA2")}
-                     for c, d, a2 in zip(rho_c, rho_d, rho_a2))
-    results = {}
-    for k, (i, values, snaps) in enumerate(zip(keep, columns, snapshots)):
-        if k in tap_errors:
-            errors[i] = QuantumValueError(tap_errors[k])
-            continue
-        results[i] = CycleResult(theta_deg=float(thetas[i]), ledger=CycleLedger(*values[:-1]),
-                                 snapshots=snaps, max_delta_vs_closed_form=values[-1])
-    return results, errors
+        errors.update((keep[k], QuantumValueError(message)) for k, message in tap_errors.items())
+    # the finished rows by (r, theta_V); without noise every row shares one TA and one TB
+    sel = [k for k in np.lexsort((table[:, 0], table[:, 2])).tolist() if k not in tap_errors]
+    planes = tuple(taps[sel].swapaxes(0, 1)) if config.noise_sigma > 0.0 else (
+        *(np.broadcast_to(m, (len(sel), 2, 2)) for m in exact[:2]), *(m[sel] for m in exact[2:]))
+    table = table[sel]
+    for a in (table, *planes):
+        a.flags.writeable = False
+    return [keep[k] for k in sel], table, planes, errors
 
 
 def run_cycle(theta_deg, config=None):
@@ -309,19 +304,40 @@ def run_cycle(theta_deg, config=None):
     config = config or SweepConfig()
     if not 0.0 <= theta_deg <= 45.0:
         raise QuantumValueError(f"theta_V = {theta_deg:.6g} deg outside [0, 45]")
-    results, errors = _cycle_rows((theta_deg,), config)
+    _, table, planes, errors = _cycle_rows((theta_deg,), config)
     if errors:
         raise errors[0]
-    return results[0]
+    return SweepReport(table=table, planes=planes).rows[0]
 
 
-@dataclass
 class SweepReport:
-    """Rows (sorted by r ascending), per-theta snapshots and metadata."""
+    """A sweep's rows (sorted by r, then theta_V), its failures and its metadata.
 
-    rows: tuple
-    failures: dict
-    metadata: dict
+    ``run_sweep`` keeps them as columns: a read-only (N, 13) table of CSV values and
+    the (N, 5, 2, 2) snapshot stack as one read-only (N, 2, 2) plane per label (TA and
+    TB broadcast one matrix without noise).  ``rows`` builds the CycleResults on first
+    read and keeps them; ``emit`` reads the columns.  ``load_report`` passes ``rows``.
+    """
+
+    def __init__(self, rows=None, failures=None, metadata=None, *, table=None, planes=None):
+        self._rows, self._table, self._planes = rows if rows is None else tuple(rows), table, planes
+        self.failures, self.metadata = failures or {}, metadata or {}
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            # a plane broadcast from one matrix gives every row the same DensityOperator
+            states = [[wrap_validated(m, label) for m in plane[:1]] * len(plane)
+                      if plane.strides[0] == 0 else [wrap_validated(m, label) for m in plane]
+                      for label, plane in zip(SNAPSHOT_LABELS, self._planes)]
+            self._rows = tuple(CycleResult(v[0], CycleLedger(math.radians(v[0]), *v[1:-1]),
+                                           dict(zip(SNAPSHOT_LABELS, snaps)), v[-1])
+                               for v, snaps in zip(self._table.tolist(), zip(*states)))
+        return self._rows
+
+    def __eq__(self, other):
+        return isinstance(other, SweepReport) and (self.rows, self.failures, self.metadata) == (
+            other.rows, other.failures, other.metadata)
 
 
 def run_sweep(config=None):
@@ -335,9 +351,8 @@ def run_sweep(config=None):
     """
     config = config or SweepConfig()
     thetas = config.theta_list_deg
-    results, errors = _cycle_rows(thetas, config)
+    _, table, planes, errors = _cycle_rows(thetas, config)
     failures = {f"{thetas[i]:.12g}": str(errors[i]) for i in sorted(errors)}
-    rows = sorted(results.values(), key=lambda row: (row.ledger.r, row.theta_deg))
     metadata = {
         "version": __version__,
         "seed": config.seed,
@@ -352,7 +367,7 @@ def run_sweep(config=None):
             "seed": config.seed,
         },
     }
-    return SweepReport(rows=tuple(rows), failures=failures, metadata=metadata)
+    return SweepReport(failures=failures, metadata=metadata, table=table, planes=planes)
 
 
 def _g(value):
@@ -379,26 +394,25 @@ def _matrix_from_json(rows):
 
 def emit(report, fmt="csv"):
     """Serialize a report to bytes, CSV (ledger table) or JSON (full)."""
+    table = report._table
+    if table is None:  # a report built from CycleResults
+        table = np.array([_row_values(r) for r in report.rows], float).reshape(-1, len(CSV_COLUMNS))
     if fmt == "csv":
-        body = (_CSV_ROW * len(report.rows)) % tuple(
-            [value for row in report.rows for value in _row_values(row)])
+        body = (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
         failed = "".join(f"# FAILED theta_v_deg={theta}: {message}\n"
                          for theta, message in report.failures.items())
         return (",".join(CSV_COLUMNS) + "\n" + body + failed).encode()
     if fmt == "json":
+        if report._planes is None:
+            snaps = [{label: _matrix_to_json(s.matrix) for label, s in row.snapshots.items()}
+                     for row in report.rows]
+        else:  # the (N, 5, 2, 2) stack in one conversion
+            snaps = [dict(zip(SNAPSHOT_LABELS, row))
+                     for row in _matrix_to_json(np.stack(report._planes, axis=1))]
         doc = {
             "metadata": report.metadata,
-            "rows": [
-                dict(zip(CSV_COLUMNS, (float(v) for v in _row_values(row))))
-                for row in report.rows
-            ],
-            "snapshots": {
-                _g(row.theta_deg): {
-                    label: _matrix_to_json(state.matrix)
-                    for label, state in row.snapshots.items()
-                }
-                for row in report.rows
-            },
+            "rows": [dict(zip(CSV_COLUMNS, row)) for row in table.tolist()],
+            "snapshots": dict(zip(map(_g, table[:, 0].tolist()), snaps)),
             "failures": report.failures,
         }
         return (json.dumps(doc, separators=(",", ":")) + "\n").encode()

@@ -88,7 +88,7 @@ def test_criterion_3_endpoint_anchors():
     assert idle.r == 1.0
     assert full.r == 0.0
     expected = (PARAMS.n - 1.0) * math.tanh(PARAMS.x_c)
-    assert abs(full.W_extracted - expected) <= 1e-9
+    assert abs(full.W_extracted - expected) <= TOL["energy"]
     _report(3, f"r(0) = {idle.r}, r(45) = {full.r}, W_extracted(45) = {full.W_extracted:.11f}")
 
 
@@ -197,7 +197,7 @@ def test_criterion_8_jones_compilation():
     for alpha in grid:
         compiled = hwp(2 * alpha).matrix @ hwp(alpha).matrix
         worst = max(worst, np.abs(compiled - rotation(alpha).matrix).max())
-    assert worst <= 1e-12
+    assert worst <= TOL["unitary"]
     _report(8, f"max |hwp(2a) hwp(a) - S(a)| = {worst:.3g} over {len(grid)} angles")
 
 
@@ -247,7 +247,7 @@ def test_criterion_9_parser_robustness_and_dsl_equivalence():
     worst = 0.0
     for label, matrix in expected.items():
         worst = max(worst, np.abs(run.snapshots[label].matrix - matrix).max())
-    assert worst <= 1e-12
+    assert worst <= TOL["dsl_vs_api"]
 
     # the same program driven at the engine's operating point matches the
     # cycle runner's snapshots
@@ -257,7 +257,7 @@ def test_criterion_9_parser_robustness_and_dsl_equivalence():
     for label in ("TA", "TB", "TC", "TD", "TA2"):
         gap = np.abs(run_thermal.snapshots[label].matrix - api.snapshots[label].matrix).max()
         worst = max(worst, gap)
-    assert worst <= 1e-12
+    assert worst <= TOL["dsl_vs_api"]
     _report(9, f"fuzz 100000 inputs clean, max DSL-vs-API delta {worst:.3g}")
 
 
@@ -266,5 +266,5 @@ def test_oracle_equivalence_dense_grid():
     worst = max(
         run_cycle(float(t)).max_delta_vs_closed_form for t in np.linspace(0.0, 45.0, 100)
     )
-    assert worst <= 1e-9
+    assert worst <= TOL["energy"]
     _report("extra", f"dense-grid oracle max delta {worst:.3g}")

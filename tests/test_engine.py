@@ -42,6 +42,7 @@ from ottosim.runner import (
     SweepConfig,
     SweepReport,
     emit,
+    load_report,
     run_cycle,
     run_sweep,
 )
@@ -575,6 +576,12 @@ def _reference_cycle_rows(thetas, config):
     return results, rows.errors
 
 
+def _engine_rows(thetas, config):
+    """runner._cycle_rows with its finished rows as position -> CycleResult."""
+    positions, table, planes, errors = runner_mod._cycle_rows(thetas, config)
+    return dict(zip(positions, SweepReport(table=table, planes=planes).rows)), errors
+
+
 def _outcome(engine, config):
     """Each row's ledger reprs and labeled snapshot bytes, each stopped row's error and
     all warnings."""
@@ -615,7 +622,7 @@ def test_deferred_checks_equal_the_stroke_by_stroke_engine(batch):
     # 80 random ones, a slice of twelve or thirteen sweeps per batch
     assert len(ENGINE_CONFIGS) == 99
     for config in ENGINE_CONFIGS[batch::8]:
-        rows, errors, caught = _outcome(runner_mod._cycle_rows, config)
+        rows, errors, caught = _outcome(_engine_rows, config)
         assert (rows, errors, caught) == _outcome(_reference_cycle_rows, config), config
         assert set(rows) | set(errors) == set(range(len(config.theta_list_deg)))
 
@@ -644,3 +651,55 @@ def test_noiseless_rows_share_their_fixed_snapshots():
     for label in ("TA", "TB"):
         assert len({id(row.snapshots[label]) for row in rows}) == 1
     assert len({id(row.snapshots["TC"]) for row in rows}) == len(rows)
+
+
+# -- the columnar report against rows built one by one ---------------------------
+
+REPORT_CONFIGS = [SweepConfig(), SweepConfig(theta_list_deg=GRID_200), SweepConfig(x_c=40.0),
+                  SweepConfig(theta_list_deg=()),
+                  SweepConfig(theta_list_deg=(22.5, 8.0, 22.5, 45.0, 0.0, 8.0)),
+                  SweepConfig(noise_sigma=0.1, seed=3), SweepConfig(noise_sigma=1.0, seed=0)]
+REPORT_IDS = ["default", "grid200", "xc40", "empty", "repeats", "noise0.1", "noise1"]
+
+
+def _reference_report(config):
+    """The reference engine's rows sorted by (r, theta_V), as a SweepReport built from rows."""
+    results, errors = _reference_cycle_rows(config.theta_list_deg, config)
+    rows = sorted(results.values(), key=lambda row: (row.ledger.r, row.theta_deg))
+    failures = {f"{config.theta_list_deg[i]:.12g}": str(errors[i]) for i in sorted(errors)}
+    return SweepReport(rows=rows, failures=failures, metadata=run_sweep(config).metadata)
+
+
+@pytest.mark.filterwarnings("ignore::ottosim.tomography.UnphysicalStokesWarning")
+@pytest.mark.parametrize("config", REPORT_CONFIGS, ids=REPORT_IDS)
+def test_report_rows_equal_the_reference_rows(config):
+    report, expected = run_sweep(config), _reference_report(config)
+    assert report.rows is report.rows  # built on the first read, then kept
+    assert [_row_key(row) for row in report.rows] == [_row_key(row) for row in expected.rows]
+    assert all([state.label for state in row.snapshots.values()] == list(SNAPSHOT_LABELS)
+               and not any(state.matrix.flags.writeable for state in row.snapshots.values())
+               for row in report.rows)
+    assert report.failures == expected.failures
+    assert report == expected
+
+
+@pytest.mark.filterwarnings("ignore::ottosim.tomography.UnphysicalStokesWarning")
+@pytest.mark.parametrize("config", REPORT_CONFIGS, ids=REPORT_IDS)
+def test_emit_from_columns_equals_emit_from_rows(config):
+    expected = _reference_report(config)
+    for fmt in ("csv", "json"):
+        unread = emit(run_sweep(config), fmt)
+        report = run_sweep(config)
+        assert report.rows is not None
+        assert emit(report, fmt) == unread == emit(expected, fmt), fmt
+
+
+@pytest.mark.filterwarnings("ignore::ottosim.tomography.UnphysicalStokesWarning")
+@pytest.mark.parametrize("config", REPORT_CONFIGS, ids=REPORT_IDS)
+def test_json_survives_load_report_byte_for_byte(config):
+    report = run_sweep(config)
+    blob = emit(report, "json")
+    loaded = load_report(blob)
+    assert emit(loaded, "json") == blob
+    assert emit(loaded, "csv") == emit(report, "csv")
+    assert loaded == report
