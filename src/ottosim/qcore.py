@@ -227,23 +227,24 @@ def first_errors(*checks):
 def eigh2(stack, vectors=False):
     """Ascending eigenvalues (and eigenvector columns) of each slice of a (..., 2, 2) stack.
 
-    Reads the real diagonal a, d and the lower entry b, as LAPACK does.  The eigenvalues
-    m -+ r (m = (a + d)/2, h = (a - d)/2, r = hypot(h, |b|)) are min(a, d) - t and
-    max(a, d) + t, t = |b|^2/(r + |h|): no cancellation when r << |m|, and exactly a, d
-    when b = 0.  The upper eigenvector is (r + h, b) for h > 0, else (conj b, r - h).
+    Reads the real diagonal a, d and the lower entry b, as LAPACK does.  With m = (a + d)/2,
+    h = (a - d)/2, r = hypot(h, |b|) and s = r + |h|, the eigenvalues m -+ r are min(a, d) - t
+    and max(a, d) + t, t = |b|^2/s: no cancellation when r << |m|, exactly a, d when b = 0.
+    The upper eigenvector is (1, b/s) for h > 0, else (conj b/s, 1): |b|/s <= 1, so it is
+    normalized at unit scale, subnormal b and h included.
     """
     m = stack.reshape(-1, 4)
     a, d, b = m[:, 0].real, m[:, 3].real, m[:, 2]
     h, bb = 0.5 * (a - d), np.abs(b)
     s = np.maximum(np.hypot(h, bb) + np.abs(h), 5e-324)  # r + |h|, 0 only where b = 0
     t = bb * (bb / s)
-    lam = np.stack([np.minimum(a, d) - t, np.maximum(a, d) + t], axis=-1).reshape(stack.shape[:-1])
+    lam = np.array((np.minimum(a, d) - t, np.maximum(a, d) + t)).T.reshape(stack.shape[:-1])
     if not vectors:
         return lam
     vec = np.empty((len(m), 4), dtype=complex)  # the columns (lower, upper) in row-major order
-    vec[:, 1], vec[:, 3] = np.where(h > 0, [s, b], [b.conj(), s])
-    # normalized as floats: a complex division would overflow at a subnormal norm
-    vec.view(float).reshape(-1, 4, 2)[:, 1::2] /= np.hypot(s, bb)[:, None, None]
+    u = b.real / s + 1j * (b.imag / s)  # a complex division by s would overflow 1/s
+    vec[:, 1], vec[:, 3] = np.where(h > 0, 1.0, u.conj()), np.where(h > 0, u, 1.0)
+    vec.view(float).reshape(-1, 4, 2)[:, 1::2] /= np.hypot(1.0, np.abs(u))[:, None, None]
     vec[:, 0], vec[:, 2] = -vec[:, 3].conj(), vec[:, 1].conj()
     return lam, vec.reshape(stack.shape)
 
@@ -348,14 +349,10 @@ def eig_herm(m):
     defect, (lam, vec) = _decomposed(_as_square(m, "eig_herm input"), True)
     if not defect <= TOL["eig_herm_input"]:
         raise QuantumValueError(f"eig_herm needs a Hermitian matrix: defect {defect:.3g}")
-    lam, vec = lam[::-1].copy(), vec[:, ::-1].copy()
-    for j in range(vec.shape[1]):
-        col = vec[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            vec[:, j] = col / phase
-    return lam, vec
+    lam, vec = lam[::-1].copy(), vec[:, ::-1]
+    # each unit column divided by the phase of its first entry above 1e-12
+    lead = vec[(np.abs(vec) > 1e-12).argmax(axis=0), range(len(lam))]
+    return lam, vec / (lead / np.abs(lead))
 
 
 def _spectrum(rho):

@@ -31,6 +31,7 @@ and builds the rows when they are first read; ``run_cycle`` is N = 1.
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,12 +317,21 @@ class SweepReport:
     ``run_sweep`` keeps them as columns: a read-only (N, 13) table of CSV values and
     the (N, 5, 2, 2) snapshot stack as one read-only (N, 2, 2) plane per label (TA and
     TB broadcast one matrix without noise).  ``rows`` builds the CycleResults on first
-    read and keeps them; ``emit`` reads the columns.  ``load_report`` passes ``rows``.
+    read and keeps them; ``emit`` reads only the columns, built from ``rows`` when given.
     """
 
     def __init__(self, rows=None, failures=None, metadata=None, *, table=None, planes=None):
-        self._rows, self._table, self._planes = rows if rows is None else tuple(rows), table, planes
+        self._rows = rows if rows is None else tuple(rows)
         self.failures, self.metadata = failures or {}, metadata or {}
+        self._table = table if rows is None else np.array(
+            [_row_values(r) for r in self._rows], float).reshape(-1, len(CSV_COLUMNS))
+        if planes is not None:  # else _planes stacks the rows' snapshots on first read
+            self._planes = planes
+
+    @cached_property
+    def _planes(self):
+        return tuple(np.array([r.snapshots[label].matrix for r in self._rows], complex)
+                     .reshape(-1, 2, 2) for label in SNAPSHOT_LABELS)
 
     @property
     def rows(self):
@@ -394,25 +404,18 @@ def _matrix_from_json(rows):
 
 def emit(report, fmt="csv"):
     """Serialize a report to bytes, CSV (ledger table) or JSON (full)."""
-    table = report._table
-    if table is None:  # a report built from CycleResults
-        table = np.array([_row_values(r) for r in report.rows], float).reshape(-1, len(CSV_COLUMNS))
     if fmt == "csv":
-        body = (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
+        body = (_CSV_ROW * len(report._table)) % tuple(report._table.ravel().tolist())
         failed = "".join(f"# FAILED theta_v_deg={theta}: {message}\n"
                          for theta, message in report.failures.items())
         return (",".join(CSV_COLUMNS) + "\n" + body + failed).encode()
     if fmt == "json":
-        if report._planes is None:
-            snaps = [{label: _matrix_to_json(s.matrix) for label, s in row.snapshots.items()}
-                     for row in report.rows]
-        else:  # the (N, 5, 2, 2) stack in one conversion
-            snaps = [dict(zip(SNAPSHOT_LABELS, row))
-                     for row in _matrix_to_json(np.stack(report._planes, axis=1))]
+        snaps = [dict(zip(SNAPSHOT_LABELS, row))  # the (N, 5, 2, 2) stack in one conversion
+                 for row in _matrix_to_json(np.stack(report._planes, axis=1))]
         doc = {
             "metadata": report.metadata,
-            "rows": [dict(zip(CSV_COLUMNS, row)) for row in table.tolist()],
-            "snapshots": dict(zip(map(_g, table[:, 0].tolist()), snaps)),
+            "rows": [dict(zip(CSV_COLUMNS, row)) for row in report._table.tolist()],
+            "snapshots": dict(zip(map(_g, report._table[:, 0].tolist()), snaps)),
             "failures": report.failures,
         }
         return (json.dumps(doc, separators=(",", ":")) + "\n").encode()

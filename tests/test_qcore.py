@@ -192,6 +192,9 @@ class TestEigHerm:
                 rebuilt = vec @ np.diag(lam) @ vec.conj().T
                 assert np.abs(rebuilt - m).max() < 1e-10
                 assert np.all(np.diff(lam) <= 1e-12)
+                for col in vec.T:  # phase convention: first entry above 1e-12 real positive
+                    first = col[np.abs(col) > 1e-12][0]
+                    assert first.real > 0.0 and abs(first.imag) <= 1e-15
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(QuantumValueError):
@@ -489,10 +492,11 @@ class TestEigh2:
     Bounds, set from the rounding steps of the closed form (about six, each
     at most an ulp or so of the spectral radius rho = max |lambda|): each
     eigenvalue within 4 ulps of rho, each eigenvector residual |A v - lambda v|
-    within 4 eps rho and the orthonormality defect of the columns within
-    4 eps.  Where r << |m| each eigenvalue is within 1 ulp of itself: the form
-    takes no difference of nearly equal terms.  The largest errors seen over
-    20,000 to 40,000 samples per family were 2.8 ulps, 2.0 eps rho and 2.0 eps.
+    within 4 eps rho (4 * 5e-324 where rho is subnormal) and the orthonormality
+    defect of the columns within 4 eps, subnormal off-diagonals included.  Where
+    r << |m| each eigenvalue is within 1 ulp of itself: the form takes no
+    difference of nearly equal terms.  The largest errors seen over 20,000 to
+    40,000 samples per family were 2.8 ulps, 2.1 eps rho and 2.0 eps.
     """
 
     ULPS = 4
@@ -507,6 +511,11 @@ class TestEigh2:
                 m = random_pure(rng).matrix
             elif kind == "scaled":  # entries of mixed sign from 1e-30 to 1e30
                 a, d, re_b, im_b = 10.0 ** rng.uniform(-30, 30, 4) * rng.choice([-1, 1], 4)
+                m = np.array([[a, complex(re_b, -im_b)], [complex(re_b, im_b), d]])
+            elif kind == "subnormal":  # b (and h, or every entry) below the normal range
+                a, d, re_b, im_b = 10.0 ** rng.uniform(-324, -308, 4) * rng.choice([-1, 1], 4)
+                if rng.random() < 0.5:
+                    a, d = 0.5, 0.5 + d
                 m = np.array([[a, complex(re_b, -im_b)], [complex(re_b, im_b), d]])
             else:  # near-degenerate: r << |m|
                 mid, eps = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-16, -6)
@@ -541,15 +550,19 @@ class TestEigh2:
                 if kind == "near-degenerate":
                     assert abs(Decimal(g) - w) <= Decimal(np.spacing(abs(g))), (m, got)
 
-    @pytest.mark.parametrize("kind", ["density", "pure", "scaled", "near-degenerate"])
+    @pytest.mark.parametrize("kind", ["density", "pure", "scaled", "near-degenerate", "subnormal"])
     def test_eigenvectors_are_orthonormal_with_a_small_residual(self, rng, kind):
         stack = self._family(rng, kind, 2000)
+        if kind == "subnormal":
+            stack[:3] = [[[0.5, 5e-324], [5e-324, 0.5]], [[0.5, -1e-320j], [1e-320j, 0.5]],
+                         [[5e-324, 5e-324], [5e-324, 5e-324]]]
         lam, vec = eigh2(stack, True)
         eps = np.finfo(float).eps
         rho = np.abs(lam).max(axis=-1)
         residual = np.abs(stack @ vec - vec * lam[:, None, :]).max(axis=(-2, -1))
         defect = np.abs(vec.conj().swapaxes(-1, -2) @ vec - ID2).max(axis=(-2, -1))
-        assert (residual <= self.ULPS * eps * rho).all()
+        # eps rho underflows where rho is subnormal; the residual is then rounded to 5e-324
+        assert (residual <= self.ULPS * np.maximum(eps * rho, 5e-324)).all()
         assert (defect <= self.ULPS * eps).all()
 
     def test_diagonal_and_scalar_matrices_are_exact(self):
