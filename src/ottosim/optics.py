@@ -180,12 +180,22 @@ def _arm_stage(arm_v):
     return _ARM_H + _kron_slices(arm_v, _P1)
 
 
+def _left_mul(c, stack):
+    # c @ each slice of an (N, 4, 4) stack as one BLAS call, each slice with the bits of c @ slice
+    return (c @ stack.swapaxes(0, 1).reshape(4, -1)).reshape(4, -1, 4).swapaxes(0, 1)
+
+
+def _right_mul(stack, c):
+    # each slice of an (N, 4, 4) stack @ c as one BLAS call, each slice with the bits of slice @ c
+    return (stack.reshape(-1, 4) @ c).reshape(stack.shape)
+
+
 def _pd_product(arms):
-    return (_FLIP_PBS_PHASE @ arms) @ _PBS
+    return _right_mul(_left_mul(_FLIP_PBS_PHASE, arms), _PBS)
 
 
 def _ipd_product(arms):
-    return (((_PBS @ arms) @ _PHASE_0) @ _PBS) @ _FLIP
+    return _right_mul(_right_mul(_right_mul(_left_mul(_PBS, arms), _PHASE_0), _PBS), _FLIP)
 
 
 def dephasing_blocks(pd_theta, ipd_theta):
@@ -195,29 +205,36 @@ def dephasing_blocks(pd_theta, ipd_theta):
     The PD circuit is PBS1 -> arm plates (H arm fixed, V arm at
     hwp(pi - 2 theta_v), so |V> -> sin 2t |H> + cos 2t |V>) -> PZT at zero
     phase -> PBS2 -> HWP5; the IPD is its mirror.  Both lists share one
-    range check, one arm-plate build and check and one block unitarity
-    check.  Returns (pd (P, 4, 4), ipd (Q, 4, 4), the PD Kraus pairs
-    (P, 2, 2, 2), pd_errors, ipd_errors): each errors dict maps the position
-    in its list of each angle that fails a check (angle range, Kraus
-    completeness for a PD, arm-plate and block unitarity, in that order) to
-    its message.  The stacked products keep the single-block product order,
-    so each slice has the bits of the block built alone.
+    range check and one arm-plate build and check per distinct angle; an
+    empty list builds and checks nothing.  Returns (pd (P, 4, 4), ipd (Q, 4, 4),
+    the PD Kraus pairs (P, 2, 2, 2), pd_errors, ipd_errors): each errors dict
+    maps the position in its list of each angle that fails a check (angle
+    range, Kraus completeness for a PD, arm-plate and block unitarity, in that
+    order) to its message.  Each constant stage is one BLAS call over the
+    whole stack, and every slice keeps the bits of the block built alone.
     """
     pd_theta = np.asarray(pd_theta, dtype=float)
     count = len(pd_theta)
     theta_v = np.concatenate([pd_theta, ipd_theta])
     in_range = (theta_v >= 0.0) & (theta_v <= np.pi / 4 + 1e-15)
-    arm_v = _hwp_matrix(np.pi - 2.0 * theta_v)
-    arms, kraus = _arm_stage(arm_v), _kraus_pairs(pd_theta)
-    pd, ipd = _pd_product(arms[:count]), _ipd_product(arms[count:])
+    ordered = np.sort(theta_v)  # the distinct angles, and plate[i] the one of position i
+    angles = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+    plate = np.searchsorted(angles, theta_v)
+    arm_v = _hwp_matrix(np.pi - 2.0 * angles)
+    arms = _arm_stage(arm_v)[plate]
+    kraus = _kraus_pairs(pd_theta) if count else np.empty((0, 2, 2, 2), complex)
+    pd = _pd_product(arms[:count]) if count else arms[:0]
+    ipd = _ipd_product(arms[count:]) if len(arms) > count else arms[:0]
     defect = _unitarity_defects(np.concatenate([pd, ipd]))
     # positions run over both lists, the PD angles first (the only ones with Kraus pairs)
     errors = first_errors(
         {i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]"
          for i in np.flatnonzero(~in_range).tolist()},
-        kraus_errors(kraus), _unitarity_errors(arm_v, "HWP element"),
-        _not_unitary(defect[:count], "PD block"),
-        {count + i: message for i, message in _not_unitary(defect[count:], "IPD block").items()})
+        kraus_errors(kraus) if count else {},
+        _not_unitary(_unitarity_defects(arm_v)[plate], "HWP element"),
+        _not_unitary(defect[:count], "PD block") if count else {},
+        {count + i: message for i, message in _not_unitary(defect[count:], "IPD block").items()}
+        if len(ipd) else {})
     return (pd, ipd, kraus, {i: message for i, message in errors.items() if i < count},
             {i - count: message for i, message in errors.items() if i >= count})
 

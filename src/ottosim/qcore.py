@@ -37,6 +37,7 @@ __all__ = [
     "density_operators",
     "first_errors",
     "density_errors",
+    "density_failures",
     "density_spectra",
     "kraus_errors",
     "trace_path",
@@ -193,6 +194,7 @@ def wrap_validated(matrix, label=None):
 def density_operators(matrices, labels):
     """DensityOperators of labeled 2x2 and 4x4 matrices, checked as one stack per shape.
 
+    A Cholesky factorisation proves the 4x4 ones positive (:func:`density_failures`).
     Raises the constructor's message for the first failing matrix in order.
     """
     arrays, labels = [_as_square(m, "density operator") for m in matrices], list(labels)
@@ -203,7 +205,7 @@ def density_operators(matrices, labels):
             continue
         stack = np.array([arrays[i] for i in where])
         stack.flags.writeable = False
-        failures += [(where[pos], message) for pos, message in density_errors(stack)[1].items()]
+        failures += [(where[pos], message) for pos, message in density_failures(stack).items()]
         for i, m in zip(where, stack):
             states[i] = wrap_validated(m, labels[i])
     if failures:
@@ -249,6 +251,11 @@ def eigh2(stack, vectors=False):
     return lam, vec.reshape(stack.shape)
 
 
+def _hermiticity_defects(stack):
+    # the max-norm defect of rho - rho^dag of a matrix or of each slice of a stack
+    return np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
 def _decomposed(stack, vectors=False):
     # the max-norm Hermiticity defect and ascending eigh2 (2x2) or LAPACK (4x4) output of a matrix
     # or of each slice of a stack; a slice holding NaN or inf fails Hermiticity first and gets NaN
@@ -257,9 +264,9 @@ def _decomposed(stack, vectors=False):
             np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a))
 
     if np.isfinite(stack).all():
-        return np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)), eig(stack)
+        return _hermiticity_defects(stack), eig(stack)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN here, not a warning
-        herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        herm = _hermiticity_defects(stack)
         skip = ~np.isfinite(herm)
         out = eig(stack if stack.shape[-1] == 2 else np.where(skip[..., None, None], 0.0, stack))
     for part in out if vectors else (out,):
@@ -283,10 +290,29 @@ def density_errors(stack):
 
     Returns the ascending eigenvalues of every slice and a dict mapping the
     position of each failing slice to the message the constructor would
-    raise for it.
+    raise for it.  A caller that reads no eigenvalues uses
+    :func:`density_failures`, which gives the same dict.
     """
     herm, lam = _decomposed(stack)
     return lam, _density_failures(stack, lam, herm)
+
+
+def density_failures(stack):
+    """``density_errors(stack)[1]`` of an (N, d, d) stack, without eigenvalues where it can.
+
+    A finite 4x4 stack whose every slice minus (TOL["psd"] + 1e-13) times 1 has a Cholesky
+    factor has no eigenvalue below TOL["psd"]: only its other defects are computed.  Any
+    other stack, 2x2 ones included (eigh2 costs no more), takes :func:`density_errors`.
+    """
+    if stack.shape[-1] == 4 and np.isfinite(stack).all():
+        try:  # the factor reads the lower triangle, as eigvalsh does; 1e-13 covers both roundings
+            np.linalg.cholesky(stack - (TOL["psd"] + 1e-13) * ID4)
+        except np.linalg.LinAlgError:
+            pass
+        else:  # +inf stands for the eigenvalues the factor bounds above TOL["psd"]
+            lam = np.full((len(stack), 1), np.inf)
+            return _density_failures(stack, lam, _hermiticity_defects(stack))
+    return density_errors(stack)[1]
 
 
 def _density_failures(stack, lam, herm):

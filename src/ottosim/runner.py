@@ -22,10 +22,10 @@ invariants, cycle closure included, hold at any noise level.
 
 A sweep runs all of its angles as one stack (``_cycle_rows``): the
 theta-independent strokes once, the per-angle strokes on (N, ., .) arrays
-with every state checked after the last one, one call per group and each
-state decomposed once (a 2x2 one in closed form, ``qcore.eigh2``), then the
-ledger as columns.  Its SweepReport keeps the columns and the snapshot stack
-and builds the rows when they are first read; ``run_cycle`` is N = 1.
+with every state checked after the last one, one call per group (the joint
+states by one Cholesky proof, each 2x2 state decomposed once in closed form),
+then the ledger as columns.  Its SweepReport keeps the columns and the snapshot
+stack and builds the rows when they are first read; ``run_cycle`` is N = 1.
 """
 
 import json
@@ -38,13 +38,14 @@ import numpy as np
 
 from . import __version__
 from .circuit import compile_program, parse
-from .optics import (_jones_parameter, _kron_slices, dephasing_blocks, expansion_unitary,
-                     kappa_from_theta_deg)
+from .optics import (_jones_parameter, _kron_slices, _left_mul, _right_mul, dephasing_blocks,
+                     expansion_unitary, kappa_from_theta_deg)
 from .qcore import (
     ID2,
     TOL,
     QuantumValueError,
     density_errors,
+    density_failures,
     density_operators,
     density_spectra,
     entropies,
@@ -229,16 +230,17 @@ def _cycle_rows(thetas, config):
     # B->C: dephasing block as the hot reservoir; C->D: compression applied to
     # the polarization of both arms; D->A: the inverted block consumes the
     # dephasing record.  Rows that fail a check run on and are dropped below.
+    # (a constant 4x4 factor is one BLAS call over the stack, with the per-slice bits)
     joint = np.empty((3, count, 4, 4), dtype=complex)
-    np.matmul(pd @ f.joint_b, pd.conj().swapaxes(-1, -2), out=joint[0])
-    np.matmul(f.k_c @ joint[0], f.k_c.conj().T, out=joint[1])
+    np.matmul(_right_mul(pd, f.joint_b), pd.conj().swapaxes(-1, -2), out=joint[0])
+    joint[1] = _right_mul(_left_mul(f.k_c, joint[0]), f.k_c.conj().T)
     np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
     joint = joint.reshape(-1, 4, 4)
     rho_c, rho_d, rho_a2 = trace_path(joint).reshape(3, count, 2, 2)
 
     # every state checked in one call per group; the entropies produced relaxing
     # rho_B to the thermal state at x_h and rho_D to the cold state need the supports
-    bad_jc, bad_jd, bad_ja = _parts(density_errors(joint)[1], count, 3)
+    bad_jc, bad_jd, bad_ja = _parts(density_failures(joint), count, 3)
     lam_ca, bad_ca = density_errors(np.concatenate([rho_c, rho_a2]))
     lam_dh, spec_dh, vec_dh, bad_dh = density_spectra(
         np.concatenate([rho_d, thermal_matrices(x_h.tolist())]))

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import ottosim.circuit as circuit_mod
 import ottosim.optics as optics_mod
 from ottosim.circuit import (
     _SIGNATURES,
@@ -389,6 +390,24 @@ class TestDeferredChecks:
         joint = u @ np.kron(_UNPHYSICAL, np.diag([1.0, 0.0])) @ u.conj().T
         assert np.linalg.eigvalsh(np.einsum("ikjk->ij", joint.reshape(2, 2, 2, 2))).min() > 0
         assert _message(_corrupted_run, source, k, change) == _message(DensityOperator, joint)
+
+    def test_a_negative_joint_eigenvalue_fails_the_joint_check(self, monkeypatch):
+        # the first joint state read gains 0.1 at <H, k0| . |H, k1> and at its mirror entry
+        # before its reduction: Hermitian, unit trace, the same reduced state, and an
+        # eigenvalue of about -0.1 that only the 4x4 positivity check can see
+        original, lifted = circuit_mod.trace_path, []
+
+        def patched(stack):
+            if not lifted:
+                stack[0, 0, 1] += 0.1
+                stack[0, 1, 0] += 0.1
+                lifted.append(stack[0].copy())
+            return original(stack)
+
+        monkeypatch.setattr(circuit_mod, "trace_path", patched)
+        message = _message(compile_program(parse("init rc\npd 22.5\ntomo TC\nipd 22.5")).run)
+        assert message == "not positive semidefinite: min eigenvalue -0.0731"
+        assert message == _message(DensityOperator, lifted[0])
 
     def test_the_earlier_of_two_bad_taps_is_named(self):
         source = "init rc\ntomo A\npd 10\ntomo B\nipd 10\nhwp 3\ntomo C"

@@ -181,24 +181,20 @@ def _corrupt_block(monkeypatch, inverse, change, row=ROW):
     monkeypatch.setattr(runner_mod, "dephasing_blocks", patched)
 
 
-def _skew_path_coherence(monkeypatch, part):
-    """Before the engine traces out the path, add 1e-6 to one path-coherence entry of row ROW
-    of its joint stack ``part`` (B->C, C->D, D->A): the joint state is no longer Hermitian
-    while its reduced polarization state, which never reads that entry, is unchanged."""
+def _skew_path_coherence(monkeypatch, part, upper=1e-6, lower=0.0):
+    """Before the engine traces out the path, add ``upper`` to the path-coherence entry
+    <H, k0| . |H, k1> of row ROW of its joint stack ``part`` (B->C, C->D, D->A) and ``lower``
+    to its mirror entry; its reduced polarization state, which never reads them, is
+    unchanged.  Alone, ``upper`` leaves the joint state not Hermitian; 0.1 at both keeps it
+    Hermitian with unit trace and gives it an eigenvalue of about -0.1."""
     original = runner_mod.trace_path
 
     def patched(stack):
-        stack[part * len(DEFAULT_THETAS) + ROW, 0, 1] += 1e-6  # <H, k0| . |H, k1>
+        stack[part * len(DEFAULT_THETAS) + ROW, 0, 1] += upper
+        stack[part * len(DEFAULT_THETAS) + ROW, 1, 0] += lower
         return original(stack)
 
     monkeypatch.setattr(runner_mod, "trace_path", patched)
-
-
-def _lossy_ipd_phase(monkeypatch):
-    """Row ROW of the IPD's zero-phase PZT stage (used by no other block) scaled by 1.01."""
-    stage = np.array([optics_mod._PHASE_0] * len(DEFAULT_THETAS))
-    stage[ROW] *= 1.01
-    monkeypatch.setattr(optics_mod, "_PHASE_0", stage)
 
 
 def _break_kraus(monkeypatch):
@@ -216,20 +212,24 @@ def _pure(_):
     return np.array([[0.5, -0.5j], [0.5j, 0.5]])
 
 
-# the arm plates of both blocks are built as one [PD; IPD] stack
+# each distinct angle's arm plate is built once for both blocks (the sweep's angles are
+# distinct and sorted, so a plate's position is its row's); the IPD product is the only
+# per-row stage of the IPD alone
 GATES = {
     "arm plate": (lambda mp: _corrupt_nth_stack(mp, optics_mod, "_hwp_matrix", 1,
-                                                lambda m: 1.01 * m, 0, 2),
+                                                lambda m: 1.01 * m),
                   "stroke B->C: HWP element not unitary"),
     "kraus": (_break_kraus, "stroke B->C: incomplete Kraus set"),
     "pd unitarity": (lambda mp: _corrupt_nth_stack(mp, optics_mod, "_arm_stage", 1,
-                                                   lambda m: 1.01 * m, 0, 2),
+                                                   lambda m: 1.01 * m),
                      "stroke B->C: PD block not unitary"),
     "joint state": (lambda mp: _corrupt_block(mp, False, lambda u: 1.01 * u),
                     "stroke B->C: trace"),
     "B->C joint": (lambda mp: _skew_path_coherence(mp, 0), "stroke B->C: not Hermitian"),
     "C->D joint": (lambda mp: _skew_path_coherence(mp, 1), "stroke C->D: not Hermitian"),
     "D->A joint": (lambda mp: _skew_path_coherence(mp, 2), "stroke D->A: not Hermitian"),
+    "C->D joint positivity": (lambda mp: _skew_path_coherence(mp, 1, 0.1, 0.1),
+                              "stroke C->D: not positive semidefinite: min eigenvalue -0.1"),
     "reduced state": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "trace_path", 1,
                                                     lambda m: m + [[0, 1e-6], [0, 0]], 0, 3),
                       "stroke B->C: not Hermitian"),
@@ -242,7 +242,9 @@ GATES = {
     "spectrum": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "trace_path", 1,
                                                lambda m: 0.5 * np.eye(2), 1, 3),
                  "stroke C->D: not unitary, spectrum moved"),
-    "ipd unitarity": (_lossy_ipd_phase, "stroke D->A: IPD block not unitary"),
+    "ipd unitarity": (lambda mp: _corrupt_nth_stack(mp, optics_mod, "_ipd_product", 1,
+                                                    lambda m: 1.01 * m),
+                      "stroke D->A: IPD block not unitary"),
     "closure": (lambda mp: _corrupt_block(mp, True, lambda u: np.eye(4)),
                 "stroke D->A: cycle failed to close"),
 }

@@ -259,6 +259,16 @@ class TestDephasingBlocks:
             for k, theta in enumerate(ipd_theta):
                 assert u_ipd[k].tobytes() == reference_blocks(theta)[1].tobytes()
 
+    def test_one_call_stages_keep_the_per_slice_bits(self, rng):
+        for n in (1, 2, 3, 7, 64, 129):
+            c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            stack = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+            for const in (c, c.conj().T):  # C- and F-ordered, as the engine's factors are
+                assert optics_mod._left_mul(const, stack).tobytes() == np.array(
+                    [const @ m for m in stack]).tobytes()
+                assert optics_mod._right_mul(stack, const).tobytes() == np.array(
+                    [m @ const for m in stack]).tobytes()
+
     def test_out_of_range_rows_reported(self):
         _, _, _, errors, errors_ipd = dephasing_blocks([0.1, -0.1, 0.2, 1.0], [])
         assert set(errors) == {1, 3} and errors_ipd == {}
@@ -279,11 +289,13 @@ class TestDephasingBlocks:
                 return out
             return patched
 
-        # an out-of-range row fails every later check too, and keeps its range message
+        # an out-of-range row fails every later check too, and keeps its range message; the
+        # arm plates and stages are built per distinct angle, in ascending order:
+        # -0.1, 0.1, 0.15, 0.2, 0.25, 0.3, 1.0
         monkeypatch.setattr(optics_mod, "_kraus_pairs", scaled(kraus_pairs, [0, 1]))
-        monkeypatch.setattr(optics_mod, "_hwp_matrix", scaled(hwp_matrix, [0, 1, 2, 4, 5]))
-        monkeypatch.setattr(optics_mod, "_arm_stage", scaled(arm_stage, [3, 6]))
-        _, _, _, errors, errors_ipd = dephasing_blocks([-0.1, 0.1, 0.2, 0.3], [1.0, 0.1, 0.2])
+        monkeypatch.setattr(optics_mod, "_hwp_matrix", scaled(hwp_matrix, [0, 1, 2, 3, 6]))
+        monkeypatch.setattr(optics_mod, "_arm_stage", scaled(arm_stage, [4, 5]))
+        _, _, _, errors, errors_ipd = dephasing_blocks([-0.1, 0.1, 0.2, 0.3], [1.0, 0.15, 0.25])
         assert errors[0] == "theta_v = -0.1 rad outside [0, pi/4]"
         assert errors[1].startswith("incomplete Kraus set: defect")
         assert errors[2].startswith("HWP element not unitary: defect")
@@ -292,6 +304,39 @@ class TestDephasingBlocks:
         assert errors_ipd[1].startswith("HWP element not unitary: defect")
         assert errors_ipd[2].startswith("IPD block not unitary: defect")
         assert len(errors) == 4 and len(errors_ipd) == 3
+
+    def test_each_distinct_angle_builds_and_checks_one_arm_plate(self, monkeypatch):
+        built = []
+        hwp_matrix = optics_mod._hwp_matrix
+
+        def bad_plate_at_0_2(theta):  # records each build; the plate of 0.2 rad is not unitary
+            built.append(np.array(theta))
+            return np.where(np.isclose(theta, np.pi - 0.4)[..., None, None], 1.1, 1.0) * (
+                hwp_matrix(theta))
+
+        monkeypatch.setattr(optics_mod, "_hwp_matrix", bad_plate_at_0_2)
+        pd, ipd, _, errors, errors_ipd = dephasing_blocks([0.2, 0.1, 0.2], [0.1, 0.2])
+        assert [len(theta) for theta in built] == [2]
+        # the shared plate fails, with one message, at every position that uses it
+        assert set(errors) == {0, 2} and set(errors_ipd) == {1}
+        assert errors[0] == errors[2] == errors_ipd[1]
+        assert errors[0].startswith("HWP element not unitary: defect 0.21")
+        assert pd[0].tobytes() == pd[2].tobytes() and ipd.shape == (2, 4, 4)
+
+    def test_an_empty_list_builds_and_checks_nothing(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("called for an empty list")
+
+        monkeypatch.setattr(optics_mod, "_ipd_product", unused)
+        pd, ipd, kraus, errors, errors_ipd = dephasing_blocks([0.3], [])
+        assert ipd.shape == (0, 4, 4) and errors == errors_ipd == {}
+        assert pd[0].tobytes() == reference_blocks(0.3)[0].tobytes()
+        monkeypatch.undo()
+        for name in ("_pd_product", "_kraus_pairs", "kraus_errors"):
+            monkeypatch.setattr(optics_mod, name, unused)
+        pd, ipd, kraus, errors, errors_ipd = dephasing_blocks([], [0.3])
+        assert pd.shape == (0, 4, 4) and kraus.shape == (0, 2, 2, 2)
+        assert ipd[0].tobytes() == reference_blocks(0.3)[1].tobytes()
 
 
 class TestExpansionCompression:

@@ -8,6 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+import ottosim.qcore as qcore_mod
 from ottosim.qcore import (
     ID2,
     ID4,
@@ -16,9 +17,11 @@ from ottosim.qcore import (
     DensityOperator,
     KrausSet,
     QuantumValueError,
+    TOL,
     SupportError,
     apply_kraus,
     density_errors,
+    density_failures,
     density_spectra,
     density_operators,
     eig_herm,
@@ -295,6 +298,93 @@ class TestFidelity:
     def test_dim_mismatch(self, rng):
         with pytest.raises(QuantumValueError):
             fidelity(random_density(rng, 2), random_density(rng, 4))
+
+
+def _with_spectrum(rng, lam):
+    """A Hermitian matrix with the given eigenvalues, in a random basis."""
+    u = random_unitary(rng, len(lam))
+    return (u * np.asarray(lam, dtype=float)) @ u.conj().T
+
+
+class TestDensityFailures:
+    """density_failures against density_errors(stack)[1]: a Cholesky factor stands in for the
+    eigenvalues only where it proves them, and any other stack takes the eigenvalue path."""
+
+    @staticmethod
+    def slices(rng, dim):
+        def lowest(lam_min):  # unit trace, the other eigenvalues equal
+            return _with_spectrum(rng, [lam_min] + [(1.0 - lam_min) / (dim - 1)] * (dim - 1))
+
+        good = random_density(rng, dim).matrix
+        upper = np.eye(dim, k=1) * 1e-3
+        inf_upper = good.copy()
+        inf_upper[0, 1] = np.inf
+        negative = _with_spectrum(rng, [-0.2, 1.2] + [0.0] * (dim - 2))
+        return {
+            "good": good,
+            "pure": random_pure(rng, dim).matrix,
+            "nan": np.full((dim, dim), np.nan),
+            "inf": np.full((dim, dim), np.inf),
+            "-inf": np.full((dim, dim), -np.inf),
+            "inf off the diagonal": inf_upper,
+            "non-Hermitian, lower triangle positive": good + upper,
+            "non-Hermitian, lower triangle not positive": negative + upper,
+            "trace": good * (1.0 + 1e-11),
+            "trace and negative": negative * 1.1,
+            "lam_min = psd - 1e-12": lowest(TOL["psd"] - 1e-12),
+            "lam_min = psd + 1e-12": lowest(TOL["psd"] + 1e-12),
+        }
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_each_slice_alone_and_all_together(self, rng, dim):
+        slices = self.slices(rng, dim)
+        reference = {name: density_errors(m[None].astype(complex))[1] for name, m in slices.items()}
+        assert reference["lam_min = psd - 1e-12"][0].startswith(
+            "not positive semidefinite: min eigenvalue -1.01e-10")
+        assert reference["lam_min = psd + 1e-12"] == reference["good"] == {}
+        for name, m in slices.items():
+            assert density_failures(m[None].astype(complex)) == reference[name], name
+        stack = np.array(list(slices.values()), dtype=complex)
+        assert density_failures(stack) == density_errors(stack)[1]
+        finite = np.array([m for m in slices.values() if np.isfinite(m).all()], dtype=complex)
+        assert density_failures(finite) == density_errors(finite)[1]
+        assert density_failures(np.empty((0, dim, dim), complex)) == {}
+
+    def test_the_proof_leaves_room_for_rounding(self, rng):
+        # at lam_min = TOL["psd"] exactly, eigvalsh rounds to either side, and rho - TOL["psd"] * 1
+        # has a factor for some slices that it puts below; the 1e-13 of room rejects those
+        stack = np.array([_with_spectrum(rng, [TOL["psd"], 0.5, 0.25, 0.25 - TOL["psd"]])
+                          for _ in range(64)])
+        below = np.linalg.eigvalsh(stack).min(axis=-1) < TOL["psd"]
+
+        def factored(m):
+            try:
+                return np.linalg.cholesky(m - TOL["psd"] * ID4) is not None
+            except np.linalg.LinAlgError:
+                return False
+
+        band = [m[None] for m, low in zip(stack, below) if low and factored(m)]
+        assert band
+        for m in band:
+            assert density_failures(m) == density_errors(m)[1] != {}
+
+    def test_a_factor_of_every_4x4_slice_skips_the_eigenvalues(self, rng, monkeypatch):
+        slices = self.slices(rng, 4)
+        proved = np.array([slices[name] for name in (
+            "good", "pure", "non-Hermitian, lower triangle positive", "trace",
+            "lam_min = psd + 1e-12")], dtype=complex)
+        expected = density_errors(proved)[1]
+        assert sorted(expected) == [2, 3]
+        calls = []
+        monkeypatch.setattr(qcore_mod, "density_errors",
+                            lambda stack: calls.append(len(stack)) or density_errors(stack))
+        assert density_failures(proved) == expected and calls == []
+        for name in ("lam_min = psd - 1e-12", "non-Hermitian, lower triangle not positive", "nan"):
+            density_failures(np.concatenate([proved, slices[name][None]]))
+            assert calls == [len(proved) + 1], name
+            calls.clear()
+        density_failures(proved[:, :2, :2])  # a 2x2 stack takes its closed-form eigenvalues
+        assert calls == [len(proved)]
 
 
 class TestStackedChecks:
