@@ -21,18 +21,17 @@ ledger itself is always computed from the exact simulated states so its
 invariants, cycle closure included, hold at any noise level.
 
 A sweep runs all of its angles as one stack (``_cycle_rows``): the
-theta-independent strokes once, the per-angle strokes on (N, ., .) arrays
-with every state checked after the last one, one call per group (the joint
-states by one Cholesky proof, each 2x2 state decomposed once in closed form),
-then the ledger as columns.  Its SweepReport keeps the columns and the snapshot
-stack and builds the rows when they are first read; ``run_cycle`` is N = 1.
+theta-independent A->B stroke once, the per-angle strokes on (N, ., .) arrays,
+then every state checked in one call per group (the joint states by one
+Cholesky proof, each 2x2 state decomposed once in closed form; a failed A->B
+check stops every row), then the ledger as columns.  A SweepReport, from a
+sweep or from ``load_report``, is the CSV-value table and the snapshot stack;
+it builds the rows when they are first read.  ``run_cycle`` is N = 1.
 """
 
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -174,88 +173,67 @@ def _parts(errors, count, parts):
             for k in range(parts)]
 
 
-def _fixed_part(config):
-    """The theta-independent part of a sweep, computed and checked once."""
-    params = config.params()
-    f = SimpleNamespace(params=params, n=params.n, x_c=params.x_c,
-                        h_cold=hamiltonian(1.0), h_hot=hamiltonian(params.n))
-    # A: cold thermal state; A->B: expansion (work stroke), rho_B checked in one stack with rho_A
-    rho_a = thermal_matrices([params.x_c])[0]
-    u_e = expansion_unitary(f.n, config.omega0_tau).matrix
-    states = np.array([rho_a, u_e @ rho_a @ u_e.conj().T])
-    states.flags.writeable = False
-    lam, spec, vec, bad = density_spectra(states)
-    if 0 in bad:
-        raise QuantumValueError(bad[0])
-    if 1 in bad:
-        raise CycleError(f"stroke A->B: {bad[1]}")
-    moved = _spectrum_errors(lam[:1], lam[1:])
-    if moved:
-        raise CycleError(f"stroke A->B: {moved[0]}")
-    f.rho_a, f.rho_b = states
-    e_a_cold, f.e_b_hot = expectations(np.array([f.h_cold, f.h_hot]), states).tolist()
-    f.w_ab = f.e_b_hot - e_a_cold
-    f.s_cold, f.s_b = entropies(spec)
-    f.spec_cold, f.vec_cold = spec[:1], vec[:1]
-    # B->C takes the ancilla in k0; C->D turns the polarization of both arms by
-    # the A->B rotation (compression_unitary has the same Jones parameter)
-    f.joint_b = _kron_slices(f.rho_b, np.diag([1.0, 0.0]).astype(complex))
-    f.k_c = _kron_slices(u_e, ID2)
-    return f
-
-
 def _cycle_rows(thetas, config):
     """Run one cycle per angle of ``thetas`` (degrees), all angles as one stack.
 
-    After ``_fixed_part``, B->C, C->D and D->A run on all N rows, then every state is
-    checked in one call per group against the TOL checks a single-matrix computation
-    applies.  A row reports its first failed check, in stroke order, with its stroke
-    named; the other rows go on.  The ledger is columns over the passing rows, with only
-    IEEE arithmetic vectorised, so each value has the bits of the per-row formulas; with
-    noise their snapshots are tapped as one stack.  Returns the finished rows sorted by
-    (r, theta_V), as positions in ``thetas``, CSV values and snapshot planes (see
-    SweepReport), and the error of each stopped row.
+    A->B runs once and B->C, C->D and D->A on all N rows; then every state is checked
+    in one call per group against the TOL checks a single-matrix computation applies.
+    A row reports its first failed check, in stroke order, with its stroke named; the
+    other rows go on, and a failed A->B check (rho_A, rho_B or their spectra) stops every
+    row.  The ledger is columns over the passing rows, with only IEEE arithmetic
+    vectorised, so each value has the bits of the per-row formulas; with noise their
+    snapshots are tapped as one stack.  Returns the finished rows sorted by (r, theta_V),
+    as positions in ``thetas``, CSV values and snapshot planes (see SweepReport), and the
+    error of each stopped row.
     """
-    count = len(thetas)
-    try:
-        f = _fixed_part(config)
-    except (CycleError, QuantumValueError) as exc:
-        planes = (np.empty((0, 2, 2), complex),) * len(SNAPSHOT_LABELS)
-        return [], np.empty((0, len(CSV_COLUMNS))), planes, dict.fromkeys(range(count), exc)
+    params, count = config.params(), len(thetas)
+    n, x_c = params.n, params.x_c
+    h_cold, h_hot = hamiltonian(1.0), hamiltonian(n)
+    # A: cold thermal state; A->B: expansion (work stroke), the same for every row
+    u_e = expansion_unitary(n, config.omega0_tau).matrix
+    rho_a = thermal_matrices([x_c])[0]
+    rho_b = u_e @ rho_a @ u_e.conj().T
     kappa = kappa_from_theta_deg(thetas)
-    x_h = np.array(hot_x_column(kappa, f.params))
+    x_h = np.array(hot_x_column(kappa, params))
     theta_v = np.array([math.radians(theta) for theta in thetas])
     pd, ipd, _, bad_pd, bad_ipd = dephasing_blocks(theta_v, theta_v)
 
-    # B->C: dephasing block as the hot reservoir; C->D: compression applied to
-    # the polarization of both arms; D->A: the inverted block consumes the
-    # dephasing record.  Rows that fail a check run on and are dropped below.
-    # (a constant 4x4 factor is one BLAS call over the stack, with the per-slice bits)
+    # B->C: dephasing block as the hot reservoir, the ancilla taken in k0; C->D: the
+    # compression (the A->B rotation: the same Jones parameter) applied to the polarization
+    # of both arms; D->A: the inverted block consumes the dephasing record.  Rows that fail
+    # a check run on and are dropped below.  (A constant 4x4 factor is one BLAS call over
+    # the stack, with the per-slice bits.)
+    k_c = _kron_slices(u_e, ID2)
     joint = np.empty((3, count, 4, 4), dtype=complex)
-    np.matmul(_right_mul(pd, f.joint_b), pd.conj().swapaxes(-1, -2), out=joint[0])
-    joint[1] = _right_mul(_left_mul(f.k_c, joint[0]), f.k_c.conj().T)
+    np.matmul(_right_mul(pd, _kron_slices(rho_b, np.diag([1.0, 0.0]).astype(complex))),
+              pd.conj().swapaxes(-1, -2), out=joint[0])
+    joint[1] = _right_mul(_left_mul(k_c, joint[0]), k_c.conj().T)
     np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
     joint = joint.reshape(-1, 4, 4)
     rho_c, rho_d, rho_a2 = trace_path(joint).reshape(3, count, 2, 2)
 
-    # every state checked in one call per group; the entropies produced relaxing
-    # rho_B to the thermal state at x_h and rho_D to the cold state need the supports
+    # every state checked in one call per group, [rho_A, rho_B, rho_D, hot targets] with
+    # one decomposition each; the entropies produced relaxing rho_B to the thermal state
+    # at x_h and rho_D to the cold state need the supports
     bad_jc, bad_jd, bad_ja = _parts(density_failures(joint), count, 3)
     lam_ca, bad_ca = density_errors(np.concatenate([rho_c, rho_a2]))
-    lam_dh, spec_dh, vec_dh, bad_dh = density_spectra(
-        np.concatenate([rho_d, thermal_matrices(x_h.tolist())]))
-    spec_d, spec_h, vec_h = spec_dh[:count], spec_dh[count:], vec_dh[count:]
+    lam, spec, vec, bad = density_spectra(
+        np.concatenate([[rho_a, rho_b], rho_d, thermal_matrices(x_h.tolist())]))
+    spec_d, spec_h, vec_h = spec[2:2 + count], spec[2 + count:], vec[2 + count:]
     bad_support = support_weights(
-        np.concatenate([np.broadcast_to(f.rho_b, rho_d.shape), rho_d]),
-        np.concatenate([spec_h, np.broadcast_to(f.spec_cold, spec_h.shape)]),
-        np.concatenate([vec_h, np.broadcast_to(f.vec_cold, vec_h.shape)]))[1]
-    (bad_c, bad_a2), (bad_d, bad_h) = _parts(bad_ca, count, 2), _parts(bad_dh, count, 2)
-    bad_hot, bad_cold = _parts(bad_support, count, 2)
+        np.concatenate([np.broadcast_to(rho_b, rho_d.shape), rho_d]),
+        np.concatenate([spec_h, np.broadcast_to(spec[:1], spec_h.shape)]),
+        np.concatenate([vec_h, np.broadcast_to(vec[:1], vec_h.shape)]))[1]
+    (bad_c, bad_a2), (bad_hot, bad_cold) = _parts(bad_ca, count, 2), _parts(bad_support, count, 2)
+    bad_d, bad_h = _parts({pos - 2: message for pos, message in bad.items() if pos > 1}, count, 2)
+    # rho_A, rho_B and the A->B spectrum are one state or check for all rows
+    fixed = (bad.get(0), bad.get(1), _spectrum_errors(lam[:1], lam[1:2]).get(0))
     errors = {}
     for stroke, checks in (
+            ("A->B", [dict.fromkeys(range(count), message) for message in fixed if message]),
             ("B->C", (bad_pd, bad_jc, bad_c, bad_h, bad_hot)),
-            ("C->D", (bad_jd, bad_d, _spectrum_errors(lam_ca[:count], lam_dh[:count]))),
-            ("D->A", (bad_ipd, bad_ja, bad_a2, bad_cold, _closure_errors(rho_a2, f.rho_a)))):
+            ("C->D", (bad_jd, bad_d, _spectrum_errors(lam_ca[:count], lam[2:2 + count]))),
+            ("D->A", (bad_ipd, bad_ja, bad_a2, bad_cold, _closure_errors(rho_a2, rho_a)))):
         for i, message in first_errors(*checks).items():
             errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
     keep = [i for i in range(count) if i not in errors]
@@ -264,21 +242,23 @@ def _cycle_rows(thetas, config):
             a[keep] for a in (theta_v, kappa, x_h, rho_c, rho_d, rho_a2, spec_h, spec_d))
 
     # the ledger as columns; q_BC in hbar*omega_fin units so beta*Q reduces to x_h * q
-    e_c_hot = expectations(f.h_hot, rho_c)
-    e_d_cold = expectations(f.h_cold, rho_d)
-    q_bc = e_c_hot - f.e_b_hot
+    e_a_cold, e_b_hot = expectations(np.array([h_cold, h_hot]), np.array([rho_a, rho_b])).tolist()
+    s_cold, s_b = entropies(spec[:2])
+    e_c_hot = expectations(h_hot, rho_c)
+    e_d_cold = expectations(h_cold, rho_d)
+    q_bc = e_c_hot - e_b_hot
     w_cd = e_d_cold - e_c_hot
-    q_da = expectations(f.h_cold, rho_a2) - e_d_cold
-    sig_e = (np.array(entropies(spec_h)) - f.s_b) - x_h * (q_bc / f.n)
-    sig_c = (f.s_cold - np.array(entropies(spec_d))) - f.x_c * q_da
-    energies = np.stack(np.broadcast_arrays(f.w_ab, q_bc, w_cd, q_da))
+    q_da = expectations(h_cold, rho_a2) - e_d_cold
+    sig_e = (np.array(entropies(spec_h)) - s_b) - x_h * (q_bc / n)
+    sig_c = (s_cold - np.array(entropies(spec_d))) - x_c * q_da
+    energies = np.stack(np.broadcast_arrays(e_b_hot - e_a_cold, q_bc, w_cd, q_da))
     table = np.vstack([
         np.array(thetas, dtype=float)[keep],
-        ledger_columns(theta_v, kappa, x_h / f.x_c, energies, sig_e, sig_c)[1:],
-        np.abs(energies - closed_form_energies(kappa, f.params)).max(axis=0)]).T
+        ledger_columns(theta_v, kappa, x_h / x_c, energies, sig_e, sig_c)[1:],
+        np.abs(energies - closed_form_energies(kappa, params)).max(axis=0)]).T
 
     # with noise the snapshots pass through one (K, 5, 2, 2) tap, row i on substream i
-    exact, tap_errors = (f.rho_a, f.rho_b, rho_c, rho_d, rho_a2), {}
+    exact, tap_errors = (rho_a, rho_b, rho_c, rho_d, rho_a2), {}
     if config.noise_sigma > 0.0:
         streams = np.random.SeedSequence(config.seed).spawn(count)
         taps, tap_errors = tomography_stack(
@@ -310,30 +290,21 @@ def run_cycle(theta_deg, config=None):
     _, table, planes, errors = _cycle_rows((theta_deg,), config)
     if errors:
         raise errors[0]
-    return SweepReport(table=table, planes=planes).rows[0]
+    return SweepReport(table, planes).rows[0]
 
 
 class SweepReport:
-    """A sweep's rows (sorted by r, then theta_V), its failures and its metadata.
+    """A sweep's rows (sorted by r, then theta_V), its failures and its metadata, as columns.
 
-    ``run_sweep`` keeps them as columns: a read-only (N, 13) table of CSV values and
-    the (N, 5, 2, 2) snapshot stack as one read-only (N, 2, 2) plane per label (TA and
-    TB broadcast one matrix without noise).  ``rows`` builds the CycleResults on first
-    read and keeps them; ``emit`` reads only the columns, built from ``rows`` when given.
+    ``table`` is the read-only (N, 13) array of CSV values and ``planes`` the (N, 5, 2, 2)
+    snapshot stack as one read-only (N, 2, 2) plane per label (``run_sweep`` broadcasts a
+    noiseless TA and TB from one matrix).  ``emit`` reads only the columns; ``rows``
+    builds the CycleResults on first read and keeps them.
     """
 
-    def __init__(self, rows=None, failures=None, metadata=None, *, table=None, planes=None):
-        self._rows = rows if rows is None else tuple(rows)
+    def __init__(self, table, planes, failures=None, metadata=None):
+        self._table, self._planes, self._rows = table, planes, None
         self.failures, self.metadata = failures or {}, metadata or {}
-        self._table = table if rows is None else np.array(
-            [_row_values(r) for r in self._rows], float).reshape(-1, len(CSV_COLUMNS))
-        if planes is not None:  # else _planes stacks the rows' snapshots on first read
-            self._planes = planes
-
-    @cached_property
-    def _planes(self):
-        return tuple(np.array([r.snapshots[label].matrix for r in self._rows], complex)
-                     .reshape(-1, 2, 2) for label in SNAPSHOT_LABELS)
 
     @property
     def rows(self):
@@ -379,7 +350,7 @@ def run_sweep(config=None):
             "seed": config.seed,
         },
     }
-    return SweepReport(failures=failures, metadata=metadata, table=table, planes=planes)
+    return SweepReport(table, planes, failures, metadata)
 
 
 def _g(value):
@@ -387,11 +358,6 @@ def _g(value):
 
 
 _CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS)) + "\n"  # %.12g is _g
-
-
-def _row_values(row):
-    # the CycleLedger fields after theta_v are the CSV columns between its first and last
-    return (row.theta_deg, *row.ledger[1:], row.max_delta_vs_closed_form)
 
 
 def _matrix_to_json(m):
@@ -425,20 +391,32 @@ def emit(report, fmt="csv"):
 
 
 def load_report(data):
-    """Rebuild a SweepReport from its JSON emission."""
+    """Rebuild a SweepReport from its JSON emission.
+
+    Each row needs the snapshots TA, TB, TC, TD and TA2 under its theta_V, each a 2x2
+    density operator.  Every snapshot is checked at once; the first bad one in report
+    order is raised.
+    """
     doc = json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data)
-    snaps = [doc["snapshots"][_g(entry["theta_v_deg"])] for entry in doc["rows"]]
-    # every snapshot of the report checked at once; the first bad one in report order is raised
-    states = iter(density_operators([_matrix_from_json(m) for row in snaps for m in row.values()],
-                                    [label for row in snaps for label in row]))
-    rows = []
-    for entry, labels in zip(doc["rows"], snaps):
-        theta = entry["theta_v_deg"]
-        ledger = CycleLedger(math.radians(theta), *(entry[c] for c in CSV_COLUMNS[1:-1]))
-        rows.append(CycleResult(theta_deg=theta, ledger=ledger,
-                                snapshots={label: next(states) for label in labels},
-                                max_delta_vs_closed_form=entry["max_delta_vs_closed_form"]))
-    return SweepReport(rows=tuple(rows), failures=doc["failures"], metadata=doc["metadata"])
+    columns = [[entry[c] for c in CSV_COLUMNS] for entry in doc["rows"]]
+    table = np.array(columns, float).reshape(-1, len(CSV_COLUMNS))
+    thetas = list(map(_g, table[:, 0].tolist()))
+    for theta in thetas:
+        labels = list(doc["snapshots"].get(theta, ()))
+        if sorted(labels) != sorted(SNAPSHOT_LABELS):
+            raise QuantumValueError(f"report row theta_V = {theta} deg has snapshots "
+                                    f"{labels}, not {list(SNAPSHOT_LABELS)}")
+    states = density_operators(
+        [_matrix_from_json(doc["snapshots"][theta][label])
+         for theta in thetas for label in SNAPSHOT_LABELS], SNAPSHOT_LABELS * len(thetas))
+    for k, state in enumerate(states):
+        if state.dim != 2:
+            raise QuantumValueError(f"report row theta_V = {thetas[k // len(SNAPSHOT_LABELS)]} "
+                                    f"deg has a {state.dim}x{state.dim} {state.label} snapshot")
+    stack = np.array([state.matrix for state in states]).reshape(-1, len(SNAPSHOT_LABELS), 2, 2)
+    for a in (table, stack):
+        a.flags.writeable = False
+    return SweepReport(table, tuple(stack.swapaxes(0, 1)), doc["failures"], doc["metadata"])
 
 
 @dataclass(frozen=True)

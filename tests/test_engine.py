@@ -35,6 +35,7 @@ from ottosim.qcore import (
     wrap_validated,
 )
 from ottosim.runner import (
+    CSV_COLUMNS,
     DEFAULT_THETAS,
     SNAPSHOT_LABELS,
     CycleError,
@@ -262,6 +263,52 @@ def test_gate_fails_only_its_row(monkeypatch, gate):
         _row_key(row) for row in clean.rows if row.theta_deg != 22.5]
 
 
+def _corrupt_cold_state(monkeypatch):
+    """Every single-x call of the engine's thermal_matrices (rho_A's; at N = 1 also the
+    hot target's, which A->B stops first) returns a Hermitian, unit-trace non-state."""
+    original = runner_mod.thermal_matrices
+    monkeypatch.setattr(runner_mod, "thermal_matrices", lambda xs: (
+        np.diag([1.1, -0.1])[None].astype(complex) if len(xs) == 1 else original(xs)))
+
+
+def _corrupt_expansion(monkeypatch, matrix):
+    """The engine's A->B expansion unitary replaced by ``matrix(U)``."""
+    original = runner_mod.expansion_unitary
+    monkeypatch.setattr(runner_mod, "expansion_unitary", lambda n, omega0_tau: SimpleNamespace(
+        matrix=matrix(original(n, omega0_tau).matrix)))
+
+
+# rho_A = (1 - tanh(3) sigma_y)/2 has the diagonal 1/2, 1/2: sqrt(2)|H><H| takes it to the
+# pure state |H><H|, a density operator whose spectrum moved by (1 - tanh(3))/2.  The
+# corrupted rho_A = diag(1.1, -0.1) goes to |H><H| too, so only its own check names it.
+A_TO_B_GATES = {
+    "rho_A density": (lambda mp: (_corrupt_cold_state(mp), _corrupt_expansion(
+                          mp, lambda u: np.diag([1.0 / math.sqrt(1.1), 0.0]))),
+                      "stroke A->B: not positive semidefinite: min eigenvalue -0.1"),
+    "rho_B density": (lambda mp: _corrupt_expansion(mp, lambda u: 1.01 * u),
+                      "stroke A->B: trace 1.0201"),
+    "spectrum": (lambda mp: _corrupt_expansion(mp, lambda u: np.diag([math.sqrt(2.0), 0.0])),
+                 "stroke A->B: not unitary, spectrum moved by 0.00247"),
+}
+
+
+@pytest.mark.parametrize("gate", list(A_TO_B_GATES))
+def test_a_to_b_gate_stops_every_row(monkeypatch, gate):
+    corrupt, message = A_TO_B_GATES[gate]
+    corrupt(monkeypatch)
+    for config in (SweepConfig(), SweepConfig(theta_list_deg=GRID_200, noise_sigma=0.1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_sweep(config)
+        assert report.rows == ()
+        assert list(report.failures) == [f"{theta:.12g}" for theta in config.theta_list_deg]
+        assert all(failure.startswith(message) for failure in report.failures.values())
+    for theta in (0.0, 22.5):
+        with pytest.raises(CycleError) as info:
+            run_cycle(theta)
+        assert str(info.value).startswith(message)
+
+
 def test_support_gate_on_a_pure_cold_state():
     report = run_sweep(SweepConfig(theta_list_deg=(0.0, 22.5), x_c=40.0))
     assert [row.theta_deg for row in report.rows] == [0.0]
@@ -436,12 +483,25 @@ def test_kappa_column_equals_the_scalar_formula():
 def test_csv_rows_format_each_value_with_g12():
     specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1.2345678901234e-7,
                 1.0 / 3.0, 2.5, -7.0, 1e-16, 123456789012.5]
-    row = CycleResult(theta_deg=specials[0], ledger=CycleLedger(*specials[1:]), snapshots={},
-                      max_delta_vs_closed_form=specials[-1])
     report = run_sweep()
+    row = CycleResult(theta_deg=specials[0], ledger=CycleLedger(*specials[1:]),
+                      snapshots=report.rows[0].snapshots, max_delta_vs_closed_form=specials[-1])
     for rows in ((row,), report.rows):
-        lines = emit(SweepReport(rows=rows, failures={}, metadata={})).decode().splitlines()[1:]
-        assert lines == [",".join(f"{v:.12g}" for v in runner_mod._row_values(r)) for r in rows]
+        lines = emit(_columns_report(rows)).decode().splitlines()[1:]
+        assert lines == [",".join(f"{v:.12g}" for v in _csv_values(r)) for r in rows]
+
+
+def _csv_values(row):
+    # the CycleLedger fields after theta_v are the CSV columns between its first and last
+    return (row.theta_deg, *row.ledger[1:], row.max_delta_vs_closed_form)
+
+
+def _columns_report(rows, failures=None, metadata=None):
+    """A SweepReport holding ready rows as columns: their CSV values and snapshot planes."""
+    table = np.array([_csv_values(row) for row in rows], float).reshape(-1, len(CSV_COLUMNS))
+    planes = tuple(np.array([row.snapshots[label].matrix for row in rows], complex)
+                   .reshape(-1, 2, 2) for label in SNAPSHOT_LABELS)
+    return SweepReport(table, planes, failures, metadata)
 
 
 # -- the deferred checks against the stroke-by-stroke engine they replaced ------
@@ -664,20 +724,25 @@ REPORT_CONFIGS = [SweepConfig(), SweepConfig(theta_list_deg=GRID_200), SweepConf
 REPORT_IDS = ["default", "grid200", "xc40", "empty", "repeats", "noise0.1", "noise1"]
 
 
-def _reference_report(config):
-    """The reference engine's rows sorted by (r, theta_V), as a SweepReport built from rows."""
+def _reference_rows(config):
+    """The reference engine's rows sorted by (r, theta_V) and its failures by theta_V."""
     results, errors = _reference_cycle_rows(config.theta_list_deg, config)
     rows = sorted(results.values(), key=lambda row: (row.ledger.r, row.theta_deg))
-    failures = {f"{config.theta_list_deg[i]:.12g}": str(errors[i]) for i in sorted(errors)}
-    return SweepReport(rows=rows, failures=failures, metadata=run_sweep(config).metadata)
+    return rows, {f"{config.theta_list_deg[i]:.12g}": str(errors[i]) for i in sorted(errors)}
+
+
+def _reference_report(config):
+    """The reference engine's rows and failures as a columnar SweepReport."""
+    return _columns_report(*_reference_rows(config), run_sweep(config).metadata)
 
 
 @pytest.mark.filterwarnings("ignore::ottosim.tomography.UnphysicalStokesWarning")
 @pytest.mark.parametrize("config", REPORT_CONFIGS, ids=REPORT_IDS)
 def test_report_rows_equal_the_reference_rows(config):
-    report, expected = run_sweep(config), _reference_report(config)
+    report, (rows, failures) = run_sweep(config), _reference_rows(config)
+    expected = _columns_report(rows, failures, report.metadata)
     assert report.rows is report.rows  # built on the first read, then kept
-    assert [_row_key(row) for row in report.rows] == [_row_key(row) for row in expected.rows]
+    assert [_row_key(row) for row in report.rows] == [_row_key(row) for row in rows]
     assert all([state.label for state in row.snapshots.values()] == list(SNAPSHOT_LABELS)
                and not any(state.matrix.flags.writeable for state in row.snapshots.values())
                for row in report.rows)

@@ -218,6 +218,33 @@ class TestEmit:
         with pytest.raises(QuantumValueError, match="^not Hermitian: defect nan$"):
             load_report(json.dumps(doc))
 
+    def test_load_report_rejects_a_row_without_its_five_snapshots(self):
+        # a row short of a label, with a label too many, or with no snapshots at all is
+        # refused at load, naming its theta_V, instead of failing later in emit
+        blob = emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5))), "json")
+        for change, labels in ((lambda s: s.pop("TB"), "['TA', 'TC', 'TD', 'TA2']"),
+                               (lambda s: s.update(TX=s["TA"]),
+                                "['TA', 'TB', 'TC', 'TD', 'TA2', 'TX']"),
+                               (lambda s: s.clear(), "[]")):
+            doc = json.loads(blob)
+            change(doc["snapshots"]["22.5"])
+            with pytest.raises(QuantumValueError) as info:
+                load_report(json.dumps(doc))
+            assert str(info.value) == (f"report row theta_V = 22.5 deg has snapshots {labels}, "
+                                       "not ['TA', 'TB', 'TC', 'TD', 'TA2']")
+        doc = json.loads(blob)
+        doc["snapshots"]["8.5"] = doc["snapshots"].pop("8")
+        with pytest.raises(QuantumValueError) as info:
+            load_report(json.dumps(doc))
+        assert str(info.value).startswith("report row theta_V = 8 deg has snapshots [], ")
+
+    def test_load_report_rejects_a_4x4_snapshot(self):
+        doc = json.loads(emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5))), "json"))
+        doc["snapshots"]["22.5"]["TC"] = _matrix_to_json(np.eye(4) / 4)
+        with pytest.raises(QuantumValueError,
+                           match=r"^report row theta_V = 22.5 deg has a 4x4 TC snapshot$"):
+            load_report(json.dumps(doc))
+
     def test_loaded_snapshots_are_labeled_and_frozen(self):
         loaded = load_report(emit(run_sweep(SweepConfig(noise_sigma=0.01, seed=5)), "json"))
         for row in loaded.rows:
