@@ -43,7 +43,6 @@ from .qcore import (
     ID2,
     TOL,
     QuantumValueError,
-    density_errors,
     density_failures,
     density_operators,
     density_spectra,
@@ -136,6 +135,10 @@ class SweepConfig:
         if not 0.0 <= self.noise_sigma < math.inf:
             raise QuantumValueError(
                 f"noise_sigma = {self.noise_sigma:.6g} must be finite and nonnegative")
+        keys = list(map(_g, self.theta_list_deg)) if self.noise_sigma > 0.0 else []
+        if len(set(keys)) < len(keys):  # a JSON report keeps one snapshot set per _g(theta_V)
+            repeated = next(key for key in keys if keys.count(key) > 1)
+            raise QuantumValueError(f"theta_V = {repeated} deg repeated in a noisy sweep")
         if self.fmt not in ("csv", "json"):
             raise QuantumValueError(f"format must be csv or json, got {self.fmt!r}")
         EngineParams(n=self.n, x_c=self.x_c)  # range checks
@@ -188,7 +191,6 @@ def _cycle_rows(thetas, config):
     """
     params, count = config.params(), len(thetas)
     n, x_c = params.n, params.x_c
-    h_cold, h_hot = hamiltonian(1.0), hamiltonian(n)
     # A: cold thermal state; A->B: expansion (work stroke), the same for every row
     u_e = expansion_unitary(n, config.omega0_tau).matrix
     rho_a = thermal_matrices([x_c])[0]
@@ -212,27 +214,27 @@ def _cycle_rows(thetas, config):
     joint = joint.reshape(-1, 4, 4)
     rho_c, rho_d, rho_a2 = trace_path(joint).reshape(3, count, 2, 2)
 
-    # every state checked in one call per group, [rho_A, rho_B, rho_D, hot targets] with
-    # one decomposition each; the entropies produced relaxing rho_B to the thermal state
-    # at x_h and rho_D to the cold state need the supports
+    # each group of states checked in one call, each 2x2 state decomposed once (a density message
+    # before an eig_herm one); the entropies of relaxing rho_B and rho_D need the supports
     bad_jc, bad_jd, bad_ja = _parts(density_failures(joint), count, 3)
-    lam_ca, bad_ca = density_errors(np.concatenate([rho_c, rho_a2]))
-    lam, spec, vec, bad = density_spectra(
-        np.concatenate([[rho_a, rho_b], rho_d, thermal_matrices(x_h.tolist())]))
-    spec_d, spec_h, vec_h = spec[2:2 + count], spec[2 + count:], vec[2 + count:]
+    lam, spec, vec, bad = density_spectra(np.concatenate(
+        [[rho_a, rho_b], rho_c, thermal_matrices(x_h.tolist()), rho_d, rho_a2]))
+    (lam_c, _, lam_d, _), (_, spec_h, spec_d, _), (_, vec_h, _, _) = (
+        a[2:].reshape(4, count, *a.shape[1:]) for a in (lam, spec, vec))
     bad_support = support_weights(
         np.concatenate([np.broadcast_to(rho_b, rho_d.shape), rho_d]),
         np.concatenate([spec_h, np.broadcast_to(spec[:1], spec_h.shape)]),
         np.concatenate([vec_h, np.broadcast_to(vec[:1], vec_h.shape)]))[1]
-    (bad_c, bad_a2), (bad_hot, bad_cold) = _parts(bad_ca, count, 2), _parts(bad_support, count, 2)
-    bad_d, bad_h = _parts({pos - 2: message for pos, message in bad.items() if pos > 1}, count, 2)
+    (bad_c, bad_h, bad_d, bad_a2), (bad_hot, bad_cold) = (
+        _parts({pos - 2: message for pos, message in bad.items() if pos > 1}, count, 4),
+        _parts(bad_support, count, 2))
     # rho_A, rho_B and the A->B spectrum are one state or check for all rows
     fixed = (bad.get(0), bad.get(1), _spectrum_errors(lam[:1], lam[1:2]).get(0))
     errors = {}
     for stroke, checks in (
             ("A->B", [dict.fromkeys(range(count), message) for message in fixed if message]),
             ("B->C", (bad_pd, bad_jc, bad_c, bad_h, bad_hot)),
-            ("C->D", (bad_jd, bad_d, _spectrum_errors(lam_ca[:count], lam[2:2 + count]))),
+            ("C->D", (bad_jd, bad_d, _spectrum_errors(lam_c, lam_d))),
             ("D->A", (bad_ipd, bad_ja, bad_a2, bad_cold, _closure_errors(rho_a2, rho_a)))):
         for i, message in first_errors(*checks).items():
             errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
@@ -241,16 +243,19 @@ def _cycle_rows(thetas, config):
         theta_v, kappa, x_h, rho_c, rho_d, rho_a2, spec_h, spec_d = (
             a[keep] for a in (theta_v, kappa, x_h, rho_c, rho_d, rho_a2, spec_h, spec_d))
 
-    # the ledger as columns; q_BC in hbar*omega_fin units so beta*Q reduces to x_h * q
-    e_a_cold, e_b_hot = expectations(np.array([h_cold, h_hot]), np.array([rho_a, rho_b])).tolist()
-    s_cold, s_b = entropies(spec[:2])
-    e_c_hot = expectations(h_hot, rho_c)
-    e_d_cold = expectations(h_cold, rho_d)
+    # the ledger as columns, one call per quantity (the energies with one H per slice); q_BC in
+    # hbar*omega_fin units, so beta*Q reduces to x_h * q
+    k = len(keep)
+    omega = np.repeat([1.0, n, n, 1.0, 1.0], [1, 1, k, k, k])[:, None, None]
+    e = expectations(hamiltonian(omega), np.concatenate([[rho_a, rho_b], rho_c, rho_d, rho_a2]))
+    (e_a_cold, e_b_hot), (e_c_hot, e_d_cold, e_a2_cold) = e[:2].tolist(), e[2:].reshape(3, k)
+    s_cold, s_b, *s_hd = entropies(np.concatenate([spec[:2], spec_h, spec_d]))
+    s_h, s_d = np.array(s_hd).reshape(2, k)
     q_bc = e_c_hot - e_b_hot
     w_cd = e_d_cold - e_c_hot
-    q_da = expectations(h_cold, rho_a2) - e_d_cold
-    sig_e = (np.array(entropies(spec_h)) - s_b) - x_h * (q_bc / n)
-    sig_c = (s_cold - np.array(entropies(spec_d))) - x_c * q_da
+    q_da = e_a2_cold - e_d_cold
+    sig_e = (s_h - s_b) - x_h * (q_bc / n)
+    sig_c = (s_cold - s_d) - x_c * q_da
     energies = np.stack(np.broadcast_arrays(e_b_hot - e_a_cold, q_bc, w_cd, q_da))
     table = np.vstack([
         np.array(thetas, dtype=float)[keep],

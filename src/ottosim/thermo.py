@@ -194,19 +194,18 @@ def ledger_columns(theta_v, kappa, r, energies, sigma_e, sigma_c):
 
 
 def expectations(h, stack):
-    """tr(H rho) of each slice of an (N, 2, 2) stack, as an (N,) float array."""
-    return np.trace(h @ stack, axis1=-2, axis2=-1).real
+    """tr(H rho) of a 2x2 rho or of each slice of a stack, against one H or one H per slice.
 
-
-def _expect(h, rho):
-    return expectations(h, rho.matrix[None])[0].item()
+    One einsum; for H = omega sigma_y each value has the bits of ``np.trace(h @ rho).real``.
+    """
+    return np.einsum("...ij,...ji->...", h, stack).real
 
 
 def work_from_states(rho_start, rho_end, h_start, h_end):
     """Work across a unitary stroke: tr{rho_end H_end} - tr{rho_start H_start}."""
     if rho_start.dim != h_start.shape[0] or rho_end.dim != h_end.shape[0]:
         raise QuantumValueError("work_from_states: state/Hamiltonian dimension mismatch")
-    return _expect(h_end, rho_end) - _expect(h_start, rho_start)
+    return float(expectations(h_end, rho_end.matrix) - expectations(h_start, rho_start.matrix))
 
 
 def heat_from_states(rho_start, rho_end, h):
@@ -217,7 +216,7 @@ def heat_from_states(rho_start, rho_end, h):
     """
     if rho_start.dim != h.shape[0] or rho_end.dim != h.shape[0]:
         raise QuantumValueError("heat_from_states: state/Hamiltonian dimension mismatch")
-    return _expect(h, rho_end) - _expect(h, rho_start)
+    return float(expectations(h, rho_end.matrix) - expectations(h, rho_start.matrix))
 
 
 class EntropyProduction(NamedTuple):

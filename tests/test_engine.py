@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ottosim.optics as optics_mod
+import ottosim.qcore as qcore_mod
 import ottosim.runner as runner_mod
 from ottosim.circuit import compile_program, parse
 from ottosim.optics import (
@@ -23,12 +24,14 @@ from ottosim.optics import (
     kappa_from_theta_deg,
 )
 from ottosim.qcore import (
+    SIGMA_Y,
     TOL,
     QuantumValueError,
     density_errors,
     density_spectra,
     entropies,
     first_errors,
+    kraus_errors,
     spectra,
     support_weights,
     trace_path,
@@ -62,6 +65,8 @@ from ottosim.tomography import (
     stokes_from_intensities,
     tomography_stack,
 )
+
+from conftest import random_density, random_unitary
 
 GRID_200 = tuple(45.0 * k / 199 for k in range(200))
 ROW = DEFAULT_THETAS.index(22.5)  # position of the corrupted row in every stack
@@ -234,6 +239,12 @@ GATES = {
     "reduced state": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "trace_path", 1,
                                                     lambda m: m + [[0, 1e-6], [0, 0]], 0, 3),
                       "stroke B->C: not Hermitian"),
+    "C->D reduced state": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "trace_path", 1,
+                                                         lambda m: m + [[0, 1e-6], [0, 0]], 1, 3),
+                           "stroke C->D: not Hermitian"),
+    "D->A reduced state": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "trace_path", 1,
+                                                         lambda m: m + [[0, 1e-6], [0, 0]], 2, 3),
+                           "stroke D->A: not Hermitian"),
     "hot target": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "thermal_matrices", 1,
                                                  lambda m: np.diag([1.1, -0.1])),
                    "stroke B->C: not positive semidefinite"),
@@ -770,3 +781,87 @@ def test_json_survives_load_report_byte_for_byte(config):
     assert emit(loaded, "json") == blob
     assert emit(loaded, "csv") == emit(report, "csv")
     assert loaded == report
+
+
+# The one-call kernels of the sweep against the per-slice products they replaced: bit for bit
+# where the value reaches an output (the energies), within a few ulp where only a gate and its
+# 3-digit message read it (the Kraus defects); the traces keep np.trace's bits.
+EPS = np.finfo(float).eps
+KERNEL_CONFIGS = [SweepConfig(theta_list_deg=GRID_200), SweepConfig(n=1e10, x_c=0.1),
+                  SweepConfig(noise_sigma=0.1, seed=3), SweepConfig(x_c=40.0)]
+
+
+def _sweep_inputs(monkeypatch, config):
+    """The arguments of the first call a sweep makes to each kernel, by kernel name."""
+    seen = {}
+    for owner, name in ((runner_mod, "density_failures"), (runner_mod, "density_spectra"),
+                        (runner_mod, "expectations"), (optics_mod, "kraus_errors")):
+        def patched(*args, _original=getattr(owner, name), _name=name):
+            seen.setdefault(_name, args)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, patched)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_sweep(config)
+    return seen
+
+
+def _random_stacks(rng, dim):
+    # density operators, unnormalised complex matrices, and slices holding NaN or inf
+    states = np.array([random_density(rng, dim).matrix for _ in range(40)])
+    wild = rng.normal(size=(40, dim, dim)) + 1j * rng.normal(size=(40, dim, dim))
+    wild[3, 0, 0], wild[5, 1, 1], wild[7, -1, -1], wild[9, 0, 1] = np.nan, np.inf, -np.inf, np.nan
+    return states, wild
+
+
+class TestOneCallKernels:
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
+    def test_traces_keep_the_np_trace_bits(self, rng, monkeypatch, config):
+        inputs = _sweep_inputs(monkeypatch, config)
+        stacks = [inputs["density_failures"][0], inputs["density_spectra"][0],
+                  *_random_stacks(rng, 2), *_random_stacks(rng, 4)]
+        traces = []
+        # every slice fails (lam = -inf), so each trace reaches the message builder
+        monkeypatch.setattr(qcore_mod, "_density_message",
+                            lambda herm, trace, lam_min: traces.append(trace) or "failed")
+        for stack in stacks:
+            traces.clear()
+            with np.errstate(invalid="ignore"):  # inf - inf in the reference trace
+                qcore_mod._density_failures(stack, np.full((len(stack), 1), -np.inf),
+                                            np.zeros(len(stack)))
+                expected = np.trace(stack, axis1=-2, axis2=-1)
+            assert np.array(traces).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
+    def test_kraus_defects_within_four_ulp_of_the_matmul_sum(self, rng, monkeypatch, config):
+        sweep_kraus = _sweep_inputs(monkeypatch, config)["kraus_errors"][0]
+        # complete sets from unitary columns, and sets scaled off completeness
+        complete = np.array([random_unitary(rng, 4)[:, :2].reshape(2, 2, 2) for _ in range(64)])
+        scaled = complete * rng.uniform(0.9, 1.1, size=(64, 1, 1, 1))
+        for stack in (sweep_kraus, complete, scaled):
+            old = np.abs((stack.conj().swapaxes(-1, -2) @ stack).sum(axis=1)
+                         - np.eye(2)).max(axis=(-2, -1))
+            new = qcore_mod._kraus_defects(stack)
+            assert np.abs(new - old).max() <= 4 * EPS
+            assert set(kraus_errors(stack)) == set(np.flatnonzero(old > TOL["kraus"]).tolist())
+        assert kraus_errors(sweep_kraus) == {} and len(kraus_errors(scaled)) == 64
+
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
+    def test_expectations_keep_the_matmul_bits(self, rng, monkeypatch, config):
+        sweep_h, sweep_states = _sweep_inputs(monkeypatch, config)["expectations"]
+        assert sweep_h.shape == sweep_states.shape  # one Hamiltonian per slice
+        omega = rng.uniform(0.0, 10.0, size=200) * 10.0 ** rng.integers(-3, 11, size=200)
+        random_h = omega[:, None, None] * SIGMA_Y
+        random_states = np.array([random_density(rng).matrix for _ in range(200)])
+        for h, states in ((sweep_h, sweep_states), (random_h, random_states),
+                          (SIGMA_Y, random_states), (hamiltonian(2.0), sweep_states)):
+            old = np.trace(h @ states, axis1=-2, axis2=-1).real
+            assert expectations(h, states).tobytes() == old.tobytes()
+        for m in random_states[:8]:
+            assert expectations(hamiltonian(3.0), m) == np.trace(hamiltonian(3.0) @ m).real
+
+    def test_trace_failure_prints_the_real_part(self, monkeypatch):
+        _corrupt_expansion(monkeypatch, lambda u: 1.01 * u)
+        report = run_sweep()
+        assert set(report.failures.values()) == {"stroke A->B: trace 1.0201 != 1"}

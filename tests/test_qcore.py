@@ -67,6 +67,15 @@ class TestDensityOperator:
         with pytest.raises(QuantumValueError, match="positive"):
             DensityOperator([[1.1, 0.0], [0.0, -0.1]])
 
+    def test_trace_message_prints_the_real_trace(self):
+        # the gate reads the complex trace; the message prints its real part
+        for m, expected in ((np.diag([0.51, 0.51]), "trace 1.02 != 1"),
+                            (np.diag([0.25, 0.25, 0.25, 0.5]), "trace 1.25 != 1")):
+            with pytest.raises(QuantumValueError) as info:
+                DensityOperator(m)
+            assert str(info.value) == expected
+            assert density_errors(m[None].astype(complex))[1] == {0: expected}
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(QuantumValueError):
             DensityOperator(np.eye(3) / 3)
@@ -531,6 +540,14 @@ class TestStackedChecks:
             0: "incomplete Kraus set: defect nan"}
         with pytest.raises(QuantumValueError, match="defect nan"):
             KrausSet(bad)
+        # an infinite entry fails too, with no warning from the one-call K^dag K sums
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (np.inf, -np.inf, 1j * np.inf):
+                bad = [np.diag([1.0, 0.6]), np.array([[0.0, 0.0], [value, 0.8]])]
+                errors = kraus_errors(np.array([bad], dtype=complex))
+                assert errors[0] in ("incomplete Kraus set: defect inf",
+                                     "incomplete Kraus set: defect nan")
 
     def test_density_operators_match_constructor(self, rng):
         good = [random_density(rng).matrix for _ in range(3)]

@@ -25,6 +25,7 @@ from ottosim.runner import (
 from ottosim.thermo import closed_form_energetics, thermal_state
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_default.csv"
+GOLDEN_NOISY_JSON = Path(__file__).parent / "data" / "golden_noisy_0.1_seed3.json"
 
 
 class TestSweepConfig:
@@ -44,6 +45,22 @@ class TestSweepConfig:
             SweepConfig(fmt="xml")
         with pytest.raises(QuantumValueError):
             SweepConfig(n=0.9)
+
+    def test_noisy_sweep_rejects_a_repeated_angle(self):
+        # the JSON report keys snapshots by %.12g of theta_V; two noisy rows at one key would
+        # keep one snapshot set, so 22.5 + 1e-13 repeats 22.5 too
+        for thetas in ((22.5, 22.5), (8.0, 22.5, 16.0, 22.5 + 1e-13)):
+            with pytest.raises(QuantumValueError) as info:
+                SweepConfig(theta_list_deg=thetas, noise_sigma=0.1, seed=3)
+            assert str(info.value) == "theta_V = 22.5 deg repeated in a noisy sweep"
+        SweepConfig(theta_list_deg=(22.5, 22.5 + 1e-9), noise_sigma=0.1)  # "22.500000001"
+
+    def test_noiseless_repeats_round_trip(self):
+        report = run_sweep(SweepConfig(theta_list_deg=(22.5, 8.0, 22.5)))
+        assert [row.theta_deg for row in report.rows] == [22.5, 22.5, 8.0]
+        blob = emit(report, "json")
+        assert load_report(blob) == report
+        assert emit(load_report(blob), "json") == blob
 
     @pytest.mark.parametrize("field", ["n", "x_c", "noise_sigma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -183,6 +200,15 @@ class TestEmit:
 
     def test_csv_regression_against_frozen_golden(self):
         assert emit(run_sweep(), "csv") == GOLDEN_CSV.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::ottosim.tomography.UnphysicalStokesWarning")
+    def test_noisy_json_regression_against_frozen_golden(self, tmp_path):
+        # the ledger, the tomography tap and the JSON layout of `sweep --noise 0.1 --seed 3`
+        out = tmp_path / "noisy.json"
+        assert cli.main(["sweep", "--noise", "0.1", "--seed", "3", "--format", "json",
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_NOISY_JSON.read_bytes()
+        assert emit(run_sweep(SweepConfig(noise_sigma=0.1, seed=3)), "json") == out.read_bytes()
 
     def test_json_roundtrip(self):
         report = run_sweep(SweepConfig(noise_sigma=0.01, seed=5))
@@ -390,6 +416,12 @@ class TestCli:
         assert cli.main(["sweep", flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite" in err
+
+    def test_sweep_repeated_noisy_angle_exits_2(self, capsys):
+        assert cli.main(["sweep", "--theta-list", "22.5,22.5", "--noise", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: theta_V = 22.5 deg repeated in a noisy sweep\n")
+        assert cli.main(["sweep", "--theta-list", "22.5,22.5"]) == 0
 
     def test_sweep_infinite_jones_parameter_exits_2(self, capsys):
         # n = 1e308 is finite, but (n + 1) omega0*tau / 2 is not
