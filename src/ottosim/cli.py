@@ -45,6 +45,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _write_out(data, out):
     """Write to the output path (or stdout); returns an exit code."""
     if out:
@@ -52,8 +57,7 @@ def _write_out(data, out):
             with open(out, "wb") as fh:
                 fh.write(data)
         except OSError as exc:
-            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(data.decode())
     return EXIT_OK
@@ -78,14 +82,12 @@ def _cmd_run(args):
         with open(args.circuit, encoding="utf-8") as fh:
             source = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     try:
         program = parse(source)
         result = compile_program(program).run()
     except (CircuitSyntaxError, CircuitCompileError, QuantumValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     doc = {
         "snapshots": {
             label: _matrix_to_json(state.matrix)
@@ -100,10 +102,12 @@ def _cmd_sweep(args):
     try:
         config = _sweep_config(args)
     except (QuantumValueError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     report = run_sweep(config)
-    code = _write_out(emit(report, config.fmt), config.out)
+    try:
+        code = _write_out(emit(report, config.fmt), config.out)
+    except QuantumValueError as exc:  # rows that one JSON key cannot hold apart
+        return _usage_error(exc)
     if code != EXIT_OK:
         return code
     if report.failures:
@@ -119,8 +123,7 @@ def _cmd_tomo(args):
         stokes = stokes_from_intensities(records)
         rho = reconstruct(stokes)
     except (QuantumValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     doc = {
         "stokes": [stokes.s0, stokes.s1, stokes.s2, stokes.s3],
         "density_matrix": _matrix_to_json(rho.matrix),
@@ -132,17 +135,14 @@ def _cmd_golden(args):
     try:
         config = _sweep_config(args)
     except (QuantumValueError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     if 22.5 not in config.theta_list_deg:
-        print("error: golden comparison needs theta_V = 22.5 in the sweep", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("golden comparison needs theta_V = 22.5 in the sweep")
     report = run_sweep(config)
     try:
         comparison = compare_golden(report)
     except QuantumValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     # the gate reads the sqrt-Uhlmann fidelity; the squared one is for reference
     for label in sorted(comparison.fidelities):
         print(

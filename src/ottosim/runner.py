@@ -372,11 +372,18 @@ def _matrix_to_json(m):
 
 
 def _matrix_from_json(rows):
-    return np.array(rows, dtype=float).view(complex)[..., 0]
+    try:
+        return np.array(rows, dtype=float).view(complex)[..., 0]
+    except (IndexError, OverflowError, TypeError, ValueError):  # ragged, or not float pairs
+        return np.empty(0, complex)
 
 
 def emit(report, fmt="csv"):
-    """Serialize a report to bytes, CSV (ledger table) or JSON (full)."""
+    """Serialize a report to bytes, CSV (ledger table) or JSON (full).
+
+    JSON keys each row's snapshots by ``%.12g`` of its theta_V and refuses rows that share a
+    key but not their snapshots.  Its document is built fresh, so it holds no cycle to look for.
+    """
     if fmt == "csv":
         body = (_CSV_ROW * len(report._table)) % tuple(report._table.ravel().tolist())
         failed = "".join(f"# FAILED theta_v_deg={theta}: {message}\n"
@@ -385,13 +392,19 @@ def emit(report, fmt="csv"):
     if fmt == "json":
         snaps = [dict(zip(SNAPSHOT_LABELS, row))  # the (N, 5, 2, 2) stack in one conversion
                  for row in _matrix_to_json(np.stack(report._planes, axis=1))]
+        keys = list(map(_g, report._table[:, 0].tolist()))
+        kept = dict(zip(keys, snaps))  # the last row's snapshots at each key
+        lost = [key for key, snap in zip(keys, snaps) if snap != kept[key]]
+        if lost:
+            raise QuantumValueError(f"report rows at theta_V = {lost[0]} deg share one JSON key "
+                                    "but differ in their snapshots")
         doc = {
             "metadata": report.metadata,
             "rows": [dict(zip(CSV_COLUMNS, row)) for row in report._table.tolist()],
-            "snapshots": dict(zip(map(_g, report._table[:, 0].tolist()), snaps)),
+            "snapshots": kept,
             "failures": report.failures,
         }
-        return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
+        return (json.dumps(doc, check_circular=False, separators=(",", ":")) + "\n").encode()
     raise QuantumValueError(f"format must be csv or json, got {fmt!r}")
 
 
@@ -399,8 +412,9 @@ def load_report(data):
     """Rebuild a SweepReport from its JSON emission.
 
     Each row needs the snapshots TA, TB, TC, TD and TA2 under its theta_V, each a 2x2
-    density operator.  Every snapshot is checked at once; the first bad one in report
-    order is raised.
+    density operator.  They are converted as one (5N, 2, 2) stack and checked by one
+    ``density_failures`` call; the first bad one in report order is raised, and a snapshot
+    of another shape is named by its row.
     """
     doc = json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data)
     columns = [[entry[c] for c in CSV_COLUMNS] for entry in doc["rows"]]
@@ -411,14 +425,20 @@ def load_report(data):
         if sorted(labels) != sorted(SNAPSHOT_LABELS):
             raise QuantumValueError(f"report row theta_V = {theta} deg has snapshots "
                                     f"{labels}, not {list(SNAPSHOT_LABELS)}")
-    states = density_operators(
-        [_matrix_from_json(doc["snapshots"][theta][label])
-         for theta in thetas for label in SNAPSHOT_LABELS], SNAPSHOT_LABELS * len(thetas))
-    for k, state in enumerate(states):
-        if state.dim != 2:
-            raise QuantumValueError(f"report row theta_V = {thetas[k // len(SNAPSHOT_LABELS)]} "
-                                    f"deg has a {state.dim}x{state.dim} {state.label} snapshot")
-    stack = np.array([state.matrix for state in states]).reshape(-1, len(SNAPSHOT_LABELS), 2, 2)
+    matrices = [doc["snapshots"][theta][label] for theta in thetas for label in SNAPSHOT_LABELS]
+    stack = _matrix_from_json(matrices) if matrices else np.empty((0, 2, 2), complex)
+    if stack.shape[1:] != (2, 2):  # not all 2x2: the checks of a load one snapshot at a time
+        arrays = list(map(_matrix_from_json, matrices))
+        square = [a for a in arrays if a.shape in ((2, 2), (4, 4))]
+        density_operators(square, [None] * len(square))  # raises the first density failure
+        k = next(k for k, a in enumerate(arrays) if a.shape != (2, 2))
+        shape = "x".join(map(str, arrays[k].shape)) if arrays[k].ndim == 2 else "malformed"
+        theta, label = thetas[k // len(SNAPSHOT_LABELS)], SNAPSHOT_LABELS[k % len(SNAPSHOT_LABELS)]
+        raise QuantumValueError(f"report row theta_V = {theta} deg has a {shape} {label} snapshot")
+    failures = density_failures(stack)
+    if failures:
+        raise QuantumValueError(failures[min(failures)])
+    stack = stack.reshape(-1, len(SNAPSHOT_LABELS), 2, 2)
     for a in (table, stack):
         a.flags.writeable = False
     return SweepReport(table, tuple(stack.swapaxes(0, 1)), doc["failures"], doc["metadata"])
@@ -450,16 +470,14 @@ def compare_golden(report):
     coherence loss, which the squared convention prices at 0.970 while the
     square-root convention prices it at 0.985.)
     """
-    target_rows = [row for row in report.rows if abs(row.theta_deg - 22.5) < 1e-9]
-    if not target_rows:
+    at = np.flatnonzero(np.abs(report._table[:, 0] - 22.5) < 1e-9)  # the first such row counts
+    if not at.size:
         raise QuantumValueError("report has no theta_V = 22.5 deg row to compare")
-    row = target_rows[0]
     golden = load_golden_data()
     fids, fids_sq, deltas = {}, {}, {}
-    for label, gold_label in GOLDEN_MAP.items():
-        sim = row.snapshots[label]
-        exp = golden.states[gold_label]
-        fids_sq[label] = fidelity(sim, exp)
+    for label, plane in zip(SNAPSHOT_LABELS, report._planes):
+        sim, gold_label = wrap_validated(plane[at[0]], label), GOLDEN_MAP[label]
+        fids_sq[label] = fidelity(sim, golden.states[gold_label])
         fids[label] = math.sqrt(fids_sq[label])
         deltas[label] = float(np.abs(sim.matrix - golden.raw[gold_label]).max())
     config = report.metadata["config"]

@@ -731,8 +731,10 @@ def test_noiseless_rows_share_their_fixed_snapshots():
 REPORT_CONFIGS = [SweepConfig(), SweepConfig(theta_list_deg=GRID_200), SweepConfig(x_c=40.0),
                   SweepConfig(theta_list_deg=()),
                   SweepConfig(theta_list_deg=(22.5, 8.0, 22.5, 45.0, 0.0, 8.0)),
-                  SweepConfig(noise_sigma=0.1, seed=3), SweepConfig(noise_sigma=1.0, seed=0)]
-REPORT_IDS = ["default", "grid200", "xc40", "empty", "repeats", "noise0.1", "noise1"]
+                  SweepConfig(noise_sigma=0.1, seed=3), SweepConfig(noise_sigma=1.0, seed=0),
+                  SweepConfig(theta_list_deg=[45.0 * k / 127 for k in range(128)], noise_sigma=0.1,
+                              seed=7)]
+REPORT_IDS = ["default", "grid200", "xc40", "empty", "repeats", "noise0.1", "noise1", "noise0.1x128"]
 
 
 def _reference_rows(config):

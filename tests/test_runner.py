@@ -208,7 +208,12 @@ class TestEmit:
         assert cli.main(["sweep", "--noise", "0.1", "--seed", "3", "--format", "json",
                          "--out", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_NOISY_JSON.read_bytes()
-        assert emit(run_sweep(SweepConfig(noise_sigma=0.1, seed=3)), "json") == out.read_bytes()
+        report = run_sweep(SweepConfig(noise_sigma=0.1, seed=3))
+        assert emit(report, "json") == out.read_bytes()
+        # and the frozen file loads to that report and re-emits byte for byte
+        loaded = load_report(GOLDEN_NOISY_JSON.read_bytes())
+        assert loaded == report
+        assert emit(loaded, "json") == GOLDEN_NOISY_JSON.read_bytes()
 
     def test_json_roundtrip(self):
         report = run_sweep(SweepConfig(noise_sigma=0.01, seed=5))
@@ -270,6 +275,34 @@ class TestEmit:
         with pytest.raises(QuantumValueError,
                            match=r"^report row theta_V = 22.5 deg has a 4x4 TC snapshot$"):
             load_report(json.dumps(doc))
+
+    def test_load_report_rejects_a_ragged_or_3x3_snapshot_naming_its_row(self):
+        # a snapshot that cannot join the one (5N, 2, 2) stack is named by its row and label;
+        # so is one holding a JSON integer beyond the float range
+        blob = emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5))), "json")
+        for matrix, shape in (([[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]], "malformed"),
+                              (_matrix_to_json(np.eye(3) / 3), "3x3"),
+                              ([[[10**400, 0], [0, 0]], [[0, 0], [0.5, 0]]], "malformed")):
+            doc = json.loads(blob)
+            doc["snapshots"]["22.5"]["TD"] = matrix
+            with pytest.raises(QuantumValueError) as info:
+                load_report(json.dumps(doc))
+            assert str(info.value) == f"report row theta_V = 22.5 deg has a {shape} TD snapshot"
+
+    def test_emit_refuses_distinct_angles_that_share_a_key(self, capsys):
+        # 22.5 and 22.5 + 1e-13 both print as "22.5" but their TC entries differ in the last
+        # bits: one snapshot set would be lost, so the JSON report is refused naming the key
+        report = run_sweep(SweepConfig(theta_list_deg=(22.5, 8.0, 22.5 + 1e-13)))
+        assert len(report.rows) == 3
+        with pytest.raises(QuantumValueError) as info:
+            emit(report, "json")
+        assert str(info.value) == ("report rows at theta_V = 22.5 deg share one JSON key but "
+                                   "differ in their snapshots")
+        emit(report, "csv")  # the CSV keys nothing
+        assert cli.main(["sweep", "--theta-list", "22.5,22.5000000000001",
+                         "--format", "json"]) == 2
+        assert capsys.readouterr() == ("", f"error: {info.value}\n")
+        # exact noiseless repeats share their snapshots: test_noiseless_repeats_round_trip
 
     def test_loaded_snapshots_are_labeled_and_frozen(self):
         loaded = load_report(emit(run_sweep(SweepConfig(noise_sigma=0.01, seed=5)), "json"))
