@@ -292,8 +292,8 @@ def _lower(instructions, where, joint, alphas):
             (where["rot"] + list(alphas), optics._rotation_matrix,
              np.concatenate([np.deg2rad(values("rot")), list(alphas.values())]))):
         mats[[slot[k] for k in ks]] = build(angles)
-    failures = [(pol[i], message) for i, message in
-                optics._unitarity_errors(mats, "polarization element").items()]
+    bad_pol = optics._not_unitary(optics._unitarity_defects(mats), "polarization element")
+    failures = [(pol[i], message) for i, message in bad_pol.items()]
     if where["pd"] or where["ipd"]:
         pd, ipd, _, bad_pd, bad_ipd = optics.dephasing_blocks(np.deg2rad(values("pd")),
                                                               np.deg2rad(values("ipd")))
@@ -322,13 +322,13 @@ def compile_program(program):
     expand/compress gap ratio must exceed 1, omega0*tau be nonnegative and
     their Jones parameter finite.  A program that passes them is lowered
     once to steps with precomputed matrices, whose own checks (unitarity of
-    every element and block, the Kraus completeness of every ``pd``) also
-    raise CircuitCompileError naming the line.  ``run`` checks the states
-    the fold produces, as DensityOperator would: every ``init thermal``
-    state, the joint state before each reduction and each reduced or 2x2
-    tap, ``ipd`` output and final state.  It checks them all at once after
-    the fold, one stack per dimension, and raises the message of the first
-    failure in program order.
+    every element and block arm plate, the Kraus completeness of every ``pd``)
+    also raise CircuitCompileError naming the line.  ``run`` checks the states
+    the fold produces, as DensityOperator would: every ``init thermal`` state,
+    the joint state before each reduction (a block not unitary past its plate
+    fails there) and each reduced or 2x2 tap, ``ipd`` output and final state.
+    It checks them all at once after the fold, one stack per dimension, and
+    raises the message of the first failure in program order.
     """
     dim = None
     labels = set()
@@ -374,14 +374,6 @@ def compile_program(program):
     return CompiledCircuit(program, _lower(program.instructions, where, joint, alphas))
 
 
-def _fmt_angle(value):
-    return f"{value:.1f}"
-
-
-def _fmt_num(value):
-    return repr(float(value))
-
-
 def format_program(program):
     """Canonical text form: comments dropped, angles at one decimal.
 
@@ -395,13 +387,11 @@ def format_program(program):
             if instr.args[0] == "rc":
                 lines.append("init rc")
             else:
-                lines.append(f"init thermal {_fmt_num(instr.args[1])}")
+                lines.append(f"init thermal {float(instr.args[1])!r}")
         elif instr.op == "tomo":
             lines.append(f"tomo {instr.args[0]}")
         elif instr.op in ("expand", "compress"):
-            lines.append(
-                f"{instr.op} {_fmt_num(instr.args[0])} {_fmt_angle(instr.args[1])}"
-            )
+            lines.append(f"{instr.op} {float(instr.args[0])!r} {instr.args[1]:.1f}")
         else:
-            lines.append(f"{instr.op} {_fmt_angle(instr.args[0])}")
+            lines.append(f"{instr.op} {instr.args[0]:.1f}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -118,7 +118,8 @@ class DensityOperator:
     def __init__(self, matrix, label=None):
         m = _as_square(matrix, "density operator").copy()
         herm, lam = _decomposed(m)
-        message = _density_message(herm, np.trace(m), lam.min())
+        with np.errstate(over="ignore"):  # a trace past the float range is inf
+            message = _density_message(herm, np.trace(m), lam.min())
         if message:
             raise QuantumValueError(message)
         m.flags.writeable = False
@@ -263,10 +264,10 @@ def _decomposed(stack, vectors=False):
         return eigh2(a, vectors) if a.shape[-1] == 2 else (
             np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a))
 
-    if np.isfinite(stack).all():
-        return _hermiticity_defects(stack), eig(stack)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN here, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf, inf - inf NaN
         herm = _hermiticity_defects(stack)
+        if np.isfinite(stack).all():
+            return herm, eig(stack)
         skip = ~np.isfinite(herm)
         out = eig(stack if stack.shape[-1] == 2 else np.where(skip[..., None, None], 0.0, stack))
     for part in out if vectors else (out,):
@@ -318,9 +319,10 @@ def density_failures(stack):
 def _density_failures(stack, lam, herm):
     # position -> constructor message of each slice failing a check, given its defects; the
     # traces are np.trace's with its bits (it sums four as (d0 + d1) + (d2 + d3)), as entry adds
-    trace, lam_min = stack[:, 0, 0] + stack[:, 1, 1], lam.min(axis=-1)
-    if stack.shape[-1] == 4:
-        trace = trace + (stack[:, 2, 2] + stack[:, 3, 3])
+    with np.errstate(over="ignore"):  # a trace past the float range is inf
+        trace, lam_min = stack[:, 0, 0] + stack[:, 1, 1], lam.min(axis=-1)
+        if stack.shape[-1] == 4:
+            trace = trace + (stack[:, 2, 2] + stack[:, 3, 3])
     ok = (herm <= TOL["herm"]) & (np.abs(trace - 1.0) <= TOL["trace"]) & (lam_min >= TOL["psd"])
     return {i: _density_message(herm[i], trace[i], lam_min[i])
             for i in np.flatnonzero(~ok).tolist()}

@@ -135,8 +135,10 @@ class SweepConfig:
         if not 0.0 <= self.noise_sigma < math.inf:
             raise QuantumValueError(
                 f"noise_sigma = {self.noise_sigma:.6g} must be finite and nonnegative")
+        # a report keeps one failure (CSV and JSON) and one snapshot set (JSON) per _g(theta_V);
+        # noisy rows at one key draw apart and may fail apart, so a # FAILED line would be lost
         keys = list(map(_g, self.theta_list_deg)) if self.noise_sigma > 0.0 else []
-        if len(set(keys)) < len(keys):  # a JSON report keeps one snapshot set per _g(theta_V)
+        if len(set(keys)) < len(keys):
             repeated = next(key for key in keys if keys.count(key) > 1)
             raise QuantumValueError(f"theta_V = {repeated} deg repeated in a noisy sweep")
         if self.fmt not in ("csv", "json"):
@@ -418,7 +420,16 @@ def load_report(data):
     """
     doc = json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data)
     columns = [[entry[c] for c in CSV_COLUMNS] for entry in doc["rows"]]
-    table = np.array(columns, float).reshape(-1, len(CSV_COLUMNS))
+    try:
+        table = np.array(columns, float).reshape(-1, len(CSV_COLUMNS))
+    except (OverflowError, TypeError, ValueError):  # name the first value that is no float
+        for r, row in enumerate(columns):
+            for column, value in zip(CSV_COLUMNS, row):
+                try:
+                    float(value)
+                except (OverflowError, TypeError, ValueError) as exc:
+                    raise QuantumValueError(f"report row {r} column {column}: {exc}") from None
+        raise
     thetas = list(map(_g, table[:, 0].tolist()))
     for theta in thetas:
         labels = list(doc["snapshots"].get(theta, ()))

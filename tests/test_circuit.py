@@ -409,6 +409,19 @@ class TestDeferredChecks:
         assert message == "not positive semidefinite: min eigenvalue -0.0731"
         assert message == _message(DensityOperator, lifted[0])
 
+    @pytest.mark.parametrize("stage, source", [
+        ("_arm_stage", "init rc\npd 45\ntomo TC\n"),
+        ("_arm_stage", FULL_CYCLE_PROGRAM),
+        ("_ipd_product", FULL_CYCLE_PROGRAM),
+    ])
+    def test_a_block_that_is_not_unitary_fails_its_joint_state(self, monkeypatch, stage, source):
+        # compile checks a block's arm plate, not the block: a pd or ipd block scaled after
+        # its plate check compiles, and run() refuses the joint state of trace 1.0201 it makes
+        monkeypatch.setattr(optics_mod, stage,
+                            lambda *a, f=getattr(optics_mod, stage): 1.01 * f(*a))
+        compiled = compile_program(parse(source))
+        assert _message(compiled.run) == "trace 1.0201 != 1"
+
     def test_the_earlier_of_two_bad_taps_is_named(self):
         source = "init rc\ntomo A\npd 10\ntomo B\nipd 10\nhwp 3\ntomo C"
         first = _message(_corrupted_run, source, 0, _skewed)        # A, B and C bad

@@ -220,7 +220,8 @@ def _pure(_):
 
 # each distinct angle's arm plate is built once for both blocks (the sweep's angles are
 # distinct and sorted, so a plate's position is its row's); the IPD product is the only
-# per-row stage of the IPD alone
+# per-row stage of the IPD alone.  A block that is not unitary past a unitary arm plate has
+# no gate of its own (the plate's bounds it): the joint state it makes fails its trace.
 GATES = {
     "arm plate": (lambda mp: _corrupt_nth_stack(mp, optics_mod, "_hwp_matrix", 1,
                                                 lambda m: 1.01 * m),
@@ -228,7 +229,7 @@ GATES = {
     "kraus": (_break_kraus, "stroke B->C: incomplete Kraus set"),
     "pd unitarity": (lambda mp: _corrupt_nth_stack(mp, optics_mod, "_arm_stage", 1,
                                                    lambda m: 1.01 * m),
-                     "stroke B->C: PD block not unitary"),
+                     "stroke B->C: trace 1.0201 != 1"),
     "joint state": (lambda mp: _corrupt_block(mp, False, lambda u: 1.01 * u),
                     "stroke B->C: trace"),
     "B->C joint": (lambda mp: _skew_path_coherence(mp, 0), "stroke B->C: not Hermitian"),
@@ -256,7 +257,7 @@ GATES = {
                  "stroke C->D: not unitary, spectrum moved"),
     "ipd unitarity": (lambda mp: _corrupt_nth_stack(mp, optics_mod, "_ipd_product", 1,
                                                     lambda m: 1.01 * m),
-                      "stroke D->A: IPD block not unitary"),
+                      "stroke D->A: trace 1.0201 != 1"),
     "closure": (lambda mp: _corrupt_block(mp, True, lambda u: np.eye(4)),
                 "stroke D->A: cycle failed to close"),
 }

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ottosim.optics as optics_mod
+from ottosim.circuit import compile_program, parse
 from ottosim.optics import (
     ChannelBlock,
     OpticalElement,
@@ -33,6 +34,7 @@ from ottosim.qcore import (
     fidelity,
     partial_trace_path,
 )
+from ottosim.runner import SweepConfig, run_sweep
 
 from conftest import random_density
 
@@ -278,7 +280,8 @@ class TestDephasingBlocks:
 
     def test_errors_split_per_list_in_check_order(self, monkeypatch):
         # PD rows: 0 out of range, 1 an incomplete Kraus pair, 2 a bad arm plate, 3 a bad
-        # block; IPD rows: 0 out of range, 1 a bad arm plate, 2 a bad block
+        # arm stage; IPD rows: 0 out of range, 1 a bad arm plate, 2 a bad arm stage.  A
+        # block is not checked past its plate, so rows 3 and 2 pass.
         kraus_pairs, hwp_matrix, arm_stage = (
             optics_mod._kraus_pairs, optics_mod._hwp_matrix, optics_mod._arm_stage)
 
@@ -299,11 +302,9 @@ class TestDephasingBlocks:
         assert errors[0] == "theta_v = -0.1 rad outside [0, pi/4]"
         assert errors[1].startswith("incomplete Kraus set: defect")
         assert errors[2].startswith("HWP element not unitary: defect")
-        assert errors[3].startswith("PD block not unitary: defect")
         assert errors_ipd[0] == "theta_v = 1 rad outside [0, pi/4]"
         assert errors_ipd[1].startswith("HWP element not unitary: defect")
-        assert errors_ipd[2].startswith("IPD block not unitary: defect")
-        assert len(errors) == 4 and len(errors_ipd) == 3
+        assert len(errors) == 3 and len(errors_ipd) == 2
 
     def test_each_distinct_angle_builds_and_checks_one_arm_plate(self, monkeypatch):
         built = []
@@ -337,6 +338,50 @@ class TestDephasingBlocks:
         pd, ipd, kraus, errors, errors_ipd = dephasing_blocks([], [0.3])
         assert pd.shape == (0, 4, 4) and kraus.shape == (0, 2, 2, 2)
         assert ipd[0].tobytes() == reference_blocks(0.3)[1].tobytes()
+
+
+class TestBlockUnitarity:
+    """The blocks have no unitarity check of their own; the arm plate's check bounds it.
+
+    A block is its arm stage (the V-arm plate beside hwp(0), bit for bit) times constant
+    stages that are permutations up to the entries c = 6.1e-17 of hwp(pi/2), so its U^dag U - 1
+    is the plate's, permuted, up to terms of order c d + c^2 (d the plate's defect) and the
+    rounding of the sums.
+    """
+
+    BOUND = 4.5e-16  # 2 ulp of 1, plus room for the column norms of a perturbed plate
+
+    def test_constant_stages_are_exactly_unitary(self):
+        stages = np.array([optics_mod._PBS, optics_mod._PHASE_0, optics_mod._FLIP,
+                           optics_mod._FLIP_PBS_PHASE])
+        assert optics_mod._unitarity_defects(stages).tolist() == [0.0] * 4
+
+    def test_block_defects_are_the_plate_defects(self, rng):
+        plates = optics_mod._hwp_matrix(np.pi - 2.0 * rng.uniform(0.0, np.pi / 4, 128))
+        for scale in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+            noisy = plates + scale * (rng.normal(size=plates.shape)
+                                      + 1j * rng.normal(size=plates.shape))
+            plate = optics_mod._unitarity_defects(noisy)
+            arms = optics_mod._arm_stage(noisy)
+            for block in (optics_mod._pd_product(arms), optics_mod._ipd_product(arms)):
+                defect = optics_mod._unitarity_defects(block)
+                if scale == 0.0:
+                    assert defect.tobytes() == plate.tobytes()
+                else:
+                    assert np.abs(defect - plate).max() <= self.BOUND, scale
+
+    def test_sweep_and_compile_check_2x2_stacks_only(self, monkeypatch):
+        sizes, original = set(), optics_mod._unitarity_defects
+
+        def recorded(stack):
+            sizes.add(stack.shape[-1])
+            return original(stack)
+
+        monkeypatch.setattr(optics_mod, "_unitarity_defects", recorded)
+        run_sweep(SweepConfig(theta_list_deg=tuple(np.linspace(0.0, 45.0, 128))))
+        compile_program(parse("init rc\nexpand 2 180\npd 22.5\ncompress 2 180\n"
+                              "ipd 22.5\ntomo TA2\n")).run()
+        assert sizes == {2}
 
 
 class TestExpansionCompression:

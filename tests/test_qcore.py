@@ -80,6 +80,24 @@ class TestDensityOperator:
         with pytest.raises(QuantumValueError):
             DensityOperator(np.eye(3) / 3)
 
+    @pytest.mark.parametrize("m, expected", [
+        ([[1e308, 0], [0, -1e308]], "trace 0 != 1"),            # eigh2's a - d overflows
+        ([[1e308, 1e308], [-1e308, 0]], "not Hermitian: defect inf"),
+        ([[1e308, 0], [0, 1e308]], "trace inf != 1"),
+        (np.diag([1e308, -1e308, 1e308, -1e308]), "trace 0 != 1"),
+    ])
+    def test_entries_near_the_float_limit_fail_a_check_not_a_warning(self, m, expected):
+        # a difference, defect or trace past the float range is inf, and the check it reaches
+        # raises its message, also with RuntimeWarning as an error
+        m = np.array(m, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuantumValueError) as info:
+                DensityOperator(m)
+            assert str(info.value) == expected
+            assert density_errors(m[None])[1] == density_failures(m[None]) == {0: expected}
+            assert density_spectra(m[None])[3] == {0: expected}
+
     def test_immutable(self):
         rho = DensityOperator(0.5 * ID2)
         with pytest.raises(AttributeError):

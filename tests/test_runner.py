@@ -289,6 +289,25 @@ class TestEmit:
                 load_report(json.dumps(doc))
             assert str(info.value) == f"report row theta_V = 22.5 deg has a {shape} TD snapshot"
 
+    def test_load_report_rejects_a_row_value_that_is_no_float_naming_its_row(self):
+        # a JSON integer beyond the float range, an object or a list in a row's columns is
+        # refused by row position and column, the first such value in row order
+        blob = emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5, 29.0))), "json")
+        for value, reason in ((10**400, "int too large to convert to float"),
+                              ({"re": 0.5}, "float() argument must be a string or a real "
+                                            "number, not 'dict'"),
+                              ([0.5], "float() argument must be a string or a real number, "
+                                      "not 'list'")):
+            doc = json.loads(blob)
+            doc["rows"][1]["kappa"] = value
+            with pytest.raises(QuantumValueError) as info:
+                load_report(json.dumps(doc))
+            assert str(info.value) == f"report row 1 column kappa: {reason}"
+            doc["rows"][2]["theta_v_deg"] = value
+            with pytest.raises(QuantumValueError) as info:
+                load_report(json.dumps(doc))
+            assert str(info.value) == f"report row 1 column kappa: {reason}"
+
     def test_emit_refuses_distinct_angles_that_share_a_key(self, capsys):
         # 22.5 and 22.5 + 1e-13 both print as "22.5" but their TC entries differ in the last
         # bits: one snapshot set would be lost, so the JSON report is refused naming the key
