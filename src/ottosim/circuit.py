@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optics
-from .qcore import (ID2, KET_PSI_RC, DensityOperator, QuantumValueError, density_operators,
-                    trace_path)
+from .qcore import (ID2, KET_PSI_RC, DensityOperator, QuantumValueError, density_failures,
+                    trace_path, wrap_validated)
 from .thermo import thermal_matrices
 
 __all__ = [
@@ -119,8 +119,8 @@ def parse(source):
     if not isinstance(source, str):
         raise TypeError("parse expects str or bytes")
 
-    instructions = []
-    errors = []
+    instructions, errors = [], []
+    new = object.__new__
 
     def fail(k, message):
         # names word k of the current line; its column is found only here, on failure
@@ -135,7 +135,6 @@ def parse(source):
         if not words:
             continue
         word, rest = words[0], words[1:]
-        col0 = len(line) - len(line.lstrip()) + 1
         op = word.lower()
 
         if op == "init":
@@ -147,7 +146,7 @@ def parse(source):
                 if len(rest) != 1:
                     fail(2, "init rc takes no further arguments")
                     continue
-                instructions.append(Instruction("init", ("rc",), line_no, col0))
+                args = ("rc",)
             elif mode == "thermal":
                 if len(rest) != 2:
                     fail(0, "init thermal needs one number")
@@ -160,42 +159,46 @@ def parse(source):
                 if not math.isfinite(x) or x < 0.0:
                     fail(2, "thermal x must be finite and nonnegative")
                     continue
-                instructions.append(Instruction("init", ("thermal", x), line_no, col0))
+                args = ("thermal", x)
             else:
                 fail(1, "init mode must be 'rc' or 'thermal'")
-            continue
-
-        sig = _SIGNATURES.get(op)
-        if sig is None:
-            fail(0, f"unknown keyword {word!r}")
-            continue
-        if len(rest) != len(sig):
-            fail(0, f"{op} expects {len(sig)} argument(s), got {len(rest)}")
-            continue
-
-        args = []
-        for k, (kind, tok) in enumerate(zip(sig, rest), start=1):
-            if kind == "ident":
-                if not _IDENT.match(tok):
-                    fail(k, "expected an identifier")
-                    break
-                args.append(tok)
                 continue
-            try:
-                value = float(tok)
-            except ValueError:
-                fail(k, "expected a number")
-                break
-            if not math.isfinite(value):
-                fail(k, "number must be finite")
-                break
-            args.append(value)
-        if len(args) != len(sig):  # an argument failed
-            continue
-        if op in ("pd", "ipd") and not 0.0 <= args[0] <= 45.0:
-            fail(1, "angle out of range (0-45 degrees)")
-            continue
-        instructions.append(Instruction(op, tuple(args), line_no, col0))
+        else:
+            sig = _SIGNATURES.get(op)
+            if sig is None:
+                fail(0, f"unknown keyword {word!r}")
+                continue
+            if len(rest) != len(sig):
+                fail(0, f"{op} expects {len(sig)} argument(s), got {len(rest)}")
+                continue
+            if op == "tomo":
+                if not _IDENT.match(rest[0]):
+                    fail(1, "expected an identifier")
+                    continue
+                args = (rest[0],)
+            else:
+                try:
+                    args = tuple(map(float, rest))
+                    finite = all(map(math.isfinite, args))
+                except ValueError:
+                    finite = False
+                if not finite:  # name the first word that is no finite number
+                    for k, tok in enumerate(rest, start=1):
+                        try:
+                            if not math.isfinite(float(tok)):
+                                fail(k, "number must be finite")
+                                break
+                        except ValueError:
+                            fail(k, "expected a number")
+                            break
+                    continue
+                if op in ("pd", "ipd") and not 0.0 <= args[0] <= 45.0:
+                    fail(1, "angle out of range (0-45 degrees)")
+                    continue
+        # filled through its __dict__: the frozen __init__ sets each field with object.__setattr__
+        instr = new(Instruction)
+        instr.__dict__.update(op=op, args=args, line=line_no, column=line.find(word) + 1)
+        instructions.append(instr)
 
     if errors:
         raise CircuitSyntaxError(errors)
@@ -219,7 +222,9 @@ class CompiledCircuit:
 
     One ``(op, a, b)`` step per instruction: ``init``/``thermal`` (a: the
     state), ``unitary``/``pd``/``ipd`` (a: the unitary, b: its adjoint) or
-    ``tomo`` (a: the label).
+    ``tomo`` (a: the label).  ``run()`` queues each state to check on one
+    list per dimension, straight from the fold, and wraps only the taps and
+    the final state as DensityOperators.
     """
 
     def __init__(self, program, steps):
@@ -229,88 +234,110 @@ class CompiledCircuit:
     def run(self):
         rho = None          # 2x2 during single-path segments, 4x4 with ancilla
         joint = False
-        checked, labels = [], []    # the states to validate, in program order, and tap labels
+        # the 2x2 and 4x4 states to check and their places in program order: 2k for the joint
+        # state read at step k, 2k + 1 for its reduced state or the 2x2 one
+        twos, fours, two_at, four_at = [], [], [], []
+        taps, deferred = {}, []     # label -> index in twos; (index in twos, in fours) to reduce
 
-        def read_out(state, with_ancilla, label):
-            # the joint state, then the reduced one, as DensityOperator checks them
-            if with_ancilla:
-                checked.append(state)
-                labels.append(None)
-                state = trace_path(state[None])[0]
-            checked.append(state)
-            labels.append(label)
-            return state
+        def read_out(state, k, label=None):
+            # queue the state read at step k; a joint one's reduced state comes after the fold
+            if label is not None:
+                taps[label] = len(twos)
+            if joint:
+                deferred.append((len(twos), len(fours)))
+                fours.append(state)
+                four_at.append(2 * k)
+                state = None
+            twos.append(state)
+            two_at.append(2 * k + 1)
 
-        for op, a, b in self.steps:
+        for k, (op, a, b) in enumerate(self.steps):
             if op == "unitary":
                 rho = a @ rho @ b
             elif op == "tomo":
-                read_out(rho, joint, a)
+                read_out(rho, k, a)
             elif op == "pd":
                 rho, joint = a @ optics._kron_slices(rho, optics._P0) @ b, True
             elif op == "ipd":
-                rho, joint = read_out(a @ rho @ b, True, None), False
+                fours.append(a @ rho @ b)
+                four_at.append(2 * k)
+                rho, joint = trace_path(fours[-1][None])[0], False
+                read_out(rho, k)
             else:
                 rho = a
                 if op == "thermal":  # checked as thermal_state checks it
-                    read_out(rho, False, None)
+                    read_out(rho, k)
         if rho is None:
             return CircuitRun(snapshots={}, final=None)
-        read_out(rho, joint, None)
-        states = density_operators(checked, labels)
-        return CircuitRun(snapshots={s.label: s for s in states if s.label is not None},
-                          final=states[-1])
+        read_out(rho, len(self.steps))
+        if deferred:
+            stack = np.array([fours[j] for _, j in deferred])
+            for (i, j), reduced, state in zip(deferred, trace_path(stack), stack):
+                twos[i], fours[j] = reduced, state
+        twos = np.array(twos)
+        twos.flags.writeable = False
+        failures = [(two_at[i], message) for i, message in density_failures(twos).items()]
+        if fours:
+            failures += [(four_at[i], message)
+                         for i, message in density_failures(np.array(fours)).items()]
+        if failures:
+            raise QuantumValueError(min(failures)[1])
+        return CircuitRun(snapshots={label: wrap_validated(twos[i], label)
+                                     for label, i in taps.items()},
+                          final=wrap_validated(twos[-1]))
 
 
 def _lower(instructions, where, joint, alphas):
     """The steps of a checked program, every matrix built once as part of a stack.
 
     One build per kind: the Jones matrices of all polarization elements
-    with one unitarity check and their joint-space lifts, all ``pd`` and
-    ``ipd`` blocks with one ``dephasing_blocks`` call, and all thermal
-    states.  ``where`` maps each kind (``init`` for ``init rc``,
-    ``thermal`` for ``init thermal``, or the op) to the positions of its
-    instructions, ``joint`` tells per position whether the ancilla is
-    active after it, and ``alphas`` maps the position of each
-    expand/compress to its Jones parameter, the angle of its rotation.  A
-    failed check raises CircuitCompileError naming the first failing line.
+    with one unitarity check, the joint-space lifts of those that run while
+    the ancilla is active, all ``pd`` and ``ipd`` blocks with one
+    ``dephasing_blocks`` call, and all thermal states.  ``where`` maps each
+    kind (``init`` for ``init rc``, ``thermal`` for ``init thermal``, or the
+    op) to the positions of its instructions, ``joint`` tells per position
+    whether the ancilla is active after it, and ``alphas`` maps the position
+    of each expand/compress to its Jones parameter, the angle of its
+    rotation.  A failed check raises CircuitCompileError naming the first
+    failing line.
     """
-    def values(op):
-        return np.array([instructions[k].args[-1] for k in where[op]], dtype=float)
+    def radians(op):
+        return np.deg2rad([instructions[k].args[-1] for k in where[op]])
 
     steps = [None] * len(instructions)
     for k in where["init"]:
         steps[k] = ("init", _RHO_RC, None)
     for k in where["tomo"]:
         steps[k] = ("tomo", instructions[k].args[0], None)
-    pol = sorted(where["hwp"] + where["qwp"] + where["rot"] + list(alphas))
-    slot = {k: i for i, k in enumerate(pol)}
-    mats = np.empty((len(slot), 2, 2), dtype=complex)
+    pol, mats = [], []      # the polarization elements kind by kind, and their Jones matrices
     for ks, build, angles in (
-            (where["hwp"], optics._hwp_matrix, np.deg2rad(values("hwp"))),
-            (where["qwp"], optics._qwp_matrix, np.deg2rad(values("qwp"))),
+            (where["hwp"], optics._hwp_matrix, radians("hwp")),
+            (where["qwp"], optics._qwp_matrix, radians("qwp")),
             (where["rot"] + list(alphas), optics._rotation_matrix,
-             np.concatenate([np.deg2rad(values("rot")), list(alphas.values())]))):
-        mats[[slot[k] for k in ks]] = build(angles)
+             np.concatenate([radians("rot"), list(alphas.values())]))):
+        if ks:
+            pol += ks
+            mats.append(build(angles))
+    mats = np.concatenate(mats) if pol else np.empty((0, 2, 2), complex)
     bad_pol = optics._not_unitary(optics._unitarity_defects(mats), "polarization element")
     failures = [(pol[i], message) for i, message in bad_pol.items()]
     if where["pd"] or where["ipd"]:
-        pd, ipd, _, bad_pd, bad_ipd = optics.dephasing_blocks(np.deg2rad(values("pd")),
-                                                              np.deg2rad(values("ipd")))
+        pd, ipd, _, bad_pd, bad_ipd = optics.dephasing_blocks(radians("pd"), radians("ipd"))
         for op, u, errors in (("pd", pd, bad_pd), ("ipd", ipd, bad_ipd)):
             failures += [(where[op][i], message) for i, message in errors.items()]
-            for k, block in zip(where[op], zip(u, u.conj().swapaxes(-1, -2))):
-                steps[k] = (op, *block)
+            for k, a, b in zip(where[op], u, u.conj().swapaxes(-1, -2)):
+                steps[k] = (op, a, b)
     if failures:
         k, message = min(failures)
         raise CircuitCompileError(f"line {instructions[k].line}: {message}")
-    lifted = optics._kron_slices(mats, ID2)
-    lifts = ((mats, mats.conj().swapaxes(-1, -2)), (lifted, lifted.conj().swapaxes(-1, -2)))
-    for k, i in slot.items():
-        u, u_dagger = lifts[joint[k]]
-        steps[k] = ("unitary", u[i], u_dagger[i])
-    for k, rho in zip(where["thermal"], thermal_matrices(values("thermal"))):
-        steps[k] = ("thermal", rho, None)
+    lift = [i for i, k in enumerate(pol) if joint[k]]   # the elements inside a pd ... ipd segment
+    for ks, u in ((pol, mats), ([pol[i] for i in lift], optics._kron_slices(mats[lift], ID2))):
+        for k, a, b in zip(ks, u, u.conj().swapaxes(-1, -2)):
+            steps[k] = ("unitary", a, b)
+    if where["thermal"]:
+        xs = [instructions[k].args[1] for k in where["thermal"]]
+        for k, rho in zip(where["thermal"], thermal_matrices(xs)):
+            steps[k] = ("thermal", rho, None)
     return tuple(steps)
 
 
@@ -327,8 +354,9 @@ def compile_program(program):
     the fold produces, as DensityOperator would: every ``init thermal`` state,
     the joint state before each reduction (a block not unitary past its plate
     fails there) and each reduced or 2x2 tap, ``ipd`` output and final state.
-    It checks them all at once after the fold, one stack per dimension, and
-    raises the message of the first failure in program order.
+    The fold only queues them; the joint taps and a joint final state are
+    reduced by one ``trace_path`` call after it, each dimension is checked as
+    one stack, and the message of the first failure in program order is raised.
     """
     dim = None
     labels = set()
@@ -336,39 +364,27 @@ def compile_program(program):
     where = {kind: [] for kind in ("init", "thermal", *_SIGNATURES)}
     joint = []      # per position: the ancilla is active after it
     for k, instr in enumerate(program.instructions):
-        op = instr.op
+        op, problem = instr.op, None
         if dim is None and op not in ("init", "ipd"):
-            raise CircuitCompileError(f"line {instr.line}: {op} before any init")
-        if op == "init":
-            if dim == 4:
-                raise CircuitCompileError(
-                    f"line {instr.line}: init while the ancilla is still active"
-                )
-            dim = 2
-            op = "thermal" if instr.args[0] == "thermal" else op
+            problem = f"{op} before any init"
+        elif op == "init":
+            problem = "init while the ancilla is still active" if dim == 4 else None
+            dim, op = 2, ("thermal" if instr.args[0] == "thermal" else op)
         elif op in ("expand", "compress"):
             try:
                 alphas[k] = optics._jones_parameter(instr.args[0], math.radians(instr.args[1]))
             except QuantumValueError as exc:
                 raise CircuitCompileError(f"line {instr.line}: {exc}") from exc
         elif op == "pd":
-            if dim == 4:
-                raise CircuitCompileError(
-                    f"line {instr.line}: pd while the ancilla is already active"
-                )
-            dim = 4
+            problem, dim = ("pd while the ancilla is already active" if dim == 4 else None), 4
         elif op == "ipd":
-            if dim != 4:
-                raise CircuitCompileError(
-                    f"line {instr.line}: ipd without a preceding pd (no ancilla to consume)"
-                )
+            problem = None if dim == 4 else "ipd without a preceding pd (no ancilla to consume)"
             dim = 2
         elif op == "tomo":
-            if instr.args[0] in labels:
-                raise CircuitCompileError(
-                    f"line {instr.line}: duplicate tap label {instr.args[0]!r}"
-                )
+            problem = f"duplicate tap label {instr.args[0]!r}" if instr.args[0] in labels else None
             labels.add(instr.args[0])
+        if problem:
+            raise CircuitCompileError(f"line {instr.line}: {problem}")
         where[op].append(k)
         joint.append(dim == 4)
     return CompiledCircuit(program, _lower(program.instructions, where, joint, alphas))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import ID2, TOL, KrausSet, QuantumValueError, first_errors, kraus_errors, tensor
+from .qcore import ID2, ID4, TOL, KrausSet, QuantumValueError, first_errors, kraus_errors, tensor
 
 __all__ = [
     "OpticalElement",
@@ -56,7 +56,7 @@ class OpticalElement:
 
 def _unitarity_defects(stack):
     # max-norm defect of U^dag U - 1 per slice of an (N, d, d) stack
-    defect = np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))
+    defect = np.abs(stack.conj().swapaxes(-1, -2) @ stack - (ID4 if stack.shape[-1] == 4 else ID2))
     return defect.max(axis=(-2, -1))
 
 
@@ -188,7 +188,8 @@ def _pd_product(arms):
 
 
 def _ipd_product(arms):
-    return _right_mul(_right_mul(_right_mul(_left_mul(_PBS, arms), _PHASE_0), _PBS), _FLIP)
+    # the three right factors as _right_mul's calls, without its reshapes between them
+    return (_left_mul(_PBS, arms).reshape(-1, 4) @ _PHASE_0 @ _PBS @ _FLIP).reshape(arms.shape)
 
 
 def dephasing_blocks(pd_theta, ipd_theta):

@@ -14,6 +14,8 @@ wrapped types are :class:`DensityOperator` (validated, immutable) and
 :class:`KrausSet` (completeness-checked).
 """
 
+import contextlib
+
 import numpy as np
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "tensor",
     "partial_trace_path",
     "wrap_validated",
-    "density_operators",
     "first_errors",
     "density_errors",
     "density_failures",
@@ -117,8 +118,8 @@ class DensityOperator:
 
     def __init__(self, matrix, label=None):
         m = _as_square(matrix, "density operator").copy()
-        herm, lam = _decomposed(m)
-        with np.errstate(over="ignore"):  # a trace past the float range is inf
+        with np.errstate(over="ignore", invalid="ignore"):  # one entry for _decomposed and trace
+            herm, lam = _decomposed(m, guarded=True)
             message = _density_message(herm, np.trace(m), lam.min())
         if message:
             raise QuantumValueError(message)
@@ -192,28 +193,6 @@ def wrap_validated(matrix, label=None):
     return out
 
 
-def density_operators(matrices, labels):
-    """DensityOperators of labeled 2x2 and 4x4 matrices, checked as one stack per shape.
-
-    A Cholesky factorisation proves the 4x4 ones positive (:func:`density_failures`).
-    Raises the constructor's message for the first failing matrix in order.
-    """
-    arrays, labels = [_as_square(m, "density operator") for m in matrices], list(labels)
-    states, failures = [None] * len(arrays), []
-    for dim in (2, 4):
-        where = [i for i, a in enumerate(arrays) if a.shape[0] == dim]
-        if not where:
-            continue
-        stack = np.array([arrays[i] for i in where])
-        stack.flags.writeable = False
-        failures += [(where[pos], message) for pos, message in density_failures(stack).items()]
-        for i, m in zip(where, stack):
-            states[i] = wrap_validated(m, labels[i])
-    if failures:
-        raise QuantumValueError(min(failures)[1])
-    return states
-
-
 def first_errors(*checks):
     """Merge position -> message dicts; each position keeps its first message.
 
@@ -257,14 +236,16 @@ def _hermiticity_defects(stack):
     return np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def _decomposed(stack, vectors=False):
+def _decomposed(stack, vectors=False, guarded=False):
     # the max-norm Hermiticity defect and ascending eigh2 (2x2) or LAPACK (4x4) output of a matrix
-    # or of each slice of a stack; a slice holding NaN or inf fails Hermiticity first and gets NaN
+    # or of each slice of a stack; a slice holding NaN or inf fails Hermiticity first and gets NaN.
+    # Past the float range is inf and inf - inf NaN, under an np.errstate entered here unless
+    # the caller has entered it (``guarded``)
     def eig(a):
         return eigh2(a, vectors) if a.shape[-1] == 2 else (
             np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf, inf - inf NaN
+    with contextlib.nullcontext() if guarded else np.errstate(over="ignore", invalid="ignore"):
         herm = _hermiticity_defects(stack)
         if np.isfinite(stack).all():
             return herm, eig(stack)
@@ -332,7 +313,7 @@ def _kraus_defects(stack):
     # max-norm defect of sum_k K^dag K - 1 per Kraus set of an (N, k, d, d) stack, the sums as
     # one einsum (within a few ulp of the per-operator matmul sum)
     total = np.einsum("nkji,nkjl->nil", stack.conj(), stack)
-    return np.abs(total - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+    return np.abs(total - (ID4 if stack.shape[-1] == 4 else ID2)).max(axis=(-2, -1))
 
 
 def kraus_errors(stack):

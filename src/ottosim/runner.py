@@ -42,9 +42,9 @@ from .optics import (_jones_parameter, _kron_slices, _left_mul, _right_mul, deph
 from .qcore import (
     ID2,
     TOL,
+    DensityOperator,
     QuantumValueError,
     density_failures,
-    density_operators,
     density_spectra,
     entropies,
     fidelity,
@@ -416,9 +416,43 @@ def load_report(data):
     Each row needs the snapshots TA, TB, TC, TD and TA2 under its theta_V, each a 2x2
     density operator.  They are converted as one (5N, 2, 2) stack and checked by one
     ``density_failures`` call; the first bad one in report order is raised, and a snapshot
-    of another shape is named by its row.
+    of another shape is named by its row.  Once a load has failed, a document of another
+    JSON shape (a key missing, a row no object or without a column) is named by key, row and column.
     """
     doc = json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data)
+    try:
+        return _report_from(doc)
+    except (AttributeError, KeyError, TypeError):
+        problem = _shape_problem(doc)
+        if problem:
+            raise QuantumValueError(problem) from None
+        raise
+
+
+def _shape_problem(doc):
+    # the first key, row or column of a report document that _report_from cannot read, or None
+    if not isinstance(doc, dict):
+        return f"report document: {type(doc).__name__}, not dict"
+    for key in ("rows", "snapshots", "failures", "metadata"):
+        if key not in doc:
+            return f"report key {key}: missing"
+    for key, kind in (("rows", list), ("snapshots", dict)):
+        if not isinstance(doc[key], kind):
+            return f"report key {key}: {type(doc[key]).__name__}, not {kind.__name__}"
+    for r, row in enumerate(doc["rows"]):
+        if not isinstance(row, dict):
+            return f"report row {r}: {type(row).__name__}, not dict"
+        missing = [column for column in CSV_COLUMNS if column not in row]
+        if missing:
+            return f"report row {r} column {missing[0]}: missing"
+    for theta, snaps in doc["snapshots"].items():
+        if not isinstance(snaps, dict):
+            return f"report snapshots at theta_V = {theta} deg: {type(snaps).__name__}, not dict"
+    return None
+
+
+def _report_from(doc):
+    # load_report of a document of the shape emit writes
     columns = [[entry[c] for c in CSV_COLUMNS] for entry in doc["rows"]]
     try:
         table = np.array(columns, float).reshape(-1, len(CSV_COLUMNS))
@@ -440,8 +474,9 @@ def load_report(data):
     stack = _matrix_from_json(matrices) if matrices else np.empty((0, 2, 2), complex)
     if stack.shape[1:] != (2, 2):  # not all 2x2: the checks of a load one snapshot at a time
         arrays = list(map(_matrix_from_json, matrices))
-        square = [a for a in arrays if a.shape in ((2, 2), (4, 4))]
-        density_operators(square, [None] * len(square))  # raises the first density failure
+        for a in arrays:  # the first square snapshot that is no density operator raises
+            if a.shape in ((2, 2), (4, 4)):
+                DensityOperator(a)
         k = next(k for k, a in enumerate(arrays) if a.shape != (2, 2))
         shape = "x".join(map(str, arrays[k].shape)) if arrays[k].ndim == 2 else "malformed"
         theta, label = thetas[k // len(SNAPSHOT_LABELS)], SNAPSHOT_LABELS[k % len(SNAPSHOT_LABELS)]

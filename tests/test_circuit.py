@@ -1,5 +1,6 @@
 """Tests for the circuit description language: parse, compile, format."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -39,6 +40,35 @@ tomo TD
 ipd 22.5
 tomo TA2
 """
+
+
+class TestInstruction:
+    """The frozen-dataclass semantics, for an Instruction built by its constructor or by parse."""
+
+    @pytest.mark.parametrize("build", ["constructor", "parse"])
+    def test_frozen_dataclass_semantics(self, build):
+        instr = (Instruction("hwp", (10.0,), 2, 3) if build == "constructor"
+                 else parse("init rc\n  hwp 10").instructions[1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            instr.op = "qwp"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            instr.line = 7
+        assert (instr.op, instr.args, instr.line, instr.column) == ("hwp", (10.0,), 2, 3)
+        assert repr(instr) == "Instruction(op='hwp', args=(10.0,), line=2, column=3)"
+        # line and column are left out of equality and of the hash
+        for other in (Instruction("hwp", (10.0,)), Instruction("hwp", (10.0,), 9, 9),
+                      Instruction(op="hwp", args=(10.0,), line=5), parse("hwp 10").instructions[0]):
+            assert instr == other and hash(instr) == hash(other)
+        assert instr != Instruction("hwp", (11.0,), 2, 3) and instr != Instruction("rot", (10.0,))
+        moved = dataclasses.replace(instr, line=4, args=(20.0,))
+        assert repr(moved) == "Instruction(op='hwp', args=(20.0,), line=4, column=3)"
+        assert dataclasses.astuple(moved) == ("hwp", (20.0,), 4, 3)
+        assert [f.name for f in dataclasses.fields(instr)] == ["op", "args", "line", "column"]
+
+    def test_defaults_and_keywords(self):
+        assert (repr(Instruction("tomo", ("A",)))
+                == "Instruction(op='tomo', args=('A',), line=0, column=0)")
+        assert Instruction(op="pd", args=(5.0,), column=4).column == 4
 
 
 class TestParse:
@@ -314,6 +344,20 @@ class TestLoweredFold:
                 for k, op in enumerate(ops))
         assert min(seen.values()) >= 50, seen
 
+    @pytest.mark.parametrize("changed", [(0,), (3,), (5,), (0, 3), (3, 5), (0, 5), (0, 3, 5)])
+    def test_deferred_reductions_raise_the_first_failure_in_program_order(self, changed):
+        # the joint taps A and C and the joint final state are reduced after the fold.  An
+        # unphysical initial state fails only the joint states (first A's, on positivity); the
+        # lifted rot scaled at step 3 fails C's joint and reduced states (trace), the lifted hwp
+        # scaled at step 5 the final ones.  run() raises the earliest, as the reference fold does
+        source = "init rc\npd 22.5\ntomo A\nrot 7\ntomo C\nhwp 3"
+        changes = {0: lambda m: _UNPHYSICAL, 3: _scaled(1.05), 5: _scaled(0.9)}
+        changes = {k: changes[k] for k in changed}
+        expected = _message(_reference_run, parse(source), changes)
+        assert expected == {0: "not positive semidefinite: min eigenvalue -0.2",
+                            3: "trace 1.1025 != 1", 5: "trace 0.81 != 1"}[changed[0]]
+        assert _message(_corrupted_run, source, changes) == expected
+
     def test_empty_program(self):
         run = compile_program(parse("")).run()
         assert run.snapshots == {} and run.final is None
@@ -358,13 +402,14 @@ DEFERRED = {
 }
 
 
-def _corrupted_run(source, k, change):
-    """compile_program(parse(source)).run() with step k's matrix changed."""
+def _corrupted_run(source, changes):
+    """compile_program(parse(source)).run() with the matrix of each step k in changes changed."""
     compiled = compile_program(parse(source))
     steps = list(compiled.steps)
-    op, a, b = steps[k]
-    a = change(a)
-    steps[k] = (op, a, None if b is None else a.conj().T)
+    for k, change in changes.items():
+        op, a, b = steps[k]
+        a = change(a)
+        steps[k] = (op, a, None if b is None else a.conj().T)
     compiled.steps = tuple(steps)
     return compiled.run()
 
@@ -381,7 +426,7 @@ class TestDeferredChecks:
         source, k, change, start = DEFERRED[case]
         expected = _message(_reference_run, parse(source), {k: change})
         assert expected.startswith(start)
-        assert _message(_corrupted_run, source, k, change) == expected
+        assert _message(_corrupted_run, source, {k: change}) == expected
 
     def test_a_joint_tap_fails_on_its_joint_state(self):
         # the reduced state of the "joint tap" case is physical: only the 4x4 check can fail
@@ -389,7 +434,7 @@ class TestDeferredChecks:
         u = pd_block(np.deg2rad(22.5)).unitary
         joint = u @ np.kron(_UNPHYSICAL, np.diag([1.0, 0.0])) @ u.conj().T
         assert np.linalg.eigvalsh(np.einsum("ikjk->ij", joint.reshape(2, 2, 2, 2))).min() > 0
-        assert _message(_corrupted_run, source, k, change) == _message(DensityOperator, joint)
+        assert _message(_corrupted_run, source, {k: change}) == _message(DensityOperator, joint)
 
     def test_a_negative_joint_eigenvalue_fails_the_joint_check(self, monkeypatch):
         # the first joint state read gains 0.1 at <H, k0| . |H, k1> and at its mirror entry
@@ -424,8 +469,8 @@ class TestDeferredChecks:
 
     def test_the_earlier_of_two_bad_taps_is_named(self):
         source = "init rc\ntomo A\npd 10\ntomo B\nipd 10\nhwp 3\ntomo C"
-        first = _message(_corrupted_run, source, 0, _skewed)        # A, B and C bad
-        later = _message(_corrupted_run, source, 5, _scaled(1.1))  # only C bad
+        first = _message(_corrupted_run, source, {0: _skewed})        # A, B and C bad
+        later = _message(_corrupted_run, source, {5: _scaled(1.1)})  # only C bad
         assert first == _message(DensityOperator, _skewed(RHO_RC.matrix))
         assert later == _message(_reference_run, parse(source), {5: _scaled(1.1)})
         assert first != later

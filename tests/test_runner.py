@@ -308,6 +308,25 @@ class TestEmit:
                 load_report(json.dumps(doc))
             assert str(info.value) == f"report row 1 column kappa: {reason}"
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc["rows"][1].pop("kappa"), "report row 1 column kappa: missing"),
+        (lambda doc: doc.update(snapshots=1.5), "report key snapshots: float, not dict"),
+        (lambda doc: doc["rows"].__setitem__(2, list(doc["rows"][2].values())),
+         "report row 2: list, not dict"),
+        (lambda doc: doc.update(rows=3), "report key rows: int, not list"),
+        (lambda doc: doc.pop("failures"), "report key failures: missing"),
+        (lambda doc: doc["snapshots"].update({"29": ["TA", "TB", "TC", "TD", "TA2"]}),
+         "report snapshots at theta_V = 29 deg: list, not dict"),
+    ], ids=["missing column", "snapshots 1.5", "row list", "rows 3", "missing failures",
+            "snapshots list"])
+    def test_load_report_names_a_document_of_another_shape(self, change, message):
+        # each of these failed inside the load with a bare KeyError, AttributeError or TypeError
+        doc = json.loads(emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5, 29.0))), "json"))
+        change(doc)
+        with pytest.raises(QuantumValueError) as info:
+            load_report(json.dumps(doc))
+        assert str(info.value) == message
+
     def test_emit_refuses_distinct_angles_that_share_a_key(self, capsys):
         # 22.5 and 22.5 + 1e-13 both print as "22.5" but their TC entries differ in the last
         # bits: one snapshot set would be lost, so the JSON report is refused naming the key
