@@ -53,17 +53,9 @@ MAX_PARSE_ERRORS = 10
 _IDENT = re.compile(r"[A-Za-z_]\w*\Z")
 _TOKEN = re.compile(r"\S+")
 
-# op -> argument kinds; "angle" is degrees, "num" any float, "ident" a label
-_SIGNATURES = {
-    "hwp": ("angle",),
-    "qwp": ("angle",),
-    "rot": ("angle",),
-    "expand": ("num", "angle"),
-    "compress": ("num", "angle"),
-    "pd": ("angle",),
-    "ipd": ("angle",),
-    "tomo": ("ident",),
-}
+# op -> number of arguments: a tomo label, else numbers (angles in degrees but expand's and
+# compress's gap ratio n)
+_ARITY = {"hwp": 1, "qwp": 1, "rot": 1, "expand": 2, "compress": 2, "pd": 1, "ipd": 1, "tomo": 1}
 
 
 @dataclass(frozen=True)
@@ -120,7 +112,6 @@ def parse(source):
         raise TypeError("parse expects str or bytes")
 
     instructions, errors = [], []
-    new = object.__new__
 
     def fail(k, message):
         # names word k of the current line; its column is found only here, on failure
@@ -164,12 +155,12 @@ def parse(source):
                 fail(1, "init mode must be 'rc' or 'thermal'")
                 continue
         else:
-            sig = _SIGNATURES.get(op)
-            if sig is None:
+            arity = _ARITY.get(op)
+            if arity is None:
                 fail(0, f"unknown keyword {word!r}")
                 continue
-            if len(rest) != len(sig):
-                fail(0, f"{op} expects {len(sig)} argument(s), got {len(rest)}")
+            if len(rest) != arity:
+                fail(0, f"{op} expects {arity} argument(s), got {len(rest)}")
                 continue
             if op == "tomo":
                 if not _IDENT.match(rest[0]):
@@ -196,7 +187,7 @@ def parse(source):
                     fail(1, "angle out of range (0-45 degrees)")
                     continue
         # filled through its __dict__: the frozen __init__ sets each field with object.__setattr__
-        instr = new(Instruction)
+        instr = object.__new__(Instruction)
         instr.__dict__.update(op=op, args=args, line=line_no, column=line.find(word) + 1)
         instructions.append(instr)
 
@@ -234,22 +225,18 @@ class CompiledCircuit:
     def run(self):
         rho = None          # 2x2 during single-path segments, 4x4 with ancilla
         joint = False
-        # the 2x2 and 4x4 states to check and their places in program order: 2k for the joint
-        # state read at step k, 2k + 1 for its reduced state or the 2x2 one
-        twos, fours, two_at, four_at = [], [], [], []
-        taps, deferred = {}, []     # label -> index in twos; (index in twos, in fours) to reduce
+        twos, fours = [], []    # the 2x2 and 4x4 states to check
+        at, reduced, taps = [], [], {}  # each 2x2 state's step; each 4x4 one's index in twos; taps
 
         def read_out(state, k, label=None):
-            # queue the state read at step k; a joint one's reduced state comes after the fold
+            # queue the state read at step k; a joint one is reduced after the fold
             if label is not None:
                 taps[label] = len(twos)
             if joint:
-                deferred.append((len(twos), len(fours)))
+                reduced.append(len(twos))
                 fours.append(state)
-                four_at.append(2 * k)
-                state = None
-            twos.append(state)
-            two_at.append(2 * k + 1)
+            twos.append(None if joint else state)
+            at.append(k)
 
         for k, (op, a, b) in enumerate(self.steps):
             if op == "unitary":
@@ -258,11 +245,9 @@ class CompiledCircuit:
                 read_out(rho, k, a)
             elif op == "pd":
                 rho, joint = a @ optics._kron_slices(rho, optics._P0) @ b, True
-            elif op == "ipd":
-                fours.append(a @ rho @ b)
-                four_at.append(2 * k)
+            elif op == "ipd":  # the fold goes on with the reduced state, reduced again below
+                read_out(a @ rho @ b, k)
                 rho, joint = trace_path(fours[-1][None])[0], False
-                read_out(rho, k)
             else:
                 rho = a
                 if op == "thermal":  # checked as thermal_state checks it
@@ -270,16 +255,16 @@ class CompiledCircuit:
         if rho is None:
             return CircuitRun(snapshots={}, final=None)
         read_out(rho, len(self.steps))
-        if deferred:
-            stack = np.array([fours[j] for _, j in deferred])
-            for (i, j), reduced, state in zip(deferred, trace_path(stack), stack):
-                twos[i], fours[j] = reduced, state
+        failures = []   # ((step, 0) for a joint state or (step, 1) for a 2x2 one, message)
+        if fours:
+            fours = np.array(fours)
+            for i, state in zip(reduced, trace_path(fours)):
+                twos[i] = state
+            failures = [((at[reduced[j]], 0), message)
+                        for j, message in density_failures(fours).items()]
         twos = np.array(twos)
         twos.flags.writeable = False
-        failures = [(two_at[i], message) for i, message in density_failures(twos).items()]
-        if fours:
-            failures += [(four_at[i], message)
-                         for i, message in density_failures(np.array(fours)).items()]
+        failures += [((at[i], 1), message) for i, message in density_failures(twos).items()]
         if failures:
             raise QuantumValueError(min(failures)[1])
         return CircuitRun(snapshots={label: wrap_validated(twos[i], label)
@@ -334,10 +319,9 @@ def _lower(instructions, where, joint, alphas):
     for ks, u in ((pol, mats), ([pol[i] for i in lift], optics._kron_slices(mats[lift], ID2))):
         for k, a, b in zip(ks, u, u.conj().swapaxes(-1, -2)):
             steps[k] = ("unitary", a, b)
-    if where["thermal"]:
-        xs = [instructions[k].args[1] for k in where["thermal"]]
-        for k, rho in zip(where["thermal"], thermal_matrices(xs)):
-            steps[k] = ("thermal", rho, None)
+    xs = [instructions[k].args[1] for k in where["thermal"]]
+    for k, rho in zip(where["thermal"], thermal_matrices(xs) if xs else ()):
+        steps[k] = ("thermal", rho, None)
     return tuple(steps)
 
 
@@ -354,14 +338,15 @@ def compile_program(program):
     the fold produces, as DensityOperator would: every ``init thermal`` state,
     the joint state before each reduction (a block not unitary past its plate
     fails there) and each reduced or 2x2 tap, ``ipd`` output and final state.
-    The fold only queues them; the joint taps and a joint final state are
-    reduced by one ``trace_path`` call after it, each dimension is checked as
-    one stack, and the message of the first failure in program order is raised.
+    The fold only queues them; every joint state read is reduced by one
+    ``trace_path`` call after it (the fold reduces an ``ipd`` output once more
+    to go on), each dimension is checked as one stack, and the message of the
+    first failure in program order is raised.
     """
     dim = None
     labels = set()
     alphas = {}
-    where = {kind: [] for kind in ("init", "thermal", *_SIGNATURES)}
+    where = {kind: [] for kind in ("init", "thermal", *_ARITY)}
     joint = []      # per position: the ancilla is active after it
     for k, instr in enumerate(program.instructions):
         op, problem = instr.op, None

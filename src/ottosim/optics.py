@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import ID2, ID4, TOL, KrausSet, QuantumValueError, first_errors, kraus_errors, tensor
+from .qcore import (ID2, ID4, TOL, KrausSet, QuantumValueError, _as_square, first_errors,
+                    kraus_errors, tensor)
 
 __all__ = [
     "OpticalElement",
@@ -55,7 +56,7 @@ class OpticalElement:
 
 
 def _unitarity_defects(stack):
-    # max-norm defect of U^dag U - 1 per slice of an (N, d, d) stack
+    # max-norm defect of U^dag U - 1 per slice of an (N, d, d) stack, d = 2 or 4
     defect = np.abs(stack.conj().swapaxes(-1, -2) @ stack - (ID4 if stack.shape[-1] == 4 else ID2))
     return defect.max(axis=(-2, -1))
 
@@ -67,8 +68,8 @@ def _not_unitary(defect, what):
 
 
 def _checked_unitary(m, what):
-    # m as a read-only complex array; QuantumValueError if it is not unitary
-    m = np.asarray(m, dtype=complex)
+    # m as a read-only complex array; QuantumValueError if it is no 2x2 or 4x4 unitary
+    m = _as_square(m, what)
     errors = _not_unitary(_unitarity_defects(m[None]), what)
     if errors:
         raise QuantumValueError(errors[0])

@@ -14,8 +14,6 @@ wrapped types are :class:`DensityOperator` (validated, immutable) and
 :class:`KrausSet` (completeness-checked).
 """
 
-import contextlib
-
 import numpy as np
 
 __all__ = [
@@ -36,6 +34,7 @@ __all__ = [
     "tensor",
     "partial_trace_path",
     "wrap_validated",
+    "density_operators",
     "first_errors",
     "density_errors",
     "density_failures",
@@ -118,8 +117,8 @@ class DensityOperator:
 
     def __init__(self, matrix, label=None):
         m = _as_square(matrix, "density operator").copy()
-        with np.errstate(over="ignore", invalid="ignore"):  # one entry for _decomposed and trace
-            herm, lam = _decomposed(m, guarded=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
+            herm, lam = _decomposed(m)
             message = _density_message(herm, np.trace(m), lam.min())
         if message:
             raise QuantumValueError(message)
@@ -193,6 +192,28 @@ def wrap_validated(matrix, label=None):
     return out
 
 
+def density_operators(matrices, labels):
+    """DensityOperators of labeled 2x2 and 4x4 matrices, checked as one stack per shape.
+
+    A Cholesky factorisation proves the 4x4 ones positive (:func:`density_failures`).
+    Raises the constructor's message for the first failing matrix in order.
+    """
+    arrays, labels = [_as_square(m, "density operator") for m in matrices], list(labels)
+    states, failures = [None] * len(arrays), []
+    for dim in (2, 4):
+        where = [i for i, a in enumerate(arrays) if a.shape[0] == dim]
+        if not where:
+            continue
+        stack = np.array([arrays[i] for i in where])
+        stack.flags.writeable = False
+        failures += [(where[pos], message) for pos, message in density_failures(stack).items()]
+        for i, m in zip(where, stack):
+            states[i] = wrap_validated(m, labels[i])
+    if failures:
+        raise QuantumValueError(min(failures)[1])
+    return states
+
+
 def first_errors(*checks):
     """Merge position -> message dicts; each position keeps its first message.
 
@@ -236,21 +257,19 @@ def _hermiticity_defects(stack):
     return np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def _decomposed(stack, vectors=False, guarded=False):
+def _decomposed(stack, vectors=False):
     # the max-norm Hermiticity defect and ascending eigh2 (2x2) or LAPACK (4x4) output of a matrix
     # or of each slice of a stack; a slice holding NaN or inf fails Hermiticity first and gets NaN.
-    # Past the float range is inf and inf - inf NaN, under an np.errstate entered here unless
-    # the caller has entered it (``guarded``)
+    # Under the caller's np.errstate(over="ignore", invalid="ignore"): inf past the float range
     def eig(a):
         return eigh2(a, vectors) if a.shape[-1] == 2 else (
             np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a))
 
-    with contextlib.nullcontext() if guarded else np.errstate(over="ignore", invalid="ignore"):
-        herm = _hermiticity_defects(stack)
-        if np.isfinite(stack).all():
-            return herm, eig(stack)
-        skip = ~np.isfinite(herm)
-        out = eig(stack if stack.shape[-1] == 2 else np.where(skip[..., None, None], 0.0, stack))
+    herm = _hermiticity_defects(stack)
+    if np.isfinite(stack).all():
+        return herm, eig(stack)
+    skip = ~np.isfinite(herm)
+    out = eig(stack if stack.shape[-1] == 2 else np.where(skip[..., None, None], 0.0, stack))
     for part in out if vectors else (out,):
         part[skip] = np.nan
     return herm, out
@@ -275,8 +294,9 @@ def density_errors(stack):
     raise for it.  A caller that reads no eigenvalues uses
     :func:`density_failures`, which gives the same dict.
     """
-    herm, lam = _decomposed(stack)
-    return lam, _density_failures(stack, lam, herm)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
+        herm, lam = _decomposed(stack)
+        return lam, _density_failures(stack, lam, herm)
 
 
 def density_failures(stack):
@@ -293,17 +313,17 @@ def density_failures(stack):
             pass
         else:  # +inf stands for the eigenvalues the factor bounds above TOL["psd"]
             lam = np.full((len(stack), 1), np.inf)
-            return _density_failures(stack, lam, _hermiticity_defects(stack))
+            with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
+                return _density_failures(stack, lam, _hermiticity_defects(stack))
     return density_errors(stack)[1]
 
 
 def _density_failures(stack, lam, herm):
-    # position -> constructor message of each slice failing a check, given its defects; the
-    # traces are np.trace's with its bits (it sums four as (d0 + d1) + (d2 + d3)), as entry adds
-    with np.errstate(over="ignore"):  # a trace past the float range is inf
-        trace, lam_min = stack[:, 0, 0] + stack[:, 1, 1], lam.min(axis=-1)
-        if stack.shape[-1] == 4:
-            trace = trace + (stack[:, 2, 2] + stack[:, 3, 3])
+    # position -> constructor message of each slice failing a check, given its defects (under the
+    # caller's np.errstate); the traces have np.trace's bits: (d0 + d1) + (d2 + d3) for four
+    trace, lam_min = stack[:, 0, 0] + stack[:, 1, 1], lam.min(axis=-1)
+    if stack.shape[-1] == 4:
+        trace = trace + (stack[:, 2, 2] + stack[:, 3, 3])
     ok = (herm <= TOL["herm"]) & (np.abs(trace - 1.0) <= TOL["trace"]) & (lam_min >= TOL["psd"])
     return {i: _density_message(herm[i], trace[i], lam_min[i])
             for i in np.flatnonzero(~ok).tolist()}
@@ -313,7 +333,7 @@ def _kraus_defects(stack):
     # max-norm defect of sum_k K^dag K - 1 per Kraus set of an (N, k, d, d) stack, the sums as
     # one einsum (within a few ulp of the per-operator matmul sum)
     total = np.einsum("nkji,nkjl->nil", stack.conj(), stack)
-    return np.abs(total - (ID4 if stack.shape[-1] == 4 else ID2)).max(axis=(-2, -1))
+    return np.abs(total - np.eye(stack.shape[-1])).max(axis=(-2, -1))
 
 
 def kraus_errors(stack):
@@ -364,7 +384,8 @@ def eig_herm(m):
     and eigenvector columns phase-fixed so the first component of magnitude
     above 1e-12 is real positive.
     """
-    defect, (lam, vec) = _decomposed(_as_square(m, "eig_herm input"), True)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
+        defect, (lam, vec) = _decomposed(_as_square(m, "eig_herm input"), True)
     if not defect <= TOL["eig_herm_input"]:
         raise QuantumValueError(f"eig_herm needs a Hermitian matrix: defect {defect:.3g}")
     lam, vec = lam[::-1].copy(), vec[:, ::-1]
@@ -413,7 +434,8 @@ def spectra(stack):
     not fixed; nothing computed from them depends on the phase) and
     position -> message for slices failing eig_herm's Hermiticity check.
     """
-    herm, (lam, vec) = _decomposed(stack, True)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
+        herm, (lam, vec) = _decomposed(stack, True)
     return _clamped_spectra(herm, lam, vec)
 
 
@@ -432,9 +454,10 @@ def density_spectra(stack):
     checks read, the spectra and eigenvectors of :func:`spectra`, and
     position -> message of each failing slice, its density check first.
     """
-    herm, (lam, vec) = _decomposed(stack, True)
-    spec, vec, bad_herm = _clamped_spectra(herm, lam, vec)
-    return lam, spec, vec, first_errors(_density_failures(stack, lam, herm), bad_herm)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
+        herm, (lam, vec) = _decomposed(stack, True)
+        spec, vec, bad_herm = _clamped_spectra(herm, lam, vec)
+        return lam, spec, vec, first_errors(_density_failures(stack, lam, herm), bad_herm)
 
 
 def entropies(lam):

@@ -42,9 +42,9 @@ from .optics import (_jones_parameter, _kron_slices, _left_mul, _right_mul, deph
 from .qcore import (
     ID2,
     TOL,
-    DensityOperator,
     QuantumValueError,
     density_failures,
+    density_operators,
     density_spectra,
     entropies,
     fidelity,
@@ -416,21 +416,23 @@ def load_report(data):
     Each row needs the snapshots TA, TB, TC, TD and TA2 under its theta_V, each a 2x2
     density operator.  They are converted as one (5N, 2, 2) stack and checked by one
     ``density_failures`` call; the first bad one in report order is raised, and a snapshot
-    of another shape is named by its row.  Once a load has failed, a document of another
-    JSON shape (a key missing, a row no object or without a column) is named by key, row and column.
+    of another shape is named by its row.  Once a load has failed, the first missing or mistyped
+    key, row, column or value of the document is named.
     """
     doc = json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data)
     try:
         return _report_from(doc)
-    except (AttributeError, KeyError, TypeError):
-        problem = _shape_problem(doc)
-        if problem:
-            raise QuantumValueError(problem) from None
+    except QuantumValueError:
         raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+        problem = _shape_problem(doc)
+        if problem is None:
+            raise
+        raise QuantumValueError(problem) from None
 
 
 def _shape_problem(doc):
-    # the first key, row or column of a report document that _report_from cannot read, or None
+    # the first key, row, column or value of a report document that _report_from cannot read
     if not isinstance(doc, dict):
         return f"report document: {type(doc).__name__}, not dict"
     for key in ("rows", "snapshots", "failures", "metadata"):
@@ -442,9 +444,13 @@ def _shape_problem(doc):
     for r, row in enumerate(doc["rows"]):
         if not isinstance(row, dict):
             return f"report row {r}: {type(row).__name__}, not dict"
-        missing = [column for column in CSV_COLUMNS if column not in row]
-        if missing:
-            return f"report row {r} column {missing[0]}: missing"
+        for column in CSV_COLUMNS:
+            try:
+                float(row[column])
+            except KeyError:
+                return f"report row {r} column {column}: missing"
+            except (OverflowError, TypeError, ValueError) as exc:
+                return f"report row {r} column {column}: {exc}"
     for theta, snaps in doc["snapshots"].items():
         if not isinstance(snaps, dict):
             return f"report snapshots at theta_V = {theta} deg: {type(snaps).__name__}, not dict"
@@ -454,16 +460,7 @@ def _shape_problem(doc):
 def _report_from(doc):
     # load_report of a document of the shape emit writes
     columns = [[entry[c] for c in CSV_COLUMNS] for entry in doc["rows"]]
-    try:
-        table = np.array(columns, float).reshape(-1, len(CSV_COLUMNS))
-    except (OverflowError, TypeError, ValueError):  # name the first value that is no float
-        for r, row in enumerate(columns):
-            for column, value in zip(CSV_COLUMNS, row):
-                try:
-                    float(value)
-                except (OverflowError, TypeError, ValueError) as exc:
-                    raise QuantumValueError(f"report row {r} column {column}: {exc}") from None
-        raise
+    table = np.array(columns, float).reshape(-1, len(CSV_COLUMNS))
     thetas = list(map(_g, table[:, 0].tolist()))
     for theta in thetas:
         labels = list(doc["snapshots"].get(theta, ()))
@@ -474,9 +471,8 @@ def _report_from(doc):
     stack = _matrix_from_json(matrices) if matrices else np.empty((0, 2, 2), complex)
     if stack.shape[1:] != (2, 2):  # not all 2x2: the checks of a load one snapshot at a time
         arrays = list(map(_matrix_from_json, matrices))
-        for a in arrays:  # the first square snapshot that is no density operator raises
-            if a.shape in ((2, 2), (4, 4)):
-                DensityOperator(a)
+        square = [a for a in arrays if a.shape in ((2, 2), (4, 4))]
+        density_operators(square, [None] * len(square))  # raises the first density failure
         k = next(k for k, a in enumerate(arrays) if a.shape != (2, 2))
         shape = "x".join(map(str, arrays[k].shape)) if arrays[k].ndim == 2 else "malformed"
         theta, label = thetas[k // len(SNAPSHOT_LABELS)], SNAPSHOT_LABELS[k % len(SNAPSHOT_LABELS)]

@@ -9,7 +9,7 @@ import pytest
 import ottosim.circuit as circuit_mod
 import ottosim.optics as optics_mod
 from ottosim.circuit import (
-    _SIGNATURES,
+    _ARITY,
     MAX_PARSE_ERRORS,
     CircuitCompileError,
     CircuitProgram,
@@ -358,6 +358,30 @@ class TestLoweredFold:
                             3: "trace 1.1025 != 1", 5: "trace 0.81 != 1"}[changed[0]]
         assert _message(_corrupted_run, source, changes) == expected
 
+    @pytest.mark.parametrize("changed", [(6,), (0, 6), (3, 6), (5, 6), (3, 5), (0, 3, 5, 6)])
+    def test_a_2x2_state_after_the_joint_ones_fails_in_program_order(self, changed):
+        # joint taps A and C, the ipd output, then the 2x2 tap D and final state: the scaled hwp
+        # at step 6 fails D (trace); the scaled ipd block at step 5 fails its joint output first
+        source = "init rc\npd 22.5\ntomo A\nrot 7\ntomo C\nipd 22.5\nhwp 3\ntomo D"
+        changes = {0: lambda m: _UNPHYSICAL, 3: _scaled(1.05), 5: _scaled(1.01), 6: _scaled(1.1)}
+        changes = {k: changes[k] for k in changed}
+        expected = _message(_reference_run, parse(source), changes)
+        assert expected == {0: "not positive semidefinite: min eigenvalue -0.2",
+                            3: "trace 1.1025 != 1", 5: "trace 1.0201 != 1",
+                            6: "trace 1.21 != 1"}[changed[0]]
+        assert _message(_corrupted_run, source, changes) == expected
+
+    def test_a_joint_state_is_named_before_its_reduced_state(self):
+        # at 10 deg the unphysical initial state leaves joint tap A with eigenvalue -0.2 and its
+        # reduced state with -0.158: the joint state comes first in program order
+        source, change = "init rc\npd 10\ntomo A", {0: lambda m: _UNPHYSICAL}
+        u = pd_block(np.deg2rad(10.0)).unitary
+        joint = u @ np.kron(_UNPHYSICAL, np.diag([1.0, 0.0])) @ u.conj().T
+        reduced = np.einsum("ikjk->ij", joint.reshape(2, 2, 2, 2))
+        expected = _message(_reference_run, parse(source), change)
+        assert expected == _message(DensityOperator, joint) != _message(DensityOperator, reduced)
+        assert _message(_corrupted_run, source, change) == expected
+
     def test_empty_program(self):
         run = compile_program(parse("")).run()
         assert run.snapshots == {} and run.final is None
@@ -557,6 +581,23 @@ _REF_IDENT = re.compile(r"[A-Za-z_]\w*\Z")
 _REF_TOKEN = re.compile(r"\S+")
 
 
+# op -> argument kinds of the reference parser; "angle" is degrees, "num" any float, "ident" a label
+_REF_SIGNATURES = {
+    "hwp": ("angle",),
+    "qwp": ("angle",),
+    "rot": ("angle",),
+    "expand": ("num", "angle"),
+    "compress": ("num", "angle"),
+    "pd": ("angle",),
+    "ipd": ("angle",),
+    "tomo": ("ident",),
+}
+
+
+def test_arity_matches_the_reference_signatures():
+    assert {op: len(sig) for op, sig in _REF_SIGNATURES.items()} == _ARITY
+
+
 def _reference_parse(source):
     """Reference parser: scans every line into (token, column) pairs with a regex."""
     if isinstance(source, (bytes, bytearray)):
@@ -602,7 +643,7 @@ def _reference_parse(source):
             else:
                 fail(line_no, rest[0][1], "init mode must be 'rc' or 'thermal'", rest[0][0])
             continue
-        sig = _SIGNATURES.get(op)
+        sig = _REF_SIGNATURES.get(op)
         if sig is None:
             fail(line_no, col0, f"unknown keyword {word!r}", word)
             continue

@@ -1,6 +1,7 @@
 """Tests for the optical elements and the (inverted) dephasing blocks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,17 @@ class TestPdBlock:
     def test_block_unitarity_validated(self):
         with pytest.raises(QuantumValueError):
             ChannelBlock("bad", unitary=np.eye(4) * 2.0)
+
+    def test_an_element_or_block_of_another_size_is_refused_by_name(self):
+        # the unitarity defect subtracts a 2x2 or 4x4 identity, so other sizes stop before it
+        for m in ([[1.0]], 2.0 * np.eye(3), np.eye(8), np.ones(4)):
+            shape = np.shape(m)
+            with pytest.raises(QuantumValueError, match=re.escape(
+                    f"X element must be 2x2 or 4x4, got shape {shape}")):
+                OpticalElement("X", m)
+            with pytest.raises(QuantumValueError, match=re.escape(
+                    f"bad block must be 2x2 or 4x4, got shape {shape}")):
+                ChannelBlock("bad", unitary=m)
 
     def test_nan_fails_the_unitarity_check(self):
         with pytest.raises(QuantumValueError, match="not unitary: defect nan"):

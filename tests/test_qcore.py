@@ -23,6 +23,7 @@ from ottosim.qcore import (
     density_errors,
     density_failures,
     density_spectra,
+    density_operators,
     eig_herm,
     eigh2,
     entropies,
@@ -504,6 +505,8 @@ class TestStackedChecks:
             with pytest.raises(QuantumValueError) as info:
                 DensityOperator(bad)
             assert str(info.value) == message
+            with pytest.raises(QuantumValueError, match=message):
+                density_operators([0.25 * ID4, bad], ["a", "b"])
             lam, errors = density_errors(stack)
             assert errors == {1: message}
             lam_h, spec, vec, both = density_spectra(stack)
@@ -534,6 +537,8 @@ class TestStackedChecks:
             with pytest.raises(QuantumValueError) as info:
                 DensityOperator(bad)
             assert str(info.value) == message
+            with pytest.raises(QuantumValueError, match=message):
+                density_operators([0.5 * ID2, bad], ["a", "b"])
             lam, errors = density_errors(stack)
             assert errors == {1: message}
             lam_h, spec, vec, both = density_spectra(stack)
@@ -561,6 +566,29 @@ class TestStackedChecks:
                 errors = kraus_errors(np.array([bad], dtype=complex))
                 assert errors[0] in ("incomplete Kraus set: defect inf",
                                      "incomplete Kraus set: defect nan")
+
+    def test_density_operators_match_constructor(self, rng):
+        good = [random_density(rng).matrix for _ in range(3)]
+        states = density_operators(good, ["a", "b", "c"])
+        assert [s.label for s in states] == ["a", "b", "c"]
+        assert all(s == DensityOperator(m) and not s.matrix.flags.writeable
+                   for s, m in zip(states, good))
+        for bad in self.BAD:
+            with pytest.raises(QuantumValueError, match=re.escape(self._message(DensityOperator, bad))):
+                density_operators(good + [bad, self.BAD[0]], "abcde")
+        mixed = density_operators([good[0], random_density(rng, 4).matrix], "ab")  # two shapes
+        assert [s.dim for s in mixed] == [2, 4]
+        assert [s.label for s in mixed] == ["a", "b"]
+        assert not any(s.matrix.flags.writeable for s in mixed)
+        assert density_operators([], []) == []
+
+    def test_density_operators_name_the_first_failure_across_shapes(self, rng):
+        # one stack per shape; the failure reported is the first in the given order
+        bad4 = np.diag([1.1, -0.1, 0.0, 0.0])
+        for order in ([self.BAD[1], bad4], [bad4, self.BAD[1]]):
+            with pytest.raises(QuantumValueError) as info:
+                density_operators([random_density(rng, 4).matrix, *order, self.BAD[0]], "abcd")
+            assert str(info.value) == self._message(DensityOperator, order[0])
 
     def test_nan_fails_the_spectrum_and_support_checks(self):
         nan = np.full((2, 2), np.nan)

@@ -327,6 +327,16 @@ class TestEmit:
             load_report(json.dumps(doc))
         assert str(info.value) == message
 
+    def test_a_density_failure_is_not_renamed_by_an_unread_snapshot_entry(self):
+        # the shape reader runs only for a load that failed on the document's shape: a stray
+        # snapshot entry that no row reads leaves a density failure's message as it was
+        doc = json.loads(emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5))), "json"))
+        doc["snapshots"]["8"]["TC"][0][0][0] = 0.75
+        message = _load_message(json.dumps(doc))
+        assert message.startswith("trace ")
+        doc["snapshots"]["99"] = ["TA", "TB", "TC", "TD", "TA2"]
+        assert _load_message(json.dumps(doc)) == message
+
     def test_emit_refuses_distinct_angles_that_share_a_key(self, capsys):
         # 22.5 and 22.5 + 1e-13 both print as "22.5" but their TC entries differ in the last
         # bits: one snapshot set would be lost, so the JSON report is refused naming the key
@@ -557,3 +567,9 @@ class TestCli:
     def test_unwritable_output_exits_2(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "report.csv"
         assert cli.main(["sweep", "--out", str(target)]) == 2
+
+
+def _load_message(text):
+    with pytest.raises(QuantumValueError) as info:
+        load_report(text)
+    return str(info.value)
