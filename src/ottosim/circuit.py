@@ -240,13 +240,13 @@ class CompiledCircuit:
 
         for k, (op, a, b) in enumerate(self.steps):
             if op == "unitary":
-                rho = a @ rho @ b
+                rho = a.dot(rho).dot(b)
             elif op == "tomo":
                 read_out(rho, k, a)
             elif op == "pd":
-                rho, joint = a @ optics._kron_slices(rho, optics._P0) @ b, True
+                rho, joint = a.dot(optics._kron_slices(rho, optics._P0)).dot(b), True
             elif op == "ipd":  # the fold goes on with the reduced state, reduced again below
-                read_out(a @ rho @ b, k)
+                read_out(a.dot(rho).dot(b), k)
                 rho, joint = trace_path(fours[-1][None])[0], False
             else:
                 rho = a

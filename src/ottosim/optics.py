@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (ID2, ID4, TOL, KrausSet, QuantumValueError, _as_square, first_errors,
-                    kraus_errors, tensor)
+from .qcore import (ID2, ID4, TOL, KrausSet, QuantumValueError, _as_square, _failing,
+                    first_errors, kraus_errors, tensor)
 
 __all__ = [
     "OpticalElement",
@@ -64,7 +64,7 @@ def _unitarity_defects(stack):
 def _not_unitary(defect, what):
     # position -> message for each defect above TOL["unitary"], NaN included
     return {i: f"{what} not unitary: defect {defect[i]:.3g}"
-            for i in np.flatnonzero(~(defect <= TOL["unitary"])).tolist()}
+            for i in _failing(defect <= TOL["unitary"])}
 
 
 def _checked_unitary(m, what):
@@ -226,8 +226,7 @@ def dephasing_blocks(pd_theta, ipd_theta):
     # with float defect 0.0, so block defect <= plate defect + 2 ulp (a bound the tests pin).
     # Positions run over both lists, the PD angles first (the only ones with Kraus pairs).
     errors = first_errors(
-        {i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]"
-         for i in np.flatnonzero(~in_range).tolist()},
+        {i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]" for i in _failing(in_range)},
         kraus_errors(kraus) if count else {},
         _not_unitary(_unitarity_defects(arm_v)[plate], "HWP element"))
     return (pd, ipd, kraus, {i: message for i, message in errors.items() if i < count},

@@ -325,22 +325,28 @@ def _density_failures(stack, lam, herm):
     if stack.shape[-1] == 4:
         trace = trace + (stack[:, 2, 2] + stack[:, 3, 3])
     ok = (herm <= TOL["herm"]) & (np.abs(trace - 1.0) <= TOL["trace"]) & (lam_min >= TOL["psd"])
-    return {i: _density_message(herm[i], trace[i], lam_min[i])
-            for i in np.flatnonzero(~ok).tolist()}
+    return {i: _density_message(herm[i], trace[i], lam_min[i]) for i in _failing(ok)}
+
+
+def _failing(ok):
+    # the flat positions where the boolean array ok is False, after one ok.all(): nothing when
+    # every slice passes; callers pass `defect <= tol`, so a NaN defect fails
+    return () if ok.all() else np.flatnonzero(~ok).tolist()
 
 
 def _kraus_defects(stack):
     # max-norm defect of sum_k K^dag K - 1 per Kraus set of an (N, k, d, d) stack, the sums as
     # one einsum (within a few ulp of the per-operator matmul sum)
     total = np.einsum("nkji,nkjl->nil", stack.conj(), stack)
-    return np.abs(total - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+    d = stack.shape[-1]
+    return np.abs(total - (ID2 if d == 2 else np.eye(d))).max(axis=(-2, -1))
 
 
 def kraus_errors(stack):
     """Completeness check of each Kraus set in an (N, k, d, d) stack; position -> message."""
     defect = _kraus_defects(stack)
     return {i: f"incomplete Kraus set: defect {defect[i]:.3g}"
-            for i in np.flatnonzero(~(defect <= TOL["kraus"])).tolist()}
+            for i in _failing(defect <= TOL["kraus"])}
 
 
 def tensor(a, b):
@@ -443,7 +449,7 @@ def _clamped_spectra(defect, lam, vec):
     # spectra() of a stack from its Hermiticity defects and ascending eigh output
     lam = lam[..., ::-1]
     errors = {i: f"eig_herm needs a Hermitian matrix: defect {defect[i]:.3g}"
-              for i in np.flatnonzero(~(defect <= TOL["eig_herm_input"])).tolist()}
+              for i in _failing(defect <= TOL["eig_herm_input"])}
     return np.where(lam < TOL["eig_clamp"], 0.0, lam), vec[..., ::-1], errors
 
 
@@ -479,12 +485,12 @@ def support_weights(rho, lam_s, vec_s):
     weight or eigenvalue (where it would not be a number).
     """
     weights = np.einsum("...ji,...jk,...ki->...i", vec_s.conj(), rho, vec_s).real
-    lam_s = np.broadcast_to(lam_s, weights.shape)
     outside = (lam_s < TOL["support"]) & (weights > TOL["support"])
     errors = {}
-    for i, j in zip(*np.nonzero(outside | np.isnan(weights + lam_s))):
-        errors.setdefault(int(i), f"support violation: weight {weights[i, j]:.3g} "
-                                  f"on eigenvalue {lam_s[i, j]:.3g}")
+    for pos in _failing(~(outside | np.isnan(weights + lam_s))):
+        i, j = divmod(pos, weights.shape[-1])
+        errors.setdefault(i, f"support violation: weight {weights[i, j]:.3g} on eigenvalue "
+                             f"{np.broadcast_to(lam_s, weights.shape)[i, j]:.3g}")
     return weights, errors
 
 

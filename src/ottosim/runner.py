@@ -43,6 +43,7 @@ from .qcore import (
     ID2,
     TOL,
     QuantumValueError,
+    _failing,
     density_failures,
     density_operators,
     density_spectra,
@@ -161,15 +162,14 @@ class CycleResult:
 def _spectrum_errors(lam_a, lam_b):
     # a unitary stroke leaves each row's (ascending) spectrum in place
     gap = np.abs(lam_a - lam_b).max(axis=-1)
-    return {i: f"not unitary, spectrum moved by {gap[i]:.3g}"
-            for i in np.flatnonzero(~(gap <= 1e-10)).tolist()}
+    return {i: f"not unitary, spectrum moved by {gap[i]:.3g}" for i in _failing(gap <= 1e-10)}
 
 
 def _closure_errors(rho_end, rho_start):
     # the cycle hands each row back the state it started from
     defect = np.abs(rho_end - rho_start).max(axis=(-2, -1))
     return {i: f"cycle failed to close, defect {defect[i]:.3g}"
-            for i in np.flatnonzero(~(defect <= TOL["cycle_closure"])).tolist()}
+            for i in _failing(defect <= TOL["cycle_closure"])}
 
 
 def _parts(errors, count, parts):
@@ -217,16 +217,17 @@ def _cycle_rows(thetas, config):
     rho_c, rho_d, rho_a2 = trace_path(joint).reshape(3, count, 2, 2)
 
     # each group of states checked in one call, each 2x2 state decomposed once (a density message
-    # before an eig_herm one); the entropies of relaxing rho_B and rho_D need the supports
+    # before an eig_herm one); the entropies of relaxing rho_B (against each hot target) and each
+    # rho_D (against rho_A) need the supports, checked as one stack of the two halves
     bad_jc, bad_jd, bad_ja = _parts(density_failures(joint), count, 3)
     lam, spec, vec, bad = density_spectra(np.concatenate(
         [[rho_a, rho_b], rho_c, thermal_matrices(x_h.tolist()), rho_d, rho_a2]))
     (lam_c, _, lam_d, _), (_, spec_h, spec_d, _), (_, vec_h, _, _) = (
         a[2:].reshape(4, count, *a.shape[1:]) for a in (lam, spec, vec))
-    bad_support = support_weights(
-        np.concatenate([np.broadcast_to(rho_b, rho_d.shape), rho_d]),
-        np.concatenate([spec_h, np.broadcast_to(spec[:1], spec_h.shape)]),
-        np.concatenate([vec_h, np.broadcast_to(vec[:1], vec_h.shape)]))[1]
+    (rho_s, vec_s), lam_s = np.empty((2, 2 * count, 2, 2), complex), np.empty((2 * count, 2))
+    rho_s[:count], rho_s[count:], lam_s[:count], lam_s[count:], vec_s[:count], vec_s[count:] = (
+        rho_b, rho_d, spec_h, spec[0], vec_h, vec[0])
+    bad_support = support_weights(rho_s, lam_s, vec_s)[1]
     (bad_c, bad_h, bad_d, bad_a2), (bad_hot, bad_cold) = (
         _parts({pos - 2: message for pos, message in bad.items() if pos > 1}, count, 4),
         _parts(bad_support, count, 2))
@@ -258,7 +259,7 @@ def _cycle_rows(thetas, config):
     q_da = e_a2_cold - e_d_cold
     sig_e = (s_h - s_b) - x_h * (q_bc / n)
     sig_c = (s_cold - s_d) - x_c * q_da
-    energies = np.stack(np.broadcast_arrays(e_b_hot - e_a_cold, q_bc, w_cd, q_da))
+    energies = np.array([np.full(k, e_b_hot - e_a_cold), q_bc, w_cd, q_da])
     table = np.vstack([
         np.array(thetas, dtype=float)[keep],
         ledger_columns(theta_v, kappa, x_h / x_c, energies, sig_e, sig_c)[1:],
@@ -268,9 +269,10 @@ def _cycle_rows(thetas, config):
     exact, tap_errors = (rho_a, rho_b, rho_c, rho_d, rho_a2), {}
     if config.noise_sigma > 0.0:
         streams = np.random.SeedSequence(config.seed).spawn(count)
+        snaps = np.empty((k, len(exact), 2, 2), complex)
+        snaps[:, 0], snaps[:, 1], snaps[:, 2], snaps[:, 3], snaps[:, 4] = exact
         taps, tap_errors = tomography_stack(
-            np.stack(np.broadcast_arrays(*exact), axis=1),
-            config.noise_sigma, [np.random.default_rng(streams[i]) for i in keep])
+            snaps, config.noise_sigma, [np.random.default_rng(streams[i]) for i in keep])
         errors.update((keep[k], QuantumValueError(message)) for k, message in tap_errors.items())
     # the finished rows by (r, theta_V); without noise every row shares one TA and one TB
     sel = [k for k in np.lexsort((table[:, 0], table[:, 2])).tolist() if k not in tap_errors]
@@ -438,7 +440,7 @@ def _shape_problem(doc):
     for key in ("rows", "snapshots", "failures", "metadata"):
         if key not in doc:
             return f"report key {key}: missing"
-    for key, kind in (("rows", list), ("snapshots", dict)):
+    for key, kind in (("rows", list), ("snapshots", dict), ("failures", dict), ("metadata", dict)):
         if not isinstance(doc[key], kind):
             return f"report key {key}: {type(doc[key]).__name__}, not {kind.__name__}"
     for r, row in enumerate(doc["rows"]):
@@ -458,7 +460,10 @@ def _shape_problem(doc):
 
 
 def _report_from(doc):
-    # load_report of a document of the shape emit writes
+    # load_report of a document of the shape emit writes; a key of another type, even an empty
+    # one, is a TypeError for _shape_problem to name
+    if not (isinstance(doc["rows"], list) and isinstance(doc["snapshots"], dict)):
+        raise TypeError
     columns = [[entry[c] for c in CSV_COLUMNS] for entry in doc["rows"]]
     table = np.array(columns, float).reshape(-1, len(CSV_COLUMNS))
     thetas = list(map(_g, table[:, 0].tolist()))
@@ -480,6 +485,8 @@ def _report_from(doc):
     failures = density_failures(stack)
     if failures:
         raise QuantumValueError(failures[min(failures)])
+    if not (isinstance(doc["failures"], dict) and isinstance(doc["metadata"], dict)):
+        raise TypeError  # checked last, so a bad snapshot is named first
     stack = stack.reshape(-1, len(SNAPSHOT_LABELS), 2, 2)
     for a in (table, stack):
         a.flags.writeable = False

@@ -23,6 +23,7 @@ from .qcore import (
     SIGMA_Y,
     DensityOperator,
     QuantumValueError,
+    _failing,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -106,8 +107,8 @@ def hot_x_from_kappa(kappa, params):
 
 def hot_x_column(kappa, params):
     """The x_h of :func:`hot_x_from_kappa` at each kappa of an array, as a list of floats."""
-    outside = np.flatnonzero(~((kappa >= 0.0) & (kappa <= 1.0)))
-    if outside.size:
+    outside = _failing((kappa >= 0.0) & (kappa <= 1.0))
+    if outside:
         raise QuantumValueError(f"kappa = {kappa[outside[0]]:.6g} outside [0, 1]")
     x_c, t_c = params.x_c, math.tanh(params.x_c)
     return [x_c if k == 1.0 else 0.0 if k == 0.0 else math.atanh(k * t_c) for k in kappa.tolist()]
@@ -177,20 +178,21 @@ def closed_form_energetics(kappa, params):
     sigma_e = _classical_kl(log_cold, log_hot)
     sigma_c = _classical_kl(log_hot, log_cold)
     theta_v = 0.5 * math.acos(min(max(kappa, -1.0), 1.0))
-    columns = ledger_columns(theta_v, kappa, r, energies, sigma_e, sigma_c)
+    columns = ledger_columns(*np.array([[theta_v], [kappa], [r]]), energies,
+                             *np.array([[sigma_e], [sigma_c]]))
     return CycleLedger(*columns[:, 0].tolist())
 
 
 def ledger_columns(theta_v, kappa, r, energies, sigma_e, sigma_c):
     """The twelve CycleLedger fields in order, as the rows of a (12, N) array.
 
-    ``energies`` holds W_AB, Q_BC, W_CD and Q_DA; dU_cycle, W_extracted and
-    Sigma_cycle are derived from them and the two entropy productions.
+    Every argument is an (N,) array, ``energies`` the (4, N) W_AB, Q_BC, W_CD and Q_DA;
+    dU_cycle, W_extracted and Sigma_cycle are derived from them and the two entropy
+    productions.
     """
     w_ab, q_bc, w_cd, q_da = energies
-    return np.stack(np.broadcast_arrays(
-        theta_v, kappa, r, *energies, w_ab + q_bc + w_cd + q_da, np.abs(q_bc) - np.abs(q_da),
-        sigma_e, sigma_c, sigma_e + sigma_c))
+    return np.array([theta_v, kappa, r, *energies, w_ab + q_bc + w_cd + q_da,
+                     np.abs(q_bc) - np.abs(q_da), sigma_e, sigma_c, sigma_e + sigma_c])
 
 
 def expectations(h, stack):

@@ -34,7 +34,8 @@ from .qcore import (
     TOL,
     DensityOperator,
     QuantumValueError,
-    density_errors,
+    density_failures,
+    wrap_validated,
 )
 
 __all__ = [
@@ -70,6 +71,7 @@ BASES = {
 # measurement order of measure_all; its alpha and beta projectors as one (6, 2, 2) stack
 _ORDER = ("HV", "DAD", "RL")
 _PROJECTORS = np.stack([BASES[b][k] for b in _ORDER for k in (2, 3)])
+_PAULIS = np.stack(PAULIS)
 _projected = "Bloch vector norm {:.6g} > 1; projected onto the sphere".format
 
 
@@ -101,8 +103,7 @@ class StokesVector:
     @classmethod
     def from_state(cls, rho):
         m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-        s = [float(np.trace(p @ m).real) for p in PAULIS]
-        return cls(1.0, *s)
+        return cls(1.0, *_traces(_PAULIS, m).tolist())
 
 
 @dataclass(frozen=True)
@@ -120,9 +121,17 @@ class IntensityRecord:
             raise QuantumValueError("intensities must be finite and nonnegative")
 
 
+def _traces(ops, stack):
+    # tr(P rho).real per operator of a (P, 2, 2) stack and per (..., 2, 2) matrix, as one
+    # (2P, 2) @ (2, 2) product per matrix: OpenBLAS gives each 2x2 block the bits of p @ rho,
+    # and d0 + d1 is np.trace's sum
+    m = (ops.reshape(-1, 2) @ stack).reshape(stack.shape[:-2] + ops.shape)
+    return (m[..., 0, 0] + m[..., 1, 1]).real
+
+
 def _intensities(stack, projectors, noise_sigma, xi):
     # tr(P rho) per projector and (..., 2, 2) matrix, then times 1 + sigma * xi; each clamped at 0
-    i = np.maximum(np.trace(projectors @ stack[..., None, :, :], axis1=-2, axis2=-1).real, 0.0)
+    i = np.maximum(_traces(projectors, stack), 0.0)
     return np.maximum(i * (1.0 + noise_sigma * xi), 0.0) if noise_sigma > 0.0 else i
 
 
@@ -229,7 +238,7 @@ def tomography_stack(stack, noise_sigma, rngs):
     vec, dark = _bloch_vectors(i.reshape(n, taps, 3, 2))
     m, norm = _densities(vec)
     m.flags.writeable = False
-    bad = density_errors(m.reshape(-1, 2, 2))[1]
+    bad = density_failures(m.reshape(-1, 2, 2))
     failed = dark.any(axis=-1)
     failed.flat[list(bad)] = True
     stop = np.where(failed.any(axis=1), failed.argmax(axis=1), taps)
@@ -273,36 +282,59 @@ class GoldenData:
     adjustments: dict     # label -> tuple of adjustment descriptions
 
 
-def _sanitize_measured(m):
-    """Hermitize, renormalize trace and project the measured matrix.
+def _sanitize_measured(raw):
+    """Hermitize, renormalize the trace of and project the labeled matrices of ``raw`` as one stack.
 
-    Returns (DensityOperator, adjustments).  Measured matrices carry
-    4-to-5 digit entries; their traces differ from 1 in the last digit and
-    one of them is marginally nonpositive, so the Bloch vector is scaled
-    back onto the ball when needed.
+    Returns the states and the adjustment notes by label, and raises :class:`GoldenDataError`
+    naming the first matrix that is still no density operator.  Measured matrices carry
+    4-to-5 digit entries; their traces differ from 1 in the last digit and one of them is
+    marginally nonpositive, so the Bloch vector is scaled back onto the ball when needed.
     """
-    notes = []
-    herm_defect = float(np.abs(m - m.conj().T).max())
-    if herm_defect > 0.0:
-        m = 0.5 * (m + m.conj().T)
-        notes.append(f"hermitized (defect {herm_defect:.3g})")
-    tr = float(np.trace(m).real)
-    if not abs(tr - 1.0) <= TOL["trace"]:
-        m = m / tr
-        notes.append(f"trace renormalized from {tr:.6g}")
-    projected, norm = _densities(np.array([float(np.trace(p @ m).real) for p in PAULIS]))
-    if norm > 1.0:
-        m = projected
-        notes.append(f"Bloch vector projected from norm {norm:.8g}")
-    return DensityOperator(m), tuple(notes)
+    stack = np.array([*raw.values()], complex).reshape(-1, 2, 2)
+    adjoint = stack.conj().swapaxes(-1, -2)
+    herm = np.abs(stack - adjoint).max(axis=(-2, -1))
+    m, hermitized = stack.copy(), herm > 0.0
+    m[hermitized] = 0.5 * (stack[hermitized] + adjoint[hermitized])
+    tr = (m[:, 0, 0] + m[:, 1, 1]).real
+    renormalized = ~(np.abs(tr - 1.0) <= TOL["trace"])
+    m[renormalized] = m[renormalized] / tr[renormalized, None, None]
+    projected, norm = _densities(_traces(_PAULIS, m))
+    outside = norm > 1.0
+    m[outside] = projected[outside]
+    m.flags.writeable = False
+    failures = density_failures(m)
+    if failures:
+        k = min(failures)
+        raise GoldenDataError(f"golden matrix {[*raw][k]!r} unusable: {failures[k]}")
+    adjustments = {}
+    for label, h, d, r, t, o, b in zip(raw, *(a.tolist() for a in (
+            hermitized, herm, renormalized, tr, outside, norm))):
+        adjustments[label] = tuple(note for done, note in (
+            (h, f"hermitized (defect {d:.3g})"), (r, f"trace renormalized from {t:.6g}"),
+            (o, f"Bloch vector projected from norm {b:.8g}")) if done)
+    return {label: wrap_validated(s, label) for label, s in zip(raw, m)}, adjustments
+
+
+def _golden_matrix(matrices, label):
+    # the measured 2x2 matrix under label; GoldenDataError if it is missing, malformed or not 2x2
+    if label not in matrices:
+        raise GoldenDataError(f"golden data missing matrix {label!r}")
+    try:
+        m = np.array([[complex(re, im) for re, im in row] for row in matrices[label]], complex)
+    except (TypeError, ValueError) as exc:
+        raise GoldenDataError(f"golden matrix {label!r} malformed: {exc}") from exc
+    if m.shape != (2, 2):
+        raise GoldenDataError(f"golden matrix {label!r} has shape {m.shape}")
+    return m
 
 
 def load_golden_data():
     """Load the bundled experimental matrices for the theta_v = 22.5 deg run.
 
     Returns a :class:`GoldenData` with the initial state and the four
-    post-stroke states, sanitized into valid density operators; every
-    adjustment applied on top of the measured entries is logged.
+    post-stroke states, sanitized into valid density operators as one stack;
+    every adjustment applied on top of the measured entries is logged.  The
+    first label, in order, that is missing, malformed or unusable is raised.
     """
     try:
         payload = resources.files("ottosim.data").joinpath("golden_states.json").read_text()
@@ -311,23 +343,12 @@ def load_golden_data():
         matrices = doc["matrices"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise GoldenDataError(f"golden data file unreadable: {exc}") from exc
-    states, raw, adjustments = {}, {}, {}
-    for label in GOLDEN_LABELS:
-        if label not in matrices:
-            raise GoldenDataError(f"golden data missing matrix {label!r}")
-        try:
-            m = np.array(
-                [[complex(re, im) for re, im in row] for row in matrices[label]],
-                dtype=complex,
-            )
-        except (TypeError, ValueError) as exc:
-            raise GoldenDataError(f"golden matrix {label!r} malformed: {exc}") from exc
-        if m.shape != (2, 2):
-            raise GoldenDataError(f"golden matrix {label!r} has shape {m.shape}")
-        raw[label] = m
-        try:
-            states[label], adjustments[label] = _sanitize_measured(m)
-        except QuantumValueError as exc:
-            raise GoldenDataError(f"golden matrix {label!r} unusable: {exc}") from exc
-        states[label] = states[label].relabel(label)
+    raw = {}
+    try:
+        for label in GOLDEN_LABELS:
+            raw[label] = _golden_matrix(matrices, label)
+    except GoldenDataError:
+        _sanitize_measured(raw)  # an unusable matrix before the failing label is named first
+        raise
+    states, adjustments = _sanitize_measured(raw)
     return GoldenData(version=version, states=states, raw=raw, adjustments=adjustments)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from ottosim.runner import (
     run_sweep,
 )
 from ottosim.thermo import closed_form_energetics, thermal_state
+from ottosim.tomography import UnphysicalStokesWarning
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_default.csv"
 GOLDEN_NOISY_JSON = Path(__file__).parent / "data" / "golden_noisy_0.1_seed3.json"
@@ -327,6 +330,20 @@ class TestEmit:
             load_report(json.dumps(doc))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("rows", {}, "dict"), ("rows", "", "str"), ("snapshots", [], "list"),
+        ("failures", 5, "int"), ("failures", "x", "str"), ("failures", None, "NoneType"),
+        ("metadata", None, "NoneType"), ("metadata", [], "list")])
+    def test_load_report_refuses_a_mistyped_key_even_when_empty(self, key, value, kind):
+        # every top-level key needs the type emit writes, also when it is empty
+        doc = json.loads(emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5))), "json"))
+        doc[key] = value
+        expected = "list" if key == "rows" else "dict"
+        assert _load_message(json.dumps(doc)) == f"report key {key}: {kind}, not {expected}"
+        if key in ("failures", "metadata"):  # named after every problem of the rows and snapshots
+            doc["snapshots"]["8"]["TC"][0][0][0] = 0.75
+            assert _load_message(json.dumps(doc)).startswith("trace ")
+
     def test_a_density_failure_is_not_renamed_by_an_unread_snapshot_entry(self):
         # the shape reader runs only for a load that failed on the document's shape: a stray
         # snapshot entry that no row reads leaves a density failure's message as it was
@@ -573,3 +590,53 @@ def _load_message(text):
     with pytest.raises(QuantumValueError) as info:
         load_report(text)
     return str(info.value)
+
+
+# the values a fuzzed report field is replaced with: every JSON type, and the numbers that
+# float() or the report's checks treat apart (NaN, inf, 1e308, a 400-digit integer)
+_FUZZ_VALUES = (None, True, False, 0, -1, 2.5, 1e308, math.nan, math.inf, 10**400, "", "x",
+                "22.5", [], [0.5], [[0.5, 0.0]], {}, {"TA": 1})
+
+
+def _fields(node, path=()):
+    # the path of every value in a JSON document, the document itself first
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _fields(child, path + (key,))
+
+
+class TestLoadReportFuzz:
+    def test_one_field_mutants_are_refused_or_round_trip(self):
+        # 3,000 seeded one-field replacements or deletions of a two-angle noisy report: each one
+        # is refused with a QuantumValueError, or loads and re-emits as CSV and JSON, and the
+        # JSON it re-emits loads to the same bytes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnphysicalStokesWarning)
+            text = emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 29.0), noise_sigma=0.1,
+                                              seed=3)), "json").decode()
+        paths, rng, outcomes = list(_fields(json.loads(text))), random.Random(18), []
+        for _ in range(3000):
+            doc, path = json.loads(text), rng.choice(paths)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if not path:
+                doc = rng.choice(_FUZZ_VALUES)
+            elif rng.random() < 0.25:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = rng.choice(_FUZZ_VALUES)
+            try:
+                report = load_report(json.dumps(doc))
+            except QuantumValueError:
+                outcomes.append("refused")
+                continue
+            emit(report, "csv")
+            again = emit(report, "json")
+            assert emit(load_report(again), "json") == again, path
+            outcomes.append("loaded")
+        assert outcomes.count("refused") > 1000 and outcomes.count("loaded") > 100

@@ -1,5 +1,6 @@
 """Tests for projective intensity simulation and Stokes reconstruction."""
 
+import json
 import math
 import warnings
 
@@ -22,6 +23,8 @@ from ottosim.tomography import (
     IntensityRecord,
     StokesVector,
     UnphysicalStokesWarning,
+    _PROJECTORS,
+    _intensities,
     _sanitize_measured,
     load_golden_data,
     measure,
@@ -74,6 +77,41 @@ class TestMeasure:
     def test_unknown_basis(self):
         with pytest.raises(QuantumValueError):
             measure(RHO_RC, "XY")
+
+
+def _per_projector(stack, projectors):
+    # max(tr(P rho).real, 0) one projector and one matrix at a time
+    values = [[max(np.trace(p @ m).real, 0.0) for p in projectors] for m in stack.reshape(-1, 2, 2)]
+    return np.array(values, dtype=float).reshape(stack.shape[:-2] + (len(projectors),))
+
+
+class TestTapProduct:
+    # _intensities stacks the projectors as the rows of one (2P, 2) matrix: one BLAS call per
+    # state.  With OpenBLAS each 2x2 block of that product has the bits of its own p @ rho; a
+    # BLAS build that breaks this fails here, before any frozen report moves.
+
+    def test_bits_equal_the_per_projector_traces(self, rng):
+        for n in range(1, 51):
+            arbitrary = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+            hermitian = np.array([random_density(rng).matrix for _ in range(n)])
+            for stack in (arbitrary, hermitian, hermitian.reshape(-1, 1, 2, 2)):
+                assert _intensities(stack, _PROJECTORS, 0.0, None).tobytes() == _per_projector(
+                    stack, _PROJECTORS).tobytes()
+
+    def test_a_single_matrix_and_an_empty_stack(self, rng):
+        m = random_density(rng).matrix
+        assert _intensities(m, _PROJECTORS, 0.0, None).tobytes() == _per_projector(
+            m, _PROJECTORS).tobytes()
+        empty = np.empty((0, 5, 2, 2), complex)
+        assert _intensities(empty, _PROJECTORS, 0.0, None).shape == (0, 5, 6)
+
+    def test_the_sliced_pairs_measure_passes(self, rng):
+        for _ in range(50):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            for j in (0, 2, 4):
+                pair = _PROJECTORS[j:j + 2]
+                assert _intensities(m, pair, 0.0, None).tobytes() == _per_projector(
+                    m, pair).tobytes()
 
 
 class TestStokesFromIntensities:
@@ -139,8 +177,8 @@ class TestReconstruct:
     def test_normalization_gates_fail_nan(self):
         with pytest.raises(QuantumValueError, match="s0 = nan != 1"):
             StokesVector(math.nan, 0.0, 0.0, 0.0)
-        with pytest.raises(QuantumValueError, match="not Hermitian: defect nan"):
-            _sanitize_measured(np.array([[math.nan, 0.0], [0.0, 0.5]], dtype=complex))
+        with pytest.raises(GoldenDataError, match="'x' unusable: not Hermitian: defect nan"):
+            _sanitize_measured({"x": np.array([[math.nan, 0.0], [0.0, 0.5]], dtype=complex)})
 
     def test_roundtrip_exact_without_noise(self, rng):
         for _ in range(100):
@@ -319,6 +357,47 @@ class TestGoldenData:
         monkeypatch.setattr(tomo_mod.resources, "files", lambda pkg: BrokenPath())
         with pytest.raises(GoldenDataError, match="unreadable"):
             load_golden_data()
+
+    @staticmethod
+    def _patch_matrices(monkeypatch, change):
+        # load_golden_data reads the bundled file with change applied to its matrices
+        import ottosim.tomography as tomo_mod
+
+        doc = json.loads(tomo_mod.resources.files("ottosim.data").joinpath(
+            "golden_states.json").read_text())
+        change(doc["matrices"])
+
+        class PatchedPath:
+            def joinpath(self, name):
+                return self
+
+            def read_text(self):
+                return json.dumps(doc)
+
+        monkeypatch.setattr(tomo_mod.resources, "files", lambda pkg: PatchedPath())
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # dividing by a NaN trace
+    @pytest.mark.parametrize("change, message", [
+        (lambda ms: (ms["ini"][0][0].__setitem__(0, math.nan), ms.pop("C_to_D")),
+         "golden matrix 'ini' unusable: not Hermitian: defect nan"),
+        (lambda ms: (ms["A_to_B"][1].__setitem__(0, "x"), ms["C_to_D"][0][0].__setitem__(
+            0, math.nan)), "golden matrix 'A_to_B' malformed: "),
+        (lambda ms: (ms.pop("B_to_C"), ms["D_to_A"][1][1].__setitem__(1, math.nan)),
+         "golden data missing matrix 'B_to_C'"),
+        (lambda ms: (ms["C_to_D"][1][1].__setitem__(1, math.nan), ms["D_to_A"].append([])),
+         "golden matrix 'C_to_D' unusable: not Hermitian: defect nan"),
+        (lambda ms: ms["D_to_A"].append([[0.0, 0.0], [0.0, 0.0]]),
+         "golden matrix 'D_to_A' has shape (3, 2)"),
+        (lambda ms: ms.pop("ini"), "golden data missing matrix 'ini'"),
+    ], ids=["unusable before missing", "malformed before unusable", "missing before unusable",
+            "unusable before a bad shape", "bad shape", "first missing"])
+    def test_the_first_failing_label_is_raised(self, monkeypatch, change, message):
+        # the five matrices are sanitized and checked as one stack, and the first label in
+        # order that is missing, malformed, of another shape or unusable is raised
+        self._patch_matrices(monkeypatch, change)
+        with pytest.raises(GoldenDataError) as info:
+            load_golden_data()
+        assert str(info.value).startswith(message)
 
 
 class TestIntensityFile:
