@@ -63,15 +63,16 @@ def _write_out(data, out):
     return EXIT_OK
 
 
-# sweep option -> SweepConfig field it overrides (--theta-list is parsed apart)
+# sweep option -> SweepConfig field it overrides (--theta-list is parsed apart); golden takes
+# neither --out nor --format
 _OVERRIDES = {"n": "n", "xc": "x_c", "noise": "noise_sigma", "seed": "seed", "out": "out",
               "format": "fmt"}
 
 
 def _sweep_config(args):
     config = load_config_file(args.config) if args.config else SweepConfig()
-    overrides = {field: getattr(args, option) for option, field in _OVERRIDES.items()
-                 if getattr(args, option) is not None}
+    overrides = {field: getattr(args, option, None) for option, field in _OVERRIDES.items()
+                 if getattr(args, option, None) is not None}
     if args.theta_list is not None:
         overrides["theta_list_deg"] = _theta_list(args.theta_list)
     return dataclasses.replace(config, **overrides)
@@ -165,8 +166,6 @@ def _add_sweep_flags(sub):
     sub.add_argument("--xc", type=float, help="cold-bath scale x_c = hbar omega0 beta_c")
     sub.add_argument("--noise", type=float, help="relative tomography noise sigma")
     sub.add_argument("--seed", type=int, help="noise generator seed")
-    sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), help="report format")
 
 
 def build_parser():
@@ -184,6 +183,8 @@ def build_parser():
 
     p_sweep = commands.add_parser("sweep", help="run the theta_V sweep")
     _add_sweep_flags(p_sweep)
+    p_sweep.add_argument("--out", help="output path (default stdout)")
+    p_sweep.add_argument("--format", choices=("csv", "json"), help="report format")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_tomo = commands.add_parser("tomo", help="reconstruct from an intensity file")

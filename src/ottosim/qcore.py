@@ -34,14 +34,12 @@ __all__ = [
     "tensor",
     "partial_trace_path",
     "wrap_validated",
-    "density_operators",
     "first_errors",
     "density_errors",
     "density_failures",
     "density_spectra",
     "kraus_errors",
     "trace_path",
-    "spectra",
     "entropies",
     "support_weights",
     "apply_kraus",
@@ -190,28 +188,6 @@ def wrap_validated(matrix, label=None):
     object.__setattr__(out, "matrix", matrix)
     object.__setattr__(out, "label", label)
     return out
-
-
-def density_operators(matrices, labels):
-    """DensityOperators of labeled 2x2 and 4x4 matrices, checked as one stack per shape.
-
-    A Cholesky factorisation proves the 4x4 ones positive (:func:`density_failures`).
-    Raises the constructor's message for the first failing matrix in order.
-    """
-    arrays, labels = [_as_square(m, "density operator") for m in matrices], list(labels)
-    states, failures = [None] * len(arrays), []
-    for dim in (2, 4):
-        where = [i for i, a in enumerate(arrays) if a.shape[0] == dim]
-        if not where:
-            continue
-        stack = np.array([arrays[i] for i in where])
-        stack.flags.writeable = False
-        failures += [(where[pos], message) for pos, message in density_failures(stack).items()]
-        for i, m in zip(where, stack):
-            states[i] = wrap_validated(m, labels[i])
-    if failures:
-        raise QuantumValueError(min(failures)[1])
-    return states
 
 
 def first_errors(*checks):
@@ -432,42 +408,25 @@ def relative_entropy(rho, sigma):
     return -entropies(lam)[0] - tr_rho_ln_sigma
 
 
-def spectra(stack):
-    """Spectra of each Hermitian slice of an (N, d, d) stack, for entropies.
-
-    Returns (lam, vec, errors): eigenvalues in descending order with those
-    below TOL["eig_clamp"] set to 0, the matching eigenvector columns (phases
-    not fixed; nothing computed from them depends on the phase) and
-    position -> message for slices failing eig_herm's Hermiticity check.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
-        herm, (lam, vec) = _decomposed(stack, True)
-    return _clamped_spectra(herm, lam, vec)
-
-
-def _clamped_spectra(defect, lam, vec):
-    # spectra() of a stack from its Hermiticity defects and ascending eigh output
-    lam = lam[..., ::-1]
-    errors = {i: f"eig_herm needs a Hermitian matrix: defect {defect[i]:.3g}"
-              for i in _failing(defect <= TOL["eig_herm_input"])}
-    return np.where(lam < TOL["eig_clamp"], 0.0, lam), vec[..., ::-1], errors
-
-
 def density_spectra(stack):
-    """:func:`density_errors` and :func:`spectra` of an (N, d, d) stack from one eigh per slice.
+    """:func:`density_errors` and the entropy spectra of an (N, d, d) stack, one eigh per slice.
 
-    Returns (lam, spec, vec, errors): the ascending eigenvalues the density
-    checks read, the spectra and eigenvectors of :func:`spectra`, and
-    position -> message of each failing slice, its density check first.
+    Returns (lam, spec, vec, errors): the ascending eigenvalues the density checks read, the
+    descending spectra with eigenvalues below TOL["eig_clamp"] set to 0, the matching
+    eigenvector columns (phases not fixed; nothing computed from them depends on the phase)
+    and position -> message of each slice failing a density check.  Their Hermiticity bound
+    TOL["herm"] is at most eig_herm's TOL["eig_herm_input"], so a slice that passes is one
+    eig_herm accepts.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
         herm, (lam, vec) = _decomposed(stack, True)
-        spec, vec, bad_herm = _clamped_spectra(herm, lam, vec)
-        return lam, spec, vec, first_errors(_density_failures(stack, lam, herm), bad_herm)
+        spec = lam[..., ::-1]
+        spec = np.where(spec < TOL["eig_clamp"], 0.0, spec)
+        return lam, spec, vec[..., ::-1], _density_failures(stack, lam, herm)
 
 
 def entropies(lam):
-    """von Neumann entropy in nats of each clamped spectrum from :func:`spectra`.
+    """von Neumann entropy in nats of each clamped spectrum from :func:`density_spectra`.
 
     Python's max keeps the sign of an exact zero: a pure state gives -0.0.
     """
@@ -478,7 +437,7 @@ def entropies(lam):
 def support_weights(rho, lam_s, vec_s):
     """Weights of rho on sigma's eigenvectors and the relative-entropy support check.
 
-    ``lam_s``/``vec_s`` come from :func:`spectra` of a sigma stack; ``rho``
+    ``lam_s``/``vec_s`` come from :func:`density_spectra` of a sigma stack; ``rho``
     is one matrix or a stack of them.  Returns the (N, d) weights and
     position -> message for each row with weight above TOL["support"] on an
     eigenvalue below it (where D(rho || sigma) would be +inf) or with a NaN

@@ -45,7 +45,6 @@ from .qcore import (
     QuantumValueError,
     _failing,
     density_failures,
-    density_operators,
     density_spectra,
     entropies,
     fidelity,
@@ -318,9 +317,7 @@ class SweepReport:
     @property
     def rows(self):
         if self._rows is None:
-            # a plane broadcast from one matrix gives every row the same DensityOperator
-            states = [[wrap_validated(m, label) for m in plane[:1]] * len(plane)
-                      if plane.strides[0] == 0 else [wrap_validated(m, label) for m in plane]
+            states = [[wrap_validated(m, label) for m in plane]
                       for label, plane in zip(SNAPSHOT_LABELS, self._planes)]
             self._rows = tuple(CycleResult(v[0], CycleLedger(math.radians(v[0]), *v[1:-1]),
                                            dict(zip(SNAPSHOT_LABELS, snaps)), v[-1])
@@ -413,84 +410,70 @@ def emit(report, fmt="csv"):
 
 
 def load_report(data):
-    """Rebuild a SweepReport from its JSON emission.
+    """Rebuild a SweepReport from its JSON emission, reading the document once.
 
-    Each row needs the snapshots TA, TB, TC, TD and TA2 under its theta_V, each a 2x2
-    density operator.  They are converted as one (5N, 2, 2) stack and checked by one
-    ``density_failures`` call; the first bad one in report order is raised, and a snapshot
-    of another shape is named by its row.  Once a load has failed, the first missing or mistyped
-    key, row, column or value of the document is named.
+    In this order: the keys rows, snapshots, failures and metadata are present, rows is a
+    list and snapshots an object; each row is an object of the 13 CSV columns, JSON null
+    loading as NaN and any other value through ``float()``; each row's snapshots are an
+    object of TA, TB, TC, TD and TA2 under its theta_V; they convert as one (5N, 2, 2) stack
+    (else the first that is not 2x2 is named by its row) checked by one ``density_failures``
+    call; last, failures and metadata are objects.  The first problem is raised.
     """
-    doc = json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data)
-    try:
-        return _report_from(doc)
-    except QuantumValueError:
-        raise
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
-        problem = _shape_problem(doc)
-        if problem is None:
-            raise
-        raise QuantumValueError(problem) from None
-
-
-def _shape_problem(doc):
-    # the first key, row, column or value of a report document that _report_from cannot read
-    if not isinstance(doc, dict):
-        return f"report document: {type(doc).__name__}, not dict"
+    doc = _required(json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data),
+                    dict, "report document")
     for key in ("rows", "snapshots", "failures", "metadata"):
         if key not in doc:
-            return f"report key {key}: missing"
-    for key, kind in (("rows", list), ("snapshots", dict), ("failures", dict), ("metadata", dict)):
-        if not isinstance(doc[key], kind):
-            return f"report key {key}: {type(doc[key]).__name__}, not {kind.__name__}"
-    for r, row in enumerate(doc["rows"]):
-        if not isinstance(row, dict):
-            return f"report row {r}: {type(row).__name__}, not dict"
-        for column in CSV_COLUMNS:
-            try:
-                float(row[column])
-            except KeyError:
-                return f"report row {r} column {column}: missing"
-            except (OverflowError, TypeError, ValueError) as exc:
-                return f"report row {r} column {column}: {exc}"
-    for theta, snaps in doc["snapshots"].items():
-        if not isinstance(snaps, dict):
-            return f"report snapshots at theta_V = {theta} deg: {type(snaps).__name__}, not dict"
-    return None
-
-
-def _report_from(doc):
-    # load_report of a document of the shape emit writes; a key of another type, even an empty
-    # one, is a TypeError for _shape_problem to name
-    if not (isinstance(doc["rows"], list) and isinstance(doc["snapshots"], dict)):
-        raise TypeError
-    columns = [[entry[c] for c in CSV_COLUMNS] for entry in doc["rows"]]
-    table = np.array(columns, float).reshape(-1, len(CSV_COLUMNS))
-    thetas = list(map(_g, table[:, 0].tolist()))
+            raise QuantumValueError(f"report key {key}: missing")
+    rows = _required(doc["rows"], list, "report key rows")
+    snapshots = _required(doc["snapshots"], dict, "report key snapshots")
+    table = np.array([_row_values(row, r) for r, row in enumerate(rows)], float).reshape(
+        -1, len(CSV_COLUMNS))
+    thetas, matrices = list(map(_g, table[:, 0].tolist())), []
     for theta in thetas:
-        labels = list(doc["snapshots"].get(theta, ()))
-        if sorted(labels) != sorted(SNAPSHOT_LABELS):
+        snaps = _required(snapshots.get(theta, {}), dict,
+                          f"report snapshots at theta_V = {theta} deg")
+        if sorted(snaps) != sorted(SNAPSHOT_LABELS):
             raise QuantumValueError(f"report row theta_V = {theta} deg has snapshots "
-                                    f"{labels}, not {list(SNAPSHOT_LABELS)}")
-    matrices = [doc["snapshots"][theta][label] for theta in thetas for label in SNAPSHOT_LABELS]
+                                    f"{list(snaps)}, not {list(SNAPSHOT_LABELS)}")
+        matrices += [snaps[label] for label in SNAPSHOT_LABELS]
     stack = _matrix_from_json(matrices) if matrices else np.empty((0, 2, 2), complex)
-    if stack.shape[1:] != (2, 2):  # not all 2x2: the checks of a load one snapshot at a time
-        arrays = list(map(_matrix_from_json, matrices))
-        square = [a for a in arrays if a.shape in ((2, 2), (4, 4))]
-        density_operators(square, [None] * len(square))  # raises the first density failure
-        k = next(k for k, a in enumerate(arrays) if a.shape != (2, 2))
-        shape = "x".join(map(str, arrays[k].shape)) if arrays[k].ndim == 2 else "malformed"
+    if stack.shape[1:] != (2, 2):
+        k, a = next((k, a) for k, a in enumerate(map(_matrix_from_json, matrices))
+                    if a.shape != (2, 2))
+        shape = "x".join(map(str, a.shape)) if a.ndim == 2 else "malformed"
         theta, label = thetas[k // len(SNAPSHOT_LABELS)], SNAPSHOT_LABELS[k % len(SNAPSHOT_LABELS)]
         raise QuantumValueError(f"report row theta_V = {theta} deg has a {shape} {label} snapshot")
-    failures = density_failures(stack)
-    if failures:
-        raise QuantumValueError(failures[min(failures)])
-    if not (isinstance(doc["failures"], dict) and isinstance(doc["metadata"], dict)):
-        raise TypeError  # checked last, so a bad snapshot is named first
+    bad = density_failures(stack)
+    if bad:
+        raise QuantumValueError(bad[min(bad)])
+    failures = _required(doc["failures"], dict, "report key failures")
+    metadata = _required(doc["metadata"], dict, "report key metadata")
     stack = stack.reshape(-1, len(SNAPSHOT_LABELS), 2, 2)
     for a in (table, stack):
         a.flags.writeable = False
-    return SweepReport(table, tuple(stack.swapaxes(0, 1)), doc["failures"], doc["metadata"])
+    return SweepReport(table, tuple(stack.swapaxes(0, 1)), failures, metadata)
+
+
+def _required(value, kind, where):
+    # a report value, refused unless it has the type emit writes
+    if not isinstance(value, kind):
+        raise QuantumValueError(f"{where}: {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
+def _row_values(row, r):
+    # the CSV values of report row r: JSON null is NaN, as numpy reads it, any other value float()
+    _required(row, dict, f"report row {r}")
+    values = []
+    for column in CSV_COLUMNS:
+        try:
+            value = row[column]
+            values.append(math.nan if value is None else float(value))
+        except KeyError:
+            raise QuantumValueError(f"report row {r} column {column}: missing") from None
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise QuantumValueError(f"report row {r} column {column}: {exc}") from None
+    return values
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from ottosim.qcore import (
     entropies,
     first_errors,
     kraus_errors,
-    spectra,
     support_weights,
     trace_path,
     wrap_validated,
@@ -426,7 +425,7 @@ def _expect_ref(h, m):
 
 
 def _entropy_ref(m):
-    return entropies(spectra(m[None])[0])[0]
+    return entropies(density_spectra(m[None])[1])[0]
 
 
 def _ledger_ref(row, n, x_c):
@@ -721,10 +720,13 @@ def test_a_row_reports_its_first_failed_stroke(monkeypatch):
 
 
 def test_noiseless_rows_share_their_fixed_snapshots():
+    # every row's TA and TB wrap a view of one matrix; each TC is a slice of its own
     rows = run_sweep().rows
     for label in ("TA", "TB"):
-        assert len({id(row.snapshots[label]) for row in rows}) == 1
-    assert len({id(row.snapshots["TC"]) for row in rows}) == len(rows)
+        first = rows[0].snapshots[label].matrix
+        assert all(np.shares_memory(row.snapshots[label].matrix, first) for row in rows)
+    assert not any(np.shares_memory(row.snapshots["TC"].matrix, rows[0].snapshots["TC"].matrix)
+                   for row in rows[1:])
 
 
 # -- the columnar report against rows built one by one ---------------------------

@@ -1,7 +1,6 @@
 """Unit and property tests for the linear-algebra / density-operator core."""
 
 import math
-import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -23,7 +22,6 @@ from ottosim.qcore import (
     density_errors,
     density_failures,
     density_spectra,
-    density_operators,
     eig_herm,
     eigh2,
     entropies,
@@ -31,7 +29,6 @@ from ottosim.qcore import (
     kraus_errors,
     partial_trace_path,
     relative_entropy,
-    spectra,
     support_weights,
     tensor,
     trace_path,
@@ -437,11 +434,12 @@ class TestStackedChecks:
         # the bits the constructor's eigh2 gives each slice on its own
         single = np.array([eigh2(m) for m in stack])
         assert lam.tobytes() == single.tobytes()
-        # one decomposition for the same checks and for spectra()
+        # one decomposition for the same checks and for the spectra, each slice's own bits
         lam, spec, vec, both = density_spectra(stack)
         assert both == errors
         assert lam.tobytes() == single.tobytes()
-        assert [a.tobytes() for a in (spec, vec)] == [a.tobytes() for a in spectra(stack)[:2]]
+        assert [a.tobytes() for a in (spec, vec)] == [
+            np.array([density_spectra(m[None])[k][0] for m in stack]).tobytes() for k in (1, 2)]
 
     def test_kraus_errors_match_kraus_set(self):
         ok = [np.diag([1.0, 0.6]), np.diag([0.0, 0.8])]
@@ -460,7 +458,7 @@ class TestStackedChecks:
         states = [random_density(rng), random_pure(rng), DensityOperator(0.5 * ID2),
                   RHO_TH3, DensityOperator(np.diag([1.0, 0.0])), random_density(rng, 4)]
         for state in states:
-            lam, _, errors = spectra(state.matrix[None])
+            _, lam, _, errors = density_spectra(state.matrix[None])
             assert errors == {}
             ref = eig_herm(state.matrix)[0]
             ref = ref[ref >= 1e-14]
@@ -470,7 +468,7 @@ class TestStackedChecks:
     def test_support_weights_match_reference(self, rng):
         sigmas = [random_pure(rng), RHO_TH3, random_pure(rng)]
         rho = random_density(rng)
-        lam, vec, _ = spectra(np.array([s.matrix for s in sigmas]))
+        lam, vec = density_spectra(np.array([s.matrix for s in sigmas]))[1:3]
         _, errors = support_weights(rho.matrix, lam, vec)
         assert set(errors) == {0, 2}
         for k in (0, 2):
@@ -505,20 +503,16 @@ class TestStackedChecks:
             with pytest.raises(QuantumValueError) as info:
                 DensityOperator(bad)
             assert str(info.value) == message
-            with pytest.raises(QuantumValueError, match=message):
-                density_operators([0.25 * ID4, bad], ["a", "b"])
             lam, errors = density_errors(stack)
             assert errors == {1: message}
             lam_h, spec, vec, both = density_spectra(stack)
             assert both == errors
-            spec_s, vec_s, bad_herm = spectra(stack)
-            assert bad_herm == {1: f"eig_herm needs a Hermitian matrix: defect {defect}"}
         # the finite slices keep the bits of their own decomposition; the other one is NaN
         good = stack[[0, 2]]
         assert lam[[0, 2]].tobytes() == np.linalg.eigvalsh(good).tobytes()
         assert lam_h[[0, 2]].tobytes() == np.linalg.eigh(good)[0].tobytes()
-        assert vec[[0, 2]].tobytes() == vec_s[[0, 2]].tobytes() == spectra(good)[1].tobytes()
-        assert all(np.isnan(a[1]).all() for a in (lam, lam_h, spec, vec, spec_s, vec_s))
+        assert vec[[0, 2]].tobytes() == density_spectra(good)[2].tobytes()
+        assert all(np.isnan(a[1]).all() for a in (lam, lam_h, spec, vec))
 
     @pytest.mark.parametrize("value, defect", [(np.nan, "nan"), (np.inf, "nan"), (-np.inf, "nan"),
                                                ("inf off the diagonal", "inf")])
@@ -537,20 +531,15 @@ class TestStackedChecks:
             with pytest.raises(QuantumValueError) as info:
                 DensityOperator(bad)
             assert str(info.value) == message
-            with pytest.raises(QuantumValueError, match=message):
-                density_operators([0.5 * ID2, bad], ["a", "b"])
             lam, errors = density_errors(stack)
             assert errors == {1: message}
             lam_h, spec, vec, both = density_spectra(stack)
             assert both == errors
-            spec_s, vec_s, bad_herm = spectra(stack)
-            assert bad_herm == {1: f"eig_herm needs a Hermitian matrix: defect {defect}"}
         good = stack[[0, 2]]
         assert lam[[0, 2]].tobytes() == lam_h[[0, 2]].tobytes() == eigh2(good).tobytes()
-        # spectra() lists the eigenvector columns in descending order
-        assert vec[[0, 2]].tobytes() == vec_s[[0, 2]].tobytes() == (
-            eigh2(good, True)[1][..., ::-1].tobytes())
-        assert all(np.isnan(a[1]).all() for a in (lam, lam_h, spec, vec, spec_s, vec_s))
+        # the spectra list the eigenvector columns in descending order
+        assert vec[[0, 2]].tobytes() == eigh2(good, True)[1][..., ::-1].tobytes()
+        assert all(np.isnan(a[1]).all() for a in (lam, lam_h, spec, vec))
 
     def test_nan_fails_the_kraus_check(self):
         bad = [np.diag([1.0, np.nan]), np.diag([0.0, 0.8])]
@@ -567,48 +556,28 @@ class TestStackedChecks:
                 assert errors[0] in ("incomplete Kraus set: defect inf",
                                      "incomplete Kraus set: defect nan")
 
-    def test_density_operators_match_constructor(self, rng):
-        good = [random_density(rng).matrix for _ in range(3)]
-        states = density_operators(good, ["a", "b", "c"])
-        assert [s.label for s in states] == ["a", "b", "c"]
-        assert all(s == DensityOperator(m) and not s.matrix.flags.writeable
-                   for s, m in zip(states, good))
-        for bad in self.BAD:
-            with pytest.raises(QuantumValueError, match=re.escape(self._message(DensityOperator, bad))):
-                density_operators(good + [bad, self.BAD[0]], "abcde")
-        mixed = density_operators([good[0], random_density(rng, 4).matrix], "ab")  # two shapes
-        assert [s.dim for s in mixed] == [2, 4]
-        assert [s.label for s in mixed] == ["a", "b"]
-        assert not any(s.matrix.flags.writeable for s in mixed)
-        assert density_operators([], []) == []
-
-    def test_density_operators_name_the_first_failure_across_shapes(self, rng):
-        # one stack per shape; the failure reported is the first in the given order
-        bad4 = np.diag([1.1, -0.1, 0.0, 0.0])
-        for order in ([self.BAD[1], bad4], [bad4, self.BAD[1]]):
-            with pytest.raises(QuantumValueError) as info:
-                density_operators([random_density(rng, 4).matrix, *order, self.BAD[0]], "abcd")
-            assert str(info.value) == self._message(DensityOperator, order[0])
-
     def test_nan_fails_the_spectrum_and_support_checks(self):
         nan = np.full((2, 2), np.nan)
         with pytest.raises(QuantumValueError, match="needs a Hermitian matrix: defect nan"):
             eig_herm(nan)
-        assert spectra(nan[None].astype(complex))[2] == {
-            0: "eig_herm needs a Hermitian matrix: defect nan"}
-        lam, vec, _ = spectra(RHO_TH3.matrix[None])
+        lam, vec = density_spectra(RHO_TH3.matrix[None])[1:3]
         assert support_weights(RHO_TH3.matrix, lam, vec)[1] == {}
         assert support_weights(nan, lam, vec)[1] == {
             0: "support violation: weight nan on eigenvalue 0.998"}
         assert support_weights(RHO_TH3.matrix, np.full_like(lam, np.nan), vec)[1] == {
             0: "support violation: weight 0.998 on eigenvalue nan"}
-        lam_pure, vec_pure, _ = spectra(RHO_RC.matrix[None])
+        lam_pure, vec_pure = density_spectra(RHO_RC.matrix[None])[1:3]
         assert support_weights(nan, lam_pure, vec_pure)[1] == {
             0: "support violation: weight nan on eigenvalue 1"}
 
-    def test_spectra_rejects_non_hermitian(self):
-        _, _, errors = spectra(np.array([[[0.5, 0.1], [0.0, 0.5]]], dtype=complex))
-        assert errors == {0: self._message(eig_herm, np.array([[0.5, 0.1], [0.0, 0.5]]))}
+    def test_the_density_gate_refuses_what_eig_herm_would(self):
+        # density_spectra needs no Hermiticity gate of eig_herm's own: its bound is the tighter
+        assert TOL["herm"] <= TOL["eig_herm_input"]
+        for m in (0.5 * ID2, 0.25 * ID4):
+            m = m.copy()
+            m[0, 1] = 1e-11
+            assert density_spectra(m[None])[3] == {0: "not Hermitian: defect 1e-11"}
+            eig_herm(m)  # within eig_herm's bound
 
 
 class TestEigh2:

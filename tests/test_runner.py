@@ -246,10 +246,12 @@ class TestEmit:
         assert str(loaded.value).startswith("not Hermitian: defect")
 
     def test_load_report_rejects_a_non_finite_4x4_snapshot(self):
-        # a JSON NaN in a 4x4 snapshot fails its Hermiticity check instead of LAPACK
+        # a 4x4 snapshot of JSON NaN is refused by its shape, before any density check, so no
+        # LAPACK call sees the NaN
         doc = json.loads(emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5))), "json"))
         doc["snapshots"]["22.5"]["TC"] = [[[math.nan, 0.0]] * 4] * 4
-        with pytest.raises(QuantumValueError, match="^not Hermitian: defect nan$"):
+        with pytest.raises(QuantumValueError,
+                           match=r"^report row theta_V = 22.5 deg has a 4x4 TC snapshot$"):
             load_report(json.dumps(doc))
 
     def test_load_report_rejects_a_row_without_its_five_snapshots(self):
@@ -345,8 +347,8 @@ class TestEmit:
             assert _load_message(json.dumps(doc)).startswith("trace ")
 
     def test_a_density_failure_is_not_renamed_by_an_unread_snapshot_entry(self):
-        # the shape reader runs only for a load that failed on the document's shape: a stray
-        # snapshot entry that no row reads leaves a density failure's message as it was
+        # a stray snapshot entry that no row reads is not read: a density failure's message
+        # stays as it was
         doc = json.loads(emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5))), "json"))
         doc["snapshots"]["8"]["TC"][0][0][0] = 0.75
         message = _load_message(json.dumps(doc))
@@ -581,6 +583,14 @@ class TestCli:
     def test_golden_requires_22_5(self, capsys):
         assert cli.main(["golden", "--theta-list", "0,45"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--out", "x"], ["--format", "json"]])
+    def test_golden_takes_no_output_flags(self, flags, capsys):
+        # golden prints its comparison to stdout; an output path or format is a usage error
+        with pytest.raises(SystemExit) as info:
+            cli.main(["golden", *flags])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unwritable_output_exits_2(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "report.csv"
         assert cli.main(["sweep", "--out", str(target)]) == 2
@@ -639,4 +649,23 @@ class TestLoadReportFuzz:
             again = emit(report, "json")
             assert emit(load_report(again), "json") == again, path
             outcomes.append("loaded")
-        assert outcomes.count("refused") > 1000 and outcomes.count("loaded") > 100
+        assert (outcomes.count("refused"), outcomes.count("loaded")) == (2617, 383)
+
+    def test_a_refused_pair_names_its_first_refused_value(self):
+        # rows[0]["kappa"] and rows[1]["r"] set to every pair of values: a refused document
+        # names the first value, in row order, that is refused on its own (null loads as NaN)
+        text = emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 29.0))), "json").decode()
+
+        def outcome(kappa=0.5, r=0.5):
+            doc = json.loads(text)
+            doc["rows"][0]["kappa"], doc["rows"][1]["r"] = kappa, r
+            try:
+                load_report(json.dumps(doc))
+            except QuantumValueError as exc:
+                return str(exc)
+            return None
+
+        assert outcome(kappa=None) is None and outcome(r=math.nan) is None
+        for a in _FUZZ_VALUES:
+            for b in _FUZZ_VALUES:
+                assert outcome(a, b) == (outcome(kappa=a) or outcome(r=b)), (a, b)
