@@ -63,14 +63,14 @@ def _write_out(data, out):
     return EXIT_OK
 
 
-# sweep option -> SweepConfig field it overrides (--theta-list is parsed apart); golden takes
-# neither --out nor --format
+# sweep option -> SweepConfig field it overrides (--theta-list is parsed apart); golden writes
+# no report, so it takes neither --out nor --format, nor their config keys
 _OVERRIDES = {"n": "n", "xc": "x_c", "noise": "noise_sigma", "seed": "seed", "out": "out",
               "format": "fmt"}
 
 
-def _sweep_config(args):
-    config = load_config_file(args.config) if args.config else SweepConfig()
+def _sweep_config(args, unused=()):
+    config = load_config_file(args.config, unused) if args.config else SweepConfig()
     overrides = {field: getattr(args, option, None) for option, field in _OVERRIDES.items()
                  if getattr(args, option, None) is not None}
     if args.theta_list is not None:
@@ -134,7 +134,7 @@ def _cmd_tomo(args):
 
 def _cmd_golden(args):
     try:
-        config = _sweep_config(args)
+        config = _sweep_config(args, unused=("out", "fmt"))
     except (QuantumValueError, OSError, ValueError) as exc:
         return _usage_error(exc)
     if 22.5 not in config.theta_list_deg:

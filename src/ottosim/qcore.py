@@ -296,8 +296,9 @@ def density_failures(stack):
 
 def _density_failures(stack, lam, herm):
     # position -> constructor message of each slice failing a check, given its defects (under the
-    # caller's np.errstate); the traces have np.trace's bits: (d0 + d1) + (d2 + d3) for four
-    trace, lam_min = stack[:, 0, 0] + stack[:, 1, 1], lam.min(axis=-1)
+    # caller's np.errstate); the traces have np.trace's bits: (d0 + d1) + (d2 + d3) for four;
+    # every lam is ascending, or all NaN, so its first column is its minimum
+    trace, lam_min = stack[:, 0, 0] + stack[:, 1, 1], lam[:, 0]
     if stack.shape[-1] == 4:
         trace = trace + (stack[:, 2, 2] + stack[:, 3, 3])
     ok = (herm <= TOL["herm"]) & (np.abs(trace - 1.0) <= TOL["trace"]) & (lam_min >= TOL["psd"])
@@ -428,10 +429,10 @@ def density_spectra(stack):
 def entropies(lam):
     """von Neumann entropy in nats of each clamped spectrum from :func:`density_spectra`.
 
-    Python's max keeps the sign of an exact zero: a pure state gives -0.0.
+    ``np.where(s < 0.0, 0.0, s)`` keeps what max(s, 0.0) keeps: a pure state's -0.0, and NaN.
     """
-    terms = lam * np.log(np.where(lam > 0.0, lam, 1.0))
-    return [max(-s, 0.0) for s in terms.sum(axis=-1).tolist()]
+    s = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+    return np.where(s < 0.0, 0.0, s).tolist()
 
 
 def support_weights(rho, lam_s, vec_s):

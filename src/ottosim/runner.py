@@ -37,8 +37,8 @@ import numpy as np
 
 from . import __version__
 from .circuit import compile_program, parse
-from .optics import (_jones_parameter, _kron_slices, _left_mul, _right_mul, dephasing_blocks,
-                     expansion_unitary, kappa_from_theta_deg)
+from .optics import (_P0, _jones_parameter, _kron_slices, _left_mul, _right_mul,
+                     dephasing_blocks, expansion_unitary, kappa_from_theta_deg)
 from .qcore import (
     ID2,
     TOL,
@@ -196,9 +196,10 @@ def _cycle_rows(thetas, config):
     u_e = expansion_unitary(n, config.omega0_tau).matrix
     rho_a = thermal_matrices([x_c])[0]
     rho_b = u_e @ rho_a @ u_e.conj().T
-    kappa = kappa_from_theta_deg(thetas)
+    degrees = np.array(thetas, dtype=float)
+    kappa = kappa_from_theta_deg(degrees)
     x_h = np.array(hot_x_column(kappa, params))
-    theta_v = np.array([math.radians(theta) for theta in thetas])
+    theta_v = np.deg2rad(degrees)  # x * (pi / 180), the bits of math.radians
     pd, ipd, _, bad_pd, bad_ipd = dephasing_blocks(theta_v, theta_v)
 
     # B->C: dephasing block as the hot reservoir, the ancilla taken in k0; C->D: the
@@ -208,12 +209,12 @@ def _cycle_rows(thetas, config):
     # the stack, with the per-slice bits.)
     k_c = _kron_slices(u_e, ID2)
     joint = np.empty((3, count, 4, 4), dtype=complex)
-    np.matmul(_right_mul(pd, _kron_slices(rho_b, np.diag([1.0, 0.0]).astype(complex))),
+    np.matmul(_right_mul(pd, _kron_slices(rho_b, _P0)),
               pd.conj().swapaxes(-1, -2), out=joint[0])
     joint[1] = _right_mul(_left_mul(k_c, joint[0]), k_c.conj().T)
     np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
     joint = joint.reshape(-1, 4, 4)
-    rho_c, rho_d, rho_a2 = trace_path(joint).reshape(3, count, 2, 2)
+    rho_c, rho_d, rho_a2 = paths = trace_path(joint).reshape(3, count, 2, 2)
 
     # each group of states checked in one call, each 2x2 state decomposed once (a density message
     # before an eig_herm one); the entropies of relaxing rho_B (against each hot target) and each
@@ -223,10 +224,14 @@ def _cycle_rows(thetas, config):
         [[rho_a, rho_b], rho_c, thermal_matrices(x_h.tolist()), rho_d, rho_a2]))
     (lam_c, _, lam_d, _), (_, spec_h, spec_d, _), (_, vec_h, _, _) = (
         a[2:].reshape(4, count, *a.shape[1:]) for a in (lam, spec, vec))
-    (rho_s, vec_s), lam_s = np.empty((2, 2 * count, 2, 2), complex), np.empty((2 * count, 2))
-    rho_s[:count], rho_s[count:], lam_s[:count], lam_s[count:], vec_s[:count], vec_s[count:] = (
-        rho_b, rho_d, spec_h, spec[0], vec_h, vec[0])
-    bad_support = support_weights(rho_s, lam_s, vec_s)[1]
+    # the support check, proven without its einsum when every 2x2 state passed its density check
+    # (no weight is then NaN) and no target eigenvalue is below TOL["support"] (none is outside)
+    bad_support = {}
+    if bad or not ((spec_h >= TOL["support"]).all() and (spec[0] >= TOL["support"]).all()):
+        (rho_s, vec_s), lam_s = np.empty((2, 2 * count, 2, 2), complex), np.empty((2 * count, 2))
+        rho_s[:count], rho_s[count:], lam_s[:count], lam_s[count:], vec_s[:count], vec_s[count:] = (
+            rho_b, rho_d, spec_h, spec[0], vec_h, vec[0])
+        bad_support = support_weights(rho_s, lam_s, vec_s)[1]
     (bad_c, bad_h, bad_d, bad_a2), (bad_hot, bad_cold) = (
         _parts({pos - 2: message for pos, message in bad.items() if pos > 1}, count, 4),
         _parts(bad_support, count, 2))
@@ -259,10 +264,10 @@ def _cycle_rows(thetas, config):
     sig_e = (s_h - s_b) - x_h * (q_bc / n)
     sig_c = (s_cold - s_d) - x_c * q_da
     energies = np.array([np.full(k, e_b_hot - e_a_cold), q_bc, w_cd, q_da])
-    table = np.vstack([
-        np.array(thetas, dtype=float)[keep],
+    table = np.concatenate([
+        degrees[keep][None],
         ledger_columns(theta_v, kappa, x_h / x_c, energies, sig_e, sig_c)[1:],
-        np.abs(energies - closed_form_energies(kappa, params)).max(axis=0)]).T
+        np.abs(energies - closed_form_energies(kappa, params)).max(axis=0)[None]]).T
 
     # with noise the snapshots pass through one (K, 5, 2, 2) tap, row i on substream i
     exact, tap_errors = (rho_a, rho_b, rho_c, rho_d, rho_a2), {}
@@ -274,13 +279,16 @@ def _cycle_rows(thetas, config):
             snaps, config.noise_sigma, [np.random.default_rng(streams[i]) for i in keep])
         errors.update((keep[k], QuantumValueError(message)) for k, message in tap_errors.items())
     # the finished rows by (r, theta_V); without noise every row shares one TA and one TB
-    sel = [k for k in np.lexsort((table[:, 0], table[:, 2])).tolist() if k not in tap_errors]
+    sel = np.lexsort((table[:, 0], table[:, 2]))
+    if tap_errors:
+        sel = sel[[k not in tap_errors for k in sel.tolist()]]
+    rows = sel if len(keep) == count else np.array(keep, dtype=int)[sel]  # positions in thetas
     planes = tuple(taps[sel].swapaxes(0, 1)) if config.noise_sigma > 0.0 else (
-        *(np.broadcast_to(m, (len(sel), 2, 2)) for m in exact[:2]), *(m[sel] for m in exact[2:]))
+        *np.broadcast_to(np.array(exact[:2])[:, None], (2, len(sel), 2, 2)), *paths[:, rows])
     table = table[sel]
     for a in (table, *planes):
         a.flags.writeable = False
-    return [keep[k] for k in sel], table, planes, errors
+    return rows.tolist(), table, planes, errors
 
 
 def run_cycle(theta_deg, config=None):
@@ -535,8 +543,8 @@ def _theta_list(text):
 _CONFIG_PARSERS = {"theta_list_deg": _theta_list, "seed": int, "out": str, "fmt": str}
 
 
-def load_config_file(path):
-    """Read a flat key=value config file into a SweepConfig."""
+def load_config_file(path, unused=()):
+    """Read a flat key=value config file into a SweepConfig; a key in ``unused`` is refused."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -546,7 +554,8 @@ def load_config_file(path):
             if "=" not in line:
                 raise QuantumValueError(f"{path}:{ln}: expected key=value")
             key, _, val = (part.strip() for part in line.partition("="))
-            if key not in _CONFIG_KEYS:
-                raise QuantumValueError(f"{path}:{ln}: unknown key {key!r}")
+            if key not in _CONFIG_KEYS or key in unused:
+                raise QuantumValueError(f"{path}:{ln}: "
+                                        f"{'unused' if key in unused else 'unknown'} key {key!r}")
             values[key] = val
     return SweepConfig(**{key: _CONFIG_PARSERS.get(key, float)(val) for key, val in values.items()})

@@ -321,10 +321,54 @@ def test_a_to_b_gate_stops_every_row(monkeypatch, gate):
 
 
 def test_support_gate_on_a_pure_cold_state():
-    report = run_sweep(SweepConfig(theta_list_deg=(0.0, 22.5), x_c=40.0))
+    # x_c = 40: the cold target has the eigenvalue 0, so every row with weight on it fails D->A
+    report = run_sweep(SweepConfig(x_c=40.0))
     assert [row.theta_deg for row in report.rows] == [0.0]
+    weights = ("0.0194", "0.076", "0.146", "0.235", "0.362", "0.5")
     assert report.failures == {
-        "22.5": "stroke D->A: support violation: weight 0.146 on eigenvalue 0"}
+        f"{theta:.12g}": f"stroke D->A: support violation: weight {weight} on eigenvalue 0"
+        for theta, weight in zip(DEFAULT_THETAS[1:], weights)}
+
+
+def _no_support_weights(*args):
+    raise AssertionError("support_weights entered")
+
+
+@pytest.mark.parametrize("thetas", [DEFAULT_THETAS, tuple(45.0 * k / 127 for k in range(128))])
+def test_support_check_proven_without_support_weights(monkeypatch, thetas):
+    # every 2x2 state passes its density check and every target eigenvalue is at least
+    # TOL["support"], so no weight can be NaN or sit outside a support
+    expected = emit(run_sweep(SweepConfig(theta_list_deg=thetas)))
+    monkeypatch.setattr(runner_mod, "support_weights", _no_support_weights)
+    report = run_sweep(SweepConfig(theta_list_deg=thetas))
+    assert report.failures == {} and len(report.rows) == len(thetas)
+    assert emit(report) == expected
+
+
+def test_support_failure_at_a_hot_target_eigenvalue_below_the_bound(monkeypatch):
+    # thermal at x = 14.5, a hot target has the eigenvalue 2.54e-13: above the clamp to 0,
+    # below TOL["support"], so the gate is not proven and rho_B's weight on it is named
+    low = thermal_matrices([14.5])[0]
+    assert TOL["eig_clamp"] < np.linalg.eigvalsh(low)[0] < TOL["support"]
+    clean = run_sweep()
+    _corrupt_nth_stack(monkeypatch, runner_mod, "thermal_matrices", 1, lambda m: low)
+    report = run_sweep()
+    assert report.failures == {
+        "22.5": "stroke B->C: support violation: weight 0.00247 on eigenvalue 2.54e-13"}
+    assert [_row_key(row) for row in report.rows] == [
+        _row_key(row) for row in clean.rows if row.theta_deg != 22.5]
+
+
+def test_a_failed_rho_d_keeps_its_c_to_d_message(monkeypatch):
+    # a NaN rho_D fails its density check, so the support check is not proven; the row still
+    # names C->D, the first stroke it fails, not the D->A support check its NaN weights fail
+    clean = run_sweep()
+    _corrupt_nth_stack(monkeypatch, runner_mod, "trace_path", 1,
+                       lambda m: np.full_like(m, np.nan), 1, 3)
+    report = run_sweep()
+    assert report.failures == {"22.5": "stroke C->D: not Hermitian: defect nan"}
+    assert [_row_key(row) for row in report.rows] == [
+        _row_key(row) for row in clean.rows if row.theta_deg != 22.5]
 
 
 @pytest.mark.filterwarnings("ignore::ottosim.tomography.UnphysicalStokesWarning")

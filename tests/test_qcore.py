@@ -465,6 +465,28 @@ class TestStackedChecks:
             ref = float(max(-np.sum(ref * np.log(ref)), 0.0))
             assert repr(entropies(lam)[0]) == repr(ref) == repr(von_neumann_entropy(state))
 
+    def test_entropies_clamp_as_max_does(self, rng):
+        # np.where(s < 0.0, 0.0, s) gives max(s, 0.0) bit for bit: the -0.0 of a pure state and
+        # of exact zeros, NaN, and 0.0 for the -inf entropy of an infinite eigenvalue (no
+        # eigenvalue gives a sum of -inf: lam ln lam >= -1/e, and 0 for lam <= 0)
+        for d in (2, 4):
+            lam = rng.random((64, d))
+            lam = -np.sort(-lam / lam.sum(axis=-1, keepdims=True), axis=-1)
+            lam[lam < TOL["eig_clamp"]] = 0.0
+            special = np.zeros((6, d))
+            special[0, 0] = special[1, -1] = 1.0  # pure states; row 2 is all zeros
+            special[3, :2] = np.inf, np.nan       # a NaN sum
+            special[4, 0] = np.inf                # a sum of +inf
+            special[5, 0] = np.nan
+            lam = np.concatenate([lam, special, np.full((1, d), 1.0 / d)])
+            sums = (lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+            got = entropies(lam)
+            assert all(type(s) is float for s in got)
+            assert np.array(got).tobytes() == np.array(
+                [max(-s, 0.0) for s in sums.tolist()]).tobytes()
+            assert [math.copysign(1.0, s) for s in got[64:67]] == [-1.0] * 3
+            assert np.isnan(got[67:68] + got[69:70]).all() and got[68] == 0.0
+
     def test_support_weights_match_reference(self, rng):
         sigmas = [random_pure(rng), RHO_TH3, random_pure(rng)]
         rho = random_density(rng)

@@ -29,6 +29,8 @@ from ottosim.tomography import UnphysicalStokesWarning
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_default.csv"
 GOLDEN_NOISY_JSON = Path(__file__).parent / "data" / "golden_noisy_0.1_seed3.json"
+README_CYCLE_JSON = Path(__file__).parent / "data" / "readme_cycle.json"
+README = Path(__file__).parent.parent / "README.md"
 
 
 class TestSweepConfig:
@@ -543,6 +545,17 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["snapshots"]["TC"][0][0][0] == pytest.approx(0.5, abs=1e-12)
 
+    def test_run_readme_cycle_against_frozen_output(self, tmp_path, capsys):
+        # the README's cycle program (its lines from `init rc` to `tomo TA2`, as CI cuts them
+        # with awk) prints the frozen snapshots byte for byte
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("init rc"))
+        end = next(i for i, line in enumerate(lines) if i > start and line.startswith("tomo TA2"))
+        circ = tmp_path / "cycle.otto"
+        circ.write_text("\n".join(lines[start:end + 1]) + "\n")
+        assert cli.main(["run", str(circ)]) == 0
+        assert capsys.readouterr().out == README_CYCLE_JSON.read_text()
+
     def test_run_parse_error_exits_2(self, tmp_path, capsys):
         circ = tmp_path / "bad.otto"
         circ.write_text("pd 99\n")
@@ -590,6 +603,17 @@ class TestCli:
             cli.main(["golden", *flags])
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["fmt = xml", "out = some/path"])
+    def test_golden_refuses_report_config_keys(self, tmp_path, monkeypatch, capsys, line):
+        # golden writes no report: the report keys of its config file are refused by name,
+        # not checked as a format (fmt = xml) or silently dropped (out = some/path)
+        monkeypatch.chdir(tmp_path)
+        Path("golden.cfg").write_text(line + "\n")
+        assert cli.main(["golden", "--config", "golden.cfg"]) == 2
+        key = line.split()[0]
+        assert capsys.readouterr() == ("", f"error: golden.cfg:1: unused key '{key}'\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["golden.cfg"]
 
     def test_unwritable_output_exits_2(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "report.csv"
