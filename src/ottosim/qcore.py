@@ -41,7 +41,6 @@ __all__ = [
     "kraus_errors",
     "trace_path",
     "entropies",
-    "support_weights",
     "apply_kraus",
     "eig_herm",
     "eigh2",
@@ -60,7 +59,7 @@ TOL = {
     "unitary": 1e-12,       # unitarity defect of optical elements
     "eig_herm_input": 1e-10,    # Hermiticity required by eig_herm
     "eig_clamp": 1e-14,     # eigenvalues below this are treated as 0 in logs
-    "support": 1e-12,       # sigma eigenvalues below this count as outside support
+    "support": 1e-12,       # relative_entropy: sigma eigenvalues below this are outside support
     "dilation_vs_kraus": 1e-12,  # agreement of the two PD realizations
     "dsl_vs_api": 1e-12,    # .otto circuit snapshots vs the same strokes built by hand
     "energy": 1e-9,         # closed-form vs state-derived energetics, first law
@@ -380,50 +379,52 @@ def eig_herm(m):
 def _spectrum(rho):
     # a density operator, or a matrix checked as its constructor checks it, and its spectrum
     m = rho.matrix if isinstance(rho, DensityOperator) else _as_square(rho, "density operator")
-    _, lam, vec, errors = density_spectra(m[None])
+    _, lam, errors = density_spectra(m[None])
     if errors:
         raise QuantumValueError(errors[0])
-    return m, lam, vec
+    return m, lam[0]
 
 
 def von_neumann_entropy(rho):
     """S = -sum lam ln lam in nats, with 0 ln 0 := 0."""
-    return entropies(_spectrum(rho)[1])[0]
+    return entropies(_spectrum(rho)[1])
 
 
 def relative_entropy(rho, sigma):
     """Quantum relative entropy D(rho || sigma) = tr rho ln rho - tr rho ln sigma.
 
-    Raises :class:`SupportError` when rho has weight outside the support of
-    sigma (the divergence would be +inf).
+    Raises :class:`SupportError` when rho has weight above TOL["support"] on
+    an eigenvalue of sigma below it (the divergence would be +inf).
     """
-    m, lam, _ = _spectrum(rho)
-    m_s, lam_s, vec_s = _spectrum(sigma)
+    m, lam = _spectrum(rho)
+    m_s, lam_s = _spectrum(sigma)
     if m.shape != m_s.shape:
         raise QuantumValueError("relative_entropy needs operators of equal dimension")
-    weights, errors = support_weights(m, lam_s, vec_s)
-    if errors:
-        raise SupportError(errors[0])
+    vec_s = eig_herm(m_s)[1]  # its columns in the descending order of lam_s
+    weights = np.einsum("ji,jk,ki->i", vec_s.conj(), m, vec_s).real
     inside = lam_s >= TOL["support"]
+    outside = np.flatnonzero(~inside & (weights > TOL["support"]))
+    if outside.size:
+        j = outside[0]
+        raise SupportError(
+            f"support violation: weight {weights[j]:.3g} on eigenvalue {lam_s[j]:.3g}")
     tr_rho_ln_sigma = float(np.sum(weights[inside] * np.log(lam_s[inside])))
-    return -entropies(lam)[0] - tr_rho_ln_sigma
+    return -entropies(lam) - tr_rho_ln_sigma
 
 
 def density_spectra(stack):
-    """:func:`density_errors` and the entropy spectra of an (N, d, d) stack, one eigh per slice.
+    """:func:`density_errors` and the entropy spectra of an (N, d, d) stack, eigenvalues only.
 
-    Returns (lam, spec, vec, errors): the ascending eigenvalues the density checks read, the
-    descending spectra with eigenvalues below TOL["eig_clamp"] set to 0, the matching
-    eigenvector columns (phases not fixed; nothing computed from them depends on the phase)
-    and position -> message of each slice failing a density check.  Their Hermiticity bound
-    TOL["herm"] is at most eig_herm's TOL["eig_herm_input"], so a slice that passes is one
-    eig_herm accepts.
+    Returns (lam, spec, errors): the ascending eigenvalues the density checks read, the
+    descending spectra with eigenvalues below TOL["eig_clamp"] set to 0, and position ->
+    message of each slice failing a density check.  Their Hermiticity bound TOL["herm"] is
+    at most eig_herm's TOL["eig_herm_input"], so a slice that passes is one eig_herm accepts.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
-        herm, (lam, vec) = _decomposed(stack, True)
+        herm, lam = _decomposed(stack)
         spec = lam[..., ::-1]
         spec = np.where(spec < TOL["eig_clamp"], 0.0, spec)
-        return lam, spec, vec[..., ::-1], _density_failures(stack, lam, herm)
+        return lam, spec, _density_failures(stack, lam, herm)
 
 
 def entropies(lam):
@@ -433,25 +434,6 @@ def entropies(lam):
     """
     s = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
     return np.where(s < 0.0, 0.0, s).tolist()
-
-
-def support_weights(rho, lam_s, vec_s):
-    """Weights of rho on sigma's eigenvectors and the relative-entropy support check.
-
-    ``lam_s``/``vec_s`` come from :func:`density_spectra` of a sigma stack; ``rho``
-    is one matrix or a stack of them.  Returns the (N, d) weights and
-    position -> message for each row with weight above TOL["support"] on an
-    eigenvalue below it (where D(rho || sigma) would be +inf) or with a NaN
-    weight or eigenvalue (where it would not be a number).
-    """
-    weights = np.einsum("...ji,...jk,...ki->...i", vec_s.conj(), rho, vec_s).real
-    outside = (lam_s < TOL["support"]) & (weights > TOL["support"])
-    errors = {}
-    for pos in _failing(~(outside | np.isnan(weights + lam_s))):
-        i, j = divmod(pos, weights.shape[-1])
-        errors.setdefault(i, f"support violation: weight {weights[i, j]:.3g} on eigenvalue "
-                             f"{np.broadcast_to(lam_s, weights.shape)[i, j]:.3g}")
-    return weights, errors
 
 
 def fidelity(rho, sigma):

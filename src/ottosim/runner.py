@@ -49,7 +49,6 @@ from .qcore import (
     entropies,
     fidelity,
     first_errors,
-    support_weights,
     trace_path,
     wrap_validated,
 )
@@ -135,6 +134,8 @@ class SweepConfig:
         if not 0.0 <= self.noise_sigma < math.inf:
             raise QuantumValueError(
                 f"noise_sigma = {self.noise_sigma:.6g} must be finite and nonnegative")
+        if self.seed < 0:  # SeedSequence takes no negative entropy
+            raise QuantumValueError(f"seed = {self.seed} must be nonnegative")
         # a report keeps one failure (CSV and JSON) and one snapshot set (JSON) per _g(theta_V);
         # noisy rows at one key draw apart and may fail apart, so a # FAILED line would be lost
         keys = list(map(_g, self.theta_list_deg)) if self.noise_sigma > 0.0 else []
@@ -216,33 +217,23 @@ def _cycle_rows(thetas, config):
     joint = joint.reshape(-1, 4, 4)
     rho_c, rho_d, rho_a2 = paths = trace_path(joint).reshape(3, count, 2, 2)
 
-    # each group of states checked in one call, each 2x2 state decomposed once (a density message
-    # before an eig_herm one); the entropies of relaxing rho_B (against each hot target) and each
-    # rho_D (against rho_A) need the supports, checked as one stack of the two halves
+    # each group of states checked in one call, each 2x2 state decomposed once; the spectra
+    # give the entropies of relaxing rho_B (to each hot target) and each rho_D (to rho_A)
     bad_jc, bad_jd, bad_ja = _parts(density_failures(joint), count, 3)
-    lam, spec, vec, bad = density_spectra(np.concatenate(
+    lam, spec, bad = density_spectra(np.concatenate(
         [[rho_a, rho_b], rho_c, thermal_matrices(x_h.tolist()), rho_d, rho_a2]))
-    (lam_c, _, lam_d, _), (_, spec_h, spec_d, _), (_, vec_h, _, _) = (
-        a[2:].reshape(4, count, *a.shape[1:]) for a in (lam, spec, vec))
-    # the support check, proven without its einsum when every 2x2 state passed its density check
-    # (no weight is then NaN) and no target eigenvalue is below TOL["support"] (none is outside)
-    bad_support = {}
-    if bad or not ((spec_h >= TOL["support"]).all() and (spec[0] >= TOL["support"]).all()):
-        (rho_s, vec_s), lam_s = np.empty((2, 2 * count, 2, 2), complex), np.empty((2 * count, 2))
-        rho_s[:count], rho_s[count:], lam_s[:count], lam_s[count:], vec_s[:count], vec_s[count:] = (
-            rho_b, rho_d, spec_h, spec[0], vec_h, vec[0])
-        bad_support = support_weights(rho_s, lam_s, vec_s)[1]
-    (bad_c, bad_h, bad_d, bad_a2), (bad_hot, bad_cold) = (
-        _parts({pos - 2: message for pos, message in bad.items() if pos > 1}, count, 4),
-        _parts(bad_support, count, 2))
+    (lam_c, _, lam_d, _), (_, spec_h, spec_d, _) = (
+        a[2:].reshape(4, count, *a.shape[1:]) for a in (lam, spec))
+    bad_c, bad_h, bad_d, bad_a2 = _parts(
+        {pos - 2: message for pos, message in bad.items() if pos > 1}, count, 4)
     # rho_A, rho_B and the A->B spectrum are one state or check for all rows
     fixed = (bad.get(0), bad.get(1), _spectrum_errors(lam[:1], lam[1:2]).get(0))
     errors = {}
     for stroke, checks in (
             ("A->B", [dict.fromkeys(range(count), message) for message in fixed if message]),
-            ("B->C", (bad_pd, bad_jc, bad_c, bad_h, bad_hot)),
+            ("B->C", (bad_pd, bad_jc, bad_c, bad_h)),
             ("C->D", (bad_jd, bad_d, _spectrum_errors(lam_c, lam_d))),
-            ("D->A", (bad_ipd, bad_ja, bad_a2, bad_cold, _closure_errors(rho_a2, rho_a)))):
+            ("D->A", (bad_ipd, bad_ja, bad_a2, _closure_errors(rho_a2, rho_a)))):
         for i, message in first_errors(*checks).items():
             errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
     keep = [i for i in range(count) if i not in errors]

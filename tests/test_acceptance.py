@@ -142,6 +142,25 @@ def test_criterion_5_entropy_identity():
     _report(5, f"max identity gap {worst_gap:.3g}, Sigma_e(kappa=0) = {sigma_e_k0:.5f}")
 
 
+@pytest.mark.parametrize("n, x_c, omega0_tau", [
+    (2.0, 3.0, math.pi), (5.0, 1.0, math.pi), (2.0, 3.0, 1.0), (1e4, 3.0, math.pi),
+    (1.5, 0.3, 2.0), (2.0, 14.0, math.pi), (2.0, 40.0, math.pi), (1e4, 40.0, 1.0)])
+def test_paper_relations_on_a_200_angle_grid(n, x_c, omega0_tau):
+    """W_extracted = (1 - 1/n) Q_BC; the theta_V = 0 cycle exchanges no heat, does no net
+    work and produces no entropy, exactly; Sigma_cycle falls strictly as r rises."""
+    thetas = tuple(45.0 * k / 199 for k in range(200))
+    report = run_sweep(SweepConfig(theta_list_deg=thetas, n=n, x_c=x_c, omega0_tau=omega0_tau))
+    assert report.failures == {} and len(report.rows) == 200
+    ledgers = [row.ledger for row in report.rows]  # sorted by r
+    worst = max(abs(led.W_extracted - (1.0 - 1.0 / n) * led.Q_BC) for led in ledgers)
+    assert worst <= TOL["energy"] * max(1.0, n)
+    idle = ledgers[-1]  # r = 1
+    assert report.rows[-1].theta_deg == 0.0
+    assert (idle.Sigma_cycle, idle.W_AB + idle.W_CD, idle.Q_BC, idle.Q_DA) == (0.0,) * 4
+    sigma = [led.Sigma_cycle for led in ledgers]
+    assert all(later < earlier for earlier, later in zip(sigma, sigma[1:]))
+
+
 def test_criterion_6_dilation_kraus_equivalence():
     """Traced 4-dim optical dephasing equals the 2-dim Kraus channel to
     1e-12 entrywise over 200 random states x 20 random angles."""

@@ -50,6 +50,8 @@ class TestSweepConfig:
             SweepConfig(fmt="xml")
         with pytest.raises(QuantumValueError):
             SweepConfig(n=0.9)
+        with pytest.raises(QuantumValueError, match="seed = -3 must be nonnegative"):
+            SweepConfig(seed=-3)
 
     def test_noisy_sweep_rejects_a_repeated_angle(self):
         # the JSON report keys snapshots by %.12g of theta_V; two noisy rows at one key would
@@ -537,6 +539,17 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
             "error: Jones parameter (n + 1) omega0*tau / 2 = nan is not finite\n")
+
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys):
+        # SeedSequence refuses negative entropy, so a negative seed is a config error, with
+        # noise or without, from a flag or from a config file, for sweep and for golden
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "seed.cfg").write_text("seed = -1\n")
+        for argv in (["sweep", "--noise", "0.1", "--seed", "-1"], ["sweep", "--seed", "-1"],
+                     ["sweep", "--config", "seed.cfg"], ["golden", "--seed", "-1"],
+                     ["golden", "--config", "seed.cfg"]):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr().err == "error: seed = -1 must be nonnegative\n", argv
 
     def test_run_circuit(self, tmp_path, capsys):
         circ = tmp_path / "cycle.otto"
