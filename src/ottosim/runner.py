@@ -21,23 +21,26 @@ ledger itself is always computed from the exact simulated states so its
 invariants, cycle closure included, hold at any noise level.
 
 A sweep runs all of its angles as one stack (``_cycle_rows``): the
-theta-independent A->B stroke once, the per-angle strokes on (N, ., .) arrays,
-then every state checked in one call per group (the joint states by one
-Cholesky proof, each 2x2 state decomposed once in closed form; a failed A->B
-check stops every row), then the ledger as columns.  A SweepReport, from a
-sweep or from ``load_report``, is the CSV-value table and the snapshot stack;
-it builds the rows when they are first read.  ``run_cycle`` is N = 1.
+theta-independent A->B stroke, built once per operating point (n, x_c,
+omega0*tau) per process (``_a_to_b``, an LRU memo of 4 points that a one-shot
+CLI sweep never hits), the per-angle strokes on (N, ., .) arrays, then every
+state checked in one call per group (the joint states by one Cholesky proof,
+each 2x2 state, rho_A and rho_B included, decomposed once in closed form; a
+failed A->B check stops every row), then the ledger as columns.  A SweepReport,
+from a sweep or from ``load_report``, is the CSV-value table and the snapshot
+stack; it builds the rows when they are first read.  ``run_cycle`` is N = 1.
 """
 
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
 from . import __version__
 from .circuit import compile_program, parse
-from .optics import (_P0, _jones_parameter, _kron_slices, _left_mul, _right_mul,
+from .optics import (_P0, _frozen, _jones_parameter, _kron_slices, _left_mul, _right_mul,
                      dephasing_blocks, expansion_unitary, kappa_from_theta_deg)
 from .qcore import (
     ID2,
@@ -172,17 +175,29 @@ def _closure_errors(rho_end, rho_start):
             for i in _failing(defect <= TOL["cycle_closure"])}
 
 
-def _parts(errors, count, parts):
-    # position -> message of `parts` stacks of `count` rows stacked as one, split per stack
-    return [{pos - k * count: message for pos, message in errors.items() if pos // count == k}
-            for k in range(parts)]
+def _parts(errors, count, parts, start=0):
+    # position -> message of `parts` stacks of `count` rows stacked as one from start, per stack
+    return [{pos - start - k * count: message for pos, message in errors.items()
+             if (pos - start) // count == k} for k in range(parts)]
+
+
+@lru_cache(maxsize=4)
+def _a_to_b(*point):
+    # A->B at (n, x_c, omega0*tau) as float.hex keys (-0.0 is its own), read-only: [rho_A, rho_B],
+    # u_e (x) 1, its adjoint, rho_B (x) |k0><k0|; each sweep checks rho_A, rho_B and their spectra
+    n, x_c, omega0_tau = map(float.fromhex, point)
+    u_e = expansion_unitary(n, omega0_tau).matrix
+    rho_a = thermal_matrices([x_c])[0]
+    ab = np.array([rho_a, u_e @ rho_a @ u_e.conj().T])
+    k_c = _kron_slices(u_e, ID2)
+    return tuple(map(_frozen, (ab, k_c, k_c.conj().T, _kron_slices(ab[1], _P0))))
 
 
 def _cycle_rows(thetas, config):
     """Run one cycle per angle of ``thetas`` (degrees), all angles as one stack.
 
-    A->B runs once and B->C, C->D and D->A on all N rows; then every state is checked
-    in one call per group against the TOL checks a single-matrix computation applies.
+    A->B comes from ``_a_to_b`` and B->C, C->D and D->A run on all N rows; then every state is
+    checked in one call per group against the TOL checks a single-matrix computation applies.
     A row reports its first failed check, in stroke order, with its stroke named; the
     other rows go on, and a failed A->B check (rho_A, rho_B or their spectra) stops every
     row.  The ledger is columns over the passing rows, with only IEEE arithmetic
@@ -194,9 +209,7 @@ def _cycle_rows(thetas, config):
     params, count = config.params(), len(thetas)
     n, x_c = params.n, params.x_c
     # A: cold thermal state; A->B: expansion (work stroke), the same for every row
-    u_e = expansion_unitary(n, config.omega0_tau).matrix
-    rho_a = thermal_matrices([x_c])[0]
-    rho_b = u_e @ rho_a @ u_e.conj().T
+    ab, k_c, k_c_dag, rho_b_k0 = _a_to_b(*(float(v).hex() for v in (n, x_c, config.omega0_tau)))
     degrees = np.array(thetas, dtype=float)
     kappa = kappa_from_theta_deg(degrees)
     x_h = np.array(hot_x_column(kappa, params))
@@ -208,34 +221,34 @@ def _cycle_rows(thetas, config):
     # of both arms; D->A: the inverted block consumes the dephasing record.  Rows that fail
     # a check run on and are dropped below.  (A constant 4x4 factor is one BLAS call over
     # the stack, with the per-slice bits.)
-    k_c = _kron_slices(u_e, ID2)
     joint = np.empty((3, count, 4, 4), dtype=complex)
-    np.matmul(_right_mul(pd, _kron_slices(rho_b, _P0)),
-              pd.conj().swapaxes(-1, -2), out=joint[0])
-    joint[1] = _right_mul(_left_mul(k_c, joint[0]), k_c.conj().T)
+    np.matmul(_right_mul(pd, rho_b_k0), pd.conj().swapaxes(-1, -2), out=joint[0])
+    joint[1] = _right_mul(_left_mul(k_c, joint[0]), k_c_dag)
     np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
     joint = joint.reshape(-1, 4, 4)
     rho_c, rho_d, rho_a2 = paths = trace_path(joint).reshape(3, count, 2, 2)
 
     # each group of states checked in one call, each 2x2 state decomposed once; the spectra
     # give the entropies of relaxing rho_B (to each hot target) and each rho_D (to rho_A)
-    bad_jc, bad_jd, bad_ja = _parts(density_failures(joint), count, 3)
     lam, spec, bad = density_spectra(np.concatenate(
-        [[rho_a, rho_b], rho_c, thermal_matrices(x_h.tolist()), rho_d, rho_a2]))
+        [ab, rho_c, thermal_matrices(x_h.tolist()), rho_d, rho_a2]))
     (lam_c, _, lam_d, _), (_, spec_h, spec_d, _) = (
         a[2:].reshape(4, count, *a.shape[1:]) for a in (lam, spec))
-    bad_c, bad_h, bad_d, bad_a2 = _parts(
-        {pos - 2: message for pos, message in bad.items() if pos > 1}, count, 4)
-    # rho_A, rho_B and the A->B spectrum are one state or check for all rows
-    fixed = (bad.get(0), bad.get(1), _spectrum_errors(lam[:1], lam[1:2]).get(0))
+    bad_joint, bad_ab = density_failures(joint), _spectrum_errors(lam[:1], lam[1:2])
+    bad_cd, bad_closure = _spectrum_errors(lam_c, lam_d), _closure_errors(rho_a2, ab[0])
     errors = {}
-    for stroke, checks in (
-            ("A->B", [dict.fromkeys(range(count), message) for message in fixed if message]),
-            ("B->C", (bad_pd, bad_jc, bad_c, bad_h)),
-            ("C->D", (bad_jd, bad_d, _spectrum_errors(lam_c, lam_d))),
-            ("D->A", (bad_ipd, bad_ja, bad_a2, _closure_errors(rho_a2, rho_a)))):
-        for i, message in first_errors(*checks).items():
-            errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
+    if bad_pd or bad_ipd or bad_joint or bad or bad_ab or bad_cd or bad_closure:
+        bad_jc, bad_jd, bad_ja = _parts(bad_joint, count, 3)
+        bad_c, bad_h, bad_d, bad_a2 = _parts(bad, count, 4, 2)
+        # rho_A, rho_B and the A->B spectrum are one state or check for all rows
+        fixed = (bad.get(0), bad.get(1), bad_ab.get(0))
+        for stroke, checks in (
+                ("A->B", [dict.fromkeys(range(count), message) for message in fixed if message]),
+                ("B->C", (bad_pd, bad_jc, bad_c, bad_h)),
+                ("C->D", (bad_jd, bad_d, bad_cd)),
+                ("D->A", (bad_ipd, bad_ja, bad_a2, bad_closure))):
+            for i, message in first_errors(*checks).items():
+                errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
     keep = [i for i in range(count) if i not in errors]
     if errors:
         theta_v, kappa, x_h, rho_c, rho_d, rho_a2, spec_h, spec_d = (
@@ -245,7 +258,7 @@ def _cycle_rows(thetas, config):
     # hbar*omega_fin units, so beta*Q reduces to x_h * q
     k = len(keep)
     omega = np.repeat([1.0, n, n, 1.0, 1.0], [1, 1, k, k, k])[:, None, None]
-    e = expectations(hamiltonian(omega), np.concatenate([[rho_a, rho_b], rho_c, rho_d, rho_a2]))
+    e = expectations(hamiltonian(omega), np.concatenate([ab, rho_c, rho_d, rho_a2]))
     (e_a_cold, e_b_hot), (e_c_hot, e_d_cold, e_a2_cold) = e[:2].tolist(), e[2:].reshape(3, k)
     s_cold, s_b, *s_hd = entropies(np.concatenate([spec[:2], spec_h, spec_d]))
     s_h, s_d = np.array(s_hd).reshape(2, k)
@@ -261,11 +274,11 @@ def _cycle_rows(thetas, config):
         np.abs(energies - closed_form_energies(kappa, params)).max(axis=0)[None]]).T
 
     # with noise the snapshots pass through one (K, 5, 2, 2) tap, row i on substream i
-    exact, tap_errors = (rho_a, rho_b, rho_c, rho_d, rho_a2), {}
+    tap_errors = {}
     if config.noise_sigma > 0.0:
         streams = np.random.SeedSequence(config.seed).spawn(count)
-        snaps = np.empty((k, len(exact), 2, 2), complex)
-        snaps[:, 0], snaps[:, 1], snaps[:, 2], snaps[:, 3], snaps[:, 4] = exact
+        snaps = np.empty((k, 5, 2, 2), complex)
+        snaps[:, :2], snaps[:, 2], snaps[:, 3], snaps[:, 4] = ab, rho_c, rho_d, rho_a2
         taps, tap_errors = tomography_stack(
             snaps, config.noise_sigma, [np.random.default_rng(streams[i]) for i in keep])
         errors.update((keep[k], QuantumValueError(message)) for k, message in tap_errors.items())
@@ -275,11 +288,8 @@ def _cycle_rows(thetas, config):
         sel = sel[[k not in tap_errors for k in sel.tolist()]]
     rows = sel if len(keep) == count else np.array(keep, dtype=int)[sel]  # positions in thetas
     planes = tuple(taps[sel].swapaxes(0, 1)) if config.noise_sigma > 0.0 else (
-        *np.broadcast_to(np.array(exact[:2])[:, None], (2, len(sel), 2, 2)), *paths[:, rows])
-    table = table[sel]
-    for a in (table, *planes):
-        a.flags.writeable = False
-    return rows.tolist(), table, planes, errors
+        *np.broadcast_to(ab[:, None], (2, len(sel), 2, 2)), *paths[:, rows])
+    return rows.tolist(), _frozen(table[sel]), tuple(map(_frozen, planes)), errors
 
 
 def run_cycle(theta_deg, config=None):
@@ -447,10 +457,8 @@ def load_report(data):
         raise QuantumValueError(bad[min(bad)])
     failures = _required(doc["failures"], dict, "report key failures")
     metadata = _required(doc["metadata"], dict, "report key metadata")
-    stack = stack.reshape(-1, len(SNAPSHOT_LABELS), 2, 2)
-    for a in (table, stack):
-        a.flags.writeable = False
-    return SweepReport(table, tuple(stack.swapaxes(0, 1)), failures, metadata)
+    stack = _frozen(stack.reshape(-1, len(SNAPSHOT_LABELS), 2, 2))
+    return SweepReport(_frozen(table), tuple(stack.swapaxes(0, 1)), failures, metadata)
 
 
 def _required(value, kind, where):

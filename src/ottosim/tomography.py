@@ -73,6 +73,7 @@ _ORDER = ("HV", "DAD", "RL")
 _PROJECTORS = np.stack([BASES[b][k] for b in _ORDER for k in (2, 3)])
 _PAULIS = np.stack(PAULIS)
 _projected = "Bloch vector norm {:.6g} > 1; projected onto the sphere".format
+_lost = "intensity past the float range in basis {}".format
 
 
 class UnphysicalStokesWarning(UserWarning):
@@ -132,25 +133,33 @@ def _traces(ops, stack):
 def _intensities(stack, projectors, noise_sigma, xi):
     # tr(P rho) per projector and (..., 2, 2) matrix, then times 1 + sigma * xi; each clamped at 0
     i = np.maximum(_traces(projectors, stack), 0.0)
-    return np.maximum(i * (1.0 + noise_sigma * xi), 0.0) if noise_sigma > 0.0 else i
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.maximum(i * (1.0 + noise_sigma * xi), 0.0) if noise_sigma > 0.0 else i
 
 
-def _measured(rho, projectors, noise_sigma, rng):
-    # the checks and the draws of measure(), one per projector
+def _measured(rho, bases, noise_sigma, rng):
+    # the checks, the draws and the records of measure() of each basis
     if noise_sigma < 0.0:
         raise QuantumValueError("noise_sigma must be nonnegative")
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho)
-    xi = None
+    xi, j = None, 2 * _ORDER.index(bases[0])
     if noise_sigma > 0.0:
-        xi = (np.random.default_rng() if rng is None else rng).standard_normal(len(projectors))
-    return _intensities(rho.matrix, projectors, noise_sigma, xi)
+        xi = (np.random.default_rng() if rng is None else rng).standard_normal(2 * len(bases))
+    i = _intensities(rho.matrix, _PROJECTORS[j:j + 2 * len(bases)], noise_sigma, xi).reshape(-1, 2)
+    lost = ~np.isfinite(i).all(axis=-1) & np.isfinite(rho.matrix).all()
+    if lost.any():  # a finite state's intensity that noise took past the float range
+        raise QuantumValueError(_lost(bases[lost.argmax()]))
+    return tuple(_read_out(b, i_a, i_b) for b, (i_a, i_b) in zip(bases, i.tolist()))
 
 
 def _bloch_vectors(i):
     # (s1, s2, s3) from (..., 3, 2) port intensities in _ORDER, and where a basis is dark
-    total = i[..., 0] + i[..., 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        total = i[..., 0] + i[..., 1]
+        if np.isinf(total).any():  # a pair past the float range halved, its ratio kept exact
+            i = np.where(np.isinf(total)[..., None], 0.5 * i, i)
+            total = i[..., 0] + i[..., 1]
         s = 2.0 * (i[..., 0] / total) - 1.0
     # alpha ports are H, D, L; each s_i is P_alpha - P_beta in its basis
     return s[..., [1, 2, 0]], total <= 0.0
@@ -182,15 +191,12 @@ def measure(rho, basis, noise_sigma=0.0, rng=None):
     """
     if basis not in BASES:
         raise QuantumValueError(f"unknown basis {basis!r}")
-    j = 2 * _ORDER.index(basis)
-    i_a, i_b = _measured(rho, _PROJECTORS[j:j + 2], noise_sigma, rng).tolist()
-    return _read_out(basis, i_a, i_b)
+    return _measured(rho, (basis,), noise_sigma, rng)[0]
 
 
 def measure_all(rho, noise_sigma=0.0, rng=None):
     """Measure all three bases; one record each, in HV, DAD, RL order."""
-    i = _measured(rho, _PROJECTORS, noise_sigma, rng).reshape(3, 2).tolist()
-    return tuple(_read_out(b, i_a, i_b) for b, (i_a, i_b) in zip(_ORDER, i))
+    return _measured(rho, _ORDER, noise_sigma, rng)
 
 
 def stokes_from_intensities(records):
@@ -234,18 +240,21 @@ def tomography_stack(stack, noise_sigma, rngs):
     """
     n, taps = stack.shape[:2]
     xi = np.array([rng.standard_normal(6 * taps) for rng in rngs]).reshape(n, taps, 6)
-    i = _intensities(stack, _PROJECTORS, noise_sigma, xi)
-    vec, dark = _bloch_vectors(i.reshape(n, taps, 3, 2))
+    i = _intensities(stack, _PROJECTORS, noise_sigma, xi).reshape(n, taps, 3, 2)
+    vec, dark = _bloch_vectors(i)
+    lost = ~np.isfinite(i).all(axis=-1) & np.isfinite(stack).all(axis=(-2, -1))[..., None]
     m, norm = _densities(vec)
     m.flags.writeable = False
     bad = density_failures(m.reshape(-1, 2, 2))
-    failed = dark.any(axis=-1)
+    failed = (dark | lost).any(axis=-1)
     failed.flat[list(bad)] = True
     stop = np.where(failed.any(axis=1), failed.argmax(axis=1), taps)
-    projected = (norm > 1.0 + TOL["stokes_physical"]) & (np.arange(taps) <= stop[:, None])
+    projected = (norm > 1.0 + TOL["stokes_physical"]) & (np.arange(taps) <= stop[:, None]) & (
+        ~lost.any(axis=-1))
     for value in norm[projected].tolist():
         warnings.warn(_projected(value), UnphysicalStokesWarning, stacklevel=2)
-    return m, {k: (f"zero total intensity in basis {_ORDER[dark[k, t].argmax()]}"
+    return m, {k: (_lost(_ORDER[lost[k, t].argmax()]) if lost[k, t].any() else
+                   f"zero total intensity in basis {_ORDER[dark[k, t].argmax()]}"
                    if dark[k, t].any() else bad[k * taps + t])
                for k, t in enumerate(stop.tolist()) if t < taps}
 

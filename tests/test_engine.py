@@ -8,6 +8,7 @@ of a stack while the other rows go on, naming the failing stroke.
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,6 +61,7 @@ from ottosim.thermo import (
     thermal_matrices,
 )
 from ottosim.tomography import (
+    UnphysicalStokesWarning,
     measure_all,
     reconstruct,
     stokes_from_intensities,
@@ -264,10 +266,18 @@ def test_gate_fails_only_its_row(monkeypatch, gate):
         _row_key(row) for row in clean.rows if row.theta_deg != 22.5]
 
 
+def _bypass_a_to_b_memo(monkeypatch):
+    """The engine builds its A->B stroke afresh for this test: the corrupted stroke is
+    neither read from nor left in the memo."""
+    monkeypatch.setattr(runner_mod, "_a_to_b", getattr(runner_mod._a_to_b, "__wrapped__",
+                                                       runner_mod._a_to_b))
+
+
 def _corrupt_cold_state(monkeypatch):
     """Every single-x call of the engine's thermal_matrices (rho_A's; at N = 1 also the
     hot target's, which A->B stops first) returns a Hermitian, unit-trace non-state."""
     original = runner_mod.thermal_matrices
+    _bypass_a_to_b_memo(monkeypatch)
     monkeypatch.setattr(runner_mod, "thermal_matrices", lambda xs: (
         np.diag([1.1, -0.1])[None].astype(complex) if len(xs) == 1 else original(xs)))
 
@@ -275,6 +285,7 @@ def _corrupt_cold_state(monkeypatch):
 def _corrupt_expansion(monkeypatch, matrix):
     """The engine's A->B expansion unitary replaced by ``matrix(U)``."""
     original = runner_mod.expansion_unitary
+    _bypass_a_to_b_memo(monkeypatch)
     monkeypatch.setattr(runner_mod, "expansion_unitary", lambda n, omega0_tau: SimpleNamespace(
         matrix=matrix(original(n, omega0_tau).matrix)))
 
@@ -308,6 +319,76 @@ def test_a_to_b_gate_stops_every_row(monkeypatch, gate):
         with pytest.raises(CycleError) as info:
             run_cycle(theta)
         assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("gate", list(A_TO_B_GATES))
+def test_a_to_b_gate_leaves_the_memo_clean(monkeypatch, gate):
+    # a corrupted A->B stroke is neither cached nor read from the memo: a clean sweep after
+    # it, from an empty memo and from a primed one, still gives the frozen CSV
+    golden = (Path(__file__).parent / "data" / "golden_default.csv").read_bytes()
+    for primed in (False, True):
+        runner_mod._a_to_b.cache_clear()
+        if primed:
+            run_sweep()
+        with monkeypatch.context() as mp:
+            A_TO_B_GATES[gate][0](mp)
+            assert run_sweep().rows == ()
+        assert emit(run_sweep(), "csv") == golden
+        assert runner_mod._a_to_b.cache_info().currsize == 1
+
+
+def _memo_key(config):
+    params = config.params()
+    return tuple(float(v).hex() for v in (params.n, params.x_c, config.omega0_tau))
+
+
+def test_a_to_b_memo_is_invisible():
+    # six seeded operating points and the named ones, visited in an order that evicts from the
+    # four-point LRU memo and hits it, give the bytes of the same sweep run from an empty memo
+    rng = np.random.default_rng(22)
+    points = [SweepConfig(), SweepConfig(n=1e4), SweepConfig(x_c=40.0), SweepConfig(omega0_tau=1.0),
+              SweepConfig(omega0_tau=0.0), SweepConfig(omega0_tau=-0.0)] + [
+        SweepConfig(n=float(n), x_c=float(x), omega0_tau=float(w)) for n, x, w in zip(
+            rng.uniform(1.1, 20.0, 6), rng.uniform(0.1, 30.0, 6), rng.uniform(0.0, 7.0, 6))]
+    thetas = tuple(np.round(rng.uniform(0.0, 45.0, 9), 6).tolist()) + (0.0, 22.5, 45.0)
+
+    def outputs(point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnphysicalStokesWarning)
+            return [emit(run_sweep(replace(point, theta_list_deg=thetas, noise_sigma=sigma)), fmt)
+                    for sigma in (0.0, 0.1) for fmt in ("csv", "json")]
+
+    fresh = []
+    for point in points:
+        runner_mod._a_to_b.cache_clear()
+        fresh.append(outputs(point))
+    runner_mod._a_to_b.cache_clear()
+    order = [0, 0, 1, 2, 3, 4, 5, 4, 0, 6, 7, 8, 9, 10, 11, 1, 1, 5, 4, 2, 0]
+    for k in order:
+        assert outputs(points[k]) == fresh[k], k
+        memo = runner_mod._a_to_b(*_memo_key(points[k]))
+        built = runner_mod._a_to_b.__wrapped__(*_memo_key(points[k]))
+        assert [a.tobytes() for a in memo] == [a.tobytes() for a in built], k
+    info = runner_mod._a_to_b.cache_info()
+    assert info.maxsize == 4 and info.hits > len(order) and info.misses > 4 + len(points)
+    for a in memo:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_a_to_b_memo_is_keyed_by_the_bits_of_the_operating_point(monkeypatch):
+    # 0.0 == -0.0, but u_e (x) 1 differs in the sign of a zero between them: two keys
+    seen, memo = [], runner_mod._a_to_b
+    monkeypatch.setattr(runner_mod, "_a_to_b", lambda *point: seen.append(point) or memo(*point))
+    points = [SweepConfig(omega0_tau=0.0), SweepConfig(omega0_tau=-0.0),
+              SweepConfig(n=1e4, x_c=40.0, omega0_tau=1.0)]
+    memo.cache_clear()
+    for point in points:
+        run_sweep(point)
+    assert seen == [(p.n.hex(), p.x_c.hex(), p.omega0_tau.hex()) for p in points]
+    assert memo.cache_info().currsize == 3
+    zero, negative_zero = (memo(*point) for point in seen[:2])
+    assert zero[1].tobytes() != negative_zero[1].tobytes()
 
 
 @pytest.mark.parametrize("n", [2.0, 1e4])

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -597,6 +598,32 @@ class TestCli:
         assert cli.main(["tomo", str(data)]) == 2
         assert capsys.readouterr().err == (
             f"error: {data}:2: intensities must be finite and nonnegative\n")
+
+    def test_tomo_of_a_pair_whose_sum_overflows(self, tmp_path, capsys):
+        # DAD 1e308 1e308 is the state of DAD 1 1: s1 = 0, without a RuntimeWarning
+        stokes = []
+        for scale in ("1", "1e300", "1e308"):
+            data = tmp_path / f"{scale}.txt"
+            data.write_text(f"HV 1 1\nDAD {scale} {scale}\nRL 1 1\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["tomo", str(data)]) == 0
+            stokes.append(json.loads(capsys.readouterr().out)["stokes"])
+        assert stokes == [[1.0, 0.0, 0.0, 0.0]] * 3
+
+    def test_sweep_with_noise_past_the_float_range_names_the_basis(self, capsys):
+        # each row fails at its tomography tap; a noise factor past the float range names its
+        # basis, without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UnphysicalStokesWarning)
+            assert cli.main(["sweep", "--noise", "1e308", "--seed", "1"]) == 1
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines() if line.startswith("# FAILED")]
+        assert len(failed) == 7 and all(
+            re.search(r": (zero total intensity|intensity past the float range) in basis "
+                      r"(HV|DAD|RL)$", line) for line in failed)
+        assert "intensity past the float range in basis" in out
 
     def test_golden_passes(self, capsys):
         assert cli.main(["golden"]) == 0

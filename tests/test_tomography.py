@@ -157,6 +157,30 @@ class TestStokesFromIntensities:
             IntensityRecord("HV", i_alpha, i_beta)
         assert IntensityRecord("HV", 0.0, 1e308).i_beta == 1e308
 
+    def test_a_pair_whose_sum_overflows_keeps_its_ratio(self, rng):
+        # a pair of finite intensities whose sum is past the float range gives the ratio of the
+        # pair (as its halves, exactly), without a warning; any pair with a finite sum keeps
+        # the bits of 2 * (i_a / (i_a + i_b)) - 1
+        big = float(np.finfo(float).max)
+        pairs = [(1e308, 1e308), (big, big), (big, 1e-300), (1e-300, big), (1.5e308, 0.5e308),
+                 (1e308, 9e307), (big, 0.0), (0.0, big), (5e-324, big)]
+        pairs += [tuple(p) for p in (10.0 ** rng.uniform(-320, 308.25, size=(200, 2))).tolist()]
+        pairs += [tuple(p) for p in rng.uniform(0.0, 1.0, size=(50, 2)).tolist()]
+        for i_a, i_b in pairs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                s = stokes_from_intensities([IntensityRecord("HV", 1.0, 1.0),
+                                             IntensityRecord("DAD", i_a, i_b),
+                                             IntensityRecord("RL", 1.0, 1.0)])
+            if math.isfinite(i_a + i_b):
+                assert repr(s.s1) == repr(2.0 * (i_a / (i_a + i_b)) - 1.0), (i_a, i_b)
+            else:
+                half_a, half_b = 0.5 * i_a, 0.5 * i_b
+                assert repr(s.s1) == repr(2.0 * (half_a / (half_a + half_b)) - 1.0), (i_a, i_b)
+        for scale in (1.0, 1e300, 1e308):
+            s = stokes_from_intensities([IntensityRecord(b, scale, scale) for b in BASES])
+            assert (s.s1, s.s2, s.s3) == (0.0, 0.0, 0.0), scale
+
     def test_duplicate_and_missing_bases_rejected(self):
         with pytest.raises(QuantumValueError, match="duplicate"):
             stokes_from_intensities([IntensityRecord("HV", 1, 0)] * 2)
@@ -284,6 +308,80 @@ class TestTomographyStack:
         assert not rebuilt.flags.writeable
         if sigma == 1.0:
             assert warned and any(m.startswith("zero total intensity") for m in errors.values())
+
+
+class TestNoisePastTheFloatRange:
+    """A noise factor past the float range makes an intensity inf or NaN: its row fails with
+    a message naming the basis, in the stack and tap by tap, and no RuntimeWarning."""
+
+    def test_stack_equals_per_tap_calls_and_names_the_basis(self, rng):
+        stack = np.array([[random_density(rng).matrix for _ in range(5)] for _ in range(16)])
+        stack[3, 0] = np.nan  # a non-finite state fails its own check, as below the range
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rebuilt, errors = tomography_stack(
+                stack, 1e308, [np.random.default_rng(i) for i in range(len(stack))])
+        warned = [(w.category, str(w.message)) for w in caught]
+        loop, loop_warned = TestTomographyStack._run(_composed_tap, stack, 1e308)
+        assert errors == {i: message for i, (_, message) in enumerate(loop) if message}
+        assert warned == loop_warned
+        assert all(category is UnphysicalStokesWarning for category, _ in warned)
+        for i, (taps, _) in enumerate(loop):
+            assert [m.tobytes() for m in rebuilt[i][:len(taps)]] == taps
+        lost = [m for m in errors.values() if m.startswith("intensity past the float range")]
+        assert lost and {m[-3:].strip() for m in lost} <= {"HV", "DAD", "RL"}
+        assert loop[3][0] == [] and errors[3] == "not Hermitian: defect nan"
+
+    def test_one_port_past_the_float_range_stops_its_row(self, rng):
+        # fixed draws: one port's factor 1 + 1e308 * 10 is inf, a -10 clamps its port to 0; a
+        # lost beta port alone would leave a finite Bloch vector (s = -1) behind
+        class Draws:  # a generator stand-in handing out fixed normal draws in order
+            def __init__(self, draws):
+                self.draws = list(draws)
+
+            def standard_normal(self, size):
+                out, self.draws = self.draws[:size], self.draws[size:]
+                return np.array(out)
+
+        stack = np.array([[random_density(rng).matrix for _ in range(3)] for _ in range(5)])
+        draws = np.zeros((5, 18))
+        draws[0, 3] = draws[1, 6 + 4] = draws[2, 12 + 0] = 10.0  # DAD beta, RL alpha, HV alpha
+        draws[3, 1] = draws[4, 6 + 5] = -10.0  # V and R clamped at 0: no row stops
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rebuilt, errors = tomography_stack(stack, 1e308, [Draws(d) for d in draws])
+            loop = []
+            for row, draw in zip(stack, [Draws(d) for d in draws]):
+                out, message = [], None
+                try:
+                    for m in row:
+                        out.append(_composed_tap(m, 1e308, draw).tobytes())
+                except QuantumValueError as exc:
+                    message = str(exc)
+                loop.append((out, message))
+        warned = [str(w.message) for w in caught if w.category is UnphysicalStokesWarning]
+        assert len(warned) == len(caught) and warned[:len(warned) // 2] == warned[len(warned) // 2:]
+        assert errors == {0: "intensity past the float range in basis DAD",
+                          1: "intensity past the float range in basis RL",
+                          2: "intensity past the float range in basis HV"}
+        assert [message for _, message in loop] == [errors.get(i) for i in range(5)]
+        assert [len(taps) for taps, _ in loop] == [0, 1, 2, 3, 3]
+        for i, (taps, _) in enumerate(loop):
+            assert [m.tobytes() for m in rebuilt[i][:len(taps)]] == taps
+
+    def test_measure_names_its_basis(self):
+        messages = set()
+        for seed in range(40):
+            for basis in BASES:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        record = measure(RHO_RC, basis, 1e308, np.random.default_rng(seed))
+                except QuantumValueError as exc:
+                    messages.add(str(exc))
+                else:
+                    assert math.isfinite(record.i_alpha) and math.isfinite(record.i_beta)
+        assert messages == {f"intensity past the float range in basis {b}" for b in BASES}
 
 
 class TestNoiseRobustness:
