@@ -73,7 +73,8 @@ def _checked_unitary(m, what):
     errors = _not_unitary(_unitarity_defects(m[None]), what)
     if errors:
         raise QuantumValueError(errors[0])
-    return _frozen(m)
+    m.flags.writeable = False
+    return m
 
 
 def _hwp_matrix(theta):
@@ -199,8 +200,7 @@ def dephasing_blocks(pd_theta, ipd_theta):
     The PD circuit is PBS1 -> arm plates (H arm fixed, V arm at
     hwp(pi - 2 theta_v), so |V> -> sin 2t |H> + cos 2t |V>) -> PZT at zero
     phase -> PBS2 -> HWP5; the IPD is its mirror.  Both lists share one
-    range check and one arm-plate build and check per distinct angle, and
-    one array passed as both lists is checked once for its N angles; an
+    range check and one arm-plate build and check per distinct angle; an
     empty list builds and checks nothing.  Returns (pd (P, 4, 4), ipd (Q, 4, 4),
     the PD Kraus pairs (P, 2, 2, 2), pd_errors, ipd_errors): each errors dict
     maps the position in its list of each angle that fails a check (angle
@@ -210,8 +210,8 @@ def dephasing_blocks(pd_theta, ipd_theta):
     built alone.
     """
     pd_theta = np.asarray(pd_theta, dtype=float)
-    count, one = len(pd_theta), ipd_theta is pd_theta  # one array as both: each plate once
-    theta_v, start = (pd_theta, 0) if one else (np.concatenate([pd_theta, ipd_theta]), count)
+    count = len(pd_theta)
+    theta_v = np.concatenate([pd_theta, ipd_theta])
     in_range = (theta_v >= 0.0) & (theta_v <= np.pi / 4 + 1e-15)
     ordered = np.sort(theta_v)  # the distinct angles, and plate[i] the one of position i
     angles = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
@@ -220,17 +220,17 @@ def dephasing_blocks(pd_theta, ipd_theta):
     arms = _arm_stage(arm_v)[plate]
     kraus = _kraus_pairs(pd_theta) if count else np.empty((0, 2, 2, 2), complex)
     pd = _pd_product(arms[:count]) if count else arms[:0]
-    ipd = _ipd_product(arms[start:]) if len(arms) > start else arms[:0]
+    ipd = _ipd_product(arms[count:]) if len(arms) > count else arms[:0]
     # No block is checked for unitarity: the arm stage holds the plate beside hwp(0) bit for
     # bit, and the constant stages are permutations up to the 6.1e-17 entries of hwp(pi/2),
     # with float defect 0.0, so block defect <= plate defect + 2 ulp (a bound the tests pin).
-    # Positions run over theta_v: the PD angles (the only ones with Kraus pairs), IPD from start.
-    ranges = {i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]" for i in _failing(in_range)}
-    plates = _not_unitary(_unitarity_defects(arm_v)[plate], "HWP element")
-    pd_errors = first_errors(ranges, kraus_errors(kraus) if count else {}, plates)
-    return (pd, ipd, kraus, {i: message for i, message in pd_errors.items() if i < count},
-            {i - start: message for i, message in first_errors(ranges, plates).items()
-             if i >= start})
+    # Positions run over both lists, the PD angles first (the only ones with Kraus pairs).
+    errors = first_errors(
+        {i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]" for i in _failing(in_range)},
+        kraus_errors(kraus) if count else {},
+        _not_unitary(_unitarity_defects(arm_v)[plate], "HWP element"))
+    return (pd, ipd, kraus, {i: message for i, message in errors.items() if i < count},
+            {i - count: message for i, message in errors.items() if i >= count})
 
 
 def pd_block(theta_v):

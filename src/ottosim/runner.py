@@ -20,15 +20,13 @@ snapshots of every row pass through one stacked tomography tap
 ledger itself is always computed from the exact simulated states so its
 invariants, cycle closure included, hold at any noise level.
 
-A sweep runs all of its angles as one stack (``_cycle_rows``): the
-theta-independent A->B stroke, built once per operating point (n, x_c,
-omega0*tau) per process (``_a_to_b``, an LRU memo of 4 points that a one-shot
-CLI sweep never hits), the per-angle strokes on (N, ., .) arrays, then every
-state checked in one call per group (the joint states by one Cholesky proof,
-each 2x2 state, rho_A and rho_B included, decomposed once in closed form; a
-failed A->B check stops every row), then the ledger as columns.  A SweepReport,
-from a sweep or from ``load_report``, is the CSV-value table and the snapshot
-stack; it builds the rows when they are first read.  ``run_cycle`` is N = 1.
+``_cycle_rows`` runs a sweep's angles as one stack: the A->B stroke once per
+operating point per process (``_a_to_b``, a 4-point memo that a one-shot CLI
+sweep never hits), the per-angle strokes on (N, ., .) arrays, then every state
+checked in one call per group (the joint states by one Cholesky proof, each 2x2
+state decomposed once; a failed A->B check stops every row), then the ledger as
+columns.  A SweepReport (from a sweep or ``load_report``) is the CSV-value
+table and the snapshot stack, rows built on first read; ``run_cycle`` is N = 1.
 """
 
 import json
@@ -175,16 +173,15 @@ def _closure_errors(rho_end, rho_start):
             for i in _failing(defect <= TOL["cycle_closure"])}
 
 
-def _parts(errors, count, parts, start=0):
-    # position -> message of `parts` stacks of `count` rows stacked as one from start, per stack
-    return [{pos - start - k * count: message for pos, message in errors.items()
-             if (pos - start) // count == k} for k in range(parts)]
+def _parts(errors, count, parts):
+    # position -> message of `parts` stacks of `count` rows stacked as one, split per stack
+    return [{pos - k * count: message for pos, message in errors.items() if pos // count == k}
+            for k in range(parts)]
 
 
 @lru_cache(maxsize=4)
 def _a_to_b(*point):
-    # A->B at (n, x_c, omega0*tau) as float.hex keys (-0.0 is its own), read-only: [rho_A, rho_B],
-    # u_e (x) 1, its adjoint, rho_B (x) |k0><k0|; each sweep checks rho_A, rho_B and their spectra
+    # read-only A->B at float.hex (n, x_c, omega0*tau): [rho_A, rho_B], k_c, k_c^H, rho_B (x) P0
     n, x_c, omega0_tau = map(float.fromhex, point)
     u_e = expansion_unitary(n, omega0_tau).matrix
     rho_a = thermal_matrices([x_c])[0]
@@ -230,25 +227,23 @@ def _cycle_rows(thetas, config):
 
     # each group of states checked in one call, each 2x2 state decomposed once; the spectra
     # give the entropies of relaxing rho_B (to each hot target) and each rho_D (to rho_A)
+    bad_jc, bad_jd, bad_ja = _parts(density_failures(joint), count, 3)
     lam, spec, bad = density_spectra(np.concatenate(
         [ab, rho_c, thermal_matrices(x_h.tolist()), rho_d, rho_a2]))
     (lam_c, _, lam_d, _), (_, spec_h, spec_d, _) = (
         a[2:].reshape(4, count, *a.shape[1:]) for a in (lam, spec))
-    bad_joint, bad_ab = density_failures(joint), _spectrum_errors(lam[:1], lam[1:2])
-    bad_cd, bad_closure = _spectrum_errors(lam_c, lam_d), _closure_errors(rho_a2, ab[0])
+    bad_c, bad_h, bad_d, bad_a2 = _parts(
+        {pos - 2: message for pos, message in bad.items() if pos > 1}, count, 4)
+    # rho_A, rho_B and the A->B spectrum are one state or check for all rows
+    fixed = (bad.get(0), bad.get(1), _spectrum_errors(lam[:1], lam[1:2]).get(0))
     errors = {}
-    if bad_pd or bad_ipd or bad_joint or bad or bad_ab or bad_cd or bad_closure:
-        bad_jc, bad_jd, bad_ja = _parts(bad_joint, count, 3)
-        bad_c, bad_h, bad_d, bad_a2 = _parts(bad, count, 4, 2)
-        # rho_A, rho_B and the A->B spectrum are one state or check for all rows
-        fixed = (bad.get(0), bad.get(1), bad_ab.get(0))
-        for stroke, checks in (
-                ("A->B", [dict.fromkeys(range(count), message) for message in fixed if message]),
-                ("B->C", (bad_pd, bad_jc, bad_c, bad_h)),
-                ("C->D", (bad_jd, bad_d, bad_cd)),
-                ("D->A", (bad_ipd, bad_ja, bad_a2, bad_closure))):
-            for i, message in first_errors(*checks).items():
-                errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
+    for stroke, checks in (
+            ("A->B", [dict.fromkeys(range(count), message) for message in fixed if message]),
+            ("B->C", (bad_pd, bad_jc, bad_c, bad_h)),
+            ("C->D", (bad_jd, bad_d, _spectrum_errors(lam_c, lam_d))),
+            ("D->A", (bad_ipd, bad_ja, bad_a2, _closure_errors(rho_a2, ab[0])))):
+        for i, message in first_errors(*checks).items():
+            errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
     keep = [i for i in range(count) if i not in errors]
     if errors:
         theta_v, kappa, x_h, rho_c, rho_d, rho_a2, spec_h, spec_d = (
@@ -289,7 +284,10 @@ def _cycle_rows(thetas, config):
     rows = sel if len(keep) == count else np.array(keep, dtype=int)[sel]  # positions in thetas
     planes = tuple(taps[sel].swapaxes(0, 1)) if config.noise_sigma > 0.0 else (
         *np.broadcast_to(ab[:, None], (2, len(sel), 2, 2)), *paths[:, rows])
-    return rows.tolist(), _frozen(table[sel]), tuple(map(_frozen, planes)), errors
+    table = table[sel]
+    for a in (table, *planes):
+        a.flags.writeable = False
+    return rows.tolist(), table, planes, errors
 
 
 def run_cycle(theta_deg, config=None):
@@ -457,8 +455,10 @@ def load_report(data):
         raise QuantumValueError(bad[min(bad)])
     failures = _required(doc["failures"], dict, "report key failures")
     metadata = _required(doc["metadata"], dict, "report key metadata")
-    stack = _frozen(stack.reshape(-1, len(SNAPSHOT_LABELS), 2, 2))
-    return SweepReport(_frozen(table), tuple(stack.swapaxes(0, 1)), failures, metadata)
+    stack = stack.reshape(-1, len(SNAPSHOT_LABELS), 2, 2)
+    for a in (table, stack):
+        a.flags.writeable = False
+    return SweepReport(table, tuple(stack.swapaxes(0, 1)), failures, metadata)
 
 
 def _required(value, kind, where):

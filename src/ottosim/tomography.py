@@ -148,7 +148,7 @@ def _measured(rho, bases, noise_sigma, rng):
         xi = (np.random.default_rng() if rng is None else rng).standard_normal(2 * len(bases))
     i = _intensities(rho.matrix, _PROJECTORS[j:j + 2 * len(bases)], noise_sigma, xi).reshape(-1, 2)
     lost = ~np.isfinite(i).all(axis=-1) & np.isfinite(rho.matrix).all()
-    if lost.any():  # a finite state's intensity that noise took past the float range
+    if lost.any():  # noise past the float range; an unchecked NaN state fails at reconstruct
         raise QuantumValueError(_lost(bases[lost.argmax()]))
     return tuple(_read_out(b, i_a, i_b) for b, (i_a, i_b) in zip(bases, i.tolist()))
 

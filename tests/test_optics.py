@@ -336,38 +336,6 @@ class TestDephasingBlocks:
         assert errors[0].startswith("HWP element not unitary: defect 0.21")
         assert pd[0].tobytes() == pd[2].tobytes() and ipd.shape == (2, 4, 4)
 
-    @pytest.mark.parametrize("seam", [None, "arm plate", "kraus"])
-    def test_one_array_as_both_lists_equals_two_equal_lists(self, rng, monkeypatch, seam):
-        # the sweep passes one theta array as both lists: its plates are then built and checked
-        # once for its N angles, with the bits, messages and message order of two equal lists
-        if seam == "arm plate":  # the plate of the smallest distinct angle is not unitary
-            hwp_matrix = optics_mod._hwp_matrix
-            monkeypatch.setattr(optics_mod, "_hwp_matrix", lambda theta: np.concatenate(
-                [1.01 * hwp_matrix(theta[:1]), hwp_matrix(theta[1:])]))
-        elif seam == "kraus":  # the Kraus pair of position 1 is incomplete
-            kraus_pairs = optics_mod._kraus_pairs
-            monkeypatch.setattr(optics_mod, "_kraus_pairs", lambda theta: kraus_pairs(theta) * (
-                np.where(np.arange(len(theta)) == 1, 1.01, 1.0)[:, None, None, None]))
-        grids = [rng.uniform(0.0, np.pi / 4, 40),
-                 np.repeat(rng.uniform(0.0, np.pi / 4, 6), 3),  # each angle three times
-                 rng.permutation(np.repeat(rng.uniform(0.0, np.pi / 4, 5), [1, 2, 3, 4, 5])),
-                 np.array([0.0, np.pi / 4, np.pi / 4 + 1e-14, 0.0, np.pi / 8, np.pi / 4]),
-                 np.array([np.pi / 4 + 1e-14, 0.3, 0.0]), np.array([0.5])]
-        for theta in grids:
-            one = dephasing_blocks(theta, theta)
-            two = dephasing_blocks(theta, theta.copy())
-            for a, b in zip(one[:3], two[:3]):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert [list(e.items()) for e in one[3:]] == [list(e.items()) for e in two[3:]]
-            if seam == "kraus":  # position 1 is in range in every grid that has one
-                assert len(theta) < 2 or (
-                    one[3][1].startswith("incomplete Kraus set") and 1 not in one[4])
-            elif seam:
-                assert one[3] and one[4]
-        out_of_range = dephasing_blocks(grids[3], grids[3])
-        assert set(out_of_range[3]) >= {2} and out_of_range[4][2] == (
-            "theta_v = 0.785398 rad outside [0, pi/4]")
-
     def test_an_empty_list_builds_and_checks_nothing(self, monkeypatch):
         def unused(*args):
             raise AssertionError("called for an empty list")
