@@ -21,8 +21,8 @@ carrying them.  ``compile_program`` type-checks the pipeline (an ``ipd``
 needs the ancilla a preceding ``pd`` introduced), then lowers it once to
 steps with precomputed matrices and returns an executable whose ``tomo``
 taps snapshot the reduced polarization state.  ``run`` folds the state
-through the steps and then checks every state it must, as one stack per
-dimension, raising the first failure in program order.
+through the steps and then checks every 2x2 state it must, as one stack,
+raising the first failure in program order.
 """
 
 import math
@@ -214,8 +214,8 @@ class CompiledCircuit:
     One ``(op, a, b)`` step per instruction: ``init``/``thermal`` (a: the
     state), ``unitary``/``pd``/``ipd`` (a: the unitary, b: its adjoint) or
     ``tomo`` (a: the label).  ``run()`` queues each state to check on one
-    list per dimension, straight from the fold, and wraps only the taps and
-    the final state as DensityOperators.
+    list, straight from the fold, and wraps only the taps and the final
+    state as DensityOperators.
     """
 
     def __init__(self, program, steps):
@@ -225,51 +225,45 @@ class CompiledCircuit:
     def run(self):
         rho = None          # 2x2 during single-path segments, 4x4 with ancilla
         joint = False
-        twos, fours = [], []    # the 2x2 and 4x4 states to check
-        at, reduced, taps = [], [], {}  # each 2x2 state's step; each 4x4 one's index in twos; taps
+        states, fours, reduced, taps = [], [], [], {}  # the states to check, in program order
 
-        def read_out(state, k, label=None):
-            # queue the state read at step k; a joint one is reduced after the fold
+        def read_out(state, label=None):
+            # queue the state; a joint one is reduced after the fold
             if label is not None:
-                taps[label] = len(twos)
+                taps[label] = len(states)
             if joint:
-                reduced.append(len(twos))
+                reduced.append(len(states))
                 fours.append(state)
-            twos.append(None if joint else state)
-            at.append(k)
+            states.append(None if joint else state)
 
-        for k, (op, a, b) in enumerate(self.steps):
+        for op, a, b in self.steps:
             if op == "unitary":
                 rho = a.dot(rho).dot(b)
             elif op == "tomo":
-                read_out(rho, k, a)
+                read_out(rho, a)
             elif op == "pd":
                 rho, joint = a.dot(optics._kron_slices(rho, optics._P0)).dot(b), True
-            elif op == "ipd":  # the fold goes on with the reduced state, reduced again below
-                read_out(a.dot(rho).dot(b), k)
-                rho, joint = trace_path(fours[-1][None])[0], False
+            elif op == "ipd":
+                rho, joint = trace_path(a.dot(rho).dot(b)[None])[0], False
+                read_out(rho)
             else:
                 rho = a
                 if op == "thermal":  # checked as thermal_state checks it
-                    read_out(rho, k)
+                    read_out(rho)
         if rho is None:
             return CircuitRun(snapshots={}, final=None)
-        read_out(rho, len(self.steps))
-        failures = []   # ((step, 0) for a joint state or (step, 1) for a 2x2 one, message)
+        read_out(rho)
         if fours:
-            fours = np.array(fours)
-            for i, state in zip(reduced, trace_path(fours)):
-                twos[i] = state
-            failures = [((at[reduced[j]], 0), message)
-                        for j, message in density_failures(fours).items()]
-        twos = np.array(twos)
-        twos.flags.writeable = False
-        failures += [((at[i], 1), message) for i, message in density_failures(twos).items()]
+            for i, state in zip(reduced, trace_path(np.array(fours))):
+                states[i] = state
+        states = np.array(states)
+        states.flags.writeable = False
+        failures = density_failures(states)
         if failures:
-            raise QuantumValueError(min(failures)[1])
-        return CircuitRun(snapshots={label: wrap_validated(twos[i], label)
+            raise QuantumValueError(failures[min(failures)])
+        return CircuitRun(snapshots={label: wrap_validated(states[i], label)
                                      for label, i in taps.items()},
-                          final=wrap_validated(twos[-1]))
+                          final=wrap_validated(states[-1]))
 
 
 def _lower(instructions, where, joint, alphas):
@@ -335,13 +329,14 @@ def compile_program(program):
     once to steps with precomputed matrices, whose own checks (unitarity of
     every element and block arm plate, the Kraus completeness of every ``pd``)
     also raise CircuitCompileError naming the line.  ``run`` checks the states
-    the fold produces, as DensityOperator would: every ``init thermal`` state,
-    the joint state before each reduction (a block not unitary past its plate
-    fails there) and each reduced or 2x2 tap, ``ipd`` output and final state.
-    The fold only queues them; every joint state read is reduced by one
-    ``trace_path`` call after it (the fold reduces an ``ipd`` output once more
-    to go on), each dimension is checked as one stack, and the message of the
-    first failure in program order is raised.
+    the fold produces, as DensityOperator would: every ``init thermal`` state
+    and each reduced or 2x2 tap, ``ipd`` output and final state (a block not
+    unitary past its plate fails the trace of the reduced state it makes).
+    A joint state is a congruence of a checked or frozen 2x2 state by checked
+    elements and is not checked itself.  The fold only queues the states; the
+    joint taps and final state are reduced by one ``trace_path`` call after it,
+    all are checked as one stack, and the message of the first failure in
+    program order is raised.
     """
     dim = None
     labels = set()

@@ -80,7 +80,7 @@ def _sweep_config(args, unused=()):
 
 def _cmd_run(args):
     try:
-        with open(args.circuit, encoding="utf-8") as fh:
+        with open(args.circuit, encoding="utf-8", errors="replace") as fh:
             source = fh.read()
     except OSError as exc:
         return _usage_error(exc)

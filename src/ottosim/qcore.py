@@ -35,7 +35,6 @@ __all__ = [
     "partial_trace_path",
     "wrap_validated",
     "first_errors",
-    "density_errors",
     "density_failures",
     "density_spectra",
     "kraus_errors",
@@ -180,8 +179,9 @@ class KrausSet:
 def wrap_validated(matrix, label=None):
     """A DensityOperator around a read-only matrix that already passed its checks.
 
-    The engine validates whole stacks with :func:`density_errors` and wraps
-    the surviving slices with this instead of checking each one again.
+    The engine validates whole stacks with :func:`density_failures` or
+    :func:`density_spectra` and wraps the surviving slices with this instead
+    of checking each one again.
     """
     out = object.__new__(DensityOperator)
     object.__setattr__(out, "matrix", matrix)
@@ -227,11 +227,6 @@ def eigh2(stack, vectors=False):
     return lam, vec.reshape(stack.shape)
 
 
-def _hermiticity_defects(stack):
-    # the max-norm defect of rho - rho^dag of a matrix or of each slice of a stack
-    return np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-
-
 def _decomposed(stack, vectors=False):
     # the max-norm Hermiticity defect and ascending eigh2 (2x2) or LAPACK (4x4) output of a matrix
     # or of each slice of a stack; a slice holding NaN or inf fails Hermiticity first and gets NaN.
@@ -240,7 +235,7 @@ def _decomposed(stack, vectors=False):
         return eigh2(a, vectors) if a.shape[-1] == 2 else (
             np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a))
 
-    herm = _hermiticity_defects(stack)
+    herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     if np.isfinite(stack).all():
         return herm, eig(stack)
     skip = ~np.isfinite(herm)
@@ -261,36 +256,15 @@ def _density_message(herm, trace, lam_min):
     return None
 
 
-def density_errors(stack):
+def density_failures(stack):
     """Apply the DensityOperator checks to each slice of an (N, d, d) stack.
 
-    Returns the ascending eigenvalues of every slice and a dict mapping the
-    position of each failing slice to the message the constructor would
-    raise for it.  A caller that reads no eigenvalues uses
-    :func:`density_failures`, which gives the same dict.
+    Returns a dict mapping the position of each failing slice to the message the
+    constructor would raise for it; :func:`density_spectra` also returns the eigenvalues.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
         herm, lam = _decomposed(stack)
-        return lam, _density_failures(stack, lam, herm)
-
-
-def density_failures(stack):
-    """``density_errors(stack)[1]`` of an (N, d, d) stack, without eigenvalues where it can.
-
-    A finite 4x4 stack whose every slice minus (TOL["psd"] + 1e-13) times 1 has a Cholesky
-    factor has no eigenvalue below TOL["psd"]: only its other defects are computed.  Any
-    other stack, 2x2 ones included (eigh2 costs no more), takes :func:`density_errors`.
-    """
-    if stack.shape[-1] == 4 and np.isfinite(stack).all():
-        try:  # the factor reads the lower triangle, as eigvalsh does; 1e-13 covers both roundings
-            np.linalg.cholesky(stack - (TOL["psd"] + 1e-13) * ID4)
-        except np.linalg.LinAlgError:
-            pass
-        else:  # +inf stands for the eigenvalues the factor bounds above TOL["psd"]
-            lam = np.full((len(stack), 1), np.inf)
-            with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
-                return _density_failures(stack, lam, _hermiticity_defects(stack))
-    return density_errors(stack)[1]
+        return _density_failures(stack, lam, herm)
 
 
 def _density_failures(stack, lam, herm):
@@ -413,7 +387,7 @@ def relative_entropy(rho, sigma):
 
 
 def density_spectra(stack):
-    """:func:`density_errors` and the entropy spectra of an (N, d, d) stack, eigenvalues only.
+    """:func:`density_failures` and the entropy spectra of an (N, d, d) stack, eigenvalues only.
 
     Returns (lam, spec, errors): the ascending eigenvalues the density checks read, the
     descending spectra with eigenvalues below TOL["eig_clamp"] set to 0, and position ->

@@ -22,10 +22,10 @@ invariants, cycle closure included, hold at any noise level.
 
 ``_cycle_rows`` runs a sweep's angles as one stack: the A->B stroke once per
 operating point per process (``_a_to_b``, a 4-point memo that a one-shot CLI
-sweep never hits), the per-angle strokes on (N, ., .) arrays, then every state
-checked in one call per group (the joint states by one Cholesky proof, each 2x2
-state decomposed once; a failed A->B check stops every row), then the ledger as
-columns.  A SweepReport (from a sweep or ``load_report``) is the CSV-value
+sweep never hits), the per-angle strokes on (N, ., .) arrays, then every 2x2
+state checked in one call (a failed A->B check stops every row; the joint states,
+congruences of the checked rho_B by checked elements, are only reduced), then the
+ledger as columns.  A SweepReport (from a sweep or ``load_report``) is the CSV-value
 table and the snapshot stack, rows built on first read; ``run_cycle`` is N = 1.
 """
 
@@ -193,8 +193,8 @@ def _a_to_b(*point):
 def _cycle_rows(thetas, config):
     """Run one cycle per angle of ``thetas`` (degrees), all angles as one stack.
 
-    A->B comes from ``_a_to_b`` and B->C, C->D and D->A run on all N rows; then every state is
-    checked in one call per group against the TOL checks a single-matrix computation applies.
+    A->B comes from ``_a_to_b`` and B->C, C->D and D->A run on all N rows; then every 2x2 state
+    is checked in one call against the TOL checks a single-matrix computation applies.
     A row reports its first failed check, in stroke order, with its stroke named; the
     other rows go on, and a failed A->B check (rho_A, rho_B or their spectra) stops every
     row.  The ledger is columns over the passing rows, with only IEEE arithmetic
@@ -222,12 +222,10 @@ def _cycle_rows(thetas, config):
     np.matmul(_right_mul(pd, rho_b_k0), pd.conj().swapaxes(-1, -2), out=joint[0])
     joint[1] = _right_mul(_left_mul(k_c, joint[0]), k_c_dag)
     np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
-    joint = joint.reshape(-1, 4, 4)
     rho_c, rho_d, rho_a2 = paths = trace_path(joint).reshape(3, count, 2, 2)
 
-    # each group of states checked in one call, each 2x2 state decomposed once; the spectra
-    # give the entropies of relaxing rho_B (to each hot target) and each rho_D (to rho_A)
-    bad_jc, bad_jd, bad_ja = _parts(density_failures(joint), count, 3)
+    # every 2x2 state checked in one call, each decomposed once; the spectra give the
+    # entropies of relaxing rho_B (to each hot target) and each rho_D (to rho_A)
     lam, spec, bad = density_spectra(np.concatenate(
         [ab, rho_c, thermal_matrices(x_h.tolist()), rho_d, rho_a2]))
     (lam_c, _, lam_d, _), (_, spec_h, spec_d, _) = (
@@ -239,9 +237,9 @@ def _cycle_rows(thetas, config):
     errors = {}
     for stroke, checks in (
             ("A->B", [dict.fromkeys(range(count), message) for message in fixed if message]),
-            ("B->C", (bad_pd, bad_jc, bad_c, bad_h)),
-            ("C->D", (bad_jd, bad_d, _spectrum_errors(lam_c, lam_d))),
-            ("D->A", (bad_ipd, bad_ja, bad_a2, _closure_errors(rho_a2, ab[0])))):
+            ("B->C", (bad_pd, bad_c, bad_h)),
+            ("C->D", (bad_d, _spectrum_errors(lam_c, lam_d))),
+            ("D->A", (bad_ipd, bad_a2, _closure_errors(rho_a2, ab[0])))):
         for i, message in first_errors(*checks).items():
             errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
     keep = [i for i in range(count) if i not in errors]
@@ -545,7 +543,7 @@ _CONFIG_PARSERS = {"theta_list_deg": _theta_list, "seed": int, "out": str, "fmt"
 def load_config_file(path, unused=()):
     """Read a flat key=value config file into a SweepConfig; a key in ``unused`` is refused."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -262,7 +262,7 @@ def tomography_stack(stack, noise_sigma, rngs):
 def read_intensity_file(path):
     """Parse an intensity file: ``basis i_alpha i_beta`` per line, # comments."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

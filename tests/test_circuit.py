@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-import ottosim.circuit as circuit_mod
 import ottosim.optics as optics_mod
 from ottosim.circuit import (
     _ARITY,
@@ -22,7 +21,7 @@ from ottosim.circuit import (
 )
 from ottosim.optics import pd_block
 from ottosim.qcore import (ID2, KET_PSI_RC, DensityOperator, QuantumValueError, apply_kraus,
-                           partial_trace_path)
+                           trace_path)
 from ottosim.thermo import thermal_state
 
 RHO_RC = DensityOperator.from_ket(KET_PSI_RC)
@@ -264,9 +263,10 @@ def _reference_run(program, change=None):
     """The per-instruction fold that the lowered steps replaced, kept as the reference.
 
     One element or block per instruction, np.kron lifts and a DensityOperator
-    for each checked state, raising at the first failure.  ``change`` maps an
-    instruction position to a function applied to the matrix it uses (its
-    state, lifted unitary or block unitary).  Returns (snapshots, final).
+    for each checked 2x2 state (a joint state is reduced unchecked), raising at
+    the first failure.  ``change`` maps an instruction position to a function
+    applied to the matrix it uses (its state, lifted unitary or block unitary).
+    Returns (snapshots, final).
     """
     rho, joint, snapshots = None, False, {}
     for k, instr in enumerate(program.instructions):
@@ -288,16 +288,19 @@ def _reference_run(program, change=None):
             joint = True
         elif op == "ipd":
             u = fix(optics_mod.ipd_block(np.deg2rad(instr.args[0])).unitary)
-            rho = partial_trace_path(DensityOperator(u @ rho @ u.conj().T)).matrix
+            rho = _reduced(u @ rho @ u.conj().T).matrix
             joint = False
         else:
-            state = DensityOperator(rho)
-            state = partial_trace_path(state) if joint else state
+            state = _reduced(rho) if joint else DensityOperator(rho)
             snapshots[instr.args[0]] = state.relabel(instr.args[0])
     final = None
     if rho is not None:
-        final = partial_trace_path(DensityOperator(rho)) if joint else DensityOperator(rho)
+        final = _reduced(rho) if joint else DensityOperator(rho)
     return snapshots, final
+
+
+def _reduced(joint):
+    return DensityOperator(trace_path(joint[None])[0])
 
 
 def _random_program(rng, size):
@@ -347,10 +350,10 @@ class TestLoweredFold:
     @pytest.mark.parametrize("changed", [(0,), (3,), (5,), (0, 3), (3, 5), (0, 5), (0, 3, 5)])
     def test_deferred_reductions_raise_the_first_failure_in_program_order(self, changed):
         # the joint taps A and C and the joint final state are reduced after the fold.  An
-        # unphysical initial state fails only the joint states (first A's, on positivity); the
-        # lifted rot scaled at step 3 fails C's joint and reduced states (trace), the lifted hwp
-        # scaled at step 5 the final ones.  run() raises the earliest, as the reference fold does
-        source = "init rc\npd 22.5\ntomo A\nrot 7\ntomo C\nhwp 3"
+        # unphysical thermal state fails its own check (positivity); the lifted rot scaled at
+        # step 3 fails C's reduced state (trace), the lifted hwp scaled at step 5 the final
+        # one.  run() raises the earliest, as the reference fold does
+        source = "init thermal 1.0\npd 22.5\ntomo A\nrot 7\ntomo C\nhwp 3"
         changes = {0: lambda m: _UNPHYSICAL, 3: _scaled(1.05), 5: _scaled(0.9)}
         changes = {k: changes[k] for k in changed}
         expected = _message(_reference_run, parse(source), changes)
@@ -361,8 +364,8 @@ class TestLoweredFold:
     @pytest.mark.parametrize("changed", [(6,), (0, 6), (3, 6), (5, 6), (3, 5), (0, 3, 5, 6)])
     def test_a_2x2_state_after_the_joint_ones_fails_in_program_order(self, changed):
         # joint taps A and C, the ipd output, then the 2x2 tap D and final state: the scaled hwp
-        # at step 6 fails D (trace); the scaled ipd block at step 5 fails its joint output first
-        source = "init rc\npd 22.5\ntomo A\nrot 7\ntomo C\nipd 22.5\nhwp 3\ntomo D"
+        # at step 6 fails D (trace); the scaled ipd block at step 5 fails its output first
+        source = "init thermal 1.0\npd 22.5\ntomo A\nrot 7\ntomo C\nipd 22.5\nhwp 3\ntomo D"
         changes = {0: lambda m: _UNPHYSICAL, 3: _scaled(1.05), 5: _scaled(1.01), 6: _scaled(1.1)}
         changes = {k: changes[k] for k in changed}
         expected = _message(_reference_run, parse(source), changes)
@@ -370,17 +373,6 @@ class TestLoweredFold:
                             3: "trace 1.1025 != 1", 5: "trace 1.0201 != 1",
                             6: "trace 1.21 != 1"}[changed[0]]
         assert _message(_corrupted_run, source, changes) == expected
-
-    def test_a_joint_state_is_named_before_its_reduced_state(self):
-        # at 10 deg the unphysical initial state leaves joint tap A with eigenvalue -0.2 and its
-        # reduced state with -0.158: the joint state comes first in program order
-        source, change = "init rc\npd 10\ntomo A", {0: lambda m: _UNPHYSICAL}
-        u = pd_block(np.deg2rad(10.0)).unitary
-        joint = u @ np.kron(_UNPHYSICAL, np.diag([1.0, 0.0])) @ u.conj().T
-        reduced = np.einsum("ikjk->ij", joint.reshape(2, 2, 2, 2))
-        expected = _message(_reference_run, parse(source), change)
-        assert expected == _message(DensityOperator, joint) != _message(DensityOperator, reduced)
-        assert _message(_corrupted_run, source, change) == expected
 
     def test_empty_program(self):
         run = compile_program(parse("")).run()
@@ -406,7 +398,7 @@ def _scaled(factor):
     return lambda m: factor * m
 
 
-# Hermitian with unit trace but eigenvalue -0.2; dephasing at 22.5 deg makes it physical
+# Hermitian with unit trace but eigenvalue -0.2
 _UNPHYSICAL = np.array([[0.5, -0.7j], [0.7j, 0.5]])
 
 
@@ -416,8 +408,6 @@ def _skewed(m):
 
 # source, position of the corrupted instruction, change, the first check that fails
 DEFERRED = {
-    "joint tap": ("init rc\npd 22.5\ntomo A", 0, lambda m: _UNPHYSICAL,
-                  "not positive semidefinite: min eigenvalue -0.2"),
     "2x2 tap": ("init rc\nhwp 10\ntomo A\npd 5", 1, _scaled(1.1), "trace 1.21"),
     "thermal init": ("init thermal 0.5\npd 22.5\ntomo A", 0, _skewed, "not Hermitian"),
     "ipd output": ("init rc\npd 22.5\nipd 22.5\ntomo A", 2, _scaled(1.01), "trace 1.0201"),
@@ -452,40 +442,15 @@ class TestDeferredChecks:
         assert expected.startswith(start)
         assert _message(_corrupted_run, source, {k: change}) == expected
 
-    def test_a_joint_tap_fails_on_its_joint_state(self):
-        # the reduced state of the "joint tap" case is physical: only the 4x4 check can fail
-        source, k, change, _ = DEFERRED["joint tap"]
-        u = pd_block(np.deg2rad(22.5)).unitary
-        joint = u @ np.kron(_UNPHYSICAL, np.diag([1.0, 0.0])) @ u.conj().T
-        assert np.linalg.eigvalsh(np.einsum("ikjk->ij", joint.reshape(2, 2, 2, 2))).min() > 0
-        assert _message(_corrupted_run, source, {k: change}) == _message(DensityOperator, joint)
-
-    def test_a_negative_joint_eigenvalue_fails_the_joint_check(self, monkeypatch):
-        # the first joint state read gains 0.1 at <H, k0| . |H, k1> and at its mirror entry
-        # before its reduction: Hermitian, unit trace, the same reduced state, and an
-        # eigenvalue of about -0.1 that only the 4x4 positivity check can see
-        original, lifted = circuit_mod.trace_path, []
-
-        def patched(stack):
-            if not lifted:
-                stack[0, 0, 1] += 0.1
-                stack[0, 1, 0] += 0.1
-                lifted.append(stack[0].copy())
-            return original(stack)
-
-        monkeypatch.setattr(circuit_mod, "trace_path", patched)
-        message = _message(compile_program(parse("init rc\npd 22.5\ntomo TC\nipd 22.5")).run)
-        assert message == "not positive semidefinite: min eigenvalue -0.0731"
-        assert message == _message(DensityOperator, lifted[0])
-
     @pytest.mark.parametrize("stage, source", [
         ("_arm_stage", "init rc\npd 45\ntomo TC\n"),
         ("_arm_stage", FULL_CYCLE_PROGRAM),
         ("_ipd_product", FULL_CYCLE_PROGRAM),
     ])
     def test_a_block_that_is_not_unitary_fails_its_joint_state(self, monkeypatch, stage, source):
-        # compile checks a block's arm plate, not the block: a pd or ipd block scaled after
-        # its plate check compiles, and run() refuses the joint state of trace 1.0201 it makes
+        # compile checks a block's arm plate, not the block: a pd or ipd block scaled after its
+        # plate check compiles, and run() refuses the joint state of trace 1.0201 it makes, read
+        # through its reduced state, whose trace has the same bits
         monkeypatch.setattr(optics_mod, stage,
                             lambda *a, f=getattr(optics_mod, stage): 1.01 * f(*a))
         compiled = compile_program(parse(source))

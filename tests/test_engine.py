@@ -28,7 +28,7 @@ from ottosim.qcore import (
     SIGMA_Y,
     TOL,
     QuantumValueError,
-    density_errors,
+    density_failures,
     density_spectra,
     entropies,
     first_errors,
@@ -68,7 +68,7 @@ from ottosim.tomography import (
     tomography_stack,
 )
 
-from conftest import random_density, random_unitary
+from conftest import random_density, random_pure, random_unitary
 
 GRID_200 = tuple(45.0 * k / 199 for k in range(200))
 ROW = DEFAULT_THETAS.index(22.5)  # position of the corrupted row in every stack
@@ -185,22 +185,6 @@ def _corrupt_block(monkeypatch, inverse, change, row=ROW):
     monkeypatch.setattr(runner_mod, "dephasing_blocks", patched)
 
 
-def _skew_path_coherence(monkeypatch, part, upper=1e-6, lower=0.0):
-    """Before the engine traces out the path, add ``upper`` to the path-coherence entry
-    <H, k0| . |H, k1> of row ROW of its joint stack ``part`` (B->C, C->D, D->A) and ``lower``
-    to its mirror entry; its reduced polarization state, which never reads them, is
-    unchanged.  Alone, ``upper`` leaves the joint state not Hermitian; 0.1 at both keeps it
-    Hermitian with unit trace and gives it an eigenvalue of about -0.1."""
-    original = runner_mod.trace_path
-
-    def patched(stack):
-        stack[part * len(DEFAULT_THETAS) + ROW, 0, 1] += upper
-        stack[part * len(DEFAULT_THETAS) + ROW, 1, 0] += lower
-        return original(stack)
-
-    monkeypatch.setattr(runner_mod, "trace_path", patched)
-
-
 def _break_kraus(monkeypatch):
     original = optics_mod._kraus_pairs
 
@@ -215,7 +199,8 @@ def _break_kraus(monkeypatch):
 # each distinct angle's arm plate is built once for both blocks (the sweep's angles are
 # distinct and sorted, so a plate's position is its row's); the IPD product is the only
 # per-row stage of the IPD alone.  A block that is not unitary past a unitary arm plate has
-# no gate of its own (the plate's bounds it): the joint state it makes fails its trace.
+# no gate of its own (the plate's bounds it), nor has the joint state it makes: the reduced
+# state fails its trace, which has the joint trace's bits.
 GATES = {
     "arm plate": (lambda mp: _corrupt_nth_stack(mp, optics_mod, "_hwp_matrix", 1,
                                                 lambda m: 1.01 * m),
@@ -226,11 +211,6 @@ GATES = {
                      "stroke B->C: trace 1.0201 != 1"),
     "joint state": (lambda mp: _corrupt_block(mp, False, lambda u: 1.01 * u),
                     "stroke B->C: trace"),
-    "B->C joint": (lambda mp: _skew_path_coherence(mp, 0), "stroke B->C: not Hermitian"),
-    "C->D joint": (lambda mp: _skew_path_coherence(mp, 1), "stroke C->D: not Hermitian"),
-    "D->A joint": (lambda mp: _skew_path_coherence(mp, 2), "stroke D->A: not Hermitian"),
-    "C->D joint positivity": (lambda mp: _skew_path_coherence(mp, 1, 0.1, 0.1),
-                              "stroke C->D: not positive semidefinite: min eigenvalue -0.1"),
     "reduced state": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "trace_path", 1,
                                                     lambda m: m + [[0, 1e-6], [0, 0]], 0, 3),
                       "stroke B->C: not Hermitian"),
@@ -681,24 +661,24 @@ def _reference_cycle_rows(thetas, config):
     pd, _, _, bad_pd, _ = dephasing_blocks(theta_v, [])
     joint = (pd @ f.joint_b) @ pd.conj().swapaxes(-1, -2)
     rho_c = trace_path(joint)
-    lam_c, bad_c = density_errors(rho_c)
+    lam_c, _, bad_c = density_spectra(rho_c)
     _, spec_h, bad_h = density_spectra(thermal_matrices(x_h.tolist()))
     theta_v, joint, rho_c, lam_c, spec_h = rows.keep("B->C", first_errors(
-        bad_pd, density_errors(joint)[1], bad_c, bad_h,
+        bad_pd, bad_c, bad_h,
     ), theta_v, joint, rho_c, lam_c, spec_h)
 
     joint = (f.k_c @ joint) @ f.k_c.conj().T
     rho_d = trace_path(joint)
     lam_d, spec_d, bad_d = density_spectra(rho_d)
     theta_v, joint, rho_c, rho_d, spec_h, spec_d = rows.keep("C->D", first_errors(
-        density_errors(joint)[1], bad_d, _reference_spectrum_errors(lam_c, lam_d),
+        bad_d, _reference_spectrum_errors(lam_c, lam_d),
     ), theta_v, joint, rho_c, rho_d, spec_h, spec_d)
 
     _, ipd, _, _, bad_ipd = dephasing_blocks([], theta_v)
     joint = (ipd @ joint) @ ipd.conj().swapaxes(-1, -2)
     rho_a2 = trace_path(joint)
     theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d = rows.keep("D->A", first_errors(
-        bad_ipd, density_errors(joint)[1], density_errors(rho_a2)[1],
+        bad_ipd, density_failures(rho_a2),
         _reference_closure_errors(rho_a2, f.rho_a),
     ), theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d)
 
@@ -888,7 +868,7 @@ KERNEL_CONFIGS = [SweepConfig(theta_list_deg=GRID_200), SweepConfig(n=1e10, x_c=
 def _sweep_inputs(monkeypatch, config):
     """The arguments of the first call a sweep makes to each kernel, by kernel name."""
     seen = {}
-    for owner, name in ((runner_mod, "density_failures"), (runner_mod, "density_spectra"),
+    for owner, name in ((runner_mod, "trace_path"), (runner_mod, "density_spectra"),
                         (runner_mod, "expectations"), (optics_mod, "kraus_errors")):
         def patched(*args, _original=getattr(owner, name), _name=name):
             seen.setdefault(_name, args)
@@ -913,7 +893,7 @@ class TestOneCallKernels:
     @pytest.mark.parametrize("config", KERNEL_CONFIGS)
     def test_traces_keep_the_np_trace_bits(self, rng, monkeypatch, config):
         inputs = _sweep_inputs(monkeypatch, config)
-        stacks = [inputs["density_failures"][0], inputs["density_spectra"][0],
+        stacks = [inputs["trace_path"][0].reshape(-1, 4, 4), inputs["density_spectra"][0],
                   *_random_stacks(rng, 2), *_random_stacks(rng, 4)]
         traces = []
         # every slice fails (lam = -inf), so each trace reaches the message builder
@@ -959,3 +939,92 @@ class TestOneCallKernels:
         _corrupt_expansion(monkeypatch, lambda u: 1.01 * u)
         report = run_sweep()
         assert set(report.failures.values()) == {"stroke A->B: trace 1.0201 != 1"}
+
+
+def _joint_states(rho, pd, ipd, k_c):
+    """The [B->C; C->D; D->A] joint stacks, (3, N, 4, 4), that _cycle_rows forms from one 2x2
+    input rho, each row's blocks pd and ipd and the 4x4 compression k_c, product for product."""
+    joint = np.empty((3, len(pd), 4, 4), dtype=complex)
+    np.matmul(optics_mod._right_mul(pd, optics_mod._kron_slices(rho, optics_mod._P0)),
+              pd.conj().swapaxes(-1, -2), out=joint[0])
+    joint[1] = optics_mod._right_mul(optics_mod._left_mul(k_c, joint[0]), k_c.conj().T)
+    np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
+    return joint
+
+
+class TestJointStates:
+    """The joint states have no density check of their own; the checks of their inputs bound it.
+
+    A joint state is J = V rho V^dag: rho the 2x2 input and V the product of the 4x4 factors
+    (blocks, compression) with the isometry onto k0, a congruence.  With d_k the max-norm
+    unitarity defect of factor k, ||U_k||_2^2 <= 1 + 4 d_k, so with g = prod_k (1 + 4 d_k):
+    max|J - J^dag| <= g ||rho - rho^dag||_2, |tr J - tr rho| <= (g - 1) ||rho||_1 and
+    lam_min(J) >= g min(lam_min(rho), 0), each up to the rounding of the products.  The
+    reduced state's trace (J00 + J11) + (J22 + J33) is the joint trace, bit for bit.
+    """
+
+    ULP = 8 * EPS  # the rounding of three 4x4 congruences: at most 3.5 eps over 40 seeds
+
+    @staticmethod
+    def inputs(rng):
+        # random states, then states pushed off the state set by delta in trace, Hermiticity
+        # and lowest eigenvalue; all but the "herm" kind are Hermitian up to rounding
+        for _ in range(6):
+            rho = random_density(rng).matrix
+            yield "state", rho
+            yield "state", random_pure(rng).matrix
+            for delta in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+                yield "trace", rho * (1.0 + delta)
+                skew = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                yield "herm", rho + delta * skew / np.abs(skew).max()
+                u = random_unitary(rng)
+                yield "lam", (u * np.array([-delta, 1.0 + delta])) @ u.conj().T
+
+    @staticmethod
+    def blocks(rng, scale):
+        # 128 random plate angles, each plate off unitarity by about scale, and a compression
+        plates = optics_mod._hwp_matrix(np.pi - 2.0 * rng.uniform(0.0, np.pi / 4, 128))
+        plates = plates + scale * (rng.normal(size=plates.shape)
+                                   + 1j * rng.normal(size=plates.shape))
+        arms = optics_mod._arm_stage(plates)
+        k_c = optics_mod._kron_slices(optics_mod._rotation_matrix(rng.uniform(0.0, 2 * np.pi)),
+                                      np.eye(2, dtype=complex))
+        return optics_mod._pd_product(arms), optics_mod._ipd_product(arms), k_c
+
+    def test_joint_defects_are_bounded_by_the_input_defects(self, rng):
+        for scale in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+            pd, ipd, k_c = self.blocks(rng, scale)
+            d = [optics_mod._unitarity_defects(u) for u in (pd, k_c[None], ipd)]
+            g = np.cumprod(np.broadcast_arrays(*(1.0 + 4.0 * dk for dk in d)), axis=0)
+            for kind, rho in self.inputs(rng):
+                joint = _joint_states(rho, pd, ipd, k_c)
+                herm = np.abs(joint - joint.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+                assert (herm <= g * np.linalg.norm(rho - rho.conj().T, 2)
+                        + self.ULP).all(), (scale, kind)
+                trace = np.abs(np.trace(joint, axis1=-2, axis2=-1) - 1.0)
+                assert (trace <= abs(np.trace(rho) - 1.0) + (g - 1.0) * np.linalg.norm(
+                    rho, "nuc") + self.ULP).all(), (scale, kind)
+                if kind != "herm":
+                    lam = np.linalg.eigvalsh(joint).min(axis=-1)
+                    lam_in = min(np.linalg.eigvalsh(rho).min(), 0.0)
+                    assert (lam >= g * lam_in - self.ULP).all(), (scale, kind)
+
+    def test_reduced_trace_is_the_joint_trace(self, rng):
+        # bit for bit, so a trace failure reads the same message on either state
+        for scale in (0.0, 1e-6):
+            pd, ipd, k_c = self.blocks(rng, scale)
+            for kind, rho in self.inputs(rng):
+                joint = _joint_states(rho, pd, ipd, k_c).reshape(-1, 4, 4)
+                reduced = trace_path(joint)
+                assert (reduced[:, 0, 0] + reduced[:, 1, 1]).tobytes() == np.trace(
+                    joint, axis1=-2, axis2=-1).tobytes()
+                if kind == "trace" and np.abs(np.trace(rho) - 1.0) > 1e-11:
+                    assert density_failures(reduced) == density_failures(joint) != {}
+
+    def test_the_engine_forms_these_joint_states(self, monkeypatch):
+        config = SweepConfig(theta_list_deg=GRID_200, n=1.5, x_c=0.5, omega0_tau=0.3)
+        seen = _sweep_inputs(monkeypatch, config)["trace_path"][0]
+        ab, k_c, _, _ = runner_mod._a_to_b(*(float(v).hex() for v in (1.5, 0.5, 0.3)))
+        theta_v = np.deg2rad(GRID_200)
+        pd, ipd, _, _, _ = dephasing_blocks(theta_v, theta_v)
+        assert seen.tobytes() == _joint_states(ab[1], pd, ipd, k_c).tobytes()

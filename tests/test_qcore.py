@@ -7,7 +7,6 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-import ottosim.qcore as qcore_mod
 from ottosim.qcore import (
     ID2,
     ID4,
@@ -19,7 +18,6 @@ from ottosim.qcore import (
     TOL,
     SupportError,
     apply_kraus,
-    density_errors,
     density_failures,
     density_spectra,
     eig_herm,
@@ -70,7 +68,7 @@ class TestDensityOperator:
             with pytest.raises(QuantumValueError) as info:
                 DensityOperator(m)
             assert str(info.value) == expected
-            assert density_errors(m[None].astype(complex))[1] == {0: expected}
+            assert density_failures(m[None].astype(complex)) == {0: expected}
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(QuantumValueError):
@@ -91,7 +89,7 @@ class TestDensityOperator:
             with pytest.raises(QuantumValueError) as info:
                 DensityOperator(m)
             assert str(info.value) == expected
-            assert density_errors(m[None])[1] == density_failures(m[None]) == {0: expected}
+            assert density_failures(m[None]) == {0: expected}
             assert density_spectra(m[None])[2] == {0: expected}
 
     def test_immutable(self):
@@ -330,8 +328,8 @@ def _with_spectrum(rng, lam):
 
 
 class TestDensityFailures:
-    """density_failures against density_errors(stack)[1]: a Cholesky factor stands in for the
-    eigenvalues only where it proves them, and any other stack takes the eigenvalue path."""
+    """density_failures against density_spectra's failures, slice by slice and stacked, on
+    slices at and around each check's bound."""
 
     @staticmethod
     def slices(rng, dim):
@@ -361,21 +359,23 @@ class TestDensityFailures:
     @pytest.mark.parametrize("dim", [2, 4])
     def test_each_slice_alone_and_all_together(self, rng, dim):
         slices = self.slices(rng, dim)
-        reference = {name: density_errors(m[None].astype(complex))[1] for name, m in slices.items()}
+        reference = {name: density_spectra(m[None].astype(complex))[2]
+                     for name, m in slices.items()}
         assert reference["lam_min = psd - 1e-12"][0].startswith(
             "not positive semidefinite: min eigenvalue -1.01e-10")
         assert reference["lam_min = psd + 1e-12"] == reference["good"] == {}
         for name, m in slices.items():
             assert density_failures(m[None].astype(complex)) == reference[name], name
         stack = np.array(list(slices.values()), dtype=complex)
-        assert density_failures(stack) == density_errors(stack)[1]
+        assert density_failures(stack) == density_spectra(stack)[2]
         finite = np.array([m for m in slices.values() if np.isfinite(m).all()], dtype=complex)
-        assert density_failures(finite) == density_errors(finite)[1]
+        assert density_failures(finite) == density_spectra(finite)[2]
         assert density_failures(np.empty((0, dim, dim), complex)) == {}
 
     def test_the_proof_leaves_room_for_rounding(self, rng):
         # at lam_min = TOL["psd"] exactly, eigvalsh rounds to either side, and rho - TOL["psd"] * 1
-        # has a factor for some slices that it puts below; the 1e-13 of room rejects those
+        # has a Cholesky factor for some slices that it puts below: the check reads the
+        # eigenvalues, so no factor passes those
         stack = np.array([_with_spectrum(rng, [TOL["psd"], 0.5, 0.25, 0.25 - TOL["psd"]])
                           for _ in range(64)])
         below = np.linalg.eigvalsh(stack).min(axis=-1) < TOL["psd"]
@@ -389,25 +389,7 @@ class TestDensityFailures:
         band = [m[None] for m, low in zip(stack, below) if low and factored(m)]
         assert band
         for m in band:
-            assert density_failures(m) == density_errors(m)[1] != {}
-
-    def test_a_factor_of_every_4x4_slice_skips_the_eigenvalues(self, rng, monkeypatch):
-        slices = self.slices(rng, 4)
-        proved = np.array([slices[name] for name in (
-            "good", "pure", "non-Hermitian, lower triangle positive", "trace",
-            "lam_min = psd + 1e-12")], dtype=complex)
-        expected = density_errors(proved)[1]
-        assert sorted(expected) == [2, 3]
-        calls = []
-        monkeypatch.setattr(qcore_mod, "density_errors",
-                            lambda stack: calls.append(len(stack)) or density_errors(stack))
-        assert density_failures(proved) == expected and calls == []
-        for name in ("lam_min = psd - 1e-12", "non-Hermitian, lower triangle not positive", "nan"):
-            density_failures(np.concatenate([proved, slices[name][None]]))
-            assert calls == [len(proved) + 1], name
-            calls.clear()
-        density_failures(proved[:, :2, :2])  # a 2x2 stack takes its closed-form eigenvalues
-        assert calls == [len(proved)]
+            assert density_failures(m) == density_spectra(m)[2] != {}
 
 
 class TestStackedChecks:
@@ -428,15 +410,13 @@ class TestStackedChecks:
     def test_density_errors_match_constructor(self, rng):
         good = [random_density(rng).matrix for _ in range(4)]
         stack = np.array(good[:2] + [np.asarray(m, dtype=complex) for m in self.BAD] + good[2:])
-        lam, errors = density_errors(stack)
+        errors = density_failures(stack)
         assert errors == {2 + k: self._message(DensityOperator, m) for k, m in enumerate(self.BAD)}
+        # one decomposition for the same checks and for the spectra, each slice's own bits:
         # the bits the constructor's eigh2 gives each slice on its own
-        single = np.array([eigh2(m) for m in stack])
-        assert lam.tobytes() == single.tobytes()
-        # one decomposition for the same checks and for the spectra, each slice's own bits
         lam, spec, both = density_spectra(stack)
         assert both == errors
-        assert lam.tobytes() == single.tobytes()
+        assert lam.tobytes() == np.array([eigh2(m) for m in stack]).tobytes()
         assert spec.tobytes() == np.array([density_spectra(m[None])[1][0] for m in stack]).tobytes()
 
     def test_kraus_errors_match_kraus_set(self):
@@ -500,7 +480,7 @@ class TestStackedChecks:
 
     def test_nan_fails_the_density_checks(self):
         nan = np.full((2, 2), np.nan)
-        assert density_errors(np.array([0.5 * ID2, nan]))[1] == {1: "not Hermitian: defect nan"}
+        assert density_failures(np.array([0.5 * ID2, nan])) == {1: "not Hermitian: defect nan"}
         assert density_spectra(np.array([0.5 * ID2, nan]))[2] == {1: "not Hermitian: defect nan"}
         with pytest.raises(QuantumValueError, match="not Hermitian: defect nan"):
             DensityOperator(nan)
@@ -527,15 +507,12 @@ class TestStackedChecks:
             with pytest.raises(QuantumValueError) as info:
                 DensityOperator(bad)
             assert str(info.value) == message
-            lam, errors = density_errors(stack)
-            assert errors == {1: message}
-            lam_h, spec, both = density_spectra(stack)
-            assert both == errors
+            assert density_failures(stack) == {1: message}
+            lam, spec, both = density_spectra(stack)
+            assert both == {1: message}
         # the finite slices keep the bits of their own decomposition; the other one is NaN
-        good = stack[[0, 2]]
-        assert lam[[0, 2]].tobytes() == lam_h[[0, 2]].tobytes() == np.linalg.eigvalsh(
-            good).tobytes()
-        assert all(np.isnan(a[1]).all() for a in (lam, lam_h, spec))
+        assert lam[[0, 2]].tobytes() == np.linalg.eigvalsh(stack[[0, 2]]).tobytes()
+        assert all(np.isnan(a[1]).all() for a in (lam, spec))
 
     @pytest.mark.parametrize("value, defect", [(np.nan, "nan"), (np.inf, "nan"), (-np.inf, "nan"),
                                                ("inf off the diagonal", "inf")])
@@ -554,13 +531,11 @@ class TestStackedChecks:
             with pytest.raises(QuantumValueError) as info:
                 DensityOperator(bad)
             assert str(info.value) == message
-            lam, errors = density_errors(stack)
-            assert errors == {1: message}
-            lam_h, spec, both = density_spectra(stack)
-            assert both == errors
-        good = stack[[0, 2]]
-        assert lam[[0, 2]].tobytes() == lam_h[[0, 2]].tobytes() == eigh2(good).tobytes()
-        assert all(np.isnan(a[1]).all() for a in (lam, lam_h, spec))
+            assert density_failures(stack) == {1: message}
+            lam, spec, both = density_spectra(stack)
+            assert both == {1: message}
+        assert lam[[0, 2]].tobytes() == eigh2(stack[[0, 2]]).tobytes()
+        assert all(np.isnan(a[1]).all() for a in (lam, spec))
 
     def test_nan_fails_the_kraus_check(self):
         bad = [np.diag([1.0, np.nan]), np.diag([0.0, 0.8])]

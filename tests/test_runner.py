@@ -515,6 +515,12 @@ class TestCli:
         cfg.write_text("theta_list_deg = 99\n")
         assert cli.main(["sweep", "--config", str(cfg)]) == 2
 
+    def test_sweep_undecodable_config_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n = 2\n\xff = 1\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown key '\ufffd'\n"
+
     @pytest.mark.parametrize("flag", ["--n", "--xc", "--noise"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_sweep_non_finite_parameter_exits_2(self, flag, value, capsys):
@@ -576,6 +582,14 @@ class TestCli:
         assert cli.main(["run", str(circ)]) == 2
         assert "angle out of range" in capsys.readouterr().err
 
+    def test_run_undecodable_file_names_its_line(self, tmp_path, capsys):
+        # bytes that are no UTF-8 read as U+FFFD, as parse reads bytes: a parse error, exit 2
+        circ = tmp_path / "bad.otto"
+        circ.write_bytes(b"init rc\n\xff\xfe tomo A\n")
+        assert cli.main(["run", str(circ)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 1 parse error(s): line 2, col 1: unknown keyword '\ufffd\ufffd'\n")
+
     def test_run_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.otto")]) == 2
 
@@ -590,6 +604,12 @@ class TestCli:
         data = tmp_path / "bad.txt"
         data.write_text("HV 1\n")
         assert cli.main(["tomo", str(data)]) == 2
+
+    def test_tomo_undecodable_file_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "intensities.txt"
+        data.write_bytes(b"HV 1 1\n\xff 1 1\n")
+        assert cli.main(["tomo", str(data)]) == 2
+        assert capsys.readouterr().err == f"error: {data}:2: unknown basis '\ufffd'\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
     def test_tomo_bad_intensity_names_its_line(self, tmp_path, capsys, value):
