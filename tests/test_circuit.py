@@ -406,8 +406,11 @@ def _skewed(m):
     return m + np.eye(len(m), k=1) * 1e-3  # not Hermitian
 
 
-# source, position of the corrupted instruction, change, the first check that fails
+# source, position of the corrupted instruction, change, the first check that fails; a joint
+# tap is read through its reduced state (at 10 deg dephasing leaves it unphysical)
 DEFERRED = {
+    "joint tap": ("init rc\npd 10\ntomo A", 0, lambda m: _UNPHYSICAL,
+                  "not positive semidefinite: min eigenvalue -0.158"),
     "2x2 tap": ("init rc\nhwp 10\ntomo A\npd 5", 1, _scaled(1.1), "trace 1.21"),
     "thermal init": ("init thermal 0.5\npd 22.5\ntomo A", 0, _skewed, "not Hermitian"),
     "ipd output": ("init rc\npd 22.5\nipd 22.5\ntomo A", 2, _scaled(1.01), "trace 1.0201"),

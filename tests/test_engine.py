@@ -185,6 +185,22 @@ def _corrupt_block(monkeypatch, inverse, change, row=ROW):
     monkeypatch.setattr(runner_mod, "dephasing_blocks", patched)
 
 
+def _skew_joint_coherence(monkeypatch, part, upper=1e-6, lower=0.0):
+    """Before the engine traces out the path, add ``upper`` to the polarization-coherence entry
+    <H, k0| . |V, k0> of row ROW of part ``part`` (B->C, C->D, D->A) of its joint stack and
+    ``lower`` to its mirror entry.  The joint states have no check of their own: the reduced
+    state reads both entries, so alone ``upper`` leaves it not Hermitian, and 0.5 at both
+    keeps it Hermitian with unit trace and gives it an eigenvalue of about -0.11."""
+    original = runner_mod.trace_path
+
+    def patched(stack):
+        stack[part, ROW, 0, 2] += upper
+        stack[part, ROW, 2, 0] += lower
+        return original(stack)
+
+    monkeypatch.setattr(runner_mod, "trace_path", patched)
+
+
 def _break_kraus(monkeypatch):
     original = optics_mod._kraus_pairs
 
@@ -211,6 +227,11 @@ GATES = {
                      "stroke B->C: trace 1.0201 != 1"),
     "joint state": (lambda mp: _corrupt_block(mp, False, lambda u: 1.01 * u),
                     "stroke B->C: trace"),
+    "B->C joint": (lambda mp: _skew_joint_coherence(mp, 0), "stroke B->C: not Hermitian"),
+    "C->D joint": (lambda mp: _skew_joint_coherence(mp, 1), "stroke C->D: not Hermitian"),
+    "D->A joint": (lambda mp: _skew_joint_coherence(mp, 2), "stroke D->A: not Hermitian"),
+    "C->D joint positivity": (lambda mp: _skew_joint_coherence(mp, 1, 0.5, 0.5),
+                              "stroke C->D: not positive semidefinite: min eigenvalue -0.111"),
     "reduced state": (lambda mp: _corrupt_nth_stack(mp, runner_mod, "trace_path", 1,
                                                     lambda m: m + [[0, 1e-6], [0, 0]], 0, 3),
                       "stroke B->C: not Hermitian"),
