@@ -113,11 +113,9 @@ class DensityOperator:
 
     def __init__(self, matrix, label=None):
         m = _as_square(matrix, "density operator").copy()
-        with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
-            herm, lam = _decomposed(m)
-            message = _density_message(herm, np.trace(m), lam.min())
-        if message:
-            raise QuantumValueError(message)
+        errors = density_failures(m[None])
+        if errors:
+            raise QuantumValueError(errors[0])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "label", label)
@@ -202,47 +200,38 @@ def first_errors(*checks):
     return merged
 
 
-def eigh2(stack, vectors=False):
-    """Ascending eigenvalues (and eigenvector columns) of each slice of a (..., 2, 2) stack.
+def eigh2(stack):
+    """Ascending eigenvalues of each slice of a (..., 2, 2) stack, in closed form.
 
     Reads the real diagonal a, d and the lower entry b, as LAPACK does.  With m = (a + d)/2,
     h = (a - d)/2, r = hypot(h, |b|) and s = r + |h|, the eigenvalues m -+ r are min(a, d) - t
     and max(a, d) + t, t = |b|^2/s: no cancellation when r << |m|, exactly a, d when b = 0.
-    The upper eigenvector is (1, b/s) for h > 0, else (conj b/s, 1): |b|/s <= 1, so it is
-    normalized at unit scale, subnormal b and h included.
     """
     m = stack.reshape(-1, 4)
     a, d, b = m[:, 0].real, m[:, 3].real, m[:, 2]
     h, bb = 0.5 * (a - d), np.abs(b)
     s = np.maximum(np.hypot(h, bb) + np.abs(h), 5e-324)  # r + |h|, 0 only where b = 0
     t = bb * (bb / s)
-    lam = np.array((np.minimum(a, d) - t, np.maximum(a, d) + t)).T.reshape(stack.shape[:-1])
-    if not vectors:
-        return lam
-    vec = np.empty((len(m), 4), dtype=complex)  # the columns (lower, upper) in row-major order
-    u = b.real / s + 1j * (b.imag / s)  # a complex division by s would overflow 1/s
-    vec[:, 1], vec[:, 3] = np.where(h > 0, 1.0, u.conj()), np.where(h > 0, u, 1.0)
-    vec.view(float).reshape(-1, 4, 2)[:, 1::2] /= np.hypot(1.0, np.abs(u))[:, None, None]
-    vec[:, 0], vec[:, 2] = -vec[:, 3].conj(), vec[:, 1].conj()
-    return lam, vec.reshape(stack.shape)
+    return np.array((np.minimum(a, d) - t, np.maximum(a, d) + t)).T.reshape(stack.shape[:-1])
 
 
-def _decomposed(stack, vectors=False):
-    # the max-norm Hermiticity defect and ascending eigh2 (2x2) or LAPACK (4x4) output of a matrix
-    # or of each slice of a stack; a slice holding NaN or inf fails Hermiticity first and gets NaN.
-    # Under the caller's np.errstate(over="ignore", invalid="ignore"): inf past the float range
-    def eig(a):
-        return eigh2(a, vectors) if a.shape[-1] == 2 else (
-            np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a))
+def _herm_defect(stack):
+    # the max-norm Hermiticity defect of a matrix or of each slice of a stack (under the
+    # caller's np.errstate(over="ignore", invalid="ignore"): inf past the float range)
+    return np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
-    herm = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+def _decomposed(stack):
+    # the Hermiticity defect and ascending eigh2 (2x2) or LAPACK (4x4) eigenvalues of a matrix
+    # or of each slice of a stack; a slice holding NaN or inf fails Hermiticity first and gets NaN
+    eig = eigh2 if stack.shape[-1] == 2 else np.linalg.eigvalsh
+    herm = _herm_defect(stack)
     if np.isfinite(stack).all():
         return herm, eig(stack)
     skip = ~np.isfinite(herm)
-    out = eig(stack if stack.shape[-1] == 2 else np.where(skip[..., None, None], 0.0, stack))
-    for part in out if vectors else (out,):
-        part[skip] = np.nan
-    return herm, out
+    lam = eig(stack if stack.shape[-1] == 2 else np.where(skip[..., None, None], 0.0, stack))
+    lam[skip] = np.nan
+    return herm, lam
 
 
 def _density_message(herm, trace, lam_min):
@@ -334,16 +323,18 @@ def apply_kraus(rho, kraus):
 
 
 def eig_herm(m):
-    """Eigendecomposition of a Hermitian matrix (:func:`eigh2` for a qubit, LAPACK otherwise).
+    """Eigendecomposition of a Hermitian 2x2 or 4x4 matrix by LAPACK.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
     and eigenvector columns phase-fixed so the first component of magnitude
     above 1e-12 is real positive.
     """
+    m = _as_square(m, "eig_herm input")
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
-        defect, (lam, vec) = _decomposed(_as_square(m, "eig_herm input"), True)
-    if not defect <= TOL["eig_herm_input"]:
+        defect = _herm_defect(m)
+    if not defect <= TOL["eig_herm_input"]:  # so every entry is finite
         raise QuantumValueError(f"eig_herm needs a Hermitian matrix: defect {defect:.3g}")
+    lam, vec = np.linalg.eigh(m)
     lam, vec = lam[::-1].copy(), vec[:, ::-1]
     # each unit column divided by the phase of its first entry above 1e-12
     lead = vec[(np.abs(vec) > 1e-12).argmax(axis=0), range(len(lam))]
@@ -361,7 +352,7 @@ def _spectrum(rho):
 
 def von_neumann_entropy(rho):
     """S = -sum lam ln lam in nats, with 0 ln 0 := 0."""
-    return entropies(_spectrum(rho)[1])
+    return float(entropies(_spectrum(rho)[1]))
 
 
 def relative_entropy(rho, sigma):
@@ -383,7 +374,7 @@ def relative_entropy(rho, sigma):
         raise SupportError(
             f"support violation: weight {weights[j]:.3g} on eigenvalue {lam_s[j]:.3g}")
     tr_rho_ln_sigma = float(np.sum(weights[inside] * np.log(lam_s[inside])))
-    return -entropies(lam) - tr_rho_ln_sigma
+    return float(-entropies(lam) - tr_rho_ln_sigma)
 
 
 def density_spectra(stack):
@@ -407,7 +398,7 @@ def entropies(lam):
     ``np.where(s < 0.0, 0.0, s)`` keeps what max(s, 0.0) keeps: a pure state's -0.0, and NaN.
     """
     s = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
-    return np.where(s < 0.0, 0.0, s).tolist()
+    return np.where(s < 0.0, 0.0, s)
 
 
 def fidelity(rho, sigma):

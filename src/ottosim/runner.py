@@ -253,8 +253,8 @@ def _cycle_rows(thetas, config):
     omega = np.repeat([1.0, n, n, 1.0, 1.0], [1, 1, k, k, k])[:, None, None]
     e = expectations(hamiltonian(omega), np.concatenate([ab, rho_c, rho_d, rho_a2]))
     (e_a_cold, e_b_hot), (e_c_hot, e_d_cold, e_a2_cold) = e[:2].tolist(), e[2:].reshape(3, k)
-    s_cold, s_b, *s_hd = entropies(np.concatenate([spec[:2], spec_h, spec_d]))
-    s_h, s_d = np.array(s_hd).reshape(2, k)
+    s = entropies(np.concatenate([spec[:2], spec_h, spec_d]))
+    (s_cold, s_b), (s_h, s_d) = s[:2].tolist(), s[2:].reshape(2, k)
     q_bc = e_c_hot - e_b_hot
     w_cd = e_d_cold - e_c_hot
     q_da = e_a2_cold - e_d_cold

@@ -165,12 +165,12 @@ def _bloch_vectors(i):
     return s[..., [1, 2, 0]], total <= 0.0
 
 
-def _densities(vec, s0=1.0):
-    # (1/2)(s0 1 + s.sigma) of each (..., 3) vector projected into the ball, and the norms
+def _densities(vec):
+    # (1/2)(1 + s.sigma) of each (..., 3) vector projected into the ball, and the norms
     # before it; the matmul form gives the bits of np.linalg.norm of one vector
     norm = np.sqrt((vec[..., None, :] @ vec[..., :, None])[..., 0, 0])
     vec = vec / np.where(norm > 1.0, norm, 1.0)[..., None]
-    return 0.5 * (s0 * ID2 + sum(vec[..., j, None, None] * p for j, p in enumerate(PAULIS))), norm
+    return 0.5 * (ID2 + sum(vec[..., j, None, None] * p for j, p in enumerate(PAULIS))), norm
 
 
 def _read_out(basis, i_a, i_b):
@@ -218,13 +218,14 @@ def stokes_from_intensities(records):
 
 
 def reconstruct(s):
-    """Density operator rho = (1/2)(s0 1 + sum_i s_i sigma_i).
+    """Density operator rho = (1/2)(1 + sum_i s_i sigma_i).
 
-    A Bloch vector lying outside the unit ball (detector noise) is radially
-    projected onto the sphere first; this emits
-    :class:`UnphysicalStokesWarning`.
+    Built at s0 = 1, the normalization StokesVector enforces, so every s0 it
+    accepts gives the state of s0 = 1.  A Bloch vector lying outside the unit
+    ball (detector noise) is radially projected onto the sphere first; this
+    emits :class:`UnphysicalStokesWarning`.
     """
-    m, norm = _densities(np.array([s.s1, s.s2, s.s3], dtype=float), s.s0)
+    m, norm = _densities(np.array([s.s1, s.s2, s.s3], dtype=float))
     if norm > 1.0 + TOL["stokes_physical"]:
         warnings.warn(_projected(norm), UnphysicalStokesWarning, stacklevel=2)
     return DensityOperator(m)

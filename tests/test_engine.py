@@ -518,7 +518,7 @@ def _expect_ref(h, m):
 
 
 def _entropy_ref(m):
-    return entropies(density_spectra(m[None])[1])[0]
+    return entropies(density_spectra(m[None])[1]).tolist()[0]
 
 
 def _ledger_ref(row, n, x_c):
@@ -661,7 +661,7 @@ def _reference_fixed_part(config):
     f.rho_a, f.rho_b = states
     e_a_cold, f.e_b_hot = expectations(np.array([f.h_cold, f.h_hot]), states).tolist()
     f.w_ab = f.e_b_hot - e_a_cold
-    f.s_cold, f.s_b = entropies(spec)
+    f.s_cold, f.s_b = entropies(spec).tolist()
     f.joint_b = np.kron(f.rho_b, np.diag([1.0, 0.0]).astype(complex))
     f.k_c = np.kron(compression_unitary(f.n, config.omega0_tau).matrix, np.eye(2, dtype=complex))
     return f
@@ -708,8 +708,8 @@ def _reference_cycle_rows(thetas, config):
     q_bc = e_c_hot - f.e_b_hot
     w_cd = e_d_cold - e_c_hot
     q_da = expectations(f.h_cold, rho_a2) - e_d_cold
-    sig_e = (np.array(entropies(spec_h)) - f.s_b) - x_h[rows.index] * (q_bc / f.n)
-    sig_c = (f.s_cold - np.array(entropies(spec_d))) - f.x_c * q_da
+    sig_e = (entropies(spec_h) - f.s_b) - x_h[rows.index] * (q_bc / f.n)
+    sig_c = (f.s_cold - entropies(spec_d)) - f.x_c * q_da
     energies = np.stack(np.broadcast_arrays(f.w_ab, q_bc, w_cd, q_da))
     closed = closed_form_energies(kappa[rows.index], f.params)
     columns = np.vstack([

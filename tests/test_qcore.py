@@ -31,6 +31,7 @@ from ottosim.qcore import (
     trace_path,
     von_neumann_entropy,
 )
+from ottosim.thermo import _classical_kl, _log_populations, thermal_state
 
 from conftest import random_density, random_hermitian, random_pure, random_unitary
 
@@ -224,6 +225,33 @@ class TestEigHerm:
         with pytest.raises(QuantumValueError):
             eig_herm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("kind", ["density", "pure", "scaled", "near-degenerate", "subnormal",
+                                      "random 4x4"])
+    def test_eigenvectors_are_orthonormal_with_a_small_residual(self, rng, kind):
+        # LAPACK's bounds, which grow with the dimension d, with rho = max |lambda|: each residual
+        # |A v - lambda v| within 4 d eps rho (4 d * 5e-324 where eps rho underflows) and the
+        # orthonormality defect of the columns within 4 d eps, subnormal entries included.  The
+        # largest seen over 10,000 samples per 2x2 family were 6.4 eps rho and 7 eps, and over
+        # 50,000 random 4x4 matrices 6.9 eps rho and 12 eps
+        if kind == "random 4x4":
+            stack = np.array([random_hermitian(rng, 4) for _ in range(2000)])
+        else:
+            stack = TestEigh2._family(rng, kind, 2000)
+        if kind == "subnormal":
+            stack[:3] = [[[0.5, 5e-324], [5e-324, 0.5]], [[0.5, -1e-320j], [1e-320j, 0.5]],
+                         [[5e-324, 5e-324], [5e-324, 5e-324]]]
+        lam, vec = (np.array(a) for a in zip(*(eig_herm(m) for m in stack)))
+        eps, d = np.finfo(float).eps, stack.shape[-1]
+        rho = np.abs(lam).max(axis=-1)
+        residual = np.abs(stack @ vec - vec * lam[:, None, :]).max(axis=(-2, -1))
+        defect = np.abs(vec.conj().swapaxes(-1, -2) @ vec - np.eye(d)).max(axis=(-2, -1))
+        assert (residual <= 4 * d * np.maximum(eps * rho, 5e-324)).all()
+        assert (defect <= 4 * d * eps).all()
+        assert (np.diff(lam, axis=-1) <= 0.0).all()
+        # phase convention: the first entry above 1e-12 of each column is real positive
+        first = np.take_along_axis(vec, (np.abs(vec) > 1e-12).argmax(axis=-2)[:, None], -2)
+        assert (first.real > 0.0).all() and (np.abs(first.imag) <= 1e-15).all()
+
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self, rng):
@@ -286,6 +314,15 @@ class TestRelativeEntropy:
     def test_dim_mismatch(self, rng):
         with pytest.raises(QuantumValueError):
             relative_entropy(random_density(rng, 2), random_density(rng, 4))
+
+    def test_thermal_pairs_give_the_classical_kl(self, rng):
+        # thermal states share the eigenbasis of sigma_y, so D is the two-outcome KL of their
+        # log populations (largest relative gap seen: 1.3e-11)
+        for a, b in rng.uniform(0.0, 8.0, (200, 2)).tolist():
+            got = relative_entropy(thermal_state(a).rho, thermal_state(b).rho)
+            want = _classical_kl(_log_populations(a), _log_populations(b))
+            assert type(got) is float
+            assert abs(got - want) <= TOL["entropy_identity"] * max(1.0, abs(want)), (a, b)
 
 
 class TestFidelity:
@@ -442,7 +479,7 @@ class TestStackedChecks:
             ref = (eigh2 if state.dim == 2 else np.linalg.eigvalsh)(state.matrix)[::-1]
             ref = ref[ref >= 1e-14]
             ref = float(max(-np.sum(ref * np.log(ref)), 0.0))
-            assert repr(entropies(lam)[0]) == repr(ref) == repr(von_neumann_entropy(state))
+            assert repr(entropies(lam).tolist()[0]) == repr(ref) == repr(von_neumann_entropy(state))
 
     def test_entropies_clamp_as_max_does(self, rng):
         # np.where(s < 0.0, 0.0, s) gives max(s, 0.0) bit for bit: the -0.0 of a pure state and
@@ -460,7 +497,8 @@ class TestStackedChecks:
             lam = np.concatenate([lam, special, np.full((1, d), 1.0 / d)])
             sums = (lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
             got = entropies(lam)
-            assert all(type(s) is float for s in got)
+            assert got.dtype == float and got.shape == (len(lam),)
+            got = got.tolist()
             assert np.array(got).tobytes() == np.array(
                 [max(-s, 0.0) for s in sums.tolist()]).tobytes()
             assert [math.copysign(1.0, s) for s in got[64:67]] == [-1.0] * 3
@@ -565,14 +603,11 @@ class TestStackedChecks:
 class TestEigh2:
     """The closed-form 2x2 kernel against a 50-digit reference.
 
-    Bounds, set from the rounding steps of the closed form (about six, each
-    at most an ulp or so of the spectral radius rho = max |lambda|): each
-    eigenvalue within 4 ulps of rho, each eigenvector residual |A v - lambda v|
-    within 4 eps rho (4 * 5e-324 where rho is subnormal) and the orthonormality
-    defect of the columns within 4 eps, subnormal off-diagonals included.  Where
-    r << |m| each eigenvalue is within 1 ulp of itself: the form takes no
-    difference of nearly equal terms.  The largest errors seen over 20,000 to
-    40,000 samples per family were 2.8 ulps, 2.1 eps rho and 2.0 eps.
+    Bound, set from the rounding steps of the closed form (about six, each at
+    most an ulp or so of the spectral radius rho = max |lambda|): each
+    eigenvalue within 4 ulps of rho.  Where r << |m| each eigenvalue is within
+    1 ulp of itself: the form takes no difference of nearly equal terms.  The
+    largest error seen over 20,000 to 40,000 samples per family was 2.8 ulps.
     """
 
     ULPS = 4
@@ -626,44 +661,24 @@ class TestEigh2:
                 if kind == "near-degenerate":
                     assert abs(Decimal(g) - w) <= Decimal(np.spacing(abs(g))), (m, got)
 
-    @pytest.mark.parametrize("kind", ["density", "pure", "scaled", "near-degenerate", "subnormal"])
-    def test_eigenvectors_are_orthonormal_with_a_small_residual(self, rng, kind):
-        stack = self._family(rng, kind, 2000)
-        if kind == "subnormal":
-            stack[:3] = [[[0.5, 5e-324], [5e-324, 0.5]], [[0.5, -1e-320j], [1e-320j, 0.5]],
-                         [[5e-324, 5e-324], [5e-324, 5e-324]]]
-        lam, vec = eigh2(stack, True)
-        eps = np.finfo(float).eps
-        rho = np.abs(lam).max(axis=-1)
-        residual = np.abs(stack @ vec - vec * lam[:, None, :]).max(axis=(-2, -1))
-        defect = np.abs(vec.conj().swapaxes(-1, -2) @ vec - ID2).max(axis=(-2, -1))
-        # eps rho underflows where rho is subnormal; the residual is then rounded to 5e-324
-        assert (residual <= self.ULPS * np.maximum(eps * rho, 5e-324)).all()
-        assert (defect <= self.ULPS * eps).all()
-
     def test_diagonal_and_scalar_matrices_are_exact(self):
-        # b = 0 gives the diagonal itself, ascending, and unit eigenvectors; r = 0 (rho = I/2
-        # and other multiples of the identity) gives a well-defined basis, with no warning
+        # b = 0 gives the diagonal itself, ascending; r = 0 (rho = I/2 and other multiples of
+        # the identity) too, with no warning
         cases = [(0.75, 0.25), (0.25, 0.75), (0.5, 0.5), (1e-300, 1.0), (1.0, 5e-324),
                  (-3.0, -3.0), (0.0, 0.0), (-0.0, 7.0)]
         stack = np.array([np.diag(c) for c in cases], dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam, vec = eigh2(stack, True)
+            lam = eigh2(stack)
         assert lam.tolist() == [sorted(c) for c in cases]
-        assert (np.abs(vec) == np.array([[[0, 1], [1, 0]] if a > d else [[1, 0], [0, 1]]
-                                         for a, d in cases])).all()
 
     def test_reads_the_lower_triangle_and_any_stack_shape(self, rng):
         stack = self._family(rng, "density", 12).reshape(3, 4, 2, 2)
         skewed = stack.copy()
         skewed[..., 0, 1] = 7.0 + 3.0j   # the upper triangle is never read
         skewed[..., 0, 0] += 2.0j        # nor the imaginary part of the diagonal
-        for vectors in (False, True):
-            got, want = eigh2(skewed, vectors), eigh2(stack, vectors)
-            for g, w in zip(got if vectors else (got,), want if vectors else (want,)):
-                assert g.tobytes() == w.tobytes()
-        assert eigh2(stack).shape == (3, 4, 2) and eigh2(stack, True)[1].shape == (3, 4, 2, 2)
+        assert eigh2(skewed).tobytes() == eigh2(stack).tobytes()
+        assert eigh2(stack).shape == (3, 4, 2)
         assert eigh2(stack[0, 0]).tobytes() == eigh2(stack)[0, 0].tobytes()
         ulp = np.spacing(np.abs(eigh2(stack)).max(axis=-1, keepdims=True))
         assert (np.abs(eigh2(stack) - np.linalg.eigvalsh(stack)) <= 2 * self.ULPS * ulp).all()

@@ -197,6 +197,13 @@ class TestReconstruct:
         rho = reconstruct(StokesVector(1.0, 0.0, 0.0, 1.0))
         assert np.abs(rho.matrix - np.outer(KET_H, KET_H.conj())).max() < 1e-15
 
+    def test_every_accepted_s0_gives_the_state_of_s0_one(self):
+        # StokesVector accepts |s0 - 1| <= 1e-9; the state is built at s0 = 1, so no accepted
+        # s0 reaches the 1e-12 trace check
+        want = reconstruct(StokesVector(1.0, 0.1, 0.2, 0.3)).matrix.tobytes()
+        for s0 in (1.0 - 9e-10, 1.0 + 5e-10, 1.0 + 9e-10):
+            assert reconstruct(StokesVector(s0, 0.1, 0.2, 0.3)).matrix.tobytes() == want
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # renormalizing by a NaN trace
     def test_normalization_gates_fail_nan(self):
         with pytest.raises(QuantumValueError, match="s0 = nan != 1"):
