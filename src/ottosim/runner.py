@@ -22,11 +22,12 @@ invariants, cycle closure included, hold at any noise level.
 
 ``_cycle_rows`` runs a sweep's angles as one stack: the A->B stroke once per
 operating point per process (``_a_to_b``, a 4-point memo that a one-shot CLI
-sweep never hits), the per-angle strokes on (N, ., .) arrays, then every 2x2
-state checked in one call (a failed A->B check stops every row; the joint states,
-congruences of the checked rho_B by checked elements, are only reduced), then the
-ledger as columns.  A SweepReport (from a sweep or ``load_report``) is the CSV-value
-table and the snapshot stack, rows built on first read; ``run_cycle`` is N = 1.
+sweep never hits), the per-angle strokes on (N, ., .) arrays, then one (2 + 4N, 2, 2)
+stack of every 2x2 state checked in one call (a failed A->B check stops every row; the
+joint states, congruences of the checked rho_B by checked elements, are only reduced),
+whose slices and spectra the ledger columns read.  A SweepReport (from a sweep or
+``load_report``) is the CSV-value table and a builder of the snapshot planes; planes and
+rows are built on first read, which a CSV emit never makes; ``run_cycle`` is N = 1.
 """
 
 import json
@@ -145,11 +146,11 @@ class SweepConfig:
             raise QuantumValueError(f"theta_V = {repeated} deg repeated in a noisy sweep")
         if self.fmt not in ("csv", "json"):
             raise QuantumValueError(f"format must be csv or json, got {self.fmt!r}")
-        EngineParams(n=self.n, x_c=self.x_c)  # range checks
+        object.__setattr__(self, "_params", EngineParams(n=self.n, x_c=self.x_c))  # not a field
         _jones_parameter(self.n, self.omega0_tau)  # the A->B rotation angle must be finite
 
     def params(self):
-        return EngineParams(n=self.n, x_c=self.x_c)
+        return self._params
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,10 @@ def _closure_errors(rho_end, rho_start):
             for i in _failing(defect <= TOL["cycle_closure"])}
 
 
-def _parts(errors, count, parts):
-    # position -> message of `parts` stacks of `count` rows stacked as one, split per stack
-    return [{pos - k * count: message for pos, message in errors.items() if pos // count == k}
-            for k in range(parts)]
+def _parts(errors, *starts):
+    # position -> message of one stack, split into the parts that begin at `starts`, each from 0
+    return [{pos - a: message for pos, message in errors.items() if a <= pos < b}
+            for a, b in zip(starts, (*starts[1:], math.inf))]
 
 
 @lru_cache(maxsize=4)
@@ -197,11 +198,11 @@ def _cycle_rows(thetas, config):
     is checked in one call against the TOL checks a single-matrix computation applies.
     A row reports its first failed check, in stroke order, with its stroke named; the
     other rows go on, and a failed A->B check (rho_A, rho_B or their spectra) stops every
-    row.  The ledger is columns over the passing rows, with only IEEE arithmetic
-    vectorised, so each value has the bits of the per-row formulas; with noise their
-    snapshots are tapped as one stack.  Returns the finished rows sorted by (r, theta_V),
-    as positions in ``thetas``, CSV values and snapshot planes (see SweepReport), and the
-    error of each stopped row.
+    row.  The ledger is columns over all rows, with only IEEE arithmetic vectorised, so
+    each value has the bits of the per-row formulas; with noise the passing rows' snapshots
+    are tapped as one stack.  Returns the finished rows sorted by (r, theta_V), as positions
+    in ``thetas``, CSV values and a function building their snapshot planes (see
+    SweepReport), and the error of each stopped row.
     """
     params, count = config.params(), len(thetas)
     n, x_c = params.n, params.x_c
@@ -224,68 +225,71 @@ def _cycle_rows(thetas, config):
     np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
     rho_c, rho_d, rho_a2 = paths = trace_path(joint).reshape(3, count, 2, 2)
 
-    # every 2x2 state checked in one call, each decomposed once; the spectra give the
-    # entropies of relaxing rho_B (to each hot target) and each rho_D (to rho_A)
-    lam, spec, bad = density_spectra(np.concatenate(
-        [ab, rho_c, thermal_matrices(x_h.tolist()), rho_d, rho_a2]))
-    (lam_c, _, lam_d, _), (_, spec_h, spec_d, _) = (
-        a[2:].reshape(4, count, *a.shape[1:]) for a in (lam, spec))
-    bad_c, bad_h, bad_d, bad_a2 = _parts(
-        {pos - 2: message for pos, message in bad.items() if pos > 1}, count, 4)
+    # the sweep's one state stack [rho_C; rho_A2; rho_D; rho_A; rho_B; hot targets], checked
+    # in one call and each decomposed once: the energies read its first 3N + 2 slices, the
+    # entropies (of relaxing rho_B to each hot target and each rho_D to rho_A) the spectra
+    # of its last 2N + 2
+    c, a = count, 3 * count
+    states = np.empty((a + c + 2, 2, 2), dtype=complex)
+    states[:c], states[c:2 * c], states[2 * c:a], states[a:a + 2] = rho_c, rho_a2, rho_d, ab
+    states[a + 2:] = thermal_matrices(x_h.tolist())
+    lam, spec, bad = density_spectra(states)
+    bad_c, bad_a2, bad_d, bad_a, bad_b, bad_h = _parts(bad, 0, c, 2 * c, a, a + 1, a + 2)
     # rho_A, rho_B and the A->B spectrum are one state or check for all rows
-    fixed = (bad.get(0), bad.get(1), _spectrum_errors(lam[:1], lam[1:2]).get(0))
+    fixed = (bad_a.get(0), bad_b.get(0), _spectrum_errors(lam[a:a + 1], lam[a + 1:a + 2]).get(0))
     errors = {}
     for stroke, checks in (
             ("A->B", [dict.fromkeys(range(count), message) for message in fixed if message]),
             ("B->C", (bad_pd, bad_c, bad_h)),
-            ("C->D", (bad_d, _spectrum_errors(lam_c, lam_d))),
+            ("C->D", (bad_d, _spectrum_errors(lam[:c], lam[2 * c:a]))),
             ("D->A", (bad_ipd, bad_a2, _closure_errors(rho_a2, ab[0])))):
         for i, message in first_errors(*checks).items():
             errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
-    keep = [i for i in range(count) if i not in errors]
-    if errors:
-        theta_v, kappa, x_h, rho_c, rho_d, rho_a2, spec_h, spec_d = (
-            a[keep] for a in (theta_v, kappa, x_h, rho_c, rho_d, rho_a2, spec_h, spec_d))
 
-    # the ledger as columns, one call per quantity (the energies with one H per slice); q_BC in
-    # hbar*omega_fin units, so beta*Q reduces to x_h * q
-    k = len(keep)
-    omega = np.repeat([1.0, n, n, 1.0, 1.0], [1, 1, k, k, k])[:, None, None]
-    e = expectations(hamiltonian(omega), np.concatenate([ab, rho_c, rho_d, rho_a2]))
-    (e_a_cold, e_b_hot), (e_c_hot, e_d_cold, e_a2_cold) = e[:2].tolist(), e[2:].reshape(3, k)
-    s = entropies(np.concatenate([spec[:2], spec_h, spec_d]))
-    (s_cold, s_b), (s_h, s_d) = s[:2].tolist(), s[2:].reshape(2, k)
+    # the ledger as columns over all rows (a stopped row's are dropped with it), one call per
+    # quantity, the energies with one H per slice; q_BC in hbar*omega_fin units, so beta*Q
+    # reduces to x_h * q
+    omega = np.ones(a + 2)
+    omega[:c] = omega[-1] = n  # rho_C and rho_B at the expanded gap
+    e = expectations(hamiltonian(omega[:, None, None]), states[:a + 2])
+    (e_c_hot, e_a2_cold, e_d_cold), (e_a_cold, e_b_hot) = e[:a].reshape(3, c), e[a:].tolist()
+    s = entropies(spec[2 * c:])
+    s_d, (s_cold, s_b), s_h = s[:c], s[c:c + 2].tolist(), s[c + 2:]
     q_bc = e_c_hot - e_b_hot
     w_cd = e_d_cold - e_c_hot
     q_da = e_a2_cold - e_d_cold
     sig_e = (s_h - s_b) - x_h * (q_bc / n)
     sig_c = (s_cold - s_d) - x_c * q_da
-    energies = np.array([np.full(k, e_b_hot - e_a_cold), q_bc, w_cd, q_da])
-    table = np.concatenate([
-        degrees[keep][None],
-        ledger_columns(theta_v, kappa, x_h / x_c, energies, sig_e, sig_c)[1:],
-        np.abs(energies - closed_form_energies(kappa, params)).max(axis=0)[None]]).T
+    r = x_h / x_c
+    energies = np.array([np.full(count, e_b_hot - e_a_cold), q_bc, w_cd, q_da])
+    table = np.array([degrees, *ledger_columns(kappa, r, energies, sig_e, sig_c),
+                      np.abs(energies - closed_form_energies(kappa, params)).max(axis=0)])
 
-    # with noise the snapshots pass through one (K, 5, 2, 2) tap, row i on substream i
-    tap_errors = {}
-    if config.noise_sigma > 0.0:
+    # the rows that passed; with noise their snapshots pass through one (K, 5, 2, 2) tap,
+    # row i on substream i, and a row the tap fails stops too
+    ok = np.ones(count, dtype=bool)
+    ok[list(errors)] = False
+    noisy = config.noise_sigma > 0.0
+    if noisy:
+        keep = np.flatnonzero(ok)
         streams = np.random.SeedSequence(config.seed).spawn(count)
-        snaps = np.empty((k, 5, 2, 2), complex)
-        snaps[:, :2], snaps[:, 2], snaps[:, 3], snaps[:, 4] = ab, rho_c, rho_d, rho_a2
+        snaps = np.empty((len(keep), 5, 2, 2), complex)
+        snaps[:, :2], snaps[:, 2:] = ab, paths[:, keep].swapaxes(0, 1)
         taps, tap_errors = tomography_stack(
-            snaps, config.noise_sigma, [np.random.default_rng(streams[i]) for i in keep])
-        errors.update((keep[k], QuantumValueError(message)) for k, message in tap_errors.items())
-    # the finished rows by (r, theta_V); without noise every row shares one TA and one TB
-    sel = np.lexsort((table[:, 0], table[:, 2]))
-    if tap_errors:
-        sel = sel[[k not in tap_errors for k in sel.tolist()]]
-    rows = sel if len(keep) == count else np.array(keep, dtype=int)[sel]  # positions in thetas
-    planes = tuple(taps[sel].swapaxes(0, 1)) if config.noise_sigma > 0.0 else (
-        *np.broadcast_to(ab[:, None], (2, len(sel), 2, 2)), *paths[:, rows])
-    table = table[sel]
-    for a in (table, *planes):
-        a.flags.writeable = False
-    return rows.tolist(), table, planes, errors
+            snaps, config.noise_sigma, [np.random.default_rng(streams[i]) for i in keep.tolist()])
+        stopped = {int(keep[k]): QuantumValueError(message) for k, message in tap_errors.items()}
+        errors.update(stopped)
+        ok[list(stopped)] = False
+    # the finished rows by (r, theta_V); their planes are built on first read, without noise
+    # every row sharing one TA and one TB
+    sel = np.lexsort((degrees, r))
+    rows = sel[ok[sel]]
+
+    def planes():
+        if noisy:
+            return tuple(_frozen(taps[np.searchsorted(keep, rows)]).swapaxes(0, 1))
+        return (*np.broadcast_to(ab[:, None], (2, len(rows), 2, 2)), *_frozen(paths[:, rows]))
+    return rows.tolist(), _frozen(table.T[rows]), planes, errors
 
 
 def run_cycle(theta_deg, config=None):
@@ -309,15 +313,22 @@ def run_cycle(theta_deg, config=None):
 class SweepReport:
     """A sweep's rows (sorted by r, then theta_V), its failures and its metadata, as columns.
 
-    ``table`` is the read-only (N, 13) array of CSV values and ``planes`` the (N, 5, 2, 2)
-    snapshot stack as one read-only (N, 2, 2) plane per label (``run_sweep`` broadcasts a
-    noiseless TA and TB from one matrix).  ``emit`` reads only the columns; ``rows``
+    ``table`` is the read-only (N, 13) array of CSV values and ``planes`` a function giving
+    the (N, 5, 2, 2) snapshot stack as one read-only (N, 2, 2) plane per label (a noiseless
+    sweep's TA and TB broadcast from one matrix).  ``_planes`` runs it on first read and keeps
+    its planes, so a CSV ``emit``, which reads only the columns, never builds them; ``rows``
     builds the CycleResults on first read and keeps them.
     """
 
     def __init__(self, table, planes, failures=None, metadata=None):
-        self._table, self._planes, self._rows = table, planes, None
+        self._table, self._plane_builder, self._built_planes, self._rows = table, planes, None, None
         self.failures, self.metadata = failures or {}, metadata or {}
+
+    @property
+    def _planes(self):
+        if self._built_planes is None:
+            self._built_planes = self._plane_builder()
+        return self._built_planes
 
     @property
     def rows(self):
@@ -453,10 +464,8 @@ def load_report(data):
         raise QuantumValueError(bad[min(bad)])
     failures = _required(doc["failures"], dict, "report key failures")
     metadata = _required(doc["metadata"], dict, "report key metadata")
-    stack = stack.reshape(-1, len(SNAPSHOT_LABELS), 2, 2)
-    for a in (table, stack):
-        a.flags.writeable = False
-    return SweepReport(table, tuple(stack.swapaxes(0, 1)), failures, metadata)
+    planes = tuple(_frozen(stack).reshape(-1, len(SNAPSHOT_LABELS), 2, 2).swapaxes(0, 1))
+    return SweepReport(_frozen(table), lambda: planes, failures, metadata)
 
 
 def _required(value, kind, where):

@@ -178,21 +178,20 @@ def closed_form_energetics(kappa, params):
     sigma_e = _classical_kl(log_cold, log_hot)
     sigma_c = _classical_kl(log_hot, log_cold)
     theta_v = 0.5 * math.acos(min(max(kappa, -1.0), 1.0))
-    columns = ledger_columns(*np.array([[theta_v], [kappa], [r]]), energies,
-                             *np.array([[sigma_e], [sigma_c]]))
-    return CycleLedger(*columns[:, 0].tolist())
+    columns = ledger_columns(*np.array([[kappa], [r]]), energies, *np.array([[sigma_e], [sigma_c]]))
+    return CycleLedger(theta_v, *np.array(columns)[:, 0].tolist())
 
 
-def ledger_columns(theta_v, kappa, r, energies, sigma_e, sigma_c):
-    """The twelve CycleLedger fields in order, as the rows of a (12, N) array.
+def ledger_columns(kappa, r, energies, sigma_e, sigma_c):
+    """The eleven CycleLedger fields after theta_v, in order, as a list of (N,) arrays.
 
     Every argument is an (N,) array, ``energies`` the (4, N) W_AB, Q_BC, W_CD and Q_DA;
     dU_cycle, W_extracted and Sigma_cycle are derived from them and the two entropy
     productions.
     """
     w_ab, q_bc, w_cd, q_da = energies
-    return np.array([theta_v, kappa, r, *energies, w_ab + q_bc + w_cd + q_da,
-                     np.abs(q_bc) - np.abs(q_da), sigma_e, sigma_c, sigma_e + sigma_c])
+    return [kappa, r, *energies, w_ab + q_bc + w_cd + q_da, np.abs(q_bc) - np.abs(q_da),
+            sigma_e, sigma_c, sigma_e + sigma_c]
 
 
 def expectations(h, stack):

@@ -5,6 +5,8 @@ single-angle runs give; every per-angle gate must be able to fail one row
 of a stack while the other rows go on, naming the failing stroke.
 """
 
+import hashlib
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -44,6 +46,7 @@ from ottosim.runner import (
     CycleResult,
     SweepConfig,
     SweepReport,
+    compare_golden,
     emit,
     load_report,
     run_cycle,
@@ -605,7 +608,7 @@ def _columns_report(rows, failures=None, metadata=None):
     table = np.array([_csv_values(row) for row in rows], float).reshape(-1, len(CSV_COLUMNS))
     planes = tuple(np.array([row.snapshots[label].matrix for row in rows], complex)
                    .reshape(-1, 2, 2) for label in SNAPSHOT_LABELS)
-    return SweepReport(table, planes, failures, metadata)
+    return SweepReport(table, lambda: planes, failures, metadata)
 
 
 # -- the deferred checks against the stroke-by-stroke engine they replaced ------
@@ -713,7 +716,7 @@ def _reference_cycle_rows(thetas, config):
     energies = np.stack(np.broadcast_arrays(f.w_ab, q_bc, w_cd, q_da))
     closed = closed_form_energies(kappa[rows.index], f.params)
     columns = np.vstack([
-        ledger_columns(theta_v, kappa[rows.index], r[rows.index], energies, sig_e, sig_c),
+        theta_v, *ledger_columns(kappa[rows.index], r[rows.index], energies, sig_e, sig_c),
         np.abs(energies - closed).max(axis=0)]).T.tolist()
 
     for stack in (rho_c, rho_d, rho_a2):
@@ -817,6 +820,80 @@ def test_noiseless_rows_share_their_fixed_snapshots():
         assert all(np.shares_memory(row.snapshots[label].matrix, first) for row in rows)
     assert not any(np.shares_memory(row.snapshots["TC"].matrix, rows[0].snapshots["TC"].matrix)
                    for row in rows[1:])
+
+
+# -- snapshot planes built on first read ------------------------------------------
+
+# sha256 of the noiseless JSON reports of the default sweep and of the 128 angles 45k/128
+# (22.5 among them), as emitted when every sweep still built its snapshot planes on return
+PLANE_CONFIGS = {
+    "default": (SweepConfig(),
+                "9759bc7ae3e1cef3608a8cc284f4e757772f732f2c9a313f63e3202b0029503c"),
+    "grid128": (SweepConfig(theta_list_deg=tuple(45.0 * k / 128 for k in range(128))),
+                "e6531341e58d06020c2a76486fd802d6038bb5bb8f73d534a2e86a163113bcd3"),
+}
+
+
+def _planes_built(report):
+    return report._built_planes is not None
+
+
+@pytest.mark.parametrize("name", list(PLANE_CONFIGS))
+def test_a_csv_emit_leaves_the_planes_unbuilt(name):
+    report = run_sweep(PLANE_CONFIGS[name][0])
+    emit(report, "csv")
+    assert not _planes_built(report)
+    planes = report._planes
+    assert _planes_built(report) and report._planes is planes
+    assert [plane.shape for plane in planes] == [(len(report._table), 2, 2)] * 5
+    assert not any(a.flags.writeable for a in (report._table, *planes))
+
+
+@pytest.mark.parametrize("name", list(PLANE_CONFIGS))
+def test_planes_built_by_any_first_reader_keep_the_frozen_json(name):
+    # JSON emit, rows and compare_golden each build the planes when read first; the report
+    # loaded back from the frozen bytes anchors rows and compare_golden
+    config, digest = PLANE_CONFIGS[name]
+    blob = emit(run_sweep(config), "json")
+    assert hashlib.sha256(blob).hexdigest() == digest
+    loaded = load_report(blob)
+    expected = compare_golden(loaded)
+    for first in ("json", "rows", "golden"):
+        report = run_sweep(config)
+        if first == "rows":
+            assert report.rows == loaded.rows
+        if first == "golden":
+            assert compare_golden(report) == expected
+        assert emit(report, "json") == blob, first
+        assert report == loaded and compare_golden(report) == expected
+
+
+@pytest.mark.parametrize("gate", list(GATES))
+def test_planes_of_the_rows_a_gate_keeps(monkeypatch, gate):
+    clean = json.loads(emit(run_sweep(), "json"))
+    GATES[gate][0](monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_sweep()
+        emit(report, "csv")
+        assert not _planes_built(report)
+        doc = json.loads(emit(report, "json"))
+    assert doc["rows"] == [row for row in clean["rows"] if row["theta_v_deg"] != 22.5]
+    assert doc["snapshots"] == {key: snaps for key, snaps in clean["snapshots"].items()
+                                if key != "22.5"}
+    assert [row.theta_deg for row in report.rows] == [row["theta_v_deg"] for row in doc["rows"]]
+    with pytest.raises(QuantumValueError, match="no theta_V = 22.5 deg row"):
+        compare_golden(report)
+
+
+def test_the_empty_sweep_and_a_single_cycle_build_their_planes():
+    empty = run_sweep(SweepConfig(theta_list_deg=()))
+    assert emit(empty, "csv") == (",".join(CSV_COLUMNS) + "\n").encode()
+    assert not _planes_built(empty)
+    assert [plane.shape for plane in empty._planes] == [(0, 2, 2)] * 5
+    assert empty.rows == () and load_report(emit(empty, "json")) == empty
+    for theta in (0.0, 22.5, 45.0):
+        assert run_cycle(theta) == run_sweep(SweepConfig(theta_list_deg=(theta,))).rows[0]
 
 
 # -- the columnar report against rows built one by one ---------------------------
