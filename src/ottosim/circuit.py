@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optics
-from .qcore import (ID2, KET_PSI_RC, DensityOperator, QuantumValueError, density_failures,
-                    trace_path, wrap_validated)
+from .qcore import (ID2, KET_PSI_RC, DensityOperator, QuantumValueError, _raise_first,
+                    density_failures, gate, trace_path, wrap_validated)
 from .thermo import thermal_matrices
 
 __all__ = [
@@ -258,9 +258,7 @@ class CompiledCircuit:
                 states[i] = state
         states = np.array(states)
         states.flags.writeable = False
-        failures = density_failures(states)
-        if failures:
-            raise QuantumValueError(failures[min(failures)])
+        _raise_first(density_failures(states))
         return CircuitRun(snapshots={label: wrap_validated(states[i], label)
                                      for label, i in taps.items()},
                           final=wrap_validated(states[-1]))
@@ -301,9 +299,10 @@ def _lower(instructions, where, joint, alphas):
     bad_pol = optics._not_unitary(optics._unitarity_defects(mats), "polarization element")
     failures = [(pol[i], message) for i, message in bad_pol.items()]
     if where["pd"] or where["ipd"]:
-        pd, ipd, _, bad_pd, bad_ipd = optics.dephasing_blocks(radians("pd"), radians("ipd"))
-        for op, u, errors in (("pd", pd, bad_pd), ("ipd", ipd, bad_ipd)):
-            failures += [(where[op][i], message) for i, message in errors.items()]
+        pd, ipd, _, defects = optics.dephasing_blocks(radians("pd"), radians("ipd"))
+        blocks = where["pd"] + where["ipd"]  # the instruction of each row of defects
+        failures += [(blocks[i], m) for i, m in gate(defects, *optics.BLOCK_GATE).items()]
+        for op, u in (("pd", pd), ("ipd", ipd)):
             for k, a, b in zip(where[op], u, u.conj().swapaxes(-1, -2)):
                 steps[k] = (op, a, b)
     if failures:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import (ID2, ID4, TOL, KrausSet, QuantumValueError, _as_square, _failing,
-                    first_errors, kraus_errors, tensor)
+from .qcore import (_KRAUS_MESSAGE, ID2, ID4, TOL, KrausSet, QuantumValueError, _as_square,
+                    _kraus_defects, _raise_first, gate, tensor)
 
 __all__ = [
     "OpticalElement",
@@ -34,6 +34,7 @@ __all__ = [
     "pd_block",
     "ipd_block",
     "dephasing_blocks",
+    "BLOCK_GATE",
     "expansion_unitary",
     "compression_unitary",
     "kappa_from_theta_deg",
@@ -63,16 +64,13 @@ def _unitarity_defects(stack):
 
 def _not_unitary(defect, what):
     # position -> message for each defect above TOL["unitary"], NaN included
-    return {i: f"{what} not unitary: defect {defect[i]:.3g}"
-            for i in _failing(defect <= TOL["unitary"])}
+    return gate(defect, TOL["unitary"], (f"{what} not unitary: defect {{:.3g}}".format,))
 
 
 def _checked_unitary(m, what):
     # m as a read-only complex array; QuantumValueError if it is no 2x2 or 4x4 unitary
     m = _as_square(m, what)
-    errors = _not_unitary(_unitarity_defects(m[None]), what)
-    if errors:
-        raise QuantumValueError(errors[0])
+    _raise_first(_not_unitary(_unitarity_defects(m[None]), what))
     m.flags.writeable = False
     return m
 
@@ -193,6 +191,14 @@ def _ipd_product(arms):
     return (_left_mul(_PBS, arms).reshape(-1, 4) @ _PHASE_0 @ _PBS @ _FLIP).reshape(arms.shape)
 
 
+# The checks of a dephasing-block angle as gate columns: its range [0, pi/4] as -theta_v <= 0 and
+# theta_v <= pi/4 + 1e-15, PD Kraus completeness (0 for an IPD) and arm-plate unitarity.
+BLOCK_GATE = (np.array([0.0, np.pi / 4 + 1e-15, TOL["kraus"], TOL["unitary"]]), (
+    lambda d, *_: f"theta_v = {-d:.6g} rad outside [0, pi/4]",
+    "theta_v = {:.6g} rad outside [0, pi/4]".format,
+    _KRAUS_MESSAGE, "HWP element not unitary: defect {:.3g}".format))
+
+
 def dephasing_blocks(pd_theta, ipd_theta):
     """Dilation unitaries of a PD block per angle of ``pd_theta`` and an IPD block per angle of
     ``ipd_theta`` (radians; either list may be empty).
@@ -200,19 +206,16 @@ def dephasing_blocks(pd_theta, ipd_theta):
     The PD circuit is PBS1 -> arm plates (H arm fixed, V arm at
     hwp(pi - 2 theta_v), so |V> -> sin 2t |H> + cos 2t |V>) -> PZT at zero
     phase -> PBS2 -> HWP5; the IPD is its mirror.  Both lists share one
-    range check and one arm-plate build and check per distinct angle; an
-    empty list builds and checks nothing.  Returns (pd (P, 4, 4), ipd (Q, 4, 4),
-    the PD Kraus pairs (P, 2, 2, 2), pd_errors, ipd_errors): each errors dict
-    maps the position in its list of each angle that fails a check (angle
-    range, Kraus completeness for a PD, arm-plate unitarity, which bounds the
-    block's, in that order) to its message.  Each constant stage is one BLAS
+    arm-plate build and check per distinct angle; an empty list builds and
+    checks nothing.  Returns (pd (P, 4, 4), ipd (Q, 4, 4), the PD Kraus pairs
+    (P, 2, 2, 2), the (P + Q, 4) defects of ``BLOCK_GATE``), the defects' rows
+    the PD angles and then the IPD angles.  Each constant stage is one BLAS
     call over the whole stack, and every slice keeps the bits of the block
     built alone.
     """
     pd_theta = np.asarray(pd_theta, dtype=float)
     count = len(pd_theta)
     theta_v = np.concatenate([pd_theta, ipd_theta])
-    in_range = (theta_v >= 0.0) & (theta_v <= np.pi / 4 + 1e-15)
     ordered = np.sort(theta_v)  # the distinct angles, and plate[i] the one of position i
     angles = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
     plate = np.searchsorted(angles, theta_v)
@@ -224,13 +227,12 @@ def dephasing_blocks(pd_theta, ipd_theta):
     # No block is checked for unitarity: the arm stage holds the plate beside hwp(0) bit for
     # bit, and the constant stages are permutations up to the 6.1e-17 entries of hwp(pi/2),
     # with float defect 0.0, so block defect <= plate defect + 2 ulp (a bound the tests pin).
-    # Positions run over both lists, the PD angles first (the only ones with Kraus pairs).
-    errors = first_errors(
-        {i: f"theta_v = {theta_v[i]:.6g} rad outside [0, pi/4]" for i in _failing(in_range)},
-        kraus_errors(kraus) if count else {},
-        _not_unitary(_unitarity_defects(arm_v)[plate], "HWP element"))
-    return (pd, ipd, kraus, {i: message for i, message in errors.items() if i < count},
-            {i - count: message for i, message in errors.items() if i >= count})
+    defects = np.zeros((len(theta_v), 4))
+    defects[:, 0], defects[:, 1] = -theta_v, theta_v
+    defects[:, 3] = _unitarity_defects(arm_v)[plate]
+    if count:
+        defects[:count, 2] = _kraus_defects(kraus)
+    return pd, ipd, kraus, defects
 
 
 def pd_block(theta_v):
@@ -241,9 +243,8 @@ def pd_block(theta_v):
     starts in k0 and is traced after), and the equivalent 2-dim Kraus pair
     diag(1, cos 2theta_v), diag(0, sin 2theta_v).
     """
-    u, _, kraus, errors, _ = dephasing_blocks([theta_v], [])
-    if errors:
-        raise QuantumValueError(errors[0])
+    u, _, kraus, defects = dephasing_blocks([theta_v], [])
+    _raise_first(gate(defects, *BLOCK_GATE))
     return ChannelBlock("PD", unitary=u[0], kraus=KrausSet(kraus[0]))
 
 
@@ -254,9 +255,8 @@ def ipd_block(theta_v):
     PBS4) composes to the inverse of the dephasing unitary: with both PZTs
     at zero phase the joint composite satisfies ipd . pd = identity.
     """
-    _, u, _, _, errors = dephasing_blocks([], [theta_v])
-    if errors:
-        raise QuantumValueError(errors[0])
+    _, u, _, defects = dephasing_blocks([], [theta_v])
+    _raise_first(gate(defects, *BLOCK_GATE))
     return ChannelBlock("IPD", unitary=u[0])
 
 

@@ -11,7 +11,8 @@ so joint basis index = 2*pol + path.  All entropies are in nats.
 
 Matrices are plain complex ndarrays of shape (2, 2) or (4, 4); the only
 wrapped types are :class:`DensityOperator` (validated, immutable) and
-:class:`KrausSet` (completeness-checked).
+:class:`KrausSet` (completeness-checked).  A stacked check is one defect
+column per slice, compared with its bound by :func:`gate`.
 """
 
 import numpy as np
@@ -34,9 +35,12 @@ __all__ = [
     "tensor",
     "partial_trace_path",
     "wrap_validated",
-    "first_errors",
+    "gate",
+    "DENSITY_GATE",
+    "density_defects",
     "density_failures",
     "density_spectra",
+    "spectra",
     "kraus_errors",
     "trace_path",
     "entropies",
@@ -64,6 +68,7 @@ TOL = {
     "energy": 1e-9,         # closed-form vs state-derived energetics, first law
     "entropy_identity": 1e-9,    # Delta S - beta Q vs relative entropy
     "cycle_closure": 1e-10,      # final vs initial polarization state
+    "spectrum": 1e-10,      # spectrum shift across a unitary stroke
     "roundtrip": 1e-12,     # tomography measure -> stokes -> reconstruct
     "stokes_physical": 1e-9,     # admissible Bloch-vector norm excess
     "golden_fidelity": 0.98,     # simulator vs experimental matrices
@@ -113,9 +118,7 @@ class DensityOperator:
 
     def __init__(self, matrix, label=None):
         m = _as_square(matrix, "density operator").copy()
-        errors = density_failures(m[None])
-        if errors:
-            raise QuantumValueError(errors[0])
+        _raise_first(density_failures(m[None]))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "label", label)
@@ -159,9 +162,7 @@ class KrausSet:
         dim = ops[0].shape[0]
         if any(k.shape[0] != dim for k in ops):
             raise QuantumValueError("Kraus operators must share one dimension")
-        errors = kraus_errors(np.stack(ops)[None])
-        if errors:
-            raise QuantumValueError(errors[0])
+        _raise_first(kraus_errors(np.stack(ops)[None]))
         for k in ops:
             k.flags.writeable = False
         object.__setattr__(self, "operators", ops)
@@ -187,17 +188,24 @@ def wrap_validated(matrix, label=None):
     return out
 
 
-def first_errors(*checks):
-    """Merge position -> message dicts; each position keeps its first message.
-
-    Pass the checks in the order a single-matrix code path would run them,
-    so a failing row reports the check it would have stopped at.
+def gate(defects, bounds, messages, *context):
+    """Position -> message of each row of an (N, K) (or, for one check, (N,)) defect array failing
+    a check: row i passes check k where ``defects[i, k] <= bounds[k]``, so NaN fails, and a failing
+    row gets ``messages[k](defect, i, *context)`` of its first failing k (a template's ``format``
+    reads the defect alone).  Passing rows cost one comparison and one ``.all()``, nothing more.
     """
-    merged = {}
-    for errors in checks:
-        for pos, message in errors.items():
-            merged.setdefault(pos, message)
-    return merged
+    ok = defects <= bounds
+    if ok.all():
+        return {}
+    ok, defects = ok.reshape(len(ok), -1), defects.reshape(len(ok), -1)
+    return {i: messages[k](defects[i, k], i, *context)
+            for i, k in enumerate(ok.argmin(axis=1).tolist()) if not ok[i, k]}
+
+
+def _raise_first(errors):
+    # a gate's verdict on a single matrix, or on a stack checked whole: its first failure raised
+    if errors:
+        raise QuantumValueError(errors[min(errors)])
 
 
 def eigh2(stack):
@@ -221,28 +229,35 @@ def _herm_defect(stack):
     return np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def _decomposed(stack):
-    # the Hermiticity defect and ascending eigh2 (2x2) or LAPACK (4x4) eigenvalues of a matrix
-    # or of each slice of a stack; a slice holding NaN or inf fails Hermiticity first and gets NaN
+# The DensityOperator checks as gate columns: Hermiticity defect, |tr - 1|, and -lambda_min against
+# -TOL["psd"] (negation is exact); the trace message prints slice i's tr[i].real, not the defect.
+DENSITY_GATE = (np.array([TOL["herm"], TOL["trace"], -TOL["psd"]]), (
+    "not Hermitian: defect {:.3g}".format,
+    lambda d, i, tr: f"trace {tr[i].real:.15g} != 1",
+    lambda d, i, tr: f"not positive semidefinite: min eigenvalue {-d:.3g}"))
+
+
+def density_defects(stack):
+    """The DensityOperator checks of each slice of an (N, d, d) stack, as DENSITY_GATE reads them.
+
+    Returns the ascending eigh2 (2x2) or LAPACK (4x4) eigenvalues, the (N, 3) defects and the
+    traces, with np.trace's bits: (d0 + d1) + (d2 + d3) for four.
+    """
     eig = eigh2 if stack.shape[-1] == 2 else np.linalg.eigvalsh
-    herm = _herm_defect(stack)
-    if np.isfinite(stack).all():
-        return herm, eig(stack)
-    skip = ~np.isfinite(herm)
-    lam = eig(stack if stack.shape[-1] == 2 else np.where(skip[..., None, None], 0.0, stack))
-    lam[skip] = np.nan
-    return herm, lam
-
-
-def _density_message(herm, trace, lam_min):
-    # the first DensityOperator check these defects fail (a NaN fails each), or None
-    if not herm <= TOL["herm"]:
-        return f"not Hermitian: defect {herm:.3g}"
-    if not abs(trace - 1.0) <= TOL["trace"]:
-        return f"trace {trace.real:.15g} != 1"  # the gate reads the complex trace
-    if not lam_min >= TOL["psd"]:
-        return f"not positive semidefinite: min eigenvalue {lam_min:.3g}"
-    return None
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
+        herm = _herm_defect(stack)
+        if np.isfinite(stack).all():
+            lam = eig(stack)
+        else:  # a slice holding NaN or inf fails Hermiticity first and gets NaN eigenvalues
+            skip = ~np.isfinite(herm)
+            lam = eig(stack if eig is eigh2 else np.where(skip[..., None, None], 0.0, stack))
+            lam[skip] = np.nan
+        trace = stack[:, 0, 0] + stack[:, 1, 1]
+        if stack.shape[-1] == 4:
+            trace = trace + (stack[:, 2, 2] + stack[:, 3, 3])
+        defects = np.empty((len(stack), 3))
+        defects[:, 0], defects[:, 1], defects[:, 2] = herm, np.abs(trace - 1.0), -lam[:, 0]
+    return lam, defects, trace
 
 
 def density_failures(stack):
@@ -251,26 +266,8 @@ def density_failures(stack):
     Returns a dict mapping the position of each failing slice to the message the
     constructor would raise for it; :func:`density_spectra` also returns the eigenvalues.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
-        herm, lam = _decomposed(stack)
-        return _density_failures(stack, lam, herm)
-
-
-def _density_failures(stack, lam, herm):
-    # position -> constructor message of each slice failing a check, given its defects (under the
-    # caller's np.errstate); the traces have np.trace's bits: (d0 + d1) + (d2 + d3) for four;
-    # every lam is ascending, or all NaN, so its first column is its minimum
-    trace, lam_min = stack[:, 0, 0] + stack[:, 1, 1], lam[:, 0]
-    if stack.shape[-1] == 4:
-        trace = trace + (stack[:, 2, 2] + stack[:, 3, 3])
-    ok = (herm <= TOL["herm"]) & (np.abs(trace - 1.0) <= TOL["trace"]) & (lam_min >= TOL["psd"])
-    return {i: _density_message(herm[i], trace[i], lam_min[i]) for i in _failing(ok)}
-
-
-def _failing(ok):
-    # the flat positions where the boolean array ok is False, after one ok.all(): nothing when
-    # every slice passes; callers pass `defect <= tol`, so a NaN defect fails
-    return () if ok.all() else np.flatnonzero(~ok).tolist()
+    _, defects, trace = density_defects(stack)
+    return gate(defects, *DENSITY_GATE, trace)
 
 
 def _kraus_defects(stack):
@@ -281,11 +278,12 @@ def _kraus_defects(stack):
     return np.abs(total - (ID2 if d == 2 else np.eye(d))).max(axis=(-2, -1))
 
 
+_KRAUS_MESSAGE = "incomplete Kraus set: defect {:.3g}".format
+
+
 def kraus_errors(stack):
     """Completeness check of each Kraus set in an (N, k, d, d) stack; position -> message."""
-    defect = _kraus_defects(stack)
-    return {i: f"incomplete Kraus set: defect {defect[i]:.3g}"
-            for i in _failing(defect <= TOL["kraus"])}
+    return gate(_kraus_defects(stack), TOL["kraus"], (_KRAUS_MESSAGE,))
 
 
 def tensor(a, b):
@@ -331,9 +329,8 @@ def eig_herm(m):
     """
     m = _as_square(m, "eig_herm input")
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
-        defect = _herm_defect(m)
-    if not defect <= TOL["eig_herm_input"]:  # so every entry is finite
-        raise QuantumValueError(f"eig_herm needs a Hermitian matrix: defect {defect:.3g}")
+        _raise_first(gate(_herm_defect(m[None]), TOL["eig_herm_input"],  # so every entry is finite
+                          ("eig_herm needs a Hermitian matrix: defect {:.3g}".format,)))
     lam, vec = np.linalg.eigh(m)
     lam, vec = lam[::-1].copy(), vec[:, ::-1]
     # each unit column divided by the phase of its first entry above 1e-12
@@ -345,8 +342,7 @@ def _spectrum(rho):
     # a density operator, or a matrix checked as its constructor checks it, and its spectrum
     m = rho.matrix if isinstance(rho, DensityOperator) else _as_square(rho, "density operator")
     _, lam, errors = density_spectra(m[None])
-    if errors:
-        raise QuantumValueError(errors[0])
+    _raise_first(errors)
     return m, lam[0]
 
 
@@ -380,20 +376,22 @@ def relative_entropy(rho, sigma):
 def density_spectra(stack):
     """:func:`density_failures` and the entropy spectra of an (N, d, d) stack, eigenvalues only.
 
-    Returns (lam, spec, errors): the ascending eigenvalues the density checks read, the
-    descending spectra with eigenvalues below TOL["eig_clamp"] set to 0, and position ->
-    message of each slice failing a density check.  Their Hermiticity bound TOL["herm"] is
-    at most eig_herm's TOL["eig_herm_input"], so a slice that passes is one eig_herm accepts.
+    Returns (lam, spec, errors): the ascending eigenvalues, their :func:`spectra` and position ->
+    message of each failing slice.  Their Hermiticity bound TOL["herm"] is at most eig_herm's
+    TOL["eig_herm_input"], so a slice that passes is one eig_herm accepts.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
-        herm, lam = _decomposed(stack)
-        spec = lam[..., ::-1]
-        spec = np.where(spec < TOL["eig_clamp"], 0.0, spec)
-        return lam, spec, _density_failures(stack, lam, herm)
+    lam, defects, trace = density_defects(stack)
+    return lam, spectra(lam), gate(defects, *DENSITY_GATE, trace)
+
+
+def spectra(lam):
+    """The descending spectra of ascending eigenvalues, those below TOL["eig_clamp"] set to 0."""
+    spec = lam[..., ::-1]
+    return np.where(spec < TOL["eig_clamp"], 0.0, spec)
 
 
 def entropies(lam):
-    """von Neumann entropy in nats of each clamped spectrum from :func:`density_spectra`.
+    """von Neumann entropy in nats of each clamped spectrum from :func:`spectra`.
 
     ``np.where(s < 0.0, 0.0, s)`` keeps what max(s, 0.0) keeps: a pure state's -0.0, and NaN.
     """

@@ -22,12 +22,13 @@ invariants, cycle closure included, hold at any noise level.
 
 ``_cycle_rows`` runs a sweep's angles as one stack: the A->B stroke once per
 operating point per process (``_a_to_b``, a 4-point memo that a one-shot CLI
-sweep never hits), the per-angle strokes on (N, ., .) arrays, then one (2 + 4N, 2, 2)
-stack of every 2x2 state checked in one call (a failed A->B check stops every row; the
-joint states, congruences of the checked rho_B by checked elements, are only reduced),
-whose slices and spectra the ledger columns read.  A SweepReport (from a sweep or
-``load_report``) is the CSV-value table and a builder of the snapshot planes; planes and
-rows are built on first read, which a CSV emit never makes; ``run_cycle`` is N = 1.
+sweep never hits), the per-angle strokes on (N, ., .) arrays, then one (2 + 4N, 2, 2) stack
+of every 2x2 state decomposed in one call (the joint states, congruences of the checked rho_B
+by checked elements, are only reduced), whose slices the ledger reads.  Each check of a row is
+a column of the gate table ``_GATES``, all compared by one ``qcore.gate`` call (a failed A->B
+column stops every row).  A SweepReport (from a sweep or ``load_report``) is the CSV-value
+table and a builder of the snapshot planes, built with its rows on first read, which a CSV
+emit never makes; ``run_cycle`` is N = 1.
 """
 
 import json
@@ -39,18 +40,20 @@ import numpy as np
 
 from . import __version__
 from .circuit import compile_program, parse
-from .optics import (_P0, _frozen, _jones_parameter, _kron_slices, _left_mul, _right_mul,
-                     dephasing_blocks, expansion_unitary, kappa_from_theta_deg)
+from .optics import (_P0, BLOCK_GATE, _frozen, _jones_parameter, _kron_slices, _left_mul,
+                     _right_mul, dephasing_blocks, expansion_unitary, kappa_from_theta_deg)
 from .qcore import (
+    DENSITY_GATE,
     ID2,
     TOL,
     QuantumValueError,
-    _failing,
+    _raise_first,
+    density_defects,
     density_failures,
-    density_spectra,
     entropies,
     fidelity,
-    first_errors,
+    gate,
+    spectra,
     trace_path,
     wrap_validated,
 )
@@ -161,23 +164,26 @@ class CycleResult:
     max_delta_vs_closed_form: float
 
 
-def _spectrum_errors(lam_a, lam_b):
-    # a unitary stroke leaves each row's (ascending) spectrum in place
-    gap = np.abs(lam_a - lam_b).max(axis=-1)
-    return {i: f"not unitary, spectrum moved by {gap[i]:.3g}" for i in _failing(gap <= 1e-10)}
+def _state_checks(stroke, at):
+    # the density checks of the state at position at(i, c) of the sweep's state stack for row i
+    return [(stroke, bound, lambda d, i, tr, c, m=m: m(d, at(i, c), tr))
+            for bound, m in zip(*DENSITY_GATE)]
 
 
-def _closure_errors(rho_end, rho_start):
-    # the cycle hands each row back the state it started from
-    defect = np.abs(rho_end - rho_start).max(axis=(-2, -1))
-    return {i: f"cycle failed to close, defect {defect[i]:.3g}"
-            for i in _failing(defect <= TOL["cycle_closure"])}
-
-
-def _parts(errors, *starts):
-    # position -> message of one stack, split into the parts that begin at `starts`, each from 0
-    return [{pos - a: message for pos, message in errors.items() if a <= pos < b}
-            for a, b in zip(starts, (*starts[1:], math.inf))]
+# The sweep's gate table: one defect column per check, (stroke, bound, message), in the order a
+# single-matrix computation runs them.  A state's density check is qcore's three columns, reading
+# the trace at its position in the stack [rho_C; rho_A2; rho_D; rho_A; rho_B; hot targets].
+_SPECTRUM = (TOL["spectrum"], "not unitary, spectrum moved by {:.3g}".format)
+_BLOCK = list(zip(*BLOCK_GATE))  # range (two columns), Kraus completeness, arm plate
+_GATES = [
+    *_state_checks("A->B", lambda i, c: 3 * c), *_state_checks("A->B", lambda i, c: 3 * c + 1),
+    ("A->B", *_SPECTRUM), *(("B->C", *check) for check in _BLOCK),
+    *_state_checks("B->C", lambda i, c: i), *_state_checks("B->C", lambda i, c: 3 * c + 2 + i),
+    *_state_checks("C->D", lambda i, c: 2 * c + i), ("C->D", *_SPECTRUM),
+    *(("D->A", *_BLOCK[k]) for k in (0, 1, 3)), *_state_checks("D->A", lambda i, c: c + i),
+    ("D->A", TOL["cycle_closure"], "cycle failed to close, defect {:.3g}".format)]
+_SWEEP_GATE = (np.array([bound for _, bound, _ in _GATES]), tuple(
+    lambda d, i, tr, c, s=stroke, m=m: f"stroke {s}: {m(d, i, tr, c)}" for stroke, _, m in _GATES))
 
 
 @lru_cache(maxsize=4)
@@ -195,7 +201,7 @@ def _cycle_rows(thetas, config):
     """Run one cycle per angle of ``thetas`` (degrees), all angles as one stack.
 
     A->B comes from ``_a_to_b`` and B->C, C->D and D->A run on all N rows; then every 2x2 state
-    is checked in one call against the TOL checks a single-matrix computation applies.
+    is decomposed in one call and one ``gate`` call compares the (N, 28) defects of ``_GATES``.
     A row reports its first failed check, in stroke order, with its stroke named; the
     other rows go on, and a failed A->B check (rho_A, rho_B or their spectra) stops every
     row.  The ledger is columns over all rows, with only IEEE arithmetic vectorised, so
@@ -212,7 +218,7 @@ def _cycle_rows(thetas, config):
     kappa = kappa_from_theta_deg(degrees)
     x_h = np.array(hot_x_column(kappa, params))
     theta_v = np.deg2rad(degrees)  # x * (pi / 180), the bits of math.radians
-    pd, ipd, _, bad_pd, bad_ipd = dephasing_blocks(theta_v, theta_v)
+    pd, ipd, _, blocks = dephasing_blocks(theta_v, theta_v)
 
     # B->C: dephasing block as the hot reservoir, the ancilla taken in k0; C->D: the
     # compression (the A->B rotation: the same Jones parameter) applied to the polarization
@@ -233,18 +239,17 @@ def _cycle_rows(thetas, config):
     states = np.empty((a + c + 2, 2, 2), dtype=complex)
     states[:c], states[c:2 * c], states[2 * c:a], states[a:a + 2] = rho_c, rho_a2, rho_d, ab
     states[a + 2:] = thermal_matrices(x_h.tolist())
-    lam, spec, bad = density_spectra(states)
-    bad_c, bad_a2, bad_d, bad_a, bad_b, bad_h = _parts(bad, 0, c, 2 * c, a, a + 1, a + 2)
-    # rho_A, rho_B and the A->B spectrum are one state or check for all rows
-    fixed = (bad_a.get(0), bad_b.get(0), _spectrum_errors(lam[a:a + 1], lam[a + 1:a + 2]).get(0))
-    errors = {}
-    for stroke, checks in (
-            ("A->B", [dict.fromkeys(range(count), message) for message in fixed if message]),
-            ("B->C", (bad_pd, bad_c, bad_h)),
-            ("C->D", (bad_d, _spectrum_errors(lam[:c], lam[2 * c:a]))),
-            ("D->A", (bad_ipd, bad_a2, _closure_errors(rho_a2, ab[0])))):
-        for i, message in first_errors(*checks).items():
-            errors.setdefault(i, CycleError(f"stroke {stroke}: {message}"))
+    lam, dens, trace = density_defects(states)
+    # the defects of the gate table, stroke by stroke (rho_A, rho_B and the A->B spectrum are one
+    # state or check for all rows); a row reports its first failed check with its stroke named
+    defects = np.empty((count, len(_GATES)))
+    defects[:, :3], defects[:, 3:6] = dens[a], dens[a + 1]
+    defects[:, 6] = np.abs(lam[a] - lam[a + 1]).max()  # a unitary stroke keeps the spectrum
+    defects[:, 7:11], defects[:, 11:14], defects[:, 14:17] = blocks[:c], dens[:c], dens[a + 2:]
+    defects[:, 17:20], defects[:, 20] = dens[2 * c:a], np.abs(lam[:c] - lam[2 * c:a]).max(axis=-1)
+    defects[:, 21:24], defects[:, 24:27] = blocks[c:, [0, 1, 3]], dens[c:2 * c]
+    defects[:, 27] = np.abs(rho_a2 - ab[0]).max(axis=(-2, -1))  # the cycle closes
+    errors = {i: CycleError(m) for i, m in gate(defects, *_SWEEP_GATE, trace, c).items()}
 
     # the ledger as columns over all rows (a stopped row's are dropped with it), one call per
     # quantity, the energies with one H per slice; q_BC in hbar*omega_fin units, so beta*Q
@@ -253,7 +258,7 @@ def _cycle_rows(thetas, config):
     omega[:c] = omega[-1] = n  # rho_C and rho_B at the expanded gap
     e = expectations(hamiltonian(omega[:, None, None]), states[:a + 2])
     (e_c_hot, e_a2_cold, e_d_cold), (e_a_cold, e_b_hot) = e[:a].reshape(3, c), e[a:].tolist()
-    s = entropies(spec[2 * c:])
+    s = entropies(spectra(lam[2 * c:]))
     s_d, (s_cold, s_b), s_h = s[:c], s[c:c + 2].tolist(), s[c + 2:]
     q_bc = e_c_hot - e_b_hot
     w_cd = e_d_cold - e_c_hot
@@ -459,9 +464,7 @@ def load_report(data):
         shape = "x".join(map(str, a.shape)) if a.ndim == 2 else "malformed"
         theta, label = thetas[k // len(SNAPSHOT_LABELS)], SNAPSHOT_LABELS[k % len(SNAPSHOT_LABELS)]
         raise QuantumValueError(f"report row theta_V = {theta} deg has a {shape} {label} snapshot")
-    bad = density_failures(stack)
-    if bad:
-        raise QuantumValueError(bad[min(bad)])
+    _raise_first(density_failures(stack))
     failures = _required(doc["failures"], dict, "report key failures")
     metadata = _required(doc["metadata"], dict, "report key metadata")
     planes = tuple(_frozen(stack).reshape(-1, len(SNAPSHOT_LABELS), 2, 2).swapaxes(0, 1))

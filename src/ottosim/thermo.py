@@ -23,7 +23,6 @@ from .qcore import (
     SIGMA_Y,
     DensityOperator,
     QuantumValueError,
-    _failing,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -107,8 +106,8 @@ def hot_x_from_kappa(kappa, params):
 
 def hot_x_column(kappa, params):
     """The x_h of :func:`hot_x_from_kappa` at each kappa of an array, as a list of floats."""
-    outside = _failing((kappa >= 0.0) & (kappa <= 1.0))
-    if outside:
+    outside = np.flatnonzero(~((kappa >= 0.0) & (kappa <= 1.0)))  # NaN included
+    if outside.size:
         raise QuantumValueError(f"kappa = {kappa[outside[0]]:.6g} outside [0, 1]")
     x_c, t_c = params.x_c, math.tanh(params.x_c)
     return [x_c if k == 1.0 else 0.0 if k == 0.0 else math.atanh(k * t_c) for k in kappa.tolist()]

@@ -33,7 +33,7 @@ from ottosim.qcore import (
     density_failures,
     density_spectra,
     entropies,
-    first_errors,
+    gate,
     kraus_errors,
     trace_path,
     wrap_validated,
@@ -71,7 +71,7 @@ from ottosim.tomography import (
     tomography_stack,
 )
 
-from conftest import random_density, random_pure, random_unitary
+from conftest import block_errors, random_density, random_pure, random_unitary
 
 GRID_200 = tuple(45.0 * k / 199 for k in range(200))
 ROW = DEFAULT_THETAS.index(22.5)  # position of the corrupted row in every stack
@@ -435,15 +435,71 @@ def test_closure_checked_under_noise(monkeypatch):
         _row_key(row) for row in clean.rows if row.theta_deg != 22.5]
 
 
+# The sweep's gate table, column by column in the order a row is checked: its stroke and its
+# message for a NaN defect (a trace message prints the state's trace, not the defect)
+DENSITY_NAN = ("not Hermitian: defect nan", "trace ",
+               "not positive semidefinite: min eigenvalue nan")
+RANGE_NAN = ("theta_v = nan rad outside [0, pi/4]",) * 2
+SPECTRUM_NAN = "not unitary, spectrum moved by nan"
+PLATE_NAN = "HWP element not unitary: defect nan"
+SWEEP_COLUMNS = [
+    *(("A->B", m) for m in (*DENSITY_NAN, *DENSITY_NAN, SPECTRUM_NAN)),
+    *(("B->C", m) for m in (*RANGE_NAN, "incomplete Kraus set: defect nan", PLATE_NAN,
+                            *DENSITY_NAN, *DENSITY_NAN)),
+    *(("C->D", m) for m in (*DENSITY_NAN, SPECTRUM_NAN)),
+    *(("D->A", m) for m in (*RANGE_NAN, PLATE_NAN, *DENSITY_NAN,
+                            "cycle failed to close, defect nan"))]
+
+
+@pytest.mark.parametrize("column", range(len(SWEEP_COLUMNS)))
+def test_every_gate_column_fails_nan(monkeypatch, column):
+    # a NaN defect in one column of the one defect array fails its row, at its stroke, and no
+    # other; an A->B column holds one value for every row, so its NaN stops them all
+    stroke, message = SWEEP_COLUMNS[column]
+    failed = [f"{theta:.12g}" for theta in DEFAULT_THETAS] if stroke == "A->B" else ["22.5"]
+    clean, original = run_sweep(), runner_mod.gate
+
+    def with_nan(defects, *args):
+        assert defects.shape == (len(DEFAULT_THETAS), len(SWEEP_COLUMNS))
+        defects = defects.copy()
+        defects[slice(None) if stroke == "A->B" else ROW, column] = np.nan
+        return original(defects, *args)
+
+    monkeypatch.setattr(runner_mod, "gate", with_nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_sweep()
+    assert list(report.failures) == failed
+    assert all(f.startswith(f"stroke {stroke}: {message}") for f in report.failures.values())
+    assert [_row_key(row) for row in report.rows] == [
+        _row_key(row) for row in clean.rows if f"{row.theta_deg:.12g}" not in failed]
+
+
+def _sweep_check(stroke, message, defects):
+    """The one column of the sweep's gate table at ``stroke`` whose NaN message is
+    ``message``, alone, on ``defects``: position -> message."""
+    k = SWEEP_COLUMNS.index((stroke, message))
+    bounds, messages = runner_mod._SWEEP_GATE
+    return gate(defects, bounds[k], (messages[k],), None, len(defects))
+
+
 def test_spectrum_and_closure_gates_fail_nan():
     rho = np.array([[[0.75, 0.0], [0.0, 0.25]]], dtype=complex)
     nan = np.full_like(rho, np.nan)
     lam = np.linalg.eigvalsh(rho)
-    assert runner_mod._spectrum_errors(lam, lam) == {}
-    assert runner_mod._spectrum_errors(lam, np.full_like(lam, np.nan)) == {
-        0: "not unitary, spectrum moved by nan"}
-    assert runner_mod._closure_errors(rho, rho[0]) == {}
-    assert runner_mod._closure_errors(nan, rho[0]) == {0: "cycle failed to close, defect nan"}
+
+    def spectrum(lam_a, lam_b):  # the C->D spectrum column, as the engine computes it
+        return _sweep_check("C->D", SPECTRUM_NAN, np.abs(lam_a - lam_b).max(axis=-1))
+
+    def closure(rho_end, rho_start):  # the closure column, as the engine computes it
+        return _sweep_check("D->A", "cycle failed to close, defect nan",
+                            np.abs(rho_end - rho_start).max(axis=(-2, -1)))
+
+    assert spectrum(lam, lam) == {}
+    assert spectrum(lam, np.full_like(lam, np.nan)) == {
+        0: "stroke C->D: not unitary, spectrum moved by nan"}
+    assert closure(rho, rho[0]) == {}
+    assert closure(nan, rho[0]) == {0: "stroke D->A: cycle failed to close, defect nan"}
 
 
 def _per_tap_tomography(config):
@@ -633,6 +689,15 @@ class _Rows:
         return tuple(stack[mask] for stack in stacks)
 
 
+def _first_errors(*checks):
+    """Merge position -> message dicts; each position keeps its first message."""
+    merged = {}
+    for errors in checks:
+        for pos, message in errors.items():
+            merged.setdefault(pos, message)
+    return merged
+
+
 def _reference_spectrum_errors(lam_a, lam_b):
     gap = np.abs(lam_a - lam_b).max(axis=-1)
     return {i: f"not unitary, spectrum moved by {gap[i]:.3g}"
@@ -682,26 +747,26 @@ def _reference_cycle_rows(thetas, config):
     rows = _Rows(len(thetas))
     theta_v = np.array([math.radians(theta) for theta in thetas])
 
-    pd, _, _, bad_pd, _ = dephasing_blocks(theta_v, [])
+    pd, _, _, bad_pd, _ = block_errors(theta_v, [])
     joint = (pd @ f.joint_b) @ pd.conj().swapaxes(-1, -2)
     rho_c = trace_path(joint)
     lam_c, _, bad_c = density_spectra(rho_c)
     _, spec_h, bad_h = density_spectra(thermal_matrices(x_h.tolist()))
-    theta_v, joint, rho_c, lam_c, spec_h = rows.keep("B->C", first_errors(
+    theta_v, joint, rho_c, lam_c, spec_h = rows.keep("B->C", _first_errors(
         bad_pd, bad_c, bad_h,
     ), theta_v, joint, rho_c, lam_c, spec_h)
 
     joint = (f.k_c @ joint) @ f.k_c.conj().T
     rho_d = trace_path(joint)
     lam_d, spec_d, bad_d = density_spectra(rho_d)
-    theta_v, joint, rho_c, rho_d, spec_h, spec_d = rows.keep("C->D", first_errors(
+    theta_v, joint, rho_c, rho_d, spec_h, spec_d = rows.keep("C->D", _first_errors(
         bad_d, _reference_spectrum_errors(lam_c, lam_d),
     ), theta_v, joint, rho_c, rho_d, spec_h, spec_d)
 
-    _, ipd, _, _, bad_ipd = dephasing_blocks([], theta_v)
+    _, ipd, _, _, bad_ipd = block_errors([], theta_v)
     joint = (ipd @ joint) @ ipd.conj().swapaxes(-1, -2)
     rho_a2 = trace_path(joint)
-    theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d = rows.keep("D->A", first_errors(
+    theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d = rows.keep("D->A", _first_errors(
         bad_ipd, density_failures(rho_a2),
         _reference_closure_errors(rho_a2, f.rho_a),
     ), theta_v, rho_c, rho_d, rho_a2, spec_h, spec_d)
@@ -966,8 +1031,8 @@ KERNEL_CONFIGS = [SweepConfig(theta_list_deg=GRID_200), SweepConfig(n=1e10, x_c=
 def _sweep_inputs(monkeypatch, config):
     """The arguments of the first call a sweep makes to each kernel, by kernel name."""
     seen = {}
-    for owner, name in ((runner_mod, "trace_path"), (runner_mod, "density_spectra"),
-                        (runner_mod, "expectations"), (optics_mod, "kraus_errors")):
+    for owner, name in ((runner_mod, "trace_path"), (runner_mod, "density_defects"),
+                        (runner_mod, "expectations"), (optics_mod, "_kraus_defects")):
         def patched(*args, _original=getattr(owner, name), _name=name):
             seen.setdefault(_name, args)
             return _original(*args)
@@ -991,23 +1056,22 @@ class TestOneCallKernels:
     @pytest.mark.parametrize("config", KERNEL_CONFIGS)
     def test_traces_keep_the_np_trace_bits(self, rng, monkeypatch, config):
         inputs = _sweep_inputs(monkeypatch, config)
-        stacks = [inputs["trace_path"][0].reshape(-1, 4, 4), inputs["density_spectra"][0],
+        stacks = [inputs["trace_path"][0].reshape(-1, 4, 4), inputs["density_defects"][0],
                   *_random_stacks(rng, 2), *_random_stacks(rng, 4)]
-        traces = []
-        # every slice fails (lam = -inf), so each trace reaches the message builder
-        monkeypatch.setattr(qcore_mod, "_density_message",
-                            lambda herm, trace, lam_min: traces.append(trace) or "failed")
         for stack in stacks:
-            traces.clear()
+            # the traces the density checks compare, and the trace message of every slice
+            traces = qcore_mod.density_defects(stack)[2]
             with np.errstate(invalid="ignore"):  # inf - inf in the reference trace
-                qcore_mod._density_failures(stack, np.full((len(stack), 1), -np.inf),
-                                            np.zeros(len(stack)))
                 expected = np.trace(stack, axis1=-2, axis2=-1)
             assert np.array(traces).tobytes() == expected.tobytes()
+            failing = np.zeros((len(stack), 3))
+            failing[:, 1] = np.inf
+            assert gate(failing, *qcore_mod.DENSITY_GATE, traces) == {
+                i: f"trace {t.real:.15g} != 1" for i, t in enumerate(expected)}
 
     @pytest.mark.parametrize("config", KERNEL_CONFIGS)
     def test_kraus_defects_within_four_ulp_of_the_matmul_sum(self, rng, monkeypatch, config):
-        sweep_kraus = _sweep_inputs(monkeypatch, config)["kraus_errors"][0]
+        sweep_kraus = _sweep_inputs(monkeypatch, config)["_kraus_defects"][0]
         # complete sets from unitary columns, and sets scaled off completeness
         complete = np.array([random_unitary(rng, 4)[:, :2].reshape(2, 2, 2) for _ in range(64)])
         scaled = complete * rng.uniform(0.9, 1.1, size=(64, 1, 1, 1))
@@ -1124,5 +1188,5 @@ class TestJointStates:
         seen = _sweep_inputs(monkeypatch, config)["trace_path"][0]
         ab, k_c, _, _ = runner_mod._a_to_b(*(float(v).hex() for v in (1.5, 0.5, 0.3)))
         theta_v = np.deg2rad(GRID_200)
-        pd, ipd, _, _, _ = dephasing_blocks(theta_v, theta_v)
+        pd, ipd, _, _ = dephasing_blocks(theta_v, theta_v)
         assert seen.tobytes() == _joint_states(ab[1], pd, ipd, k_c).tobytes()

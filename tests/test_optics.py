@@ -12,7 +12,6 @@ from ottosim.optics import (
     ChannelBlock,
     OpticalElement,
     compression_unitary,
-    dephasing_blocks,
     expansion_unitary,
     hwp,
     ipd_block,
@@ -37,7 +36,7 @@ from ottosim.qcore import (
 )
 from ottosim.runner import SweepConfig, run_sweep
 
-from conftest import random_density
+from conftest import block_errors, random_density
 
 RHO_RC = DensityOperator.from_ket(KET_PSI_RC)
 
@@ -261,7 +260,7 @@ class TestDephasingBlocks:
         # lists of different lengths, and each list alone with the other one empty
         for pd_theta, ipd_theta in ((thetas, thetas[5:]), (thetas[:7], thetas),
                                     (thetas, []), ([], thetas)):
-            u_pd, u_ipd, kraus, errors, errors_ipd = dephasing_blocks(pd_theta, ipd_theta)
+            u_pd, u_ipd, kraus, errors, errors_ipd = block_errors(pd_theta, ipd_theta)
             assert errors == errors_ipd == {}
             assert u_pd.shape == (len(pd_theta), 4, 4) and u_ipd.shape == (len(ipd_theta), 4, 4)
             assert kraus.shape == (len(pd_theta), 2, 2, 2)
@@ -284,7 +283,7 @@ class TestDephasingBlocks:
                     [m @ const for m in stack]).tobytes()
 
     def test_out_of_range_rows_reported(self):
-        _, _, _, errors, errors_ipd = dephasing_blocks([0.1, -0.1, 0.2, 1.0], [])
+        _, _, _, errors, errors_ipd = block_errors([0.1, -0.1, 0.2, 1.0], [])
         assert set(errors) == {1, 3} and errors_ipd == {}
         with pytest.raises(QuantumValueError) as info:
             pd_block(-0.1)
@@ -310,7 +309,7 @@ class TestDephasingBlocks:
         monkeypatch.setattr(optics_mod, "_kraus_pairs", scaled(kraus_pairs, [0, 1]))
         monkeypatch.setattr(optics_mod, "_hwp_matrix", scaled(hwp_matrix, [0, 1, 2, 3, 6]))
         monkeypatch.setattr(optics_mod, "_arm_stage", scaled(arm_stage, [4, 5]))
-        _, _, _, errors, errors_ipd = dephasing_blocks([-0.1, 0.1, 0.2, 0.3], [1.0, 0.15, 0.25])
+        _, _, _, errors, errors_ipd = block_errors([-0.1, 0.1, 0.2, 0.3], [1.0, 0.15, 0.25])
         assert errors[0] == "theta_v = -0.1 rad outside [0, pi/4]"
         assert errors[1].startswith("incomplete Kraus set: defect")
         assert errors[2].startswith("HWP element not unitary: defect")
@@ -328,7 +327,7 @@ class TestDephasingBlocks:
                 hwp_matrix(theta))
 
         monkeypatch.setattr(optics_mod, "_hwp_matrix", bad_plate_at_0_2)
-        pd, ipd, _, errors, errors_ipd = dephasing_blocks([0.2, 0.1, 0.2], [0.1, 0.2])
+        pd, ipd, _, errors, errors_ipd = block_errors([0.2, 0.1, 0.2], [0.1, 0.2])
         assert [len(theta) for theta in built] == [2]
         # the shared plate fails, with one message, at every position that uses it
         assert set(errors) == {0, 2} and set(errors_ipd) == {1}
@@ -341,13 +340,13 @@ class TestDephasingBlocks:
             raise AssertionError("called for an empty list")
 
         monkeypatch.setattr(optics_mod, "_ipd_product", unused)
-        pd, ipd, kraus, errors, errors_ipd = dephasing_blocks([0.3], [])
+        pd, ipd, kraus, errors, errors_ipd = block_errors([0.3], [])
         assert ipd.shape == (0, 4, 4) and errors == errors_ipd == {}
         assert pd[0].tobytes() == reference_blocks(0.3)[0].tobytes()
         monkeypatch.undo()
-        for name in ("_pd_product", "_kraus_pairs", "kraus_errors"):
+        for name in ("_pd_product", "_kraus_pairs", "_kraus_defects"):
             monkeypatch.setattr(optics_mod, name, unused)
-        pd, ipd, kraus, errors, errors_ipd = dephasing_blocks([], [0.3])
+        pd, ipd, kraus, errors, errors_ipd = block_errors([], [0.3])
         assert pd.shape == (0, 4, 4) and kraus.shape == (0, 2, 2, 2)
         assert ipd[0].tobytes() == reference_blocks(0.3)[1].tobytes()
 

@@ -24,6 +24,7 @@ from ottosim.qcore import (
     eigh2,
     entropies,
     fidelity,
+    gate,
     kraus_errors,
     partial_trace_path,
     relative_entropy,
@@ -598,6 +599,38 @@ class TestStackedChecks:
             m[0, 1] = 1e-11
             assert density_spectra(m[None])[2] == {0: "not Hermitian: defect 1e-11"}
             eig_herm(m)  # within eig_herm's bound
+
+
+class TestGate:
+    """The one helper every stacked check compares its defects through."""
+
+    def test_each_failing_row_gets_its_first_failing_column(self):
+        defects = np.array([[0.0, 0.0, 0.0],      # passes
+                            [2.0, 0.0, 5.0],      # fails columns 0 and 2: column 0 reports
+                            [0.0, np.nan, 5.0],   # NaN fails column 1 first
+                            [1.0, 2.0, 3.0],      # every defect at its bound passes
+                            [0.0, 0.0, np.inf]])
+        seen = []
+
+        def third(d, i, *context):
+            seen.append((d, i, context))
+            return f"third {d} at {i}"
+
+        errors = gate(defects, np.array([1.0, 2.0, 3.0]),
+                      ("first {:.3g}".format, "second {}".format, third), "ctx")
+        assert errors == {1: "first 2", 2: "second nan", 4: "third inf at 4"}
+        assert list(errors) == [1, 2, 4] and seen == [(math.inf, 4, ("ctx",))]
+
+    def test_one_column_and_the_passing_path(self):
+        def never(*args):
+            raise AssertionError("a passing row is formatted")
+
+        assert gate(np.array([0.5, np.nan, 2.0]), 1.0, ("bad {}".format,)) == {
+            1: "bad nan", 2: "bad 2.0"}
+        assert gate(np.array([0.5, 1.0]), 1.0, (never,)) == {}
+        assert gate(np.empty((0, 3)), np.zeros(3), (never,) * 3) == {}
+        assert gate(np.array([[0.0, 7.0]]), np.array([0.0, 1.0]), (never, "{}".format)) == {
+            0: "7.0"}
 
 
 class TestEigh2:

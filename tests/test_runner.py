@@ -178,19 +178,17 @@ class TestRunSweep:
         original = runner_mod.dephasing_blocks
 
         def flaky(pd_theta, ipd_theta):
-            # reports an error for the 16 deg row of both blocks it builds
-            pd, ipd, kraus, bad_pd, bad_ipd = original(pd_theta, ipd_theta)
-            for i in np.flatnonzero(np.abs(pd_theta - math.radians(16.0)) < 1e-12).tolist():
-                bad_pd[i] = "injected fault"
-            for i in np.flatnonzero(np.abs(ipd_theta - math.radians(16.0)) < 1e-12).tolist():
-                bad_ipd[i] = "injected fault"
-            return pd, ipd, kraus, bad_pd, bad_ipd
+            # an arm-plate defect of 0.5 for the 16 deg row of both blocks it builds
+            pd, ipd, kraus, defects = original(pd_theta, ipd_theta)
+            theta_v = np.concatenate([pd_theta, ipd_theta])
+            defects[np.abs(theta_v - math.radians(16.0)) < 1e-12, 3] = 0.5
+            return pd, ipd, kraus, defects
 
         monkeypatch.setattr(runner_mod, "dephasing_blocks", flaky)
         report = run_sweep()
         assert len(report.rows) == 6
         assert list(report.failures) == ["16"]
-        assert "injected fault" in report.failures["16"]
+        assert report.failures["16"] == "stroke B->C: HWP element not unitary: defect 0.5"
         assert "B->C" in report.failures["16"]  # failing stroke is named
         csv = emit(report, "csv").decode()
         assert "# FAILED theta_v_deg=16" in csv
