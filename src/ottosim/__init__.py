@@ -12,15 +12,12 @@ __version__ = "0.1.0"
 
 from .qcore import (
     DensityOperator,
-    KrausSet,
     QuantumValueError,
     SupportError,
-    apply_kraus,
     eig_herm,
     fidelity,
     partial_trace_path,
     relative_entropy,
-    tensor,
     von_neumann_entropy,
 )
 from .optics import (
@@ -49,7 +46,6 @@ from .tomography import (
     IntensityRecord,
     StokesVector,
     load_golden_data,
-    measure,
     reconstruct,
     stokes_from_intensities,
 )

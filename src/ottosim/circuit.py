@@ -370,23 +370,12 @@ def compile_program(program):
 
 
 def format_program(program):
-    """Canonical text form: comments dropped, angles at one decimal.
+    """Canonical text form: comments dropped, each argument as an f-string prints it.
 
-    ``parse(format_program(p))`` reproduces ``p`` structurally for programs
-    whose angles sit on the one-decimal grid, and the formatter is
-    idempotent for all programs.
+    A float prints as its ``repr``, the shortest text that parses back to it, so
+    ``parse(format_program(p)) == p`` for every program ``parse`` accepts, and the formatter is
+    idempotent.
     """
-    lines = []
-    for instr in program.instructions:
-        if instr.op == "init":
-            if instr.args[0] == "rc":
-                lines.append("init rc")
-            else:
-                lines.append(f"init thermal {float(instr.args[1])!r}")
-        elif instr.op == "tomo":
-            lines.append(f"tomo {instr.args[0]}")
-        elif instr.op in ("expand", "compress"):
-            lines.append(f"{instr.op} {float(instr.args[0])!r} {instr.args[1]:.1f}")
-        else:
-            lines.append(f"{instr.op} {instr.args[0]:.1f}")
+    lines = [f"{instr.op} {instr.args[0]}" if len(instr.args) == 1 else
+             f"{instr.op} {instr.args[0]} {instr.args[1]}" for instr in program.instructions]
     return "\n".join(lines) + ("\n" if lines else "")

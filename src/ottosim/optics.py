@@ -17,12 +17,12 @@ the mirror circuit undoing it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (_KRAUS_MESSAGE, ID2, ID4, TOL, KrausSet, QuantumValueError, _as_square,
-                    _kraus_defects, _raise_first, gate, tensor)
+from .qcore import (_KRAUS_MESSAGE, ID2, ID4, TOL, QuantumValueError, _as_square, _kraus_defects,
+                    _raise_first, gate)
 
 __all__ = [
     "OpticalElement",
@@ -53,7 +53,12 @@ class OpticalElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _checked_unitary(self.matrix, f"{self.kind} element"))
+        # the matrix as a read-only complex array; QuantumValueError if it is no 2x2 or 4x4 unitary
+        what = f"{self.kind} element"
+        m = _as_square(self.matrix, what)
+        _raise_first(_not_unitary(_unitarity_defects(m[None]), what))
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
 
 def _unitarity_defects(stack):
@@ -65,14 +70,6 @@ def _unitarity_defects(stack):
 def _not_unitary(defect, what):
     # position -> message for each defect above TOL["unitary"], NaN included
     return gate(defect, TOL["unitary"], (f"{what} not unitary: defect {{:.3g}}".format,))
-
-
-def _checked_unitary(m, what):
-    # m as a read-only complex array; QuantumValueError if it is no 2x2 or 4x4 unitary
-    m = _as_square(m, what)
-    _raise_first(_not_unitary(_unitarity_defects(m[None]), what))
-    m.flags.writeable = False
-    return m
 
 
 def _hwp_matrix(theta):
@@ -120,7 +117,7 @@ def qwp(theta):
 
 def pbs_matrix():
     """Polarizing beam splitter on the joint space: |H> in-path, |V> cross-path."""
-    return tensor(_P0, ID2) + np.kron(_P1, np.array([[0, 1], [1, 0]], dtype=complex))
+    return np.kron(_P0, ID2) + np.kron(_P1, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def phase_on_path1(phi):
@@ -146,16 +143,14 @@ _PHASE_0 = _frozen(phase_on_path1(0.0))
 _FLIP_PBS_PHASE = _frozen((_FLIP @ _PBS) @ _PHASE_0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelBlock:
-    """A composite block as its checked dilation (joint unitary), with its Kraus form if any."""
+    """A composite block as its read-only dilation (joint unitary), with its read-only (2, 2, 2)
+    Kraus pair if any; both as :func:`dephasing_blocks` built them and BLOCK_GATE checked them."""
 
     name: str
-    unitary: np.ndarray = field(compare=False)
-    kraus: KrausSet | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "unitary", _checked_unitary(self.unitary, f"{self.name} block"))
+    unitary: np.ndarray
+    kraus: np.ndarray | None = None
 
 
 def _kraus_pairs(theta_v):
@@ -245,7 +240,7 @@ def pd_block(theta_v):
     """
     u, _, kraus, defects = dephasing_blocks([theta_v], [])
     _raise_first(gate(defects, *BLOCK_GATE))
-    return ChannelBlock("PD", unitary=u[0], kraus=KrausSet(kraus[0]))
+    return ChannelBlock("PD", unitary=_frozen(u[0]), kraus=_frozen(kraus[0]))
 
 
 def ipd_block(theta_v):
@@ -257,7 +252,7 @@ def ipd_block(theta_v):
     """
     _, u, _, defects = dephasing_blocks([], [theta_v])
     _raise_first(gate(defects, *BLOCK_GATE))
-    return ChannelBlock("IPD", unitary=u[0])
+    return ChannelBlock("IPD", unitary=_frozen(u[0]))
 
 
 def _jones_parameter(n, omega0_tau):

@@ -9,10 +9,10 @@ polarization (x) path, with basis
 
 so joint basis index = 2*pol + path.  All entropies are in nats.
 
-Matrices are plain complex ndarrays of shape (2, 2) or (4, 4); the only
-wrapped types are :class:`DensityOperator` (validated, immutable) and
-:class:`KrausSet` (completeness-checked).  A stacked check is one defect
-column per slice, compared with its bound by :func:`gate`.
+Matrices are plain complex ndarrays of shape (2, 2) or (4, 4), and Kraus
+sets plain (k, d, d) stacks; the only wrapped type is
+:class:`DensityOperator` (validated, immutable).  A stacked check is one
+defect column per slice, compared with its bound by :func:`gate`.
 """
 
 import numpy as np
@@ -31,8 +31,6 @@ __all__ = [
     "QuantumValueError",
     "SupportError",
     "DensityOperator",
-    "KrausSet",
-    "tensor",
     "partial_trace_path",
     "wrap_validated",
     "gate",
@@ -44,7 +42,6 @@ __all__ = [
     "kraus_errors",
     "trace_path",
     "entropies",
-    "apply_kraus",
     "eig_herm",
     "eigh2",
     "von_neumann_entropy",
@@ -130,49 +127,15 @@ class DensityOperator:
     def dim(self):
         return self.matrix.shape[0]
 
-    def relabel(self, label):
-        return wrap_validated(self.matrix, label)
-
     def __eq__(self, other):
         """Equal matrices, entry for entry; the label is not compared."""
         if not isinstance(other, DensityOperator):
             return NotImplemented
         return np.array_equal(self.matrix, other.matrix)
 
-    @classmethod
-    def from_ket(cls, ket, label=None):
-        v = np.asarray(ket, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()), label=label)
-
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"DensityOperator(dim={self.dim}{tag})"
-
-
-class KrausSet:
-    """A completeness-checked set of Kraus operators of a common dimension."""
-
-    __slots__ = ("operators",)
-
-    def __init__(self, operators):
-        ops = tuple(_as_square(k, "Kraus operator").copy() for k in operators)
-        if not ops:
-            raise QuantumValueError("Kraus set must not be empty")
-        dim = ops[0].shape[0]
-        if any(k.shape[0] != dim for k in ops):
-            raise QuantumValueError("Kraus operators must share one dimension")
-        _raise_first(kraus_errors(np.stack(ops)[None]))
-        for k in ops:
-            k.flags.writeable = False
-        object.__setattr__(self, "operators", ops)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KrausSet is immutable")
-
-    @property
-    def dim(self):
-        return self.operators[0].shape[0]
 
 
 def wrap_validated(matrix, label=None):
@@ -286,15 +249,6 @@ def kraus_errors(stack):
     return gate(_kraus_defects(stack), TOL["kraus"], (_KRAUS_MESSAGE,))
 
 
-def tensor(a, b):
-    """Kronecker product of two 2x2 matrices, polarization (x) path order."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise QuantumValueError(f"tensor expects 2x2 factors, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
-
-
 def partial_trace_path(rho4):
     """Trace out the path (reservoir) factor of a two-qubit density operator."""
     if not isinstance(rho4, DensityOperator):
@@ -307,17 +261,6 @@ def partial_trace_path(rho4):
 def trace_path(stack):
     """Trace the path factor out of each slice of an (N, 4, 4) stack, unvalidated."""
     return np.einsum("nikjk->nij", stack.reshape(-1, 2, 2, 2, 2))
-
-
-def apply_kraus(rho, kraus):
-    """Apply a channel rho -> sum_i K_i rho K_i^dag."""
-    if not isinstance(kraus, KrausSet):
-        kraus = KrausSet(kraus)
-    r = rho.matrix if isinstance(rho, DensityOperator) else DensityOperator(rho).matrix
-    if r.shape[0] != kraus.dim:
-        raise QuantumValueError(f"dimension mismatch: state {r.shape[0]}, Kraus {kraus.dim}")
-    out = sum(k @ r @ k.conj().T for k in kraus.operators)
-    return DensityOperator(out)
 
 
 def eig_herm(m):

@@ -45,7 +45,6 @@ __all__ = [
     "UnphysicalStokesWarning",
     "GoldenDataError",
     "GoldenData",
-    "measure",
     "measure_all",
     "stokes_from_intensities",
     "reconstruct",
@@ -101,11 +100,6 @@ class StokesVector:
     def bloch_norm(self):
         return float(np.sqrt(self.s1**2 + self.s2**2 + self.s3**2))
 
-    @classmethod
-    def from_state(cls, rho):
-        m = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-        return cls(1.0, *_traces(_PAULIS, m).tolist())
-
 
 @dataclass(frozen=True)
 class IntensityRecord:
@@ -137,22 +131,6 @@ def _intensities(stack, projectors, noise_sigma, xi):
         return np.maximum(i * (1.0 + noise_sigma * xi), 0.0) if noise_sigma > 0.0 else i
 
 
-def _measured(rho, bases, noise_sigma, rng):
-    # the checks, the draws and the records of measure() of each basis
-    if noise_sigma < 0.0:
-        raise QuantumValueError("noise_sigma must be nonnegative")
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
-    xi, j = None, 2 * _ORDER.index(bases[0])
-    if noise_sigma > 0.0:
-        xi = (np.random.default_rng() if rng is None else rng).standard_normal(2 * len(bases))
-    i = _intensities(rho.matrix, _PROJECTORS[j:j + 2 * len(bases)], noise_sigma, xi).reshape(-1, 2)
-    lost = ~np.isfinite(i).all(axis=-1) & np.isfinite(rho.matrix).all()
-    if lost.any():  # noise past the float range; an unchecked NaN state fails at reconstruct
-        raise QuantumValueError(_lost(bases[lost.argmax()]))
-    return tuple(_read_out(b, i_a, i_b) for b, (i_a, i_b) in zip(bases, i.tolist()))
-
-
 def _bloch_vectors(i):
     # (s1, s2, s3) from (..., 3, 2) port intensities in _ORDER, and where a basis is dark
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -181,22 +159,26 @@ def _read_out(basis, i_a, i_b):
     return record
 
 
-def measure(rho, basis, noise_sigma=0.0, rng=None):
-    """Project rho onto one basis pair and return the port intensities.
+def measure_all(rho, noise_sigma=0.0, rng=None):
+    """Project rho onto each basis pair; one record of port intensities each, in HV, DAD, RL order.
 
     With noise_sigma > 0 each intensity is multiplied by an independent
     Gaussian factor 1 + noise_sigma * xi (clamped at zero), drawn from
     ``rng`` (a seeded ``numpy.random.Generator``; a fresh one is created
     when omitted).
     """
-    if basis not in BASES:
-        raise QuantumValueError(f"unknown basis {basis!r}")
-    return _measured(rho, (basis,), noise_sigma, rng)[0]
-
-
-def measure_all(rho, noise_sigma=0.0, rng=None):
-    """Measure all three bases; one record each, in HV, DAD, RL order."""
-    return _measured(rho, _ORDER, noise_sigma, rng)
+    if noise_sigma < 0.0:
+        raise QuantumValueError("noise_sigma must be nonnegative")
+    if not isinstance(rho, DensityOperator):
+        rho = DensityOperator(rho)
+    xi = None
+    if noise_sigma > 0.0:
+        xi = (np.random.default_rng() if rng is None else rng).standard_normal(6)
+    i = _intensities(rho.matrix, _PROJECTORS, noise_sigma, xi).reshape(-1, 2)
+    lost = ~np.isfinite(i).all(axis=-1) & np.isfinite(rho.matrix).all()
+    if lost.any():  # noise past the float range; an unchecked NaN state fails at reconstruct
+        raise QuantumValueError(_lost(_ORDER[lost.argmax()]))
+    return tuple(_read_out(b, i_a, i_b) for b, (i_a, i_b) in zip(_ORDER, i.tolist()))
 
 
 def stokes_from_intensities(records):

@@ -1,10 +1,10 @@
-"""Shared helpers: seeded random states and matrices."""
+"""Shared helpers: seeded random states and matrices, and single-matrix references."""
 
 import numpy as np
 import pytest
 
 from ottosim.optics import BLOCK_GATE, dephasing_blocks
-from ottosim.qcore import DensityOperator, gate
+from ottosim.qcore import DensityOperator, gate, kraus_errors
 
 
 def random_density(rng, dim=2):
@@ -14,9 +14,23 @@ def random_density(rng, dim=2):
     return DensityOperator(m / np.trace(m).real)
 
 
+def pure(ket):
+    """The DensityOperator |v><v| of the normalized ket."""
+    v = np.asarray(ket, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return DensityOperator(np.outer(v, v.conj()))
+
+
 def random_pure(rng, dim=2):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return DensityOperator.from_ket(v)
+    return pure(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+
+def apply_kraus(rho, kraus):
+    """Reference channel rho -> sum_k K_k rho K_k^dag of a DensityOperator through a (k, d, d)
+    Kraus set, its completeness checked by kraus_errors; the result a DensityOperator."""
+    kraus = np.asarray(kraus, dtype=complex)
+    assert kraus_errors(kraus[None]) == {}
+    return DensityOperator(sum(k @ rho.matrix @ k.conj().T for k in kraus))
 
 
 def random_hermitian(rng, dim=2):

@@ -25,7 +25,6 @@ from ottosim.qcore import (
     KET_PSI_RC,
     TOL,
     DensityOperator,
-    apply_kraus,
     partial_trace_path,
 )
 from ottosim.runner import (
@@ -50,7 +49,7 @@ from ottosim.tomography import (
     stokes_from_intensities,
 )
 
-from conftest import random_density
+from conftest import apply_kraus, random_density
 
 PARAMS = SweepConfig().params()
 
@@ -182,7 +181,7 @@ def test_criterion_6_dilation_kraus_equivalence():
 
 
 def test_criterion_7_tomography_roundtrip():
-    """reconstruct(stokes(measure(rho))) = rho to 1e-12 over 500 states;
+    """reconstruct(stokes(measure_all(rho))) = rho to 1e-12 over 500 states;
     the measured initial matrix is reproduced to 1e-4 from its own
     synthesized intensities."""
     rng = np.random.default_rng(77)

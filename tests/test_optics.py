@@ -9,7 +9,6 @@ import pytest
 import ottosim.optics as optics_mod
 from ottosim.circuit import compile_program, parse
 from ottosim.optics import (
-    ChannelBlock,
     OpticalElement,
     compression_unitary,
     expansion_unitary,
@@ -30,15 +29,14 @@ from ottosim.qcore import (
     SIGMA_Y,
     DensityOperator,
     QuantumValueError,
-    apply_kraus,
     fidelity,
     partial_trace_path,
 )
 from ottosim.runner import SweepConfig, run_sweep
 
-from conftest import block_errors, random_density
+from conftest import apply_kraus, block_errors, pure, random_density
 
-RHO_RC = DensityOperator.from_ket(KET_PSI_RC)
+RHO_RC = pure(KET_PSI_RC)
 
 
 def dilate(block, rho):
@@ -102,17 +100,17 @@ class TestRotation:
 
     def test_circular_state_is_fixed_ray(self):
         out = rotation(3 * np.pi / 2).matrix @ KET_PSI_RC
-        assert fidelity(DensityOperator.from_ket(out), RHO_RC) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(pure(out), RHO_RC) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestQwp:
     def test_minus_45_makes_right_circular_from_vertical(self):
         out = qwp(np.deg2rad(-45.0)).matrix @ KET_V
-        assert fidelity(DensityOperator.from_ket(out), RHO_RC) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(pure(out), RHO_RC) == pytest.approx(1.0, abs=1e-12)
 
     def test_axis_aligned_fixes_horizontal(self):
         out = qwp(0.0).matrix @ KET_H
-        assert fidelity(DensityOperator.from_ket(out), DensityOperator.from_ket(KET_H)) == (
+        assert fidelity(pure(out), pure(KET_H)) == (
             pytest.approx(1.0, abs=1e-12)
         )
 
@@ -193,20 +191,13 @@ class TestPdBlock:
         with pytest.raises(QuantumValueError):
             pd_block(-0.1)
 
-    def test_block_unitarity_validated(self):
-        with pytest.raises(QuantumValueError):
-            ChannelBlock("bad", unitary=np.eye(4) * 2.0)
-
-    def test_an_element_or_block_of_another_size_is_refused_by_name(self):
+    def test_an_element_of_another_size_is_refused_by_name(self):
         # the unitarity defect subtracts a 2x2 or 4x4 identity, so other sizes stop before it
         for m in ([[1.0]], 2.0 * np.eye(3), np.eye(8), np.ones(4)):
             shape = np.shape(m)
             with pytest.raises(QuantumValueError, match=re.escape(
                     f"X element must be 2x2 or 4x4, got shape {shape}")):
                 OpticalElement("X", m)
-            with pytest.raises(QuantumValueError, match=re.escape(
-                    f"bad block must be 2x2 or 4x4, got shape {shape}")):
-                ChannelBlock("bad", unitary=m)
 
     def test_nan_fails_the_unitarity_check(self):
         with pytest.raises(QuantumValueError, match="not unitary: defect nan"):
@@ -380,6 +371,28 @@ class TestBlockUnitarity:
                     assert defect.tobytes() == plate.tobytes()
                 else:
                     assert np.abs(defect - plate).max() <= self.BOUND, scale
+
+    def test_single_blocks_are_the_gated_slices(self, monkeypatch):
+        # pd_block and ipd_block check only what BLOCK_GATE reads, the 2x2 arm plate and the
+        # Kraus pair, and hand out dephasing_blocks' slices read-only
+        shapes = []
+
+        def recorded(name):
+            original = getattr(optics_mod, name)
+            return lambda stack: shapes.append((name, stack.shape)) or original(stack)
+
+        for name in ("_unitarity_defects", "_kraus_defects"):
+            monkeypatch.setattr(optics_mod, name, recorded(name))
+        pd, ipd = pd_block(0.3), ipd_block(0.3)
+        assert shapes == [("_unitarity_defects", (1, 2, 2)), ("_kraus_defects", (1, 2, 2, 2)),
+                          ("_unitarity_defects", (1, 2, 2))]
+        monkeypatch.undo()
+        ref_pd, ref_ipd, kraus, _ = optics_mod.dephasing_blocks([0.3], [0.3])
+        assert pd.unitary.tobytes() == ref_pd[0].tobytes()
+        assert ipd.unitary.tobytes() == ref_ipd[0].tobytes()
+        assert pd.kraus.shape == (2, 2, 2) and pd.kraus.tobytes() == kraus[0].tobytes()
+        assert ipd.kraus is None and (pd.name, ipd.name) == ("PD", "IPD")
+        assert not any(m.flags.writeable for m in (pd.unitary, pd.kraus, ipd.unitary))
 
     def test_sweep_and_compile_check_2x2_stacks_only(self, monkeypatch):
         sizes, original = set(), optics_mod._unitarity_defects

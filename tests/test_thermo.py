@@ -13,7 +13,6 @@ from ottosim.qcore import (
     SIGMA_Y,
     DensityOperator,
     QuantumValueError,
-    apply_kraus,
 )
 from ottosim.thermo import (
     EngineParams,
@@ -25,6 +24,8 @@ from ottosim.thermo import (
     thermal_state,
     work_from_states,
 )
+
+from conftest import apply_kraus
 
 PARAMS = EngineParams()  # n = 2, x_c = 3
 TANH3 = math.tanh(3.0)

@@ -27,7 +27,6 @@ from ottosim.tomography import (
     _intensities,
     _sanitize_measured,
     load_golden_data,
-    measure,
     measure_all,
     read_intensity_file,
     reconstruct,
@@ -35,9 +34,9 @@ from ottosim.tomography import (
     tomography_stack,
 )
 
-from conftest import random_density
+from conftest import pure, random_density
 
-RHO_RC = DensityOperator.from_ket(KET_PSI_RC)
+RHO_RC = pure(KET_PSI_RC)
 
 # the measured initial-state matrix, trace 0.9999 as recorded
 RHO_INI_MEASURED = np.array(
@@ -47,36 +46,39 @@ RHO_INI_MEASURED = np.array(
 
 class TestMeasure:
     def test_right_circular_lights_only_beta_port(self):
-        rec = measure(RHO_RC, "RL")
+        rec = measure_all(RHO_RC)[2]
+        assert rec.basis == "RL"
         assert rec.i_alpha == pytest.approx(0.0, abs=1e-12)   # L port dark
         assert rec.i_beta == pytest.approx(1.0, abs=1e-12)    # R port lit
 
     def test_right_circular_balanced_in_hv(self):
-        rec = measure(RHO_RC, "HV")
+        rec = measure_all(RHO_RC)[0]
+        assert rec.basis == "HV"
         assert rec.i_alpha == pytest.approx(0.5, abs=1e-12)
         assert rec.i_beta == pytest.approx(0.5, abs=1e-12)
 
     def test_mixed_state_balanced_everywhere(self):
         mixed = DensityOperator(0.5 * ID2)
-        for basis in BASES:
-            rec = measure(mixed, basis)
+        for rec in measure_all(mixed):
             assert rec.i_alpha == pytest.approx(0.5, abs=1e-12)
             assert rec.i_beta == pytest.approx(0.5, abs=1e-12)
 
     def test_noise_is_seeded_and_clamped(self):
         rng1 = np.random.default_rng(11)
         rng2 = np.random.default_rng(11)
-        a = measure(RHO_RC, "HV", noise_sigma=0.3, rng=rng1)
-        b = measure(RHO_RC, "HV", noise_sigma=0.3, rng=rng2)
+        a = measure_all(RHO_RC, noise_sigma=0.3, rng=rng1)
+        b = measure_all(RHO_RC, noise_sigma=0.3, rng=rng2)
         assert a == b
         rng = np.random.default_rng(0)
         for _ in range(200):
-            rec = measure(RHO_RC, "HV", noise_sigma=5.0, rng=rng)
-            assert rec.i_alpha >= 0.0 and rec.i_beta >= 0.0
+            for rec in measure_all(RHO_RC, noise_sigma=5.0, rng=rng):
+                assert rec.i_alpha >= 0.0 and rec.i_beta >= 0.0
 
     def test_unknown_basis(self):
-        with pytest.raises(QuantumValueError):
-            measure(RHO_RC, "XY")
+        # a record names one of the three bases; measure_all writes each of them once
+        with pytest.raises(QuantumValueError, match="unknown basis 'XY'"):
+            IntensityRecord("XY", 0.5, 0.5)
+        assert [rec.basis for rec in measure_all(RHO_RC)] == ["HV", "DAD", "RL"]
 
 
 def _per_projector(stack, projectors):
@@ -104,14 +106,6 @@ class TestTapProduct:
             m, _PROJECTORS).tobytes()
         empty = np.empty((0, 5, 2, 2), complex)
         assert _intensities(empty, _PROJECTORS, 0.0, None).shape == (0, 5, 6)
-
-    def test_the_sliced_pairs_measure_passes(self, rng):
-        for _ in range(50):
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            for j in (0, 2, 4):
-                pair = _PROJECTORS[j:j + 2]
-                assert _intensities(m, pair, 0.0, None).tobytes() == _per_projector(
-                    m, pair).tobytes()
 
 
 class TestStokesFromIntensities:
@@ -220,7 +214,7 @@ class TestReconstruct:
     def test_roundtrip_basis_eigenstates(self):
         # pure eigenstates of each basis leave one port exactly dark
         for ket in ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]):
-            rho = DensityOperator.from_ket(np.array(ket, dtype=complex))
+            rho = pure(ket)
             rebuilt = reconstruct(stokes_from_intensities(measure_all(rho)))
             assert np.abs(rebuilt.matrix - rho.matrix).max() < 1e-12
 
@@ -242,7 +236,7 @@ class TestReconstruct:
         with pytest.warns(UnphysicalStokesWarning):
             rho = reconstruct(StokesVector(1.0, 0.8, 0.8, 0.8))
         assert np.linalg.eigvalsh(rho.matrix).min() > -1e-12
-        s = StokesVector.from_state(rho)
+        s = StokesVector(1.0, *(float(np.trace(p @ rho.matrix).real) for p in PAULIS))
         assert s.bloch_norm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -296,8 +290,8 @@ class TestTomographyStack:
 
     @pytest.mark.parametrize("sigma", [0.02, 0.3, 1.0])
     def test_rows_equal_per_tap_calls(self, rng, sigma):
-        pure = [DensityOperator.from_ket(k).matrix for k in ([1, 0], [0, 1], [1, 1], [1, 1j])]
-        stack = np.array([[random_density(rng).matrix if (i + t) % 3 else pure[(i + t) % 4]
+        kets = [pure(k).matrix for k in ([1, 0], [0, 1], [1, 1], [1, 1j])]
+        stack = np.array([[random_density(rng).matrix if (i + t) % 3 else kets[(i + t) % 4]
                            for t in range(5)] for i in range(12)])
         stack[7, 2] = np.nan  # only a non-finite matrix can fail the rebuilt-state check
         with warnings.catch_warnings(record=True) as caught:
@@ -379,14 +373,14 @@ class TestNoisePastTheFloatRange:
     def test_measure_names_its_basis(self):
         messages = set()
         for seed in range(40):
-            for basis in BASES:
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error")
-                        record = measure(RHO_RC, basis, 1e308, np.random.default_rng(seed))
-                except QuantumValueError as exc:
-                    messages.add(str(exc))
-                else:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    records = measure_all(RHO_RC, 1e308, np.random.default_rng(seed))
+            except QuantumValueError as exc:
+                messages.add(str(exc))
+            else:
+                for record in records:
                     assert math.isfinite(record.i_alpha) and math.isfinite(record.i_beta)
         assert messages == {f"intensity past the float range in basis {b}" for b in BASES}
 
