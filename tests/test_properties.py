@@ -11,6 +11,10 @@ for the efficiency, 3.3e-16 * n for dU_cycle, -1.9e-15 for Sigma_cycle and 4.8e-
 strict fall of Sigma_cycle, over 1,673 row pairs at least 0.1 deg apart, was 3.7e-13, and no
 closer pair rose; the 150 noisy sweeps (sigma in (0, 0.3]) kept all 633 rows, each with the
 noiseless sweep's bits.
+
+The circuit properties draw well-typed ``.otto`` programs (every op, continuous angles,
+``pd``/``ipd`` at 0 and 45 deg, gap ratios just above 1, omega0 tau = 0, taps on either side
+of the ancilla, an ancilla left open) and run each through parse, compile and the fold.
 """
 
 import itertools
@@ -19,8 +23,11 @@ from dataclasses import replace
 
 import pytest
 
-from ottosim.qcore import TOL
-from ottosim.runner import SweepConfig, run_sweep
+import numpy as np
+
+from ottosim.circuit import compile_program, parse
+from ottosim.qcore import TOL, density_failures
+from ottosim.runner import SweepConfig, run_cycle, run_sweep
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -90,3 +97,91 @@ def test_noise_leaves_the_csv_values_of_every_kept_row(n, x_c, omega0_tau, theta
     for row in noisy._table:
         assert row.tobytes() == values[row[0]], row[0]
     assert not any(message.startswith("stroke") for message in noisy.failures.values())
+
+
+# -- the circuit fold ------------------------------------------------------------------------
+
+ANGLES = st.floats(min_value=-720.0, max_value=720.0)
+BLOCK_ANGLES = st.one_of(st.sampled_from([0.0, 45.0]), st.floats(min_value=0.0, max_value=45.0))
+GAP_RATIOS = st.one_of(st.sampled_from([math.nextafter(1.0, 2.0), 1.0 + 1e-9]),
+                       st.floats(min_value=1.0, max_value=1e3, exclude_min=True))
+OMEGA0_TAU_DEG = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=720.0))
+THERMAL_X = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=60.0))
+
+
+@st.composite
+def programs(draw):
+    """The text of a well-typed program: an init, then up to 24 instructions.  A dephasing
+    block is a ``pd`` while the ancilla is closed and an ``ipd`` while it is open; an ``init``
+    while it is open closes it with an ``ipd`` instead, and the ancilla may stay open."""
+    def init():
+        if draw(st.booleans()):
+            return "init rc"
+        return f"init thermal {draw(THERMAL_X)!r}"
+
+    lines, ancilla = [init()], False
+    for k, kind in enumerate(draw(st.lists(st.sampled_from(
+            ("hwp", "qwp", "rot", "expand", "compress", "block", "tomo", "init")), max_size=24))):
+        if kind in ("hwp", "qwp", "rot"):
+            lines.append(f"{kind} {draw(ANGLES)!r}")
+        elif kind in ("expand", "compress"):
+            lines.append(f"{kind} {draw(GAP_RATIOS)!r} {draw(OMEGA0_TAU_DEG)!r}")
+        elif kind == "tomo":
+            lines.append(f"tomo T{k}")
+        elif kind == "block" or ancilla:
+            lines.append(f"{'ipd' if ancilla else 'pd'} {draw(BLOCK_ANGLES)!r}")
+            ancilla = not ancilla
+        else:
+            lines.append(init())
+    return "\n".join(lines) + "\n"
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@hypothesis.given(programs())
+@hypothesis.example("init thermal 0.0\ntomo A\npd 0.0\ntomo J\nexpand 1.0000000000000002 0.0\n"
+                    "ipd 45.0\ntomo B\npd 45.0\nqwp 30.0\ntomo K\n")
+def test_every_well_typed_program_runs_to_density_operators(source):
+    """Every tap and the final state pass the DensityOperator checks, the taps in program
+    order, whether the ancilla was open at the tap or is still open at the end."""
+    program = parse(source)
+    run = compile_program(program).run()
+    labels = [instr.args[0] for instr in program.instructions if instr.op == "tomo"]
+    assert list(run.snapshots) == labels
+    states = np.array([state.matrix for state in (*run.snapshots.values(), run.final)])
+    assert states.shape == (len(labels) + 1, 2, 2)
+    assert density_failures(states) == {}
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(x=THERMAL_X, theta=BLOCK_ANGLES)
+def test_a_dephasing_block_and_its_inverse_return_the_input(x, theta):
+    run = compile_program(parse(f"init thermal {x!r}\ntomo IN\npd {theta!r}\nipd {theta!r}\n")).run()
+    assert np.abs(run.final.matrix - run.snapshots["IN"].matrix).max() <= TOL["dsl_vs_api"]
+
+
+CYCLE_PROGRAM = """\
+init thermal {x_c!r}
+tomo TA
+expand {n!r} {w!r}
+tomo TB
+pd {theta!r}
+tomo TC
+compress {n!r} {w!r}
+tomo TD
+ipd {theta!r}
+tomo TA2
+"""
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(n=OPERATING_POINTS["n"], x_c=OPERATING_POINTS["x_c"],
+                  w=st.floats(min_value=0.0, max_value=360.0),
+                  theta=st.floats(min_value=0.0, max_value=45.0))
+def test_the_cycle_program_equals_the_engine(n, x_c, w, theta):
+    """The README cycle program from ``init thermal x_c`` gives run_cycle's five snapshots; the
+    sweep takes omega0 tau as math.radians of the program's degrees, as the compiler does."""
+    run = compile_program(parse(CYCLE_PROGRAM.format(n=n, x_c=x_c, w=w, theta=theta))).run()
+    api = run_cycle(theta, SweepConfig(n=n, x_c=x_c, omega0_tau=math.radians(w)))
+    for label, state in api.snapshots.items():
+        gap = np.abs(run.snapshots[label].matrix - state.matrix).max()
+        assert gap <= TOL["dsl_vs_api"], label
