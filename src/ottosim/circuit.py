@@ -213,48 +213,39 @@ class CompiledCircuit:
 
     One ``(op, a, b)`` step per instruction: ``init``/``thermal`` (a: the
     state), ``unitary``/``pd``/``ipd`` (a: the unitary, b: its adjoint) or
-    ``tomo`` (a: the label).  ``run()`` queues each state to check on one
-    list, straight from the fold, and wraps only the taps and the final
-    state as DensityOperators.
+    ``tomo`` (a: the label).  ``run()`` keeps one list of the states to check,
+    in program order, and ``taps`` maps each label to its position; a 4x4
+    entry is a joint state, reduced after the fold.  Only the taps and the
+    final state are wrapped as DensityOperators.
     """
 
-    def __init__(self, program, steps):
-        self.program = program
+    def __init__(self, steps):
         self.steps = steps
 
     def run(self):
         rho = None          # 2x2 during single-path segments, 4x4 with ancilla
-        joint = False
-        states, fours, reduced, taps = [], [], [], {}  # the states to check, in program order
-
-        def read_out(state, label=None):
-            # queue the state; a joint one is reduced after the fold
-            if label is not None:
-                taps[label] = len(states)
-            if joint:
-                reduced.append(len(states))
-                fours.append(state)
-            states.append(None if joint else state)
-
+        states, taps = [], {}  # the states to check, in program order, and each tap's position
         for op, a, b in self.steps:
             if op == "unitary":
                 rho = a.dot(rho).dot(b)
             elif op == "tomo":
-                read_out(rho, a)
+                taps[a] = len(states)
+                states.append(rho)
             elif op == "pd":
-                rho, joint = a.dot(optics._kron_slices(rho, optics._P0)).dot(b), True
+                rho = a.dot(optics._kron_slices(rho, optics._P0)).dot(b)
             elif op == "ipd":
-                rho, joint = trace_path(a.dot(rho).dot(b)[None])[0], False
-                read_out(rho)
+                rho = trace_path(a.dot(rho).dot(b))
+                states.append(rho)
             else:
                 rho = a
                 if op == "thermal":  # checked as thermal_state checks it
-                    read_out(rho)
+                    states.append(rho)
         if rho is None:
             return CircuitRun(snapshots={}, final=None)
-        read_out(rho)
-        if fours:
-            for i, state in zip(reduced, trace_path(np.array(fours))):
+        states.append(rho)
+        joint = [i for i, state in enumerate(states) if len(state) == 4]
+        if joint:
+            for i, state in zip(joint, trace_path(np.array([states[i] for i in joint]))):
                 states[i] = state
         states = np.array(states)
         states.flags.writeable = False
@@ -332,9 +323,10 @@ def compile_program(program):
     and each reduced or 2x2 tap, ``ipd`` output and final state (a block not
     unitary past its plate fails the trace of the reduced state it makes).
     A joint state is a congruence of a checked or frozen 2x2 state by checked
-    elements and is not checked itself.  The fold only queues the states; the
-    joint taps and final state are reduced by one ``trace_path`` call after it,
-    all are checked as one stack, and the message of the first failure in
+    elements and is not checked itself.  The fold keeps these states on one
+    list in program order, a joint tap or final state as its 4x4 matrix; one
+    ``trace_path`` call after the fold reduces every 4x4 entry in place, the
+    list is checked as one stack, and the message of the first failure in
     program order is raised.
     """
     dim = None
@@ -366,7 +358,7 @@ def compile_program(program):
             raise CircuitCompileError(f"line {instr.line}: {problem}")
         where[op].append(k)
         joint.append(dim == 4)
-    return CompiledCircuit(program, _lower(program.instructions, where, joint, alphas))
+    return CompiledCircuit(_lower(program.instructions, where, joint, alphas))
 
 
 def format_program(program):

@@ -255,12 +255,12 @@ def partial_trace_path(rho4):
         rho4 = DensityOperator(rho4)
     if rho4.dim != 4:
         raise QuantumValueError("partial_trace_path expects a 4x4 density operator")
-    return DensityOperator(trace_path(rho4.matrix[None])[0])
+    return DensityOperator(trace_path(rho4.matrix))
 
 
 def trace_path(stack):
-    """Trace the path factor out of each slice of an (N, 4, 4) stack, unvalidated."""
-    return np.einsum("nikjk->nij", stack.reshape(-1, 2, 2, 2, 2))
+    """Trace the path factor out of a (..., 4, 4) array, unvalidated, keeping its leading axes."""
+    return np.einsum("...ikjk->...ij", stack.reshape(*stack.shape[:-2], 2, 2, 2, 2))
 
 
 def eig_herm(m):

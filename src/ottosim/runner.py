@@ -229,7 +229,7 @@ def _cycle_rows(thetas, config):
     np.matmul(_right_mul(pd, rho_b_k0), pd.conj().swapaxes(-1, -2), out=joint[0])
     joint[1] = _right_mul(_left_mul(k_c, joint[0]), k_c_dag)
     np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
-    rho_c, rho_d, rho_a2 = paths = trace_path(joint).reshape(3, count, 2, 2)
+    rho_c, rho_d, rho_a2 = paths = trace_path(joint)
 
     # the sweep's one state stack [rho_C; rho_A2; rho_D; rho_A; rho_B; hot targets], checked
     # in one call and each decomposed once: the energies read its first 3N + 2 slices, the
@@ -553,7 +553,10 @@ _CONFIG_PARSERS = {"theta_list_deg": _theta_list, "seed": int, "out": str, "fmt"
 
 
 def load_config_file(path, unused=()):
-    """Read a flat key=value config file into a SweepConfig; a key in ``unused`` is refused."""
+    """Read a flat key=value config file into a SweepConfig; a key in ``unused`` is refused.
+
+    Each line is read in turn, and a bad key or value raises naming ``path:line``.
+    """
     values = {}
     with open(path, encoding="utf-8", errors="replace") as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -566,5 +569,8 @@ def load_config_file(path, unused=()):
             if key not in _CONFIG_KEYS or key in unused:
                 raise QuantumValueError(f"{path}:{ln}: "
                                         f"{'unused' if key in unused else 'unknown'} key {key!r}")
-            values[key] = val
-    return SweepConfig(**{key: _CONFIG_PARSERS.get(key, float)(val) for key, val in values.items()})
+            try:
+                values[key] = _CONFIG_PARSERS.get(key, float)(val)
+            except ValueError as exc:
+                raise QuantumValueError(f"{path}:{ln}: {exc}") from None
+    return SweepConfig(**values)

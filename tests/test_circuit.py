@@ -302,7 +302,7 @@ def _reference_run(program, change=None):
 
 
 def _reduced(joint):
-    return DensityOperator(trace_path(joint[None])[0])
+    return DensityOperator(trace_path(joint))
 
 
 def _random_program(rng, size):

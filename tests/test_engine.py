@@ -156,19 +156,21 @@ def test_config_with_a_bad_jones_parameter_is_rejected():
 def _corrupt_nth_stack(monkeypatch, owner, name, nth, change, part=0, parts=1):
     """Patch ``owner.name`` so that its nth call on a stack of all rows has row ROW changed.
 
-    A call on ``parts`` stacks of all rows stacked as one (the engine's
-    [B->C; C->D; D->A] joint stack, say) changes row ROW of stack ``part``.
+    A call whose output holds ``parts`` stacks of all rows on a leading axis (the
+    (3, N, 2, 2) reduction of the engine's [B->C; C->D; D->A] joint stack, say) changes
+    row ROW of stack ``part``.
     """
     original = getattr(owner, name)
     calls = []
+    stacks = (parts, len(DEFAULT_THETAS)) if parts > 1 else (len(DEFAULT_THETAS),)
+    at = (part, ROW) if parts > 1 else ROW
 
     def patched(*args, **kwargs):
         out = original(*args, **kwargs)
-        if np.ndim(out) == 3 and len(out) == parts * len(DEFAULT_THETAS):
+        if np.shape(out)[:-2] == stacks:
             calls.append(None)
             if len(calls) == nth:
                 out = out.copy()
-                at = part * len(DEFAULT_THETAS) + ROW
                 out[at] = change(out[at])
         return out
 

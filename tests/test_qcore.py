@@ -463,6 +463,11 @@ class TestStackedChecks:
         stacked = trace_path(np.array([s.matrix for s in states]))
         for k, state in enumerate(states):
             assert stacked[k].tobytes() == partial_trace_path(state).matrix.tobytes()
+        # the leading axes are kept: one matrix gives one matrix, a (2, 4) stack a (2, 4) stack
+        one = trace_path(states[0].matrix)
+        assert one.shape == (2, 2) and one.tobytes() == stacked[0].tobytes()
+        grid = trace_path(np.array([s.matrix for s in states]).reshape(2, 4, 4, 4))
+        assert grid.shape == (2, 4, 2, 2) and grid.tobytes() == stacked.tobytes()
 
     def test_entropies_match_reference(self, rng):
         states = [random_density(rng), random_pure(rng), DensityOperator(0.5 * ID2),

@@ -513,6 +513,17 @@ class TestCli:
         cfg.write_text("theta_list_deg = 99\n")
         assert cli.main(["sweep", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed = 1.5", "invalid literal for int() with base 10: '1.5'"),
+        ("n = abc", "could not convert string to float: 'abc'"),
+        ("theta_list_deg = 1,x", "could not convert string to float: 'x'")])
+    def test_sweep_unparsable_config_value_names_its_line(self, tmp_path, capsys, line, message):
+        # the value on line 1 is refused before the unknown key on line 2 is read
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\nvolume = 11\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
+
     def test_sweep_undecodable_config_names_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"n = 2\n\xff = 1\n")
