@@ -12,9 +12,10 @@ parse errors.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
+import os
+import stat
 import sys
 
 from . import __version__
@@ -53,9 +54,11 @@ def _usage_error(message):
 def _write_out(data, out):
     """Write to the output path (or stdout); returns an exit code."""
     if out:
-        try:
-            with open(out, "wb") as fh:
+        try:  # over the old bytes, then cut: truncating first makes ext4 flush on close
+            with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
                 fh.write(data)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null, a FIFO or a tty
+                    fh.truncate()
         except OSError as exc:
             return _usage_error(f"cannot write {out}: {exc}")
     else:
@@ -70,12 +73,13 @@ _OVERRIDES = {"n": "n", "xc": "x_c", "noise": "noise_sigma", "seed": "seed", "ou
 
 
 def _sweep_config(args, unused=()):
-    config = load_config_file(args.config, unused) if args.config else SweepConfig()
     overrides = {field: getattr(args, option, None) for option, field in _OVERRIDES.items()
                  if getattr(args, option, None) is not None}
     if args.theta_list is not None:
         overrides["theta_list_deg"] = _theta_list(args.theta_list)
-    return dataclasses.replace(config, **overrides)
+    if args.config:
+        return load_config_file(args.config, unused, **overrides)
+    return SweepConfig(**overrides)
 
 
 def _cmd_run(args):

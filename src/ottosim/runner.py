@@ -434,8 +434,8 @@ def load_report(data):
     """Rebuild a SweepReport from its JSON emission, reading the document once.
 
     In this order: the keys rows, snapshots, failures and metadata are present, rows is a
-    list and snapshots an object; each row is an object of the 13 CSV columns, JSON null
-    loading as NaN and any other value through ``float()``; each row's snapshots are an
+    list and snapshots an object; each row is an object of the 13 CSV columns, each a JSON
+    number (read through ``float()``) or null (loading as NaN); each row's snapshots are an
     object of TA, TB, TC, TD and TA2 under its theta_V; they convert as one (5N, 2, 2) stack
     (else the first that is not 2x2 is named by its row) checked by one ``density_failures``
     call; last, failures and metadata are objects.  The first problem is raised.
@@ -479,16 +479,18 @@ def _required(value, kind, where):
 
 
 def _row_values(row, r):
-    # the CSV values of report row r: JSON null is NaN, as numpy reads it, any other value float()
+    # the CSV values of report row r: JSON null is NaN, as numpy reads it, a JSON number float()
     _required(row, dict, f"report row {r}")
     values = []
     for column in CSV_COLUMNS:
         try:
             value = row[column]
+            if type(value) not in (int, float, type(None)):  # bool, str, list or dict
+                raise TypeError(f"{type(value).__name__}, not a number")
             values.append(math.nan if value is None else float(value))
         except KeyError:
             raise QuantumValueError(f"report row {r} column {column}: missing") from None
-        except (OverflowError, TypeError, ValueError) as exc:
+        except (OverflowError, TypeError) as exc:
             raise QuantumValueError(f"report row {r} column {column}: {exc}") from None
     return values
 
@@ -552,10 +554,12 @@ def _theta_list(text):
 _CONFIG_PARSERS = {"theta_list_deg": _theta_list, "seed": int, "out": str, "fmt": str}
 
 
-def load_config_file(path, unused=()):
+def load_config_file(path, unused=(), **overrides):
     """Read a flat key=value config file into a SweepConfig; a key in ``unused`` is refused.
 
-    Each line is read in turn, and a bad key or value raises naming ``path:line``.
+    Each line is read in turn, and a bad key or value raises naming ``path:line``.  The
+    ``overrides`` (command-line flags) replace the file's values before anything is checked;
+    a file's value that SweepConfig refuses raises naming ``path``.
     """
     values = {}
     with open(path, encoding="utf-8", errors="replace") as fh:
@@ -573,4 +577,8 @@ def load_config_file(path, unused=()):
                 values[key] = _CONFIG_PARSERS.get(key, float)(val)
             except ValueError as exc:
                 raise QuantumValueError(f"{path}:{ln}: {exc}") from None
-    return SweepConfig(**values)
+    try:
+        return SweepConfig(**{**values, **overrides})
+    except QuantumValueError as exc:
+        SweepConfig(**overrides)  # a refused override raises as it would without the file
+        raise QuantumValueError(f"{path}: {exc}") from None

@@ -152,6 +152,26 @@ def test_config_with_a_bad_jones_parameter_is_rejected():
 
 # -- one corrupted row per gate ------------------------------------------------
 
+_ARMED = []  # a [seam, fired] pair for each seam the running test armed
+
+
+@pytest.fixture(autouse=True)
+def _armed_seams_fire():
+    """Fail a test at teardown when a seam it armed never changed anything: a seam the engine
+    no longer reaches (a renamed binding, a stack of another shape) would otherwise leave a
+    gate test passing without testing its gate."""
+    _ARMED.clear()
+    yield
+    unfired = [seam for seam, fired in _ARMED if not fired]
+    _ARMED.clear()
+    assert not unfired, f"seams armed but never fired: {unfired}"
+
+
+def _arm(seam):
+    record = [seam, False]
+    _ARMED.append(record)
+    return record
+
 
 def _corrupt_nth_stack(monkeypatch, owner, name, nth, change, part=0, parts=1):
     """Patch ``owner.name`` so that its nth call on a stack of all rows has row ROW changed.
@@ -164,6 +184,7 @@ def _corrupt_nth_stack(monkeypatch, owner, name, nth, change, part=0, parts=1):
     calls = []
     stacks = (parts, len(DEFAULT_THETAS)) if parts > 1 else (len(DEFAULT_THETAS),)
     at = (part, ROW) if parts > 1 else ROW
+    fired = _arm(f"{owner.__name__}.{name} call {nth} on {stacks} stacks")
 
     def patched(*args, **kwargs):
         out = original(*args, **kwargs)
@@ -172,6 +193,7 @@ def _corrupt_nth_stack(monkeypatch, owner, name, nth, change, part=0, parts=1):
             if len(calls) == nth:
                 out = out.copy()
                 out[at] = change(out[at])
+                fired[1] = True
         return out
 
     monkeypatch.setattr(owner, name, patched)
@@ -180,11 +202,13 @@ def _corrupt_nth_stack(monkeypatch, owner, name, nth, change, part=0, parts=1):
 def _corrupt_block(monkeypatch, inverse, change, row=ROW):
     """Patch the engine's block builder: row ``row`` of the PD (or IPD) stack changed, no error."""
     original = runner_mod.dephasing_blocks
+    fired = _arm(f"runner.dephasing_blocks {'IPD' if inverse else 'PD'} row {row}")
 
     def patched(pd_theta, ipd_theta):
         blocks = list(original(pd_theta, ipd_theta))
         u = blocks[inverse] = blocks[inverse].copy()
         u[row] = change(u[row])
+        fired[1] = True
         return tuple(blocks)
 
     monkeypatch.setattr(runner_mod, "dephasing_blocks", patched)
@@ -197,10 +221,12 @@ def _skew_joint_coherence(monkeypatch, part, upper=1e-6, lower=0.0):
     state reads both entries, so alone ``upper`` leaves it not Hermitian, and 0.5 at both
     keeps it Hermitian with unit trace and gives it an eigenvalue of about -0.11."""
     original = runner_mod.trace_path
+    fired = _arm(f"runner.trace_path joint part {part}")
 
     def patched(stack):
         stack[part, ROW, 0, 2] += upper
         stack[part, ROW, 2, 0] += lower
+        fired[1] = True
         return original(stack)
 
     monkeypatch.setattr(runner_mod, "trace_path", patched)
@@ -208,10 +234,12 @@ def _skew_joint_coherence(monkeypatch, part, upper=1e-6, lower=0.0):
 
 def _break_kraus(monkeypatch):
     original = optics_mod._kraus_pairs
+    fired = _arm("optics._kraus_pairs")
 
     def patched(theta_v):
         kraus = original(theta_v).copy()
         kraus[ROW, 1] *= 1.01
+        fired[1] = True
         return kraus
 
     monkeypatch.setattr(optics_mod, "_kraus_pairs", patched)

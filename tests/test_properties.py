@@ -14,9 +14,13 @@ noiseless sweep's bits.
 
 The circuit properties draw well-typed ``.otto`` programs (every op, continuous angles,
 ``pd``/``ipd`` at 0 and 45 deg, gap ratios just above 1, omega0 tau = 0, taps on either side
-of the ancilla, an ancilla left open) and run each through parse, compile and the fold.
+of the ancilla, an ancilla left open) and run each through parse, compile and the fold.  The
+ill-typed programs are such a program with one fault injected; parse or compile_program must
+name the fault's line, and ``ottosim run`` must exit 2 with that message.
 """
 
+import contextlib
+import io
 import itertools
 import math
 from dataclasses import replace
@@ -25,7 +29,8 @@ import pytest
 
 import numpy as np
 
-from ottosim.circuit import compile_program, parse
+from ottosim import cli
+from ottosim.circuit import _ARITY, CircuitCompileError, CircuitSyntaxError, compile_program, parse
 from ottosim.qcore import TOL, density_failures
 from ottosim.runner import SweepConfig, run_cycle, run_sweep
 
@@ -110,8 +115,8 @@ THERMAL_X = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=60.0))
 
 
 @st.composite
-def programs(draw):
-    """The text of a well-typed program: an init, then up to 24 instructions.  A dephasing
+def program_lines(draw):
+    """The lines of a well-typed program: an init, then up to 24 instructions.  A dephasing
     block is a ``pd`` while the ancilla is closed and an ``ipd`` while it is open; an ``init``
     while it is open closes it with an ``ipd`` instead, and the ancilla may stay open."""
     def init():
@@ -133,7 +138,12 @@ def programs(draw):
             ancilla = not ancilla
         else:
             lines.append(init())
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def programs():
+    """The text of a well-typed program of ``program_lines``."""
+    return program_lines().map(lambda lines: "\n".join(lines) + "\n")
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -150,6 +160,102 @@ def test_every_well_typed_program_runs_to_density_operators(source):
     states = np.array([state.matrix for state in (*run.snapshots.values(), run.final)])
     assert states.shape == (len(labels) + 1, 2, 2)
     assert density_failures(states) == {}
+
+
+# -- ill-typed programs: one fault injected into a well-typed one ----------------------------
+
+PARSE_FAULTS = ("unknown keyword", "arity", "not a finite number", "block angle")
+COMPILE_FAULTS = ("ipd without pd", "nested pd", "duplicate tap", "gap ratio")
+NUMBER_OPS = ("hwp", "qwp", "rot", "expand", "compress", "pd", "ipd", "init thermal")
+NOT_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999", "-1e999", "abc", "0x10",
+                               "1,5", "--1", "45deg"])
+OUT_OF_BLOCK_RANGE = st.one_of(
+    st.floats(max_value=-1e-12, allow_infinity=False),
+    st.floats(min_value=45.0, exclude_min=True, allow_infinity=False))
+
+
+def _number_args(op, draw):
+    # arguments that parse for op: expand's and compress's gap ratio, else an angle or x
+    if op in ("expand", "compress"):
+        return [repr(draw(GAP_RATIOS)), repr(draw(OMEGA0_TAU_DEG))]
+    return [repr(draw(BLOCK_ANGLES if op in ("pd", "ipd") else THERMAL_X))]
+
+
+@st.composite
+def ill_typed_programs(draw):
+    """A well-typed program with one fault injected: ``(source, line, error)``, the line the
+    fault is on and the error that must name it.  The parse faults (an unknown keyword, a
+    wrong arity, an argument that is no finite number, a block angle outside [0, 45]) go
+    anywhere; the compile faults (an ``ipd`` with no ancilla, a ``pd`` inside one, a tap label
+    used before, a gap ratio n <= 1) go after the first init, where the ancilla is as they
+    need.  A fault that needs a context the program lacks brings it on the line before."""
+    lines = draw(program_lines())
+    ancilla, labels = [False], [set()]  # before each position: the ancilla open, the taps
+    for line in lines:
+        op, *args = line.split()
+        ancilla.append({"pd": True, "ipd": False}.get(op, ancilla[-1]))
+        labels.append(labels[-1] | ({args[0]} if op == "tomo" else set()))
+    fault = draw(st.sampled_from(PARSE_FAULTS + COMPILE_FAULTS))
+    at = draw(st.integers(min_value=int(fault in COMPILE_FAULTS), max_value=len(lines)))
+    error = CircuitSyntaxError if fault in PARSE_FAULTS else CircuitCompileError
+    if fault == "unknown keyword":
+        word = draw(st.sampled_from(["lens", "hwpp", "pdd", "ipd2", "measure", "tomo_", "x"]))
+        injected = [f"{word} {draw(ANGLES)!r}"]
+    elif fault == "arity":
+        op = draw(st.sampled_from([*_ARITY, "init", "init thermal", "init rc"]))
+        want = {"init": 1, "init thermal": 1, "init rc": 0}.get(op, _ARITY.get(op))
+        count = draw(st.integers(min_value=0, max_value=3).filter(lambda c: c != want))
+        word = "T" if op == "tomo" else "10.0"
+        injected = [" ".join([op, *[word] * count])]
+    elif fault == "not a finite number":
+        op = draw(st.sampled_from(NUMBER_OPS))
+        args = _number_args(op, draw)
+        args[draw(st.integers(min_value=0, max_value=len(args) - 1))] = draw(NOT_NUMBERS)
+        injected = [" ".join([op, *args])]
+    elif fault == "block angle":
+        injected = [f"{draw(st.sampled_from(['pd', 'ipd']))} {draw(OUT_OF_BLOCK_RANGE)!r}"]
+    elif fault == "ipd without pd":
+        at = draw(st.sampled_from([k for k in range(1, len(lines) + 1) if not ancilla[k]]))
+        injected = [f"ipd {draw(BLOCK_ANGLES)!r}"]
+    elif fault == "nested pd":
+        injected = [f"pd {draw(BLOCK_ANGLES)!r}"]
+        if not ancilla[at]:
+            injected.insert(0, f"pd {draw(BLOCK_ANGLES)!r}")
+    elif fault == "duplicate tap":
+        label = draw(st.sampled_from(sorted(labels[at]))) if labels[at] else "DUP"
+        injected = [f"tomo {label}"] if labels[at] else ["tomo DUP", "tomo DUP"]
+    else:
+        n = draw(st.floats(max_value=1.0, allow_nan=False, allow_infinity=False))
+        injected = [f"{draw(st.sampled_from(['expand', 'compress']))} {n!r} "
+                    f"{draw(OMEGA0_TAU_DEG)!r}"]
+    source = "\n".join(lines[:at] + injected + lines[at:]) + "\n"
+    return source, at + len(injected), error
+
+
+@pytest.fixture(scope="module")
+def otto_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("ill_typed") / "program.otto"
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@hypothesis.given(case=ill_typed_programs())
+def test_an_ill_typed_program_is_refused_naming_its_line(otto_file, case):
+    """parse and compile_program raise the fault's error naming its line alone, and
+    ``ottosim run`` of the program exits 2 with that message and no traceback."""
+    source, line, error = case
+    with pytest.raises((CircuitSyntaxError, CircuitCompileError)) as info:
+        compile_program(parse(source))
+    assert type(info.value) is error, (source, info.value)
+    if error is CircuitSyntaxError:
+        assert [e.line for e in info.value.errors] == [line], (source, info.value)
+    else:
+        assert str(info.value).startswith(f"line {line}: "), (source, info.value)
+    otto_file.write_text(source)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["run", str(otto_file)])
+    assert code == 2
+    assert err.getvalue() == f"error: {info.value}\n"
 
 
 @hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)

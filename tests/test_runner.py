@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import random
 import re
+import stat
 import warnings
 from pathlib import Path
 
@@ -297,24 +299,28 @@ class TestEmit:
                 load_report(json.dumps(doc))
             assert str(info.value) == f"report row theta_V = 22.5 deg has a {shape} TD snapshot"
 
-    def test_load_report_rejects_a_row_value_that_is_no_float_naming_its_row(self):
-        # a JSON integer beyond the float range, an object or a list in a row's columns is
-        # refused by row position and column, the first such value in row order
+    @pytest.mark.parametrize("value, reason", [
+        (10**400, "int too large to convert to float"),
+        ({"re": 0.5}, "dict, not a number"),
+        ([0.5], "list, not a number"),
+        (True, "bool, not a number"),
+        ("0.5", "str, not a number"),
+    ], ids=["int past float", "object", "list", "bool", "string"])
+    def test_load_report_rejects_a_row_value_that_is_no_float_naming_its_row(self, value,
+                                                                             reason):
+        # a JSON integer beyond the float range, or a value that is no JSON number or null, in
+        # a row's columns is refused by row position and column, the first such in row order
+        # (float() would read true as 1.0 and "0.5" as 0.5, and emit would write numbers back)
         blob = emit(run_sweep(SweepConfig(theta_list_deg=(8.0, 22.5, 29.0))), "json")
-        for value, reason in ((10**400, "int too large to convert to float"),
-                              ({"re": 0.5}, "float() argument must be a string or a real "
-                                            "number, not 'dict'"),
-                              ([0.5], "float() argument must be a string or a real number, "
-                                      "not 'list'")):
-            doc = json.loads(blob)
-            doc["rows"][1]["kappa"] = value
-            with pytest.raises(QuantumValueError) as info:
-                load_report(json.dumps(doc))
-            assert str(info.value) == f"report row 1 column kappa: {reason}"
-            doc["rows"][2]["theta_v_deg"] = value
-            with pytest.raises(QuantumValueError) as info:
-                load_report(json.dumps(doc))
-            assert str(info.value) == f"report row 1 column kappa: {reason}"
+        doc = json.loads(blob)
+        doc["rows"][1]["kappa"] = value
+        with pytest.raises(QuantumValueError) as info:
+            load_report(json.dumps(doc))
+        assert str(info.value) == f"report row 1 column kappa: {reason}"
+        doc["rows"][2]["theta_v_deg"] = value
+        with pytest.raises(QuantumValueError) as info:
+            load_report(json.dumps(doc))
+        assert str(info.value) == f"report row 1 column kappa: {reason}"
 
     @pytest.mark.parametrize("change, message", [
         (lambda doc: doc["rows"][1].pop("kappa"), "report row 1 column kappa: missing"),
@@ -554,7 +560,26 @@ class TestCli:
         cfg.write_text("omega0_tau = nan\n")
         assert cli.main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
-            "error: Jones parameter (n + 1) omega0*tau / 2 = nan is not finite\n")
+            f"error: {cfg}: Jones parameter (n + 1) omega0*tau / 2 = nan is not finite\n")
+
+    @pytest.mark.parametrize("line, flags", [("seed = -1", ["--seed", "3"]),
+                                             ("theta_list_deg = 99", ["--theta-list", "10"])])
+    def test_flags_override_a_config_file_before_it_is_checked(self, tmp_path, capsys, line,
+                                                               flags):
+        # the file's value alone is refused, naming the file; under a flag it is never checked
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(line + "\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.endswith("\n"), err
+        assert cli.main(["sweep", "--config", str(cfg), *flags]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_refused_flag_over_a_config_file_is_named_bare(self, tmp_path, capsys):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("seed = 4\n")
+        assert cli.main(["sweep", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed = -1 must be nonnegative\n"
 
     def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys):
         # SeedSequence refuses negative entropy, so a negative seed is a config error, with
@@ -565,7 +590,9 @@ class TestCli:
                      ["sweep", "--config", "seed.cfg"], ["golden", "--seed", "-1"],
                      ["golden", "--config", "seed.cfg"]):
             assert cli.main(argv) == 2, argv
-            assert capsys.readouterr().err == "error: seed = -1 must be nonnegative\n", argv
+            # a value the config file supplied is refused naming the file
+            named = "seed.cfg: " if "--config" in argv else ""
+            assert capsys.readouterr().err == f"error: {named}seed = -1 must be nonnegative\n", argv
 
     def test_run_circuit(self, tmp_path, capsys):
         circ = tmp_path / "cycle.otto"
@@ -684,9 +711,57 @@ class TestCli:
         assert capsys.readouterr() == ("", f"error: golden.cfg:1: unused key '{key}'\n")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["golden.cfg"]
 
-    def test_unwritable_output_exits_2(self, tmp_path):
-        target = tmp_path / "no" / "such" / "dir" / "report.csv"
-        assert cli.main(["sweep", "--out", str(target)]) == 2
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        for target in (tmp_path / "no" / "such" / "dir" / "report.csv", tmp_path):
+            assert cli.main(["sweep", "--out", str(target)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+    def test_out_over_a_longer_file_holds_exactly_the_new_bytes(self, tmp_path, capsys):
+        # --out writes over the old bytes and cuts the file at the end of the new ones
+        out, circ = tmp_path / "report", tmp_path / "tap.otto"
+        circ.write_text("init rc\ntomo T\n")
+        for argv in (["sweep", "--format", "json", "--theta-list", "45"], ["run", str(circ)]):
+            out.write_bytes(b"x" * 100_000)
+            assert cli.main(argv) == 0
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            assert out.read_bytes() == capsys.readouterr().out.encode(), argv
+
+    def test_out_keeps_the_inode_and_mode_of_an_existing_file(self, tmp_path):
+        out = tmp_path / "report.csv"
+        out.write_bytes(b"old report\n" * 1000)
+        out.chmod(0o640)
+        before = out.stat()
+        assert cli.main(["sweep", "--out", str(out)]) == 0
+        after = out.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+        assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+
+    def test_out_creates_a_new_file_at_the_mode_open_gives(self, tmp_path):
+        out = tmp_path / "report.csv"
+        umask = os.umask(0o027)
+        try:
+            assert cli.main(["sweep", "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+
+    @pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0,
+                        reason="root reads every file, so a write-only file proves nothing")
+    def test_out_writes_a_write_only_file(self, tmp_path):
+        out = tmp_path / "report.csv"
+        out.write_bytes(b"old report\n" * 1000)
+        out.chmod(0o200)
+        try:
+            assert cli.main(["sweep", "--out", str(out)]) == 0
+        finally:
+            out.chmod(0o600)
+        assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+
+    def test_out_to_the_null_device_exits_0(self, capsys):
+        # a character device is written, not cut
+        assert cli.main(["sweep", "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
 
 
 def _load_message(text):
@@ -742,7 +817,8 @@ class TestLoadReportFuzz:
             again = emit(report, "json")
             assert emit(load_report(again), "json") == again, path
             outcomes.append("loaded")
-        assert (outcomes.count("refused"), outcomes.count("loaded")) == (2617, 383)
+        # 44 of the refused mutants put true, false or "22.5" in a row column: no JSON number
+        assert (outcomes.count("refused"), outcomes.count("loaded")) == (2661, 339)
 
     def test_a_refused_pair_names_its_first_refused_value(self):
         # rows[0]["kappa"] and rows[1]["r"] set to every pair of values: a refused document
