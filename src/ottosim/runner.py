@@ -22,19 +22,21 @@ invariants, cycle closure included, hold at any noise level.
 
 ``_cycle_rows`` runs a sweep's angles as one stack: the A->B stroke once per
 operating point per process (``_a_to_b``, a 4-point memo that a one-shot CLI
-sweep never hits), the per-angle strokes on (N, ., .) arrays, then one (2 + 4N, 2, 2) stack
-of every 2x2 state decomposed in one call (the joint states, congruences of the checked rho_B
-by checked elements, are only reduced), whose slices the ledger reads.  Each check of a row is
-a column of the gate table ``_GATES``, all compared by one ``qcore.gate`` call (a failed A->B
-column stops every row).  A SweepReport (from a sweep or ``load_report``) is the CSV-value
-table and a builder of the snapshot planes, built with its rows on first read, which a CSV
-emit never makes; ``run_cycle`` is N = 1.
+sweep never hits), the per-angle strokes on (N, ., .) arrays, then one stack of every 2x2
+state in the slot order of ``_SLOTS`` decomposed in one call (the joint states, congruences of
+the checked rho_B by checked elements, are only reduced), read by slot name.  Each check of a
+row is a column of the gate table ``_GATES`` (a new check is one row), all compared by one
+``qcore.gate`` call (a failed A->B column stops every row).  A SweepReport (from a sweep or
+``load_report``) is the CSV-value table and a builder of the snapshot planes, built with its
+rows on first read, which a CSV emit never makes; ``run_cycle`` is N = 1.
 """
 
 import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,7 +69,7 @@ from .thermo import (
     ledger_columns,
     thermal_matrices,
 )
-from .tomography import load_golden_data, tomography_stack
+from .tomography import GOLDEN_LABELS, load_golden_data, tomography_stack
 
 __all__ = [
     "SweepConfig",
@@ -85,33 +87,12 @@ __all__ = [
 
 DEFAULT_THETAS = (0.0, 8.0, 16.0, 22.5, 29.0, 37.0, 45.0)
 SNAPSHOT_LABELS = ("TA", "TB", "TC", "TD", "TA2")
-# snapshot label -> golden data label
-GOLDEN_MAP = {
-    "TA": "ini",
-    "TB": "A_to_B",
-    "TC": "B_to_C",
-    "TD": "C_to_D",
-    "TA2": "D_to_A",
-}
 # the experiment's cycle from its initial state |psi_rc> at the golden angle,
 # up to the end of its hot stroke; expand takes n and omega0*tau in degrees
 GOLDEN_HOT_STROKE = "init rc\nexpand {n!r} {w!r}\npd 22.5\ntomo TC\n"
 
-CSV_COLUMNS = (
-    "theta_v_deg",
-    "kappa",
-    "r",
-    "W_AB",
-    "Q_BC",
-    "W_CD",
-    "Q_DA",
-    "dU_cycle",
-    "W_extracted",
-    "Sigma_e",
-    "Sigma_c",
-    "Sigma_cycle",
-    "max_delta_vs_closed_form",
-)
+# a sweep row: theta_V in degrees, the CycleLedger fields after theta_v, the closed-form deviation
+CSV_COLUMNS = ("theta_v_deg", *CycleLedger._fields[1:], "max_delta_vs_closed_form")
 
 
 class CycleError(RuntimeError):
@@ -164,26 +145,58 @@ class CycleResult:
     max_delta_vs_closed_form: float
 
 
-def _state_checks(stroke, at):
-    # the density checks of the state at position at(i, c) of the sweep's state stack for row i
-    return [(stroke, bound, lambda d, i, tr, c, m=m: m(d, at(i, c), tr))
-            for bound, m in zip(*DENSITY_GATE)]
+# The sweep's state stack, slot by slot in stack order: a shared slot holds one state for all rows,
+# every other one state per row.  The ledger reads the energies of one run of slots (first to last
+# named; omega = n at the expanded gap, else omega0) in one call, and the entropies of another.
+_SLOTS, _SHARED = ("C", "A2", "D", "A", "B", "hot"), ("A", "B")
+_ENERGY, _EXPANDED, _ENTROPY = ("C", "A2", "D", "A", "B"), ("C", "B"), ("D", "A", "B", "hot")
 
 
-# The sweep's gate table: one defect column per check, (stroke, bound, message), in the order a
-# single-matrix computation runs them.  A state's density check is qcore's three columns, reading
-# the trace at its position in the stack [rho_C; rho_A2; rho_D; rho_A; rho_B; hot targets].
-_SPECTRUM = (TOL["spectrum"], "not unitary, spectrum moved by {:.3g}".format)
+@lru_cache(maxsize=32)
+def _layout(count):
+    # the stack at N = count rows: slot -> slice (shared: position), energy, entropy runs, gap mask
+    size = {slot: 1 if slot in _SHARED else count for slot in _SLOTS}
+    stop = dict(zip(_SLOTS, accumulate(size.values())))
+    at = {slot: stop[slot] - 1 if slot in _SHARED else slice(stop[slot] - count, stop[slot])
+          for slot in _SLOTS}
+    energy, entropy = (slice(stop[r[0]] - size[r[0]], stop[r[-1]]) for r in (_ENERGY, _ENTROPY))
+    expanded = np.concatenate([np.full(size[slot], slot in _EXPANDED) for slot in _ENERGY])
+    return at, energy, entropy, _frozen(expanded[:, None, None])
+
+
+def _density(slot):
+    # a slot's density checks, qcore's three columns; the trace message prints the trace of the
+    # row's own state (a shared slot's one state, for every row)
+    def own(i, c):
+        at = _layout(c)[0][slot]
+        return at if slot in _SHARED else at.start + i
+    return lambda v: v.dens[v.at[slot]], [
+        (bound, lambda d, i, tr, c, m=m: m(d, own(i, c), tr)) for bound, m in zip(*DENSITY_GATE)]
+
+
+def _spectrum(x, y):  # a unitary stroke from state x to state y keeps the spectrum
+    return lambda v: np.abs(v.lam[v.at[x]] - v.lam[v.at[y]]).max(axis=-1, keepdims=True), [
+        (TOL["spectrum"], "not unitary, spectrum moved by {:.3g}".format)]
+
+
+# The sweep's gate table, in the order a single-matrix computation runs its checks: (stroke, a
+# defect expression over the sweep's values v giving K columns for N rows or for all, their K
+# (bound, message)).  A new check is one row here; all are compared by one ``gate`` call.
 _BLOCK = list(zip(*BLOCK_GATE))  # range (two columns), Kraus completeness, arm plate
-_GATES = [
-    *_state_checks("A->B", lambda i, c: 3 * c), *_state_checks("A->B", lambda i, c: 3 * c + 1),
-    ("A->B", *_SPECTRUM), *(("B->C", *check) for check in _BLOCK),
-    *_state_checks("B->C", lambda i, c: i), *_state_checks("B->C", lambda i, c: 3 * c + 2 + i),
-    *_state_checks("C->D", lambda i, c: 2 * c + i), ("C->D", *_SPECTRUM),
-    *(("D->A", *_BLOCK[k]) for k in (0, 1, 3)), *_state_checks("D->A", lambda i, c: c + i),
-    ("D->A", TOL["cycle_closure"], "cycle failed to close, defect {:.3g}".format)]
-_SWEEP_GATE = (np.array([bound for _, bound, _ in _GATES]), tuple(
-    lambda d, i, tr, c, s=stroke, m=m: f"stroke {s}: {m(d, i, tr, c)}" for stroke, _, m in _GATES))
+_GATES = (
+    ("A->B", *_density("A")), ("A->B", *_density("B")), ("A->B", *_spectrum("A", "B")),
+    ("B->C", lambda v: v.blocks[0], _BLOCK), ("B->C", *_density("C")), ("B->C", *_density("hot")),
+    ("C->D", *_density("D")), ("C->D", *_spectrum("C", "D")),
+    ("D->A", lambda v: v.blocks[1][:, [0, 1, 3]], [_BLOCK[k] for k in (0, 1, 3)]),
+    ("D->A", *_density("A2")),
+    ("D->A", lambda v: np.abs(v.states[v.at["A2"]] - v.states[v.at["A"]]).max(axis=(-2, -1))[
+        :, None], [(TOL["cycle_closure"], "cycle failed to close, defect {:.3g}".format)]))
+# each row's columns of the (N, K) defects; the bounds, and messages of (defect, i, traces, N)
+_FILL = [(slice(end - len(checks), end), defect) for (_, defect, checks), end in zip(
+    _GATES, accumulate(len(checks) for *_, checks in _GATES))]
+_SWEEP_GATE = (np.array([bound for *_, checks in _GATES for bound, _ in checks]), tuple(
+    lambda d, i, tr, c, s=stroke, m=m: f"stroke {s}: {m(d, i, tr, c)}"
+    for stroke, _, checks in _GATES for _, m in checks))
 
 
 @lru_cache(maxsize=4)
@@ -201,7 +214,7 @@ def _cycle_rows(thetas, config):
     """Run one cycle per angle of ``thetas`` (degrees), all angles as one stack.
 
     A->B comes from ``_a_to_b`` and B->C, C->D and D->A run on all N rows; then every 2x2 state
-    is decomposed in one call and one ``gate`` call compares the (N, 28) defects of ``_GATES``.
+    is decomposed in one call and one ``gate`` call compares the (N, K) defects of ``_GATES``.
     A row reports its first failed check, in stroke order, with its stroke named; the
     other rows go on, and a failed A->B check (rho_A, rho_B or their spectra) stops every
     row.  The ledger is columns over all rows, with only IEEE arithmetic vectorised, so
@@ -231,42 +244,34 @@ def _cycle_rows(thetas, config):
     np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
     rho_c, rho_d, rho_a2 = paths = trace_path(joint)
 
-    # the sweep's one state stack [rho_C; rho_A2; rho_D; rho_A; rho_B; hot targets], checked
-    # in one call and each decomposed once: the energies read its first 3N + 2 slices, the
-    # entropies (of relaxing rho_B to each hot target and each rho_D to rho_A) the spectra
-    # of its last 2N + 2
-    c, a = count, 3 * count
-    states = np.empty((a + c + 2, 2, 2), dtype=complex)
-    states[:c], states[c:2 * c], states[2 * c:a], states[a:a + 2] = rho_c, rho_a2, rho_d, ab
-    states[a + 2:] = thermal_matrices(x_h.tolist())
+    # the sweep's one state stack, slot by slot, checked in one call and each state decomposed
+    # once; the energies and the entropies (of relaxing rho_B to each hot target and each rho_D
+    # to rho_A) are one call each over their run of slots
+    at, energy, entropy, expanded = _layout(count)
+    slots = {"C": rho_c, "A2": rho_a2, "D": rho_d, "A": ab[:1], "B": ab[1:]}
+    slots["hot"] = thermal_matrices(x_h.tolist())
+    states = np.concatenate([slots[slot] for slot in _SLOTS])
     lam, dens, trace = density_defects(states)
-    # the defects of the gate table, stroke by stroke (rho_A, rho_B and the A->B spectrum are one
-    # state or check for all rows); a row reports its first failed check with its stroke named
-    defects = np.empty((count, len(_GATES)))
-    defects[:, :3], defects[:, 3:6] = dens[a], dens[a + 1]
-    defects[:, 6] = np.abs(lam[a] - lam[a + 1]).max()  # a unitary stroke keeps the spectrum
-    defects[:, 7:11], defects[:, 11:14], defects[:, 14:17] = blocks[:c], dens[:c], dens[a + 2:]
-    defects[:, 17:20], defects[:, 20] = dens[2 * c:a], np.abs(lam[:c] - lam[2 * c:a]).max(axis=-1)
-    defects[:, 21:24], defects[:, 24:27] = blocks[c:, [0, 1, 3]], dens[c:2 * c]
-    defects[:, 27] = np.abs(rho_a2 - ab[0]).max(axis=(-2, -1))  # the cycle closes
-    errors = {i: CycleError(m) for i, m in gate(defects, *_SWEEP_GATE, trace, c).items()}
+    # the defects of the gate table; a row reports its first failed check with its stroke named
+    v = SimpleNamespace(at=at, lam=lam, dens=dens, states=states,
+                        blocks=blocks.reshape(2, count, 4))  # [PD; IPD]
+    defects = np.empty((count, len(_SWEEP_GATE[0])))
+    for columns, defect in _FILL:
+        defects[:, columns] = defect(v)
+    errors = {i: CycleError(m) for i, m in gate(defects, *_SWEEP_GATE, trace, count).items()}
 
     # the ledger as columns over all rows (a stopped row's are dropped with it), one call per
     # quantity, the energies with one H per slice; q_BC in hbar*omega_fin units, so beta*Q
     # reduces to x_h * q
-    omega = np.ones(a + 2)
-    omega[:c] = omega[-1] = n  # rho_C and rho_B at the expanded gap
-    e = expectations(hamiltonian(omega[:, None, None]), states[:a + 2])
-    (e_c_hot, e_a2_cold, e_d_cold), (e_a_cold, e_b_hot) = e[:a].reshape(3, c), e[a:].tolist()
-    s = entropies(spectra(lam[2 * c:]))
-    s_d, (s_cold, s_b), s_h = s[:c], s[c:c + 2].tolist(), s[c + 2:]
-    q_bc = e_c_hot - e_b_hot
-    w_cd = e_d_cold - e_c_hot
-    q_da = e_a2_cold - e_d_cold
-    sig_e = (s_h - s_b) - x_h * (q_bc / n)
-    sig_c = (s_cold - s_d) - x_c * q_da
+    e, s = np.empty((2, len(states)))
+    e[energy] = expectations(hamiltonian(np.where(expanded, n, 1.0)), states[energy])
+    s[entropy] = entropies(spectra(lam[entropy]))
+    e, s = ({x: vals[at[x]] for x in run} for vals, run in ((e, _ENERGY), (s, _ENTROPY)))
+    q_bc, w_cd, q_da = e["C"] - e["B"], e["D"] - e["C"], e["A2"] - e["D"]
+    sig_e = (s["hot"] - s["B"]) - x_h * (q_bc / n)
+    sig_c = (s["A"] - s["D"]) - x_c * q_da
     r = x_h / x_c
-    energies = np.array([np.full(count, e_b_hot - e_a_cold), q_bc, w_cd, q_da])
+    energies = np.array([np.full(count, e["B"] - e["A"]), q_bc, w_cd, q_da])
     table = np.array([degrees, *ledger_columns(kappa, r, energies, sig_e, sig_c),
                       np.abs(energies - closed_form_energies(kappa, params)).max(axis=0)])
 
@@ -526,8 +531,8 @@ def compare_golden(report):
         raise QuantumValueError("report has no theta_V = 22.5 deg row to compare")
     golden = load_golden_data()
     fids, fids_sq, deltas = {}, {}, {}
-    for label, plane in zip(SNAPSHOT_LABELS, report._planes):
-        sim, gold_label = wrap_validated(plane[at[0]], label), GOLDEN_MAP[label]
+    for label, gold_label, plane in zip(SNAPSHOT_LABELS, GOLDEN_LABELS, report._planes):
+        sim = wrap_validated(plane[at[0]], label)
         fids_sq[label] = fidelity(sim, golden.states[gold_label])
         fids[label] = math.sqrt(fids_sq[label])
         deltas[label] = float(np.abs(sim.matrix - golden.raw[gold_label]).max())

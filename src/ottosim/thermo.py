@@ -87,11 +87,6 @@ def thermal_state(x):
     return ThermalState(rho=DensityOperator(thermal_matrices([x])[0]), x=float(x))
 
 
-class HotTemperature(NamedTuple):
-    x_h: float
-    r: float
-
-
 def hot_x_from_kappa(kappa, params):
     """Map the dephasing multiplier kappa to the simulated hot-bath scale.
 
@@ -101,7 +96,7 @@ def hot_x_from_kappa(kappa, params):
     The endpoints kappa = 1 and kappa = 0 are returned exactly.
     """
     x_h = hot_x_column(np.array([kappa], dtype=float), params)[0]
-    return HotTemperature(x_h=x_h, r=x_h / params.x_c)
+    return x_h, x_h / params.x_c
 
 
 def hot_x_column(kappa, params):

@@ -173,17 +173,19 @@ def _arm(seam):
     return record
 
 
-def _corrupt_nth_stack(monkeypatch, owner, name, nth, change, part=0, parts=1):
-    """Patch ``owner.name`` so that its nth call on a stack of all rows has row ROW changed.
+def _corrupt_nth_stack(monkeypatch, owner, name, nth, change, part=0, parts=1,
+                       count=len(DEFAULT_THETAS), row=ROW):
+    """Patch ``owner.name`` so that its nth call on a stack of all ``count`` rows has row
+    ``row`` changed.
 
     A call whose output holds ``parts`` stacks of all rows on a leading axis (the
     (3, N, 2, 2) reduction of the engine's [B->C; C->D; D->A] joint stack, say) changes
-    row ROW of stack ``part``.
+    row ``row`` of stack ``part``.
     """
     original = getattr(owner, name)
     calls = []
-    stacks = (parts, len(DEFAULT_THETAS)) if parts > 1 else (len(DEFAULT_THETAS),)
-    at = (part, ROW) if parts > 1 else ROW
+    stacks = (parts, count) if parts > 1 else (count,)
+    at = (part, row) if parts > 1 else row
     fired = _arm(f"{owner.__name__}.{name} call {nth} on {stacks} stacks")
 
     def patched(*args, **kwargs):
@@ -298,6 +300,64 @@ def test_gate_fails_only_its_row(monkeypatch, gate):
     assert report.failures["22.5"].startswith(message), report.failures["22.5"]
     assert [_row_key(row) for row in report.rows] == [
         _row_key(row) for row in clean.rows if row.theta_deg != 22.5]
+
+
+def _raise_first_entry(d):
+    return lambda m: m + [[d, 0.0], [0.0, 0.0]]
+
+
+def _corrupt_shared_state(monkeypatch, k, d):
+    """The engine's A->B stroke gives rho_A (k = 0) or rho_B (k = 1) with d added to its first
+    entry, read by the stack alone: every later state is built from the clean rho_B."""
+    original = runner_mod._a_to_b
+    fired = _arm(f"runner._a_to_b state {k}")
+
+    def patched(*point):
+        ab, *rest = original(*point)
+        ab = ab.copy()
+        ab[k] = _raise_first_entry(d)(ab[k])
+        fired[1] = True
+        return (ab, *rest)
+
+    monkeypatch.setattr(runner_mod, "_a_to_b", patched)
+
+
+# each density slot of the sweep's state stack: a seam raising the trace of one row's state (of
+# the one shared state, for rho_A and rho_B) to 1 + d, d its own for each slot, and the stroke
+# whose message must print that trace; no other state's trace moves
+SLOT_SEAMS = {
+    "rho_C": (lambda mp, count, row: _corrupt_nth_stack(
+        mp, runner_mod, "trace_path", 1, _raise_first_entry(0.01), 0, 3, count, row), "B->C", 0.01),
+    "rho_D": (lambda mp, count, row: _corrupt_nth_stack(
+        mp, runner_mod, "trace_path", 1, _raise_first_entry(0.02), 1, 3, count, row), "C->D", 0.02),
+    "rho_A2": (lambda mp, count, row: _corrupt_nth_stack(
+        mp, runner_mod, "trace_path", 1, _raise_first_entry(0.03), 2, 3, count, row), "D->A", 0.03),
+    "hot target": (lambda mp, count, row: _corrupt_nth_stack(
+        mp, runner_mod, "thermal_matrices", 1, _raise_first_entry(0.04), count=count, row=row),
+        "B->C", 0.04),
+    "rho_A": (lambda mp, count, row: _corrupt_shared_state(mp, 0, 0.05), "A->B", 0.05),
+    "rho_B": (lambda mp, count, row: _corrupt_shared_state(mp, 1, 0.06), "A->B", 0.06),
+}
+
+
+@pytest.mark.parametrize("count, row", [(1, 0), (128, 77)])
+@pytest.mark.parametrize("slot", list(SLOT_SEAMS))
+def test_each_slot_message_prints_its_own_trace_at_other_sizes(monkeypatch, slot, count, row):
+    # a stack position right only at the 7 default angles would print another state's trace
+    # (1) or index past the stack
+    config = SweepConfig(theta_list_deg=tuple(45.0 * (k + 0.5) / count for k in range(count)))
+    clean = run_sweep(config)  # also primes the A->B memo: the hot target's is the first call
+    corrupt, stroke, d = SLOT_SEAMS[slot]
+    corrupt(monkeypatch, count, row)
+    report = run_sweep(config)
+    message = f"stroke {stroke}: trace {1.0 + d:.15g} != 1"
+    keys = [f"{theta:.12g}" for theta in config.theta_list_deg]
+    if stroke == "A->B":
+        assert report.rows == () and report.failures == dict.fromkeys(keys, message)
+        return
+    assert report.failures == {keys[row]: message}
+    assert [_row_key(r) for r in report.rows] == [
+        _row_key(r) for r in clean.rows if f"{r.theta_deg:.12g}" != keys[row]]
 
 
 def _bypass_a_to_b_memo(monkeypatch):
