@@ -22,13 +22,13 @@ invariants, cycle closure included, hold at any noise level.
 
 ``_cycle_rows`` runs a sweep's angles as one stack: the A->B stroke once per
 operating point per process (``_a_to_b``, a 4-point memo that a one-shot CLI
-sweep never hits), the per-angle strokes on (N, ., .) arrays, then one stack of every 2x2
-state in the slot order of ``_SLOTS`` decomposed in one call (the joint states, congruences of
-the checked rho_B by checked elements, are only reduced), read by slot name.  Each check of a
-row is a column of the gate table ``_GATES`` (a new check is one row), all compared by one
-``qcore.gate`` call (a failed A->B column stops every row).  A SweepReport (from a sweep or
-``load_report``) is the CSV-value table and a builder of the snapshot planes, built with its
-rows on first read, which a CSV emit never makes; ``run_cycle`` is N = 1.
+sweep never hits), the per-angle strokes on (N, ., .) arrays, then one (6, N, 2, 2) stack of
+every 2x2 state, slot k the plane ``states[k]`` (rho_A and rho_B repeated on every row),
+decomposed in one call (the joint states, congruences of the checked rho_B by checked
+elements, are only reduced).  Each check of a row is a column of the gate table ``_GATES``,
+all compared by one ``qcore.gate`` call (a failed A->B column stops every row).  A SweepReport
+(from a sweep or ``load_report``) is the CSV-value table and a builder of the snapshot planes,
+built with its rows on first read, which a CSV emit never makes; ``run_cycle`` is N = 1.
 """
 
 import json
@@ -145,57 +145,41 @@ class CycleResult:
     max_delta_vs_closed_form: float
 
 
-# The sweep's state stack, slot by slot in stack order: a shared slot holds one state for all rows,
-# every other one state per row.  The ledger reads the energies of one run of slots (first to last
-# named; omega = n at the expanded gap, else omega0) in one call, and the entropies of another.
-_SLOTS, _SHARED = ("C", "A2", "D", "A", "B", "hot"), ("A", "B")
-_ENERGY, _EXPANDED, _ENTROPY = ("C", "A2", "D", "A", "B"), ("C", "B"), ("D", "A", "B", "hot")
+# The sweep's state stack, one (N, 2, 2) plane per slot in this order, rho_A and rho_B repeated on
+# every row.  The ledger reads the energies of the first five slots in one call (omega = n at the
+# expanded gap, C and B, else omega0) and the entropies of the last four in another.
+C, A2, D, A, B, HOT = range(6)
+_TAP = [A, B, C, D, A2]  # the slots of SNAPSHOT_LABELS
 
 
-@lru_cache(maxsize=32)
-def _layout(count):
-    # the stack at N = count rows: slot -> slice (shared: position), energy, entropy runs, gap mask
-    size = {slot: 1 if slot in _SHARED else count for slot in _SLOTS}
-    stop = dict(zip(_SLOTS, accumulate(size.values())))
-    at = {slot: stop[slot] - 1 if slot in _SHARED else slice(stop[slot] - count, stop[slot])
-          for slot in _SLOTS}
-    energy, entropy = (slice(stop[r[0]] - size[r[0]], stop[r[-1]]) for r in (_ENERGY, _ENTROPY))
-    expanded = np.concatenate([np.full(size[slot], slot in _EXPANDED) for slot in _ENERGY])
-    return at, energy, entropy, _frozen(expanded[:, None, None])
-
-
-def _density(slot):
-    # a slot's density checks, qcore's three columns; the trace message prints the trace of the
-    # row's own state (a shared slot's one state, for every row)
-    def own(i, c):
-        at = _layout(c)[0][slot]
-        return at if slot in _SHARED else at.start + i
-    return lambda v: v.dens[v.at[slot]], [
-        (bound, lambda d, i, tr, c, m=m: m(d, own(i, c), tr)) for bound, m in zip(*DENSITY_GATE)]
+def _density(k):
+    # slot k's density checks, qcore's three columns; the trace message prints its row's trace
+    return lambda v: v.dens[k], [
+        (bound, lambda d, i, tr, m=m: m(d, i, tr[k])) for bound, m in zip(*DENSITY_GATE)]
 
 
 def _spectrum(x, y):  # a unitary stroke from state x to state y keeps the spectrum
-    return lambda v: np.abs(v.lam[v.at[x]] - v.lam[v.at[y]]).max(axis=-1, keepdims=True), [
+    return lambda v: np.abs(v.lam[x] - v.lam[y]).max(axis=-1, keepdims=True), [
         (TOL["spectrum"], "not unitary, spectrum moved by {:.3g}".format)]
 
 
 # The sweep's gate table, in the order a single-matrix computation runs its checks: (stroke, a
-# defect expression over the sweep's values v giving K columns for N rows or for all, their K
-# (bound, message)).  A new check is one row here; all are compared by one ``gate`` call.
+# defect expression over the sweep's values v giving K columns for N rows, their K (bound,
+# message)).  A new check is one row here; all are compared by one ``gate`` call.
 _BLOCK = list(zip(*BLOCK_GATE))  # range (two columns), Kraus completeness, arm plate
 _GATES = (
-    ("A->B", *_density("A")), ("A->B", *_density("B")), ("A->B", *_spectrum("A", "B")),
-    ("B->C", lambda v: v.blocks[0], _BLOCK), ("B->C", *_density("C")), ("B->C", *_density("hot")),
-    ("C->D", *_density("D")), ("C->D", *_spectrum("C", "D")),
+    ("A->B", *_density(A)), ("A->B", *_density(B)), ("A->B", *_spectrum(A, B)),
+    ("B->C", lambda v: v.blocks[0], _BLOCK), ("B->C", *_density(C)), ("B->C", *_density(HOT)),
+    ("C->D", *_density(D)), ("C->D", *_spectrum(C, D)),
     ("D->A", lambda v: v.blocks[1][:, [0, 1, 3]], [_BLOCK[k] for k in (0, 1, 3)]),
-    ("D->A", *_density("A2")),
-    ("D->A", lambda v: np.abs(v.states[v.at["A2"]] - v.states[v.at["A"]]).max(axis=(-2, -1))[
-        :, None], [(TOL["cycle_closure"], "cycle failed to close, defect {:.3g}".format)]))
-# each row's columns of the (N, K) defects; the bounds, and messages of (defect, i, traces, N)
+    ("D->A", *_density(A2)),
+    ("D->A", lambda v: np.abs(v.states[A2] - v.states[A]).max(axis=(-2, -1))[:, None],
+     [(TOL["cycle_closure"], "cycle failed to close, defect {:.3g}".format)]))
+# each row's columns of the (N, K) defects; the bounds, and messages of (defect, i, traces)
 _FILL = [(slice(end - len(checks), end), defect) for (_, defect, checks), end in zip(
     _GATES, accumulate(len(checks) for *_, checks in _GATES))]
 _SWEEP_GATE = (np.array([bound for *_, checks in _GATES for bound, _ in checks]), tuple(
-    lambda d, i, tr, c, s=stroke, m=m: f"stroke {s}: {m(d, i, tr, c)}"
+    lambda d, i, tr, s=stroke, m=m: f"stroke {s}: {m(d, i, tr)}"
     for stroke, _, checks in _GATES for _, m in checks))
 
 
@@ -213,15 +197,16 @@ def _a_to_b(*point):
 def _cycle_rows(thetas, config):
     """Run one cycle per angle of ``thetas`` (degrees), all angles as one stack.
 
-    A->B comes from ``_a_to_b`` and B->C, C->D and D->A run on all N rows; then every 2x2 state
-    is decomposed in one call and one ``gate`` call compares the (N, K) defects of ``_GATES``.
-    A row reports its first failed check, in stroke order, with its stroke named; the
-    other rows go on, and a failed A->B check (rho_A, rho_B or their spectra) stops every
-    row.  The ledger is columns over all rows, with only IEEE arithmetic vectorised, so
-    each value has the bits of the per-row formulas; with noise the passing rows' snapshots
-    are tapped as one stack.  Returns the finished rows sorted by (r, theta_V), as positions
-    in ``thetas``, CSV values and a function building their snapshot planes (see
-    SweepReport), and the error of each stopped row.
+    A->B comes from ``_a_to_b`` and B->C, C->D and D->A run on all N rows; then the (6, N, 2, 2)
+    stack of every 2x2 state, slot k (C, A2, D, A, B, hot) its plane ``states[k]``, is decomposed
+    in one call and one ``gate`` call compares the (N, K) defects of ``_GATES``.  A row reports
+    its first failed check, in stroke order, with its stroke named; the other rows go on, and a
+    failed A->B check (rho_A, rho_B or their spectra) stops every row.  The ledger is columns
+    over all rows, the energies one call over slots C to B and the entropies one over slots D to
+    hot, with only IEEE arithmetic vectorised, so each value has the bits of the per-row
+    formulas; with noise the passing rows' snapshots are tapped as one stack.  Returns the
+    finished rows sorted by (r, theta_V), as positions in ``thetas``, CSV values and a function
+    building their snapshot planes (see SweepReport), and the error of each stopped row.
     """
     params, count = config.params(), len(thetas)
     n, x_c = params.n, params.x_c
@@ -242,36 +227,36 @@ def _cycle_rows(thetas, config):
     np.matmul(_right_mul(pd, rho_b_k0), pd.conj().swapaxes(-1, -2), out=joint[0])
     joint[1] = _right_mul(_left_mul(k_c, joint[0]), k_c_dag)
     np.matmul(ipd @ joint[1], ipd.conj().swapaxes(-1, -2), out=joint[2])
-    rho_c, rho_d, rho_a2 = paths = trace_path(joint)
+    paths = trace_path(joint)
 
-    # the sweep's one state stack, slot by slot, checked in one call and each state decomposed
-    # once; the energies and the entropies (of relaxing rho_B to each hot target and each rho_D
-    # to rho_A) are one call each over their run of slots
-    at, energy, entropy, expanded = _layout(count)
-    slots = {"C": rho_c, "A2": rho_a2, "D": rho_d, "A": ab[:1], "B": ab[1:]}
-    slots["hot"] = thermal_matrices(x_h.tolist())
-    states = np.concatenate([slots[slot] for slot in _SLOTS])
-    lam, dens, trace = density_defects(states)
+    # the sweep's one state stack, slot k the plane states[k], checked in one call and each state
+    # decomposed once
+    states = np.empty((6, count, 2, 2), complex)
+    states[C], states[D], states[A2] = paths
+    states[A:B + 1] = ab[:, None]
+    states[HOT] = thermal_matrices(x_h.tolist())
+    lam, dens, trace = (a.reshape(6, count, *a.shape[1:])
+                        for a in density_defects(states.reshape(-1, 2, 2)))
     # the defects of the gate table; a row reports its first failed check with its stroke named
-    v = SimpleNamespace(at=at, lam=lam, dens=dens, states=states,
+    v = SimpleNamespace(lam=lam, dens=dens, states=states,
                         blocks=blocks.reshape(2, count, 4))  # [PD; IPD]
     defects = np.empty((count, len(_SWEEP_GATE[0])))
     for columns, defect in _FILL:
         defects[:, columns] = defect(v)
-    errors = {i: CycleError(m) for i, m in gate(defects, *_SWEEP_GATE, trace, count).items()}
+    errors = {i: CycleError(m) for i, m in gate(defects, *_SWEEP_GATE, trace).items()}
 
     # the ledger as columns over all rows (a stopped row's are dropped with it), one call per
-    # quantity, the energies with one H per slice; q_BC in hbar*omega_fin units, so beta*Q
-    # reduces to x_h * q
-    e, s = np.empty((2, len(states)))
-    e[energy] = expectations(hamiltonian(np.where(expanded, n, 1.0)), states[energy])
-    s[entropy] = entropies(spectra(lam[entropy]))
-    e, s = ({x: vals[at[x]] for x in run} for vals, run in ((e, _ENERGY), (s, _ENTROPY)))
-    q_bc, w_cd, q_da = e["C"] - e["B"], e["D"] - e["C"], e["A2"] - e["D"]
-    sig_e = (s["hot"] - s["B"]) - x_h * (q_bc / n)
-    sig_c = (s["A"] - s["D"]) - x_c * q_da
+    # quantity: the energies of slots C to B, with one H per slice, and the entropies of slots D
+    # to hot (of relaxing rho_B to each hot target and each rho_D to rho_A); q_BC in
+    # hbar*omega_fin units, so beta*Q reduces to x_h * q
+    h = hamiltonian(np.array([n, 1.0, 1.0, 1.0, n])[:, None, None, None]).repeat(count, axis=1)
+    e_c, e_a2, e_d, e_a, e_b = expectations(h, states[:5])
+    s_d, s_a, s_b, s_hot = entropies(spectra(lam[2:]))
+    q_bc, w_cd, q_da = e_c - e_b, e_d - e_c, e_a2 - e_d
+    sig_e = (s_hot - s_b) - x_h * (q_bc / n)
+    sig_c = (s_a - s_d) - x_c * q_da
     r = x_h / x_c
-    energies = np.array([np.full(count, e["B"] - e["A"]), q_bc, w_cd, q_da])
+    energies = np.array([e_b - e_a, q_bc, w_cd, q_da])
     table = np.array([degrees, *ledger_columns(kappa, r, energies, sig_e, sig_c),
                       np.abs(energies - closed_form_energies(kappa, params)).max(axis=0)])
 
@@ -283,10 +268,9 @@ def _cycle_rows(thetas, config):
     if noisy:
         keep = np.flatnonzero(ok)
         streams = np.random.SeedSequence(config.seed).spawn(count)
-        snaps = np.empty((len(keep), 5, 2, 2), complex)
-        snaps[:, :2], snaps[:, 2:] = ab, paths[:, keep].swapaxes(0, 1)
         taps, tap_errors = tomography_stack(
-            snaps, config.noise_sigma, [np.random.default_rng(streams[i]) for i in keep.tolist()])
+            states[_TAP, keep[:, None]], config.noise_sigma,
+            [np.random.default_rng(streams[i]) for i in keep.tolist()])
         stopped = {int(keep[k]): QuantumValueError(message) for k, message in tap_errors.items()}
         errors.update(stopped)
         ok[list(stopped)] = False

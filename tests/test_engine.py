@@ -323,8 +323,8 @@ def _corrupt_shared_state(monkeypatch, k, d):
 
 
 # each density slot of the sweep's state stack: a seam raising the trace of one row's state (of
-# the one shared state, for rho_A and rho_B) to 1 + d, d its own for each slot, and the stroke
-# whose message must print that trace; no other state's trace moves
+# every row's rho_A or rho_B, which the stack repeats on every row) to 1 + d, d its own for each
+# slot, and the stroke whose message must print that trace; no other state's trace moves
 SLOT_SEAMS = {
     "rho_C": (lambda mp, count, row: _corrupt_nth_stack(
         mp, runner_mod, "trace_path", 1, _raise_first_entry(0.01), 0, 3, count, row), "B->C", 0.01),
@@ -525,6 +525,26 @@ def test_closure_checked_under_noise(monkeypatch):
         _row_key(row) for row in clean.rows if row.theta_deg != 22.5]
 
 
+def test_closure_compares_rho_a2_with_rho_a(monkeypatch):
+    # every work stroke commutes with rho_A, so rho_B is rho_A up to rounding and a closure check
+    # reading rho_B would pass a clean sweep too; with rho_B mirrored to 1 - rho_A in the stack
+    # alone (a state of rho_A's spectrum, so every A->B check passes) W_AB moves and rows close
+    original = runner_mod._a_to_b
+    fired = _arm("runner._a_to_b rho_B mirrored")
+
+    def patched(*point):
+        ab, *rest = original(*point)
+        fired[1] = True
+        return (np.array([ab[0], np.eye(2) - ab[0]]), *rest)
+
+    clean = run_sweep()
+    monkeypatch.setattr(runner_mod, "_a_to_b", patched)
+    report = run_sweep()
+    assert report.failures == {} and len(report.rows) == len(clean.rows)
+    assert all(row.ledger.W_AB > 0.0 > clean_row.ledger.W_AB
+               for row, clean_row in zip(report.rows, clean.rows))
+
+
 # The sweep's gate table, column by column in the order a row is checked: its stroke and its
 # message for a NaN defect (a trace message prints the state's trace, not the defect)
 DENSITY_NAN = ("not Hermitian: defect nan", "trace ",
@@ -544,7 +564,8 @@ SWEEP_COLUMNS = [
 @pytest.mark.parametrize("column", range(len(SWEEP_COLUMNS)))
 def test_every_gate_column_fails_nan(monkeypatch, column):
     # a NaN defect in one column of the one defect array fails its row, at its stroke, and no
-    # other; an A->B column holds one value for every row, so its NaN stops them all
+    # other; an A->B column checks rho_A and rho_B, which every row repeats, so its NaN is set
+    # on every row and stops them all
     stroke, message = SWEEP_COLUMNS[column]
     failed = [f"{theta:.12g}" for theta in DEFAULT_THETAS] if stroke == "A->B" else ["22.5"]
     clean, original = run_sweep(), runner_mod.gate
@@ -570,7 +591,7 @@ def _sweep_check(stroke, message, defects):
     ``message``, alone, on ``defects``: position -> message."""
     k = SWEEP_COLUMNS.index((stroke, message))
     bounds, messages = runner_mod._SWEEP_GATE
-    return gate(defects, bounds[k], (messages[k],), None, len(defects))
+    return gate(defects, bounds[k], (messages[k],), None)
 
 
 def test_spectrum_and_closure_gates_fail_nan():
