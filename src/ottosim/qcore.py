@@ -187,8 +187,13 @@ def eigh2(stack):
 
 
 def _herm_defect(stack):
-    # the max-norm Hermiticity defect of a matrix or of each slice of a stack (under the
-    # caller's np.errstate(over="ignore", invalid="ignore"): inf past the float range)
+    # the max-norm Hermiticity defect of each slice of an (M, d, d) stack (under the caller's
+    # np.errstate(over="ignore", invalid="ignore"): inf past the float range); |s10 - s01*| is
+    # |s01 - s10*|, so a 2x2 stack takes the max of three entry planes, one pass over each
+    if stack.shape[1:] == (2, 2):
+        a, b, c, d = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1]
+        return np.maximum(np.maximum(np.abs(a - a.conj()), np.abs(d - d.conj())),
+                          np.abs(b - c.conj()))
     return np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
@@ -204,7 +209,8 @@ def density_defects(stack):
     """The DensityOperator checks of each slice of an (N, d, d) stack, as DENSITY_GATE reads them.
 
     Returns the ascending eigh2 (2x2) or LAPACK (4x4) eigenvalues, the (N, 3) defects and the
-    traces, with np.trace's bits: (d0 + d1) + (d2 + d3) for four.
+    traces, with np.trace's bits: (d0 + d1) + (d2 + d3) for four.  A 2x2 slice's Hermiticity
+    defect is a max over entry planes, with the bits of the max over its four entries.
     """
     eig = eigh2 if stack.shape[-1] == 2 else np.linalg.eigvalsh
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range is inf
@@ -336,9 +342,11 @@ def spectra(lam):
 def entropies(lam):
     """von Neumann entropy in nats of each clamped spectrum from :func:`spectra`.
 
+    Two terms sum in one pass over the rows as numpy's sum does, from 0.0: 0.0 + (t0 + t1).
     ``np.where(s < 0.0, 0.0, s)`` keeps what max(s, 0.0) keeps: a pure state's -0.0, and NaN.
     """
-    s = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+    t = lam * np.log(np.where(lam > 0.0, lam, 1.0))
+    s = -(0.0 + (t[..., 0] + t[..., 1]) if t.shape[-1] == 2 else t.sum(axis=-1))
     return np.where(s < 0.0, 0.0, s)
 
 

@@ -34,7 +34,7 @@ built with its rows on first read, which a CSV emit never makes; ``run_cycle`` i
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -158,8 +158,12 @@ def _density(k):
         (bound, lambda d, i, tr, m=m: m(d, i, tr[k])) for bound, m in zip(*DENSITY_GATE)]
 
 
+def _plane_max(a):  # each row's max as one elementwise pass per entry plane, the .max bits
+    return reduce(np.maximum, a.reshape(len(a), math.prod(a.shape[1:])).T)[:, None]
+
+
 def _spectrum(x, y):  # a unitary stroke from state x to state y keeps the spectrum
-    return lambda v: np.abs(v.lam[x] - v.lam[y]).max(axis=-1, keepdims=True), [
+    return lambda v: _plane_max(np.abs(v.lam[x] - v.lam[y])), [
         (TOL["spectrum"], "not unitary, spectrum moved by {:.3g}".format)]
 
 
@@ -173,7 +177,7 @@ _GATES = (
     ("C->D", *_density(D)), ("C->D", *_spectrum(C, D)),
     ("D->A", lambda v: v.blocks[1][:, [0, 1, 3]], [_BLOCK[k] for k in (0, 1, 3)]),
     ("D->A", *_density(A2)),
-    ("D->A", lambda v: np.abs(v.states[A2] - v.states[A]).max(axis=(-2, -1))[:, None],
+    ("D->A", lambda v: _plane_max(np.abs(v.states[A2] - v.states[A])),
      [(TOL["cycle_closure"], "cycle failed to close, defect {:.3g}".format)]))
 # each row's columns of the (N, K) defects; the bounds, and messages of (defect, i, traces)
 _FILL = [(slice(end - len(checks), end), defect) for (_, defect, checks), end in zip(

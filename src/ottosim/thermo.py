@@ -76,7 +76,7 @@ def hamiltonian(omega):
 
 def thermal_matrices(xs):
     """Unvalidated (N, 2, 2) stack of the thermal_state(x) matrix for each x in xs."""
-    t = np.array([math.tanh(x) for x in xs])
+    t = np.fromiter(map(math.tanh, xs), float, len(xs))
     return 0.5 * (ID2 - t[:, None, None] * SIGMA_Y)
 
 

@@ -34,6 +34,7 @@ from .qcore import (
     TOL,
     DensityOperator,
     QuantumValueError,
+    _herm_defect,
     density_failures,
     wrap_validated,
 )
@@ -283,10 +284,9 @@ def _sanitize_measured(raw):
     marginally nonpositive, so the Bloch vector is scaled back onto the ball when needed.
     """
     stack = np.array([*raw.values()], complex).reshape(-1, 2, 2)
-    adjoint = stack.conj().swapaxes(-1, -2)
-    herm = np.abs(stack - adjoint).max(axis=(-2, -1))
+    herm = _herm_defect(stack)
     m, hermitized = stack.copy(), herm > 0.0
-    m[hermitized] = 0.5 * (stack[hermitized] + adjoint[hermitized])
+    m[hermitized] = 0.5 * (stack + stack.conj().swapaxes(-1, -2))[hermitized]
     tr = (m[:, 0, 0] + m[:, 1, 1]).real
     renormalized = ~(np.abs(tr - 1.0) <= TOL["trace"])
     m[renormalized] = m[renormalized] / tr[renormalized, None, None]

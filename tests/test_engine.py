@@ -613,6 +613,28 @@ def test_spectrum_and_closure_gates_fail_nan():
     assert closure(nan, rho[0]) == {0: "stroke D->A: cycle failed to close, defect nan"}
 
 
+def test_spectrum_and_closure_columns_keep_the_reduction_bits(rng):
+    # the table's spectrum and closure defects, maxima over entry planes, have the bits of the
+    # .max reductions over each row's eigenvalues and entries: NaN, inf and -0.0 included
+    n, special = 128, [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308]
+    parts = rng.normal(size=(3, 6, n, 2, 2))
+    hit = rng.random(parts.shape) < 0.25
+    parts[hit] = rng.choice(special, hit.sum())
+    states = np.empty((6, n, 2, 2), complex)
+    states.real, states.imag = parts[:2]
+    v = SimpleNamespace(lam=parts[2, ..., 0], states=states)
+    A, B, C, D, A2 = (getattr(runner_mod, k) for k in ("A", "B", "C", "D", "A2"))
+    fill = {columns.start: defect for columns, defect in runner_mod._FILL}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column, ref in {
+                ("A->B", SPECTRUM_NAN): np.abs(v.lam[A] - v.lam[B]).max(axis=-1),
+                ("C->D", SPECTRUM_NAN): np.abs(v.lam[C] - v.lam[D]).max(axis=-1),
+                ("D->A", "cycle failed to close, defect nan"):
+                    np.abs(states[A2] - states[A]).max(axis=(-2, -1))}.items():
+            got = fill[SWEEP_COLUMNS.index(column)](v)
+            assert got.shape == (n, 1) and got.tobytes() == ref.tobytes()
+
+
 def _per_tap_tomography(config):
     """Each row's exact snapshots through measure_all -> stokes_from_intensities
     -> reconstruct, tap by tap on the row's substream: snapshot bytes and failures."""

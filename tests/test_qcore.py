@@ -16,6 +16,7 @@ from ottosim.qcore import (
     QuantumValueError,
     TOL,
     SupportError,
+    _herm_defect,
     density_failures,
     density_spectra,
     eig_herm,
@@ -596,6 +597,48 @@ class TestStackedChecks:
             m[0, 1] = 1e-11
             assert density_spectra(m[None])[2] == {0: "not Hermitian: defect 1e-11"}
             eig_herm(m)  # within eig_herm's bound
+
+
+# entries that give NaN, inf and signed zeros in a defect or an entropy term
+SPECIAL = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308])
+
+
+def _with_specials(rng, shape, share=0.25):
+    """A standard-normal float array of ``shape`` with about ``share`` of its entries SPECIAL."""
+    a = rng.normal(size=shape)
+    hit = rng.random(shape) < share
+    a[hit] = rng.choice(SPECIAL, hit.sum())
+    return a
+
+
+class TestEntryPlanes:
+    """The per-row maxima and sums over two-long axes, written as one pass over each entry
+    plane, have the bits of the numpy reductions they replace: NaN, inf and -0.0 included."""
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", [0, 1, 7, 768])
+    def test_herm_defect_keeps_the_reduction_bits(self, rng, n, d):
+        # a 2x2 stack takes the entry planes, a 4x4 stack the reduction
+        for _ in range(20):
+            stack = np.empty((n, d, d), complex)
+            stack.real, stack.imag = _with_specials(rng, (2, n, d, d))
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+                got = _herm_defect(stack)
+            assert got.shape == (n,) and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_entropies_keep_the_sum_bits(self, rng, d):
+        # zeros of either sign, negative entries (a -0.0 term), NaN and inf, in every mix; a pair
+        # of -0.0 terms sums to +0.0, as numpy's sum gives it
+        lam = rng.random((4000, d))
+        hit = rng.random(lam.shape) < 0.5
+        lam[hit] = rng.choice([0.0, -0.0, -1e-20, 1.0, np.nan, np.inf], hit.sum())
+        lam = np.concatenate([lam, np.full((1, d), -0.0), np.full((1, d), np.nan)])
+        s = -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+        ref = np.where(s < 0.0, 0.0, s)
+        got = entropies(lam.reshape(2, -1, d))
+        assert got.shape == (2, len(lam) // 2) and got.tobytes() == ref.tobytes()
 
 
 class TestGate:

@@ -32,6 +32,8 @@ from ottosim.tomography import UnphysicalStokesWarning
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_default.csv"
 GOLDEN_NOISY_JSON = Path(__file__).parent / "data" / "golden_noisy_0.1_seed3.json"
+# the CSV of the 128-angle grid 45 k / 127 deg (k = 0..127), the benchmark's largest sweep
+GRID128_CSV = Path(__file__).parent / "data" / "grid128.csv"
 README_CYCLE_JSON = Path(__file__).parent / "data" / "readme_cycle.json"
 README = Path(__file__).parent.parent / "README.md"
 
@@ -208,6 +210,11 @@ class TestEmit:
 
     def test_csv_regression_against_frozen_golden(self):
         assert emit(run_sweep(), "csv") == GOLDEN_CSV.read_bytes()
+
+    def test_grid128_csv_regression_against_frozen_file(self):
+        # 768 states through one density check, the entry-plane forms at the largest stack
+        config = SweepConfig(theta_list_deg=tuple(45.0 * k / 127 for k in range(128)))
+        assert emit(run_sweep(config), "csv") == GRID128_CSV.read_bytes()
 
     @pytest.mark.filterwarnings("ignore::ottosim.tomography.UnphysicalStokesWarning")
     def test_noisy_json_regression_against_frozen_golden(self, tmp_path):
