@@ -26,16 +26,16 @@ sweep never hits), the per-angle strokes on (N, ., .) arrays, then one (6, N, 2,
 every 2x2 state, slot k the plane ``states[k]`` (rho_A and rho_B repeated on every row),
 decomposed in one call (the joint states, congruences of the checked rho_B by checked
 elements, are only reduced).  Each check of a row is a column of the gate table ``_GATES``,
-all compared by one ``qcore.gate`` call (a failed A->B column stops every row).  A SweepReport
-(from a sweep or ``load_report``) is the CSV-value table and a builder of the snapshot planes,
-built with its rows on first read, which a CSV emit never makes; ``run_cycle`` is N = 1.
+their (N, K) defects one concatenate, all compared by one ``qcore.gate`` call (a failed A->B
+column stops every row).  A SweepReport (from a sweep or ``load_report``) is the CSV-value table
+and one (N, 5, 2, 2) snapshot stack, gathered from the state stack (with noise, from the tap's);
+``run_cycle`` is N = 1.
 """
 
 import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -179,9 +179,7 @@ _GATES = (
     ("D->A", *_density(A2)),
     ("D->A", lambda v: _plane_max(np.abs(v.states[A2] - v.states[A])),
      [(TOL["cycle_closure"], "cycle failed to close, defect {:.3g}".format)]))
-# each row's columns of the (N, K) defects; the bounds, and messages of (defect, i, traces)
-_FILL = [(slice(end - len(checks), end), defect) for (_, defect, checks), end in zip(
-    _GATES, accumulate(len(checks) for *_, checks in _GATES))]
+# the bounds of the (N, K) defects' columns, and messages of (defect, i, traces)
 _SWEEP_GATE = (np.array([bound for *_, checks in _GATES for bound, _ in checks]), tuple(
     lambda d, i, tr, s=stroke, m=m: f"stroke {s}: {m(d, i, tr)}"
     for stroke, _, checks in _GATES for _, m in checks))
@@ -203,14 +201,15 @@ def _cycle_rows(thetas, config):
 
     A->B comes from ``_a_to_b`` and B->C, C->D and D->A run on all N rows; then the (6, N, 2, 2)
     stack of every 2x2 state, slot k (C, A2, D, A, B, hot) its plane ``states[k]``, is decomposed
-    in one call and one ``gate`` call compares the (N, K) defects of ``_GATES``.  A row reports
-    its first failed check, in stroke order, with its stroke named; the other rows go on, and a
-    failed A->B check (rho_A, rho_B or their spectra) stops every row.  The ledger is columns
-    over all rows, the energies one call over slots C to B and the entropies one over slots D to
-    hot, with only IEEE arithmetic vectorised, so each value has the bits of the per-row
-    formulas; with noise the passing rows' snapshots are tapped as one stack.  Returns the
-    finished rows sorted by (r, theta_V), as positions in ``thetas``, CSV values and a function
-    building their snapshot planes (see SweepReport), and the error of each stopped row.
+    in one call and one ``gate`` call compares the (N, K) defects of ``_GATES``, one concatenate
+    of its columns.  A row reports its first failed check, in stroke order, with its stroke
+    named; the other rows go on, and a failed A->B check (rho_A, rho_B or their spectra) stops
+    every row.  The ledger is columns over all rows, the energies one call over slots C to B and
+    the entropies one over slots D to hot, with only IEEE arithmetic vectorised, so each value
+    has the bits of the per-row formulas; with noise the passing rows' snapshots are tapped as
+    one stack.  Returns the finished rows sorted by (r, theta_V), as positions in ``thetas``,
+    the read-only (N, 13) CSV values and (N, 5, 2, 2) snapshots (labels in ``SNAPSHOT_LABELS``
+    order, one gather from the state stack or the tap), and the error of each stopped row.
     """
     params, count = config.params(), len(thetas)
     n, x_c = params.n, params.x_c
@@ -244,9 +243,7 @@ def _cycle_rows(thetas, config):
     # the defects of the gate table; a row reports its first failed check with its stroke named
     v = SimpleNamespace(lam=lam, dens=dens, states=states,
                         blocks=blocks.reshape(2, count, 4))  # [PD; IPD]
-    defects = np.empty((count, len(_SWEEP_GATE[0])))
-    for columns, defect in _FILL:
-        defects[:, columns] = defect(v)
+    defects = np.concatenate([defect(v) for _, defect, _ in _GATES], axis=1)
     errors = {i: CycleError(m) for i, m in gate(defects, *_SWEEP_GATE, trace).items()}
 
     # the ledger as columns over all rows (a stopped row's are dropped with it), one call per
@@ -278,16 +275,11 @@ def _cycle_rows(thetas, config):
         stopped = {int(keep[k]): QuantumValueError(message) for k, message in tap_errors.items()}
         errors.update(stopped)
         ok[list(stopped)] = False
-    # the finished rows by (r, theta_V); their planes are built on first read, without noise
-    # every row sharing one TA and one TB
+    # the finished rows by (r, theta_V) and their (N, 5, 2, 2) snapshots, one gather
     sel = np.lexsort((degrees, r))
     rows = sel[ok[sel]]
-
-    def planes():
-        if noisy:
-            return tuple(_frozen(taps[np.searchsorted(keep, rows)]).swapaxes(0, 1))
-        return (*np.broadcast_to(ab[:, None], (2, len(rows), 2, 2)), *_frozen(paths[:, rows]))
-    return rows.tolist(), _frozen(table.T[rows]), planes, errors
+    snapshots = taps[np.searchsorted(keep, rows)] if noisy else states[_TAP, rows[:, None]]
+    return rows.tolist(), _frozen(table.T[rows]), _frozen(snapshots), errors
 
 
 def run_cycle(theta_deg, config=None):
@@ -302,40 +294,30 @@ def run_cycle(theta_deg, config=None):
     config = config or SweepConfig()
     if not 0.0 <= theta_deg <= 45.0:
         raise QuantumValueError(f"theta_V = {theta_deg:.6g} deg outside [0, 45]")
-    _, table, planes, errors = _cycle_rows((theta_deg,), config)
+    _, table, snapshots, errors = _cycle_rows((theta_deg,), config)
     if errors:
         raise errors[0]
-    return SweepReport(table, planes).rows[0]
+    return SweepReport(table, snapshots).rows[0]
 
 
 class SweepReport:
     """A sweep's rows (sorted by r, then theta_V), its failures and its metadata, as columns.
 
-    ``table`` is the read-only (N, 13) array of CSV values and ``planes`` a function giving
-    the (N, 5, 2, 2) snapshot stack as one read-only (N, 2, 2) plane per label (a noiseless
-    sweep's TA and TB broadcast from one matrix).  ``_planes`` runs it on first read and keeps
-    its planes, so a CSV ``emit``, which reads only the columns, never builds them; ``rows``
+    ``table`` is the read-only (N, 13) array of CSV values and ``snapshots`` the read-only
+    (N, 5, 2, 2) stack of each row's snapshots, labels in ``SNAPSHOT_LABELS`` order; ``rows``
     builds the CycleResults on first read and keeps them.
     """
 
-    def __init__(self, table, planes, failures=None, metadata=None):
-        self._table, self._plane_builder, self._built_planes, self._rows = table, planes, None, None
+    def __init__(self, table, snapshots, failures=None, metadata=None):
+        self._table, self._snapshots, self._rows = table, snapshots, None
         self.failures, self.metadata = failures or {}, metadata or {}
-
-    @property
-    def _planes(self):
-        if self._built_planes is None:
-            self._built_planes = self._plane_builder()
-        return self._built_planes
 
     @property
     def rows(self):
         if self._rows is None:
-            states = [[wrap_validated(m, label) for m in plane]
-                      for label, plane in zip(SNAPSHOT_LABELS, self._planes)]
-            self._rows = tuple(CycleResult(v[0], CycleLedger(math.radians(v[0]), *v[1:-1]),
-                                           dict(zip(SNAPSHOT_LABELS, snaps)), v[-1])
-                               for v, snaps in zip(self._table.tolist(), zip(*states)))
+            self._rows = tuple(CycleResult(v[0], CycleLedger(math.radians(v[0]), *v[1:-1]), {
+                label: wrap_validated(m, label) for label, m in zip(SNAPSHOT_LABELS, snaps)}, v[-1])
+                for v, snaps in zip(self._table.tolist(), self._snapshots))
         return self._rows
 
     def __eq__(self, other):
@@ -354,7 +336,7 @@ def run_sweep(config=None):
     """
     config = config or SweepConfig()
     thetas = config.theta_list_deg
-    _, table, planes, errors = _cycle_rows(thetas, config)
+    _, table, snapshots, errors = _cycle_rows(thetas, config)
     failures = {f"{thetas[i]:.12g}": str(errors[i]) for i in sorted(errors)}
     metadata = {
         "version": __version__,
@@ -370,7 +352,7 @@ def run_sweep(config=None):
             "seed": config.seed,
         },
     }
-    return SweepReport(table, planes, failures, metadata)
+    return SweepReport(table, snapshots, failures, metadata)
 
 
 def _g(value):
@@ -406,7 +388,7 @@ def emit(report, fmt="csv"):
         return (",".join(CSV_COLUMNS) + "\n" + body + failed).encode()
     if fmt == "json":
         snaps = [dict(zip(SNAPSHOT_LABELS, row))  # the (N, 5, 2, 2) stack in one conversion
-                 for row in _matrix_to_json(np.stack(report._planes, axis=1))]
+                 for row in _matrix_to_json(report._snapshots)]
         keys = list(map(_g, report._table[:, 0].tolist()))
         kept = dict(zip(keys, snaps))  # the last row's snapshots at each key
         lost = [key for key, snap in zip(keys, snaps) if snap != kept[key]]
@@ -460,8 +442,8 @@ def load_report(data):
     _raise_first(density_failures(stack))
     failures = _required(doc["failures"], dict, "report key failures")
     metadata = _required(doc["metadata"], dict, "report key metadata")
-    planes = tuple(_frozen(stack).reshape(-1, len(SNAPSHOT_LABELS), 2, 2).swapaxes(0, 1))
-    return SweepReport(_frozen(table), lambda: planes, failures, metadata)
+    snapshots = _frozen(stack.reshape(-1, len(SNAPSHOT_LABELS), 2, 2))
+    return SweepReport(_frozen(table), snapshots, failures, metadata)
 
 
 def _required(value, kind, where):
@@ -519,8 +501,8 @@ def compare_golden(report):
         raise QuantumValueError("report has no theta_V = 22.5 deg row to compare")
     golden = load_golden_data()
     fids, fids_sq, deltas = {}, {}, {}
-    for label, gold_label, plane in zip(SNAPSHOT_LABELS, GOLDEN_LABELS, report._planes):
-        sim = wrap_validated(plane[at[0]], label)
+    for label, gold_label, matrix in zip(SNAPSHOT_LABELS, GOLDEN_LABELS, report._snapshots[at[0]]):
+        sim = wrap_validated(matrix, label)
         fids_sq[label] = fidelity(sim, golden.states[gold_label])
         fids[label] = math.sqrt(fids_sq[label])
         deltas[label] = float(np.abs(sim.matrix - golden.raw[gold_label]).max())

@@ -624,7 +624,9 @@ def test_spectrum_and_closure_columns_keep_the_reduction_bits(rng):
     states.real, states.imag = parts[:2]
     v = SimpleNamespace(lam=parts[2, ..., 0], states=states)
     A, B, C, D, A2 = (getattr(runner_mod, k) for k in ("A", "B", "C", "D", "A2"))
-    fill = {columns.start: defect for columns, defect in runner_mod._FILL}
+    # each gate row's defect expression at the first of its columns
+    starts = np.cumsum([0, *(len(checks) for *_, checks in runner_mod._GATES)]).tolist()
+    fill = {start: defect for start, (_, defect, _) in zip(starts, runner_mod._GATES)}
     with np.errstate(over="ignore", invalid="ignore"):
         for column, ref in {
                 ("A->B", SPECTRUM_NAN): np.abs(v.lam[A] - v.lam[B]).max(axis=-1),
@@ -793,11 +795,11 @@ def _csv_values(row):
 
 
 def _columns_report(rows, failures=None, metadata=None):
-    """A SweepReport holding ready rows as columns: their CSV values and snapshot planes."""
+    """A SweepReport holding ready rows as columns: their CSV values and snapshot stack."""
     table = np.array([_csv_values(row) for row in rows], float).reshape(-1, len(CSV_COLUMNS))
-    planes = tuple(np.array([row.snapshots[label].matrix for row in rows], complex)
-                   .reshape(-1, 2, 2) for label in SNAPSHOT_LABELS)
-    return SweepReport(table, lambda: planes, failures, metadata)
+    snapshots = np.array([[row.snapshots[label].matrix for label in SNAPSHOT_LABELS]
+                          for row in rows], complex).reshape(-1, len(SNAPSHOT_LABELS), 2, 2)
+    return SweepReport(table, snapshots, failures, metadata)
 
 
 # -- the deferred checks against the stroke-by-stroke engine they replaced ------
@@ -942,8 +944,8 @@ def _reference_cycle_rows(thetas, config):
 
 def _engine_rows(thetas, config):
     """runner._cycle_rows with its finished rows as position -> CycleResult."""
-    positions, table, planes, errors = runner_mod._cycle_rows(thetas, config)
-    return dict(zip(positions, SweepReport(table=table, planes=planes).rows)), errors
+    positions, table, snapshots, errors = runner_mod._cycle_rows(thetas, config)
+    return dict(zip(positions, SweepReport(table=table, snapshots=snapshots).rows)), errors
 
 
 def _outcome(engine, config):
@@ -1010,21 +1012,41 @@ def test_a_row_reports_its_first_failed_stroke(monkeypatch):
         _row_key(row) for row in clean.rows if row.theta_deg not in (22.5, 37.0)]
 
 
-def test_noiseless_rows_share_their_fixed_snapshots():
-    # every row's TA and TB wrap a view of one matrix; each TC is a slice of its own
-    rows = run_sweep().rows
-    for label in ("TA", "TB"):
-        first = rows[0].snapshots[label].matrix
-        assert all(np.shares_memory(row.snapshots[label].matrix, first) for row in rows)
-    assert not any(np.shares_memory(row.snapshots["TC"].matrix, rows[0].snapshots["TC"].matrix)
-                   for row in rows[1:])
+def _snapshot_bytes(snapshots):
+    return [state.matrix.tobytes() for state in snapshots.values()]
 
 
-# -- snapshot planes built on first read ------------------------------------------
+@pytest.mark.filterwarnings("ignore::ottosim.tomography.UnphysicalStokesWarning")
+def test_a_report_holds_one_snapshot_stack():
+    # a sweep, noiseless or noisy, a loaded report and the empty sweep each hold one read-only
+    # (N, 5, 2, 2) stack whose rows are their CycleResults' snapshots; run_cycle's row is that
+    # of a one-angle stack; every noiseless TA and TB has the bits of the A->B memo's rho_A, rho_B
+    config = SweepConfig()
+    rho_ab = runner_mod._a_to_b(*(v.hex() for v in (config.n, config.x_c, config.omega0_tau)))[0]
+    noiseless = run_sweep(config)
+    reports = {"noiseless": noiseless, "noisy": run_sweep(SweepConfig(noise_sigma=0.1, seed=3)),
+               "loaded": load_report(emit(noiseless, "json")),
+               "empty": run_sweep(SweepConfig(theta_list_deg=()))}
+    for name, report in reports.items():
+        stack = report._snapshots
+        assert stack.shape == (len(report._table), 5, 2, 2) and not stack.flags.writeable, name
+        assert [_snapshot_bytes(row.snapshots) for row in report.rows] == [
+            [m.tobytes() for m in snaps] for snaps in stack], name
+        if name != "noisy":
+            assert stack[:, :2].tobytes() == np.broadcast_to(rho_ab, stack[:, :2].shape).tobytes()
+    assert len(reports["noisy"].rows) == len(DEFAULT_THETAS)
+    for theta in (0.0, 22.5, 45.0):
+        _, _, stack, _ = runner_mod._cycle_rows((theta,), config)
+        assert stack.shape == (1, 5, 2, 2) and not stack.flags.writeable
+        assert _snapshot_bytes(run_cycle(theta).snapshots) == [m.tobytes() for m in stack[0]]
+        assert stack[0, :2].tobytes() == rho_ab.tobytes()
+
+
+# -- the frozen noiseless JSON ------------------------------------------------------
 
 # sha256 of the noiseless JSON reports of the default sweep and of the 128 angles 45k/128
-# (22.5 among them), as emitted when every sweep still built its snapshot planes on return
-PLANE_CONFIGS = {
+# (22.5 among them)
+FROZEN_JSON = {
     "default": (SweepConfig(),
                 "9759bc7ae3e1cef3608a8cc284f4e757772f732f2c9a313f63e3202b0029503c"),
     "grid128": (SweepConfig(theta_list_deg=tuple(45.0 * k / 128 for k in range(128))),
@@ -1032,49 +1054,26 @@ PLANE_CONFIGS = {
 }
 
 
-def _planes_built(report):
-    return report._built_planes is not None
-
-
-@pytest.mark.parametrize("name", list(PLANE_CONFIGS))
-def test_a_csv_emit_leaves_the_planes_unbuilt(name):
-    report = run_sweep(PLANE_CONFIGS[name][0])
-    emit(report, "csv")
-    assert not _planes_built(report)
-    planes = report._planes
-    assert _planes_built(report) and report._planes is planes
-    assert [plane.shape for plane in planes] == [(len(report._table), 2, 2)] * 5
-    assert not any(a.flags.writeable for a in (report._table, *planes))
-
-
-@pytest.mark.parametrize("name", list(PLANE_CONFIGS))
-def test_planes_built_by_any_first_reader_keep_the_frozen_json(name):
-    # JSON emit, rows and compare_golden each build the planes when read first; the report
-    # loaded back from the frozen bytes anchors rows and compare_golden
-    config, digest = PLANE_CONFIGS[name]
-    blob = emit(run_sweep(config), "json")
+@pytest.mark.parametrize("name", list(FROZEN_JSON))
+def test_the_noiseless_json_keeps_its_frozen_sha256(name):
+    # the report loaded back from the frozen bytes anchors rows and compare_golden; reading the
+    # rows and the golden comparison leaves the JSON as it was
+    config, digest = FROZEN_JSON[name]
+    report = run_sweep(config)
+    blob = emit(report, "json")
     assert hashlib.sha256(blob).hexdigest() == digest
     loaded = load_report(blob)
-    expected = compare_golden(loaded)
-    for first in ("json", "rows", "golden"):
-        report = run_sweep(config)
-        if first == "rows":
-            assert report.rows == loaded.rows
-        if first == "golden":
-            assert compare_golden(report) == expected
-        assert emit(report, "json") == blob, first
-        assert report == loaded and compare_golden(report) == expected
+    assert report == loaded and compare_golden(report) == compare_golden(loaded)
+    assert emit(report, "json") == emit(loaded, "json") == blob
 
 
 @pytest.mark.parametrize("gate", list(GATES))
-def test_planes_of_the_rows_a_gate_keeps(monkeypatch, gate):
+def test_snapshots_of_the_rows_a_gate_keeps(monkeypatch, gate):
     clean = json.loads(emit(run_sweep(), "json"))
     GATES[gate][0](monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = run_sweep()
-        emit(report, "csv")
-        assert not _planes_built(report)
         doc = json.loads(emit(report, "json"))
     assert doc["rows"] == [row for row in clean["rows"] if row["theta_v_deg"] != 22.5]
     assert doc["snapshots"] == {key: snaps for key, snaps in clean["snapshots"].items()
@@ -1084,11 +1083,9 @@ def test_planes_of_the_rows_a_gate_keeps(monkeypatch, gate):
         compare_golden(report)
 
 
-def test_the_empty_sweep_and_a_single_cycle_build_their_planes():
+def test_the_empty_sweep_round_trips_and_run_cycle_is_a_one_angle_sweep():
     empty = run_sweep(SweepConfig(theta_list_deg=()))
     assert emit(empty, "csv") == (",".join(CSV_COLUMNS) + "\n").encode()
-    assert not _planes_built(empty)
-    assert [plane.shape for plane in empty._planes] == [(0, 2, 2)] * 5
     assert empty.rows == () and load_report(emit(empty, "json")) == empty
     for theta in (0.0, 22.5, 45.0):
         assert run_cycle(theta) == run_sweep(SweepConfig(theta_list_deg=(theta,))).rows[0]

@@ -753,6 +753,23 @@ class TestCli:
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert out.read_bytes() == GOLDEN_CSV.read_bytes()
 
+    def test_out_opens_the_file_write_only_without_truncating(self, tmp_path, monkeypatch):
+        # the flags of the one os.open, which root's runs check too: write access only (so a
+        # write-only file can be written), created if missing, and cut after the write
+        out, opened, os_open = tmp_path / "report.csv", [], os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((path, flags))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", recording_open)
+        out.write_bytes(b"old report\n" * 1000)
+        assert cli.main(["sweep", "--out", str(out)]) == 0
+        ((path, flags),) = [(path, flags) for path, flags in opened if path == str(out)]
+        assert flags & os.O_ACCMODE == os.O_WRONLY and flags & os.O_CREAT
+        assert not flags & os.O_TRUNC
+        assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+
     @pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0,
                         reason="root reads every file, so a write-only file proves nothing")
     def test_out_writes_a_write_only_file(self, tmp_path):
